@@ -14,10 +14,10 @@ from .embedded import (EmbeddedCurve, RationalityError, blache_correction,
                        verify_twisted_duality)
 from .graphs import (DiscriminantGroup, GraphError, GraphSyntaxError,
                      IntersectionForm, NotATreeError, NotNegativeDefiniteError,
-                     ResolutionGraph, artin_rationality, canonical_cycle, chi,
-                     dual_cycle, fundamental_cycle, is_rational,
-                     laufer_saturate, min_antinef_rep, pairing, parse_graph,
-                     strict_interior_cycle, subgraph_components)
+                     ResolutionGraph, artin_rationality, chi,
+                     fundamental_cycle, is_rational, laufer_saturate,
+                     min_antinef_rep, parse_graph, strict_interior_cycle,
+                     subgraph_components)
 from .randtrees import random_rational_graph
 from .series import (RegionError, SparseSeries, TwistError, ZetaSpec,
                      build_zeta, expand, h_part, reduce_to, synthetic_spec)

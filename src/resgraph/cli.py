@@ -33,6 +33,9 @@ from .randtrees import (random_antinef, random_class, random_positions,
 from .series import build_zeta, expand, h_part, reduce_to
 
 
+CLASS_CAP = 24  # basics lists the classes of groups up to this order
+
+
 @dataclass(frozen=True)
 class RunConfig:
     fmt: str = "table"
@@ -41,7 +44,6 @@ class RunConfig:
     stride: int = 5
     seed: int = 1
     trials: int = 25
-    class_cap: int = 24
 
     def fit(self) -> FitConfig:
         return FitConfig(max_substride=max(1, self.stride))
@@ -100,7 +102,7 @@ def cmd_basics(args, cfg: RunConfig) -> int:
     lines.append(f"fundamental cycle Z_min = {_cycle_str(zmin)}   "
                  f"chi = {chi(graph, zmin)}   "
                  f"{'rational' if rational else 'NOT rational'}")
-    if group.order <= cfg.class_cap:
+    if group.order <= CLASS_CAP:
         classes = {}
         lines.append("classes (r_h, s_h, chi(r_h), chi(s_h)):")
         for h in group.elements():
@@ -330,13 +332,23 @@ def cmd_curve(args, cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _positive_rational(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="resgraph",
         description="exact invariants of plumbing trees and curve germs")
     ap.add_argument("--format", choices=("table", "doc"), default="table")
-    ap.add_argument("--bound", type=str, default="3",
-                    help="expansion window bound (rational, e.g. 5/2)")
+    ap.add_argument("--bound", type=_positive_rational, default="3",
+                    help="expansion window bound (positive rational, e.g. 5/2)")
     ap.add_argument("--depth", type=int, default=3, help="surgery probe depth")
     ap.add_argument("--stride", type=int, default=5,
                     help="substride sweep ceiling for the periodic-constant fit")
@@ -378,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig(fmt=args.format, bound=Fraction(args.bound), depth=args.depth,
+    cfg = RunConfig(fmt=args.format, bound=args.bound, depth=args.depth,
                     stride=args.stride, seed=args.seed, trials=args.trials)
     try:
         return args.func(args, cfg)

@@ -25,9 +25,10 @@ from typing import Sequence
 
 import numpy as _np
 
-from .cycles import RationalCycle, cycle_from_scaled, zero_cycle
+from .cycles import RationalCycle, zero_cycle
 from .graphs import ResolutionGraph, chi, laufer_saturate, strict_interior_cycle, subgraph_components
 from .series import ZetaSpec, build_zeta
+from .snf import fraction_inverse
 
 
 class StabilizationError(ArithmeticError):
@@ -46,6 +47,11 @@ _FAILED: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary
 _PLAIN: "weakref.WeakKeyDictionary[ResolutionGraph, ZetaSpec]" = weakref.WeakKeyDictionary()
 
 TABLE_STATE_CAP = 1_800_000
+
+FIT_WINDOW = 3  # length of the constant difference tail a fit demands
+SPECIAL_CAP = 64  # largest period candidate read off the generators
+RAY_DEPTHS = (12, 18, 26, 38, 56, 80)  # ray depths every fit tries
+MAX_RAY_DEPTH = 320  # deepest ray queued for a long period
 
 
 def plain_zeta(graph: ResolutionGraph) -> ZetaSpec:
@@ -168,7 +174,7 @@ def _untwist(spec: ZetaSpec, residue: tuple[int, ...],
     if spec.twist is None:
         return spec, tuple(residue), x
     d = spec.den
-    tw = cycle_from_scaled(spec.twist, d)
+    tw = RationalCycle(spec.twist, d)
     res = tuple((a - b) % d for a, b in zip(residue, spec.twist))
     return spec.untwisted(), res, x - tw
 
@@ -222,6 +228,16 @@ def _q_two_gens(spec: ZetaSpec, residue: tuple[int, ...],
     return total
 
 
+def _signed_subsets(positions: Sequence[int]):
+    """Nonempty subsets with their inclusion-exclusion signs, sizes ascending,
+    then ``itertools.combinations`` order.  Tables grow monotonically, so the
+    order also fixes which tables get built and rebuilt."""
+    for r in range(1, len(positions) + 1):
+        sign = (-1) ** (r + 1)
+        for sub in itertools.combinations(positions, r):
+            yield sign, sub
+
+
 def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
                positions: Sequence[int], x: RationalCycle) -> int:
     """Modified counting function: coefficient sum over support exponents of
@@ -265,13 +281,8 @@ def counting_Q(spec: ZetaSpec, residue: tuple[int, ...],
     modified counting function by inclusion-exclusion."""
     if not positions:
         raise ValueError("variable subset must be nonempty")
-    pos = tuple(sorted(positions))
-    total = 0
-    for r in range(1, len(pos) + 1):
-        sign = (-1) ** (r + 1)
-        for sub in itertools.combinations(pos, r):
-            total += sign * counting_q(spec, residue, sub, x)
-    return total
+    return sum(sign * counting_q(spec, residue, sub, x)
+               for sign, sub in _signed_subsets(sorted(positions)))
 
 
 def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
@@ -318,16 +329,11 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
 
 def _ray_count_values(spec: ZetaSpec, residue: tuple[int, ...],
                       positions: tuple[int, ...], base: RationalCycle,
-                      step: RationalCycle, nk: int, modified: bool) -> list[int]:
-    if modified:
-        return _ray_q_values(spec, residue, positions, base, step, nk)
+                      step: RationalCycle, nk: int) -> list[int]:
     totals = [0] * nk
-    for r in range(1, len(positions) + 1):
-        sign = (-1) ** (r + 1)
-        for sub in itertools.combinations(positions, r):
-            vals = _ray_q_values(spec, residue, sub, base, step, nk)
-            for i in range(nk):
-                totals[i] += sign * vals[i]
+    for sign, sub in _signed_subsets(positions):
+        vals = _ray_q_values(spec, residue, sub, base, step, nk)
+        totals = [t + sign * v for t, v in zip(totals, vals)]
     return totals
 
 
@@ -338,33 +344,18 @@ def _ray_count_values(spec: ZetaSpec, residue: tuple[int, ...],
 class FitConfig:
     """Knobs for the difference-table fit of counting functions along rays."""
 
-    window: int = 3
     max_substride: int = 12
-    special_cap: int = 64
-    ray_depths: tuple[int, ...] = (12, 18, 26, 38, 56, 80)
-    max_ray_depth: int = 320
-
-
-def _lagrange_at_zero(ks: Sequence[int], vals: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for i, (ki, vi) in enumerate(zip(ks, vals)):
-        w = Fraction(1)
-        for j, kj in enumerate(ks):
-            if j != i:
-                w *= Fraction(-kj, ki - kj)
-        total += vi * w
-    return total
 
 
 def _period_candidates(spec: ZetaSpec, positions: tuple[int, ...],
-                       direction: RationalCycle, cap: int) -> list[int]:
+                       direction: RationalCycle) -> list[int]:
     """Quasi-period candidates of the counting function along the ray.
 
     Jumps of the count happen when a face of the dilating region crosses
     lattice points; the relevant denominators are the single generator
     entries and the two-by-two minors of the projected generator matrix,
-    each divided by its alignment with the step.  Candidates above the cap
-    are dropped (the fit then reports non-stabilisation honestly).
+    each divided by its alignment with the step.  Candidates above
+    ``SPECIAL_CAP`` are dropped (the fit then reports non-stabilisation honestly).
     """
     from math import gcd, lcm
     step = direction.scaled(spec.den)
@@ -382,10 +373,10 @@ def _period_candidates(spec: ZetaSpec, positions: tuple[int, ...],
             vertex_move = gcd(abs(gj[q] * step[p] - gj[p] * step[q]),
                               abs(gi[p] * step[q] - gi[q] * step[p]))
             minor = lcm(minor, det // gcd(det, vertex_move))
-            if minor > 16 * cap:
+            if minor > 16 * SPECIAL_CAP:
                 break
     cands.add(minor)
-    return sorted(c for c in cands if 1 < c <= cap)
+    return sorted(c for c in cands if 1 < c <= SPECIAL_CAP)
 
 
 def _detected_periods(vals: Sequence[int], deg_cap: int,
@@ -422,7 +413,7 @@ def _poly_eval(ks: Sequence[int], vals: Sequence[int], at: int) -> Fraction:
 
 
 def _stabilised_extrapolation(ks: Sequence[int], vals: Sequence[int],
-                              deg_cap: int, window: int) -> int | None:
+                              deg_cap: int) -> int | None:
     """Extrapolate to zero once the Newton difference tail is constant.
 
     A constant window of differences is necessary but not sufficient: small
@@ -432,7 +423,7 @@ def _stabilised_extrapolation(ks: Sequence[int], vals: Sequence[int],
     """
     row = list(vals)
     for deg in range(0, deg_cap + 1):
-        if len(row) >= window and len(set(row[-window:])) == 1:
+        if len(row) >= FIT_WINDOW and len(set(row[-FIT_WINDOW:])) == 1:
             pts = vals[-(deg + 1):]
             kpts = ks[-(deg + 1):]
             if len(pts) < deg + 1:
@@ -441,7 +432,7 @@ def _stabilised_extrapolation(ks: Sequence[int], vals: Sequence[int],
             for k, v in zip(ks[-check:], vals[-check:]):
                 if _poly_eval(kpts, pts, k) != v:
                     return None
-            val = _lagrange_at_zero(kpts, pts)
+            val = _poly_eval(kpts, pts, 0)
             if val.denominator != 1:
                 return None
             return int(val)
@@ -451,8 +442,7 @@ def _stabilised_extrapolation(ks: Sequence[int], vals: Sequence[int],
 
 def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
                     positions: Sequence[int], base: RationalCycle,
-                    direction: RationalCycle, fit: FitConfig = FitConfig(),
-                    modified: bool = False) -> int:
+                    direction: RationalCycle, fit: FitConfig = FitConfig()) -> int:
     """Value at the ray base of the polynomial the counting function agrees
     with deep along ``base + k * direction``.
 
@@ -461,55 +451,39 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
     show up as unstable difference tails and push the fit to coarser
     substrides or a deeper ray; a ray is only deepened while its tables stay
     affordable, and nothing is ever guessed.
-
-    The modified variant is assembled from plain fits over the nonempty
-    variable subsets: the inclusion-exclusion relation between the two
-    counting functions holds identically at the quasi-polynomial level, and
-    the subsetwise fits are far more stable because the deeper periodic
-    parts of the modified function cancel in the alternating sum.
     """
     pos = tuple(sorted(positions))
-    if modified:
-        total = 0
-        for r in range(1, len(pos) + 1):
-            sign = (-1) ** (r + 1)
-            for sub in itertools.combinations(pos, r):
-                total += sign * quasipoly_value(spec, residue, sub, base,
-                                                direction, fit, modified=False)
-        return total
     deg_cap = len(spec.dens) + 1
-    specials = _period_candidates(spec, pos, direction, fit.special_cap)
-    depths = sorted(set(fit.ray_depths)
-                    | {2 * a * (fit.window + 2) for a in specials
-                       if 2 * a * (fit.window + 2) > max(fit.ray_depths)})
+    specials = _period_candidates(spec, pos, direction)
+    depths = sorted(set(RAY_DEPTHS)
+                    | {2 * a * (FIT_WINDOW + 2) for a in specials
+                       if 2 * a * (FIT_WINDOW + 2) > max(RAY_DEPTHS)})
     i = 0
     while i < len(depths):
         depth = depths[i]
         i += 1
         try:
-            vals = _ray_count_values(spec, residue, pos, base, direction, depth, False)
+            vals = _ray_count_values(spec, residue, pos, base, direction, depth)
         except _TableBudgetExceeded:
             break  # a deeper ray would only grow the tables further
-        top = min(fit.max_substride, depth // (2 * (fit.window + 1)))
+        top = min(fit.max_substride, depth // (2 * (FIT_WINDOW + 1)))
         sweep = list(range(1, top + 1))
         sweep += [a for a in specials if a > top]
         sweep += [a for a in _detected_periods(vals, deg_cap, depth // 2)
                   if a > top and a not in sweep]
         for a in sorted(set(sweep)):
-            if 2 * a * (fit.window + 1) > depth:
+            if 2 * a * (FIT_WINDOW + 1) > depth:
                 # not enough samples yet; queue a deeper ray for this period
-                need = 2 * a * (fit.window + 2)
-                if need <= fit.max_ray_depth and need not in depths:
+                need = 2 * a * (FIT_WINDOW + 2)
+                if need <= MAX_RAY_DEPTH and need not in depths:
                     depths = sorted(set(depths) | {need})
                 continue
             ks1 = list(range(a, depth + 1, a))
             ks2 = list(range(2 * a, depth + 1, 2 * a))
-            v1 = _stabilised_extrapolation(ks1, [vals[k - 1] for k in ks1],
-                                           deg_cap, fit.window)
+            v1 = _stabilised_extrapolation(ks1, [vals[k - 1] for k in ks1], deg_cap)
             if v1 is None:
                 continue
-            v2 = _stabilised_extrapolation(ks2, [vals[k - 1] for k in ks2],
-                                           deg_cap, fit.window)
+            v2 = _stabilised_extrapolation(ks2, [vals[k - 1] for k in ks2], deg_cap)
             if v2 is not None and v1 == v2:
                 return v1
     raise StabilizationError(
@@ -535,24 +509,11 @@ def _interior_certified(projected_duals: list[tuple[Fraction, ...]],
     spans and hence of the whole cone."""
     k = len(y)
     for subset in itertools.combinations(projected_duals, k):
-        rows = [[Fraction(subset[j][i]) for j in range(k)] for i in range(k)]
-        rhs = [Fraction(v) for v in y]
-        # exact Gaussian elimination
-        mat = [row[:] + [b] for row, b in zip(rows, rhs)]
-        ok = True
-        for col in range(k):
-            piv = next((r for r in range(col, k) if mat[r][col]), None)
-            if piv is None:
-                ok = False
-                break
-            mat[col], mat[piv] = mat[piv], mat[col]
-            pval = mat[col][col]
-            mat[col] = [x / pval for x in mat[col]]
-            for r in range(k):
-                if r != col and mat[r][col]:
-                    f = mat[r][col]
-                    mat[r] = [x - f * ypos for x, ypos in zip(mat[r], mat[col])]
-        if ok and all(mat[r][k] > 0 for r in range(k)):
+        try:
+            inv = fraction_inverse([[subset[j][i] for j in range(k)] for i in range(k)])
+        except ValueError:
+            continue  # singular: the subset spans no full-rank sub-cone
+        if all(sum(a * b for a, b in zip(row, y)) > 0 for row in inv):
             return True
     return False
 
@@ -595,22 +556,23 @@ def fitted_qp_value(graph: ResolutionGraph, spec: ZetaSpec,
                     residue: tuple[int, ...], positions: Sequence[int],
                     base: RationalCycle, fit: FitConfig = FitConfig(),
                     modified: bool = False) -> int:
-    """Ray-fitted quasi-polynomial value with direction retry; the modified
-    variant is assembled subsetwise so each subset picks its own ray."""
+    """Ray-fitted quasi-polynomial value with direction retry.
+
+    The modified variant is assembled from plain fits over the nonempty
+    variable subsets, so each subset picks its own ray: the
+    inclusion-exclusion relation between the two counting functions holds
+    identically at the quasi-polynomial level, and the subsetwise fits are
+    far more stable because the deeper periodic parts of the modified
+    function cancel in the alternating sum.
+    """
     pos = tuple(sorted(positions))
     if modified:
-        total = 0
-        for r in range(1, len(pos) + 1):
-            sign = (-1) ** (r + 1)
-            for sub in itertools.combinations(pos, r):
-                total += sign * fitted_qp_value(graph, spec, residue, sub,
-                                                base, fit, modified=False)
-        return total
+        return sum(sign * fitted_qp_value(graph, spec, residue, sub, base, fit)
+                   for sign, sub in _signed_subsets(pos))
     last: StabilizationError | None = None
     for direction in _ray_directions(graph, pos):
         try:
-            return quasipoly_value(spec, residue, pos, base, direction, fit,
-                                   modified=False)
+            return quasipoly_value(spec, residue, pos, base, direction, fit)
         except StabilizationError as exc:
             last = exc
     raise last if last is not None else StabilizationError("no ray direction")
@@ -677,13 +639,8 @@ def modified_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
                        positions: Sequence[int], lbar: RationalCycle) -> int:
     """Closed-form value of the reduced modified-counting quasi-polynomial,
     by inverting the inclusion-exclusion relation subsetwise."""
-    pos = tuple(sorted(positions))
-    total = 0
-    for r in range(1, len(pos) + 1):
-        sign = (-1) ** (r + 1)
-        for sub in itertools.combinations(pos, r):
-            total += sign * counting_qp_closed(graph, g, sub, lbar)
-    return total
+    return sum(sign * counting_qp_closed(graph, g, sub, lbar)
+               for sign, sub in _signed_subsets(sorted(positions)))
 
 
 def _twist_data(graph: ResolutionGraph, spec: ZetaSpec,
@@ -699,7 +656,7 @@ def _twist_data(graph: ResolutionGraph, spec: ZetaSpec,
         g = h
         base = group.frac_rep(h)
     else:
-        tw = cycle_from_scaled(spec.twist, spec.den)
+        tw = RationalCycle(spec.twist, spec.den)
         g = group.sub(h, group.class_of(tw))
         base = group.frac_rep(h) - tw
     lbar = base - group.frac_rep(g)

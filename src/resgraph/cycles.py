@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,6 @@ class RationalCycle:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.num) if a)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(Fraction(a, self.den)) for a in self.num) + ")"
 
@@ -126,7 +123,3 @@ def zero_cycle(n: int) -> RationalCycle:
 
 def basis_cycle(n: int, i: int) -> RationalCycle:
     return RationalCycle(tuple(1 if j == i else 0 for j in range(n)), 1)
-
-
-def cycle_from_scaled(scaled: Sequence[int], d: int) -> RationalCycle:
-    return RationalCycle(tuple(scaled), d)

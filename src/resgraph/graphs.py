@@ -268,14 +268,6 @@ class ResolutionGraph:
     def in_lipman_cone(self, x: RationalCycle) -> bool:
         return all(p <= 0 for p in self.antinef_defect(x))
 
-    def arrow_cycle(self) -> RationalCycle:
-        """Sum of arrow multiplicities times dual cycles."""
-        total = zero_cycle(self.n)
-        for i, a in enumerate(self.arrows):
-            if a:
-                total = total + a * self.duals[i]
-        return total
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -340,18 +332,6 @@ def parse_graph(text: str) -> ResolutionGraph:
 
 # ---------------------------------------------------------------------------
 # lattice operations
-
-def pairing(graph: ResolutionGraph, x: RationalCycle, y: RationalCycle) -> Fraction:
-    return graph.form.pair(x, y)
-
-
-def dual_cycle(graph: ResolutionGraph, vertex_id: int) -> RationalCycle:
-    return graph.dual(vertex_id)
-
-
-def canonical_cycle(graph: ResolutionGraph) -> RationalCycle:
-    return graph.canonical
-
 
 def chi(graph: ResolutionGraph, x: RationalCycle) -> Fraction:
     """Riemann-Roch quadratic: chi(x) = -(x, x - Z_K)/2."""
@@ -501,24 +481,13 @@ def is_rational(graph: ResolutionGraph) -> bool:
 
 
 def strict_interior_cycle(graph: ResolutionGraph) -> RationalCycle:
-    """A small integral cycle pairing at most -1 with every basis vector.
+    """A small integral cycle pairing at most -1 with every basis vector,
+    used as a ray direction inside the Lipman cone.
 
-    Saturation variant demanding strict negativity; used as a ray direction
-    inside the Lipman cone.
+    As (sum of E*_u, E_v) = -1, a cycle does so exactly when subtracting the
+    dual sum leaves it anti-nef: a saturation shifted by the dual sum.
     """
-    num = [1] * graph.n
-    rows = graph.form.rows
-    pair = graph.form.apply_scaled(num)
-    cap = graph.det_abs * sum(abs(e) for e in graph.eulers) * graph.n * graph.n + graph.n + 16
-    for _ in range(cap):
-        bad = [v for v in range(graph.n) if pair[v] >= 0]
-        if not bad:
-            return RationalCycle(tuple(num), 1)
-        v = bad[0]
-        num[v] += 1
-        for w in range(graph.n):
-            pair[w] += rows[w][v]
-    raise RuntimeError("interior saturation exceeded its iteration cap; this is a bug")
+    return laufer_saturate(graph, graph.unit_cycle - graph.sum_duals) + graph.sum_duals
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .cycles import RationalCycle, cycle_from_scaled
+from .cycles import RationalCycle
 from .graphs import ResolutionGraph
 
 
@@ -60,9 +60,6 @@ class ZetaSpec:
         if self.twist is None:
             return self
         return ZetaSpec(self.ids, self.den, self.num, self.dens, None)
-
-    def degree_cap(self) -> int:
-        return len(self.dens)
 
 
 def synthetic_spec(num: Sequence[tuple[int, Sequence[int]]],
@@ -150,9 +147,6 @@ class SparseSeries:
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
-
-    def exponent_cycles(self) -> list[RationalCycle]:
-        return [cycle_from_scaled(k, self.den) for k, _ in self.sorted_items()]
 
     def dump(self) -> str:
         """One term per line: ``coeff n_1/d ... n_k/d``, lexicographic order."""

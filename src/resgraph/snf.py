@@ -125,32 +125,16 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[list[int], list[list[int]]
 
 def unimodular_inverse(rows: list[list[int]]) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for k in range(n):
-        p = next(i for i in range(k, n) if aug[i][k])
-        aug[k], aug[p] = aug[p], aug[k]
-        pivot = aug[k][k]
-        aug[k] = [x / pivot for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
     out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
+    for row in fraction_inverse(rows):
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("matrix is not unimodular")
+        out.append([int(x) for x in row])
     return out
 
 
-def fraction_inverse(rows: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular integer matrix, as Fractions."""
+def fraction_inverse(rows: list[list[int | Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular matrix of ints or Fractions."""
     n = len(rows)
     aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from resgraph.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +94,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(["basics", "no-such-file.graph"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("bound", ["abc", "1/0"])
+def test_bad_bound_is_usage_error(bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bound", bound, "series", str(GRAPHS / "cyclic4.graph")])
+    assert exc.value.code == 2
+    assert "argument --bound" in capsys.readouterr().err
 
 
 def test_verify_sw_suite(capsys):

@@ -12,11 +12,12 @@ from conftest import dihedral_rows
 from resgraph.cycles import RationalCycle, basis_cycle, zero_cycle
 from resgraph.graphs import (GraphError, GraphSyntaxError, NotATreeError,
                              NotNegativeDefiniteError,
-                             artin_rationality, chi, dual_cycle,
+                             artin_rationality, chi,
                              fundamental_cycle, is_rational, laufer_saturate,
-                             min_antinef_rep, pairing, parse_graph,
+                             min_antinef_rep, parse_graph,
                              strict_interior_cycle, subgraph_components)
 from resgraph.randtrees import random_rational_graph
+from resgraph.snf import fraction_inverse, smith_normal_form, unimodular_inverse
 
 
 def frac_cycle(*entries):
@@ -99,7 +100,7 @@ def test_dual_entries_strictly_positive(dihedral, brieskorn):
 
 
 def test_dihedral_center_dual(dihedral):
-    assert dual_cycle(dihedral, 2) == frac_cycle("1/3", "2/3", "1/3", "1/3")
+    assert dihedral.dual(2) == frac_cycle("1/3", "2/3", "1/3", "1/3")
 
 
 def test_canonical_cycles(a3, dihedral, brieskorn):
@@ -263,6 +264,29 @@ def test_strict_interior_cycle_properties(a3, dihedral, brieskorn):
         w = strict_interior_cycle(g)
         assert w.is_integral
         assert all(g.form.pair_basis(w, v) <= -1 for v in range(g.n))
+        for v in range(g.n):
+            smaller = w - basis_cycle(g.n, v)
+            assert any(g.form.pair_basis(smaller, u) >= 0 for u in range(g.n))
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_inverses_reject_singular_and_non_unimodular():
+    for inverse in (fraction_inverse, unimodular_inverse):
+        with pytest.raises(ValueError):
+            inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        unimodular_inverse([[2, 0], [0, 1]])
+
+
+def test_inverse_round_trips(dihedral):
+    rows = [list(r) for r in dihedral.form.rows]
+    eye = [[int(i == j) for j in range(dihedral.n)] for i in range(dihedral.n)]
+    assert _product(rows, fraction_inverse(rows)) == eye
+    _diag, u, _v = smith_normal_form(rows)
+    assert _product(u, unimodular_inverse(u)) == eye
 
 
 # ---------------------------------------------------------------------------
