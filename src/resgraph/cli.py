@@ -175,7 +175,10 @@ def cmd_series(args, cfg: RunConfig) -> int:
             print("error: reduce a single class part, not the full series "
                   "(use --class-zero)", file=sys.stderr)
             return 2
-    print(series.dump())
+    doc = {"den": series.den,
+           "terms": [[c, [_frac(Fraction(x, series.den)) for x in key]]
+                     for key, c in series.sorted_items()]}
+    _emit(doc, cfg, [series.dump()])
     return 0
 
 
@@ -230,6 +233,9 @@ def _verify_surgery(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
 
 def _verify_cdgz_delta(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
                        lines: list[str]) -> tuple[int, int, int]:
+    if not artin_rationality(graph)[1]:
+        lines.append("  skip: graph is not rational")
+        return 0, 0, 0
     passed = failed = inconclusive = 0
     for _ in range(cfg.trials):
         probe = graph if any(graph.arrows) else random_unit_arrows(rng, graph)

@@ -4,10 +4,20 @@ Two sums over the support of a class part are needed: the counting function
 (exponents not dominating the test cycle on a variable subset) and the
 modified one (exponents strictly below it on every chosen coordinate).  Both
 reduce, through inclusion-exclusion, to box-bounded sums, which are computed
-from a sparse dynamic-programming table of denominator-exponent sums keyed by
-the projected coordinates and the residue class mod the integral lattice.
+from a dynamic-programming table of denominator-exponent sums keyed by the
+projected coordinates and the residue class mod the integral lattice.
 Tables grow monotonically and are cached per spec, so a ray of evaluations
 costs one table build plus cheap scans.
+
+A table has two builders with one output, residue -> (coordinates, counts)
+arrays.  The sparse one walks a dictionary of reachable cells.  The dense
+one fills a numpy array over the kept coordinates divided by their
+generator gcds and one index into the residue subgroup the generators
+span.  ``_table_for`` picks dense when the table compresses (its reduced
+grid is no larger than the multiset estimate) and the estimate is at least
+``DENSE_MIN_CELLS``; the builder itself declines specs without generators,
+arrays above ``DENSE_CELL_CAP`` cells and counts that could reach 2**63.
+Counts are Python ints instead of int64 once a ray sum could overflow.
 
 Periodic constants are read off by sampling the counting function along a
 ray interior to the Lipman cone, stabilising a Newton difference table on
@@ -21,6 +31,8 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import factorial, gcd, lcm, prod
 from typing import Sequence
 
 import numpy as _np
@@ -47,6 +59,8 @@ _FAILED: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary
 _PLAIN: "weakref.WeakKeyDictionary[ResolutionGraph, ZetaSpec]" = weakref.WeakKeyDictionary()
 
 TABLE_STATE_CAP = 1_800_000
+DENSE_CELL_CAP = 2 ** 23  # largest dense table: residue classes x reduced grid
+DENSE_MIN_CELLS = 10 ** 4  # smallest multiset estimate worth numpy's overhead
 
 FIT_WINDOW = 3  # length of the constant difference tail a fit demands
 SPECIAL_CAP = 64  # largest period candidate read off the generators
@@ -106,26 +120,118 @@ def _build_table(spec: ZetaSpec, positions: tuple[int, ...],
     return states
 
 
-def _bucketise(states: dict) -> dict:
+def _wide(spec: ZetaSpec, total: int) -> bool:
+    """Whether scans of a table holding ``total`` multisets could leave int64:
+    a ray histogram sums up to ``sum |coeff| * total`` in absolute value."""
+    return sum(abs(c) for c, _ in spec.num) * total >= 2 ** 63
+
+
+def _bucketise(spec: ZetaSpec, states: dict) -> dict:
     """Group table states by residue: residue -> (projection matrix, counts),
-    as integer arrays for vectorised box queries."""
+    as integer arrays for vectorised box queries.  Counts are Python-int
+    object arrays when int64 scans could overflow."""
     grouped: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for (y, rho), count in states.items():
         grouped.setdefault(rho, []).append((y, count))
+    dtype = object if _wide(spec, sum(states.values())) else _np.int64
     buckets = {}
     for rho, items in grouped.items():
         ys = _np.array([y for y, _ in items], dtype=_np.int64).reshape(len(items), -1)
-        cs = _np.array([c for _, c in items], dtype=_np.int64)
+        cs = _np.array([c for _, c in items], dtype=dtype)
         buckets[rho] = (ys, cs)
     return buckets
+
+
+def _dense_shape(spec: ZetaSpec, positions: tuple[int, ...],
+                 bounds: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+    """Per kept coordinate, the gcd g_p of the generator entries there (every
+    reachable y_p is a multiple of it) and the count ceil(b_p / g_p) of those
+    multiples below the bound.  The spec must have generators."""
+    gs = [reduce(gcd, (gen[p] for gen in spec.dens)) for p in positions]
+    return gs, tuple(-(-b // g) for b, g in zip(bounds, gs))
+
+
+def _build_dense(spec: ZetaSpec, positions: tuple[int, ...],
+                 bounds: tuple[int, ...]) -> dict | None:
+    """The buckets of ``_bucketise(spec, _build_table(...))`` from a dense DP.
+
+    The array is indexed by the reduced coordinates ``y_p / g_p`` and one
+    scalar index into the subgroup of residues mod den that the generator
+    residues generate.  Each generator is one unbounded-knapsack pass over
+    blocks of the first axis; projected steps are strictly positive, so a
+    block only reads blocks already final.  Returns None where the dense form
+    does not apply: no generators, more than ``DENSE_CELL_CAP`` cells, or
+    counts that could reach 2**63.
+    """
+    if any(b <= 0 for b in bounds):
+        return {}
+    if not spec.dens:
+        return None
+    most = 1  # multisets inside the box bound every count
+    for gen in spec.dens:
+        most *= 1 + min((b - 1) // gen[p] for p, b in zip(positions, bounds))
+    if most >= 2 ** 63:
+        return None
+    gs, shape = _dense_shape(spec, positions, bounds)
+    grid = prod(shape)
+    d = spec.den
+    steps = [tuple(x % d for x in gen) for gen in spec.dens]
+    classes = [(0,) * spec.nvars]
+    index = {classes[0]: 0}
+    for rho in classes:  # breadth-first; the list grows while it is walked
+        if len(classes) * grid > DENSE_CELL_CAP:
+            return None
+        for st in steps:
+            nxt = tuple((a + b) % d for a, b in zip(rho, st))
+            if nxt not in index:
+                index[nxt] = len(classes)
+                classes.append(nxt)
+    table = _np.zeros(shape + (len(classes),),
+                      dtype=_np.int32 if most < 2 ** 31 else _np.int64)
+    table[(0,) * table.ndim] = 1
+    for gen, st in zip(spec.dens, steps):
+        s = [gen[p] // g for p, g in zip(positions, gs)]
+        if any(a >= n for a, n in zip(s, shape)):
+            continue  # not even one copy fits in the box
+        src = _np.array([index[tuple((a - b) % d for a, b in zip(rho, st))]
+                         for rho in classes])
+        dst = tuple(slice(a, None) for a in s[1:])
+        lo = tuple(slice(0, n - a) for a, n in zip(s[1:], shape[1:]))
+        for y0 in range(s[0], shape[0], s[0]):
+            top = min(y0 + s[0], shape[0])
+            table[(slice(y0, top),) + dst] += \
+                table[(slice(y0 - s[0], top - s[0]),) + lo][..., src]
+    cells = int(_np.count_nonzero(table))
+    if cells > TABLE_STATE_CAP:
+        raise _TableBudgetExceeded(cells)
+    dtype = object if _wide(spec, int(table.sum(dtype=_np.int64))) else _np.int64
+    scale = _np.asarray(gs, dtype=_np.int64)
+    buckets = {}
+    for c, rho in enumerate(classes):
+        plane = table[..., c]
+        at = _np.nonzero(plane)
+        if at[0].size:
+            buckets[rho] = (_np.stack(at, axis=1) * scale, plane[at].astype(dtype))
+    return buckets
+
+
+def _simplex_estimate(spec: ZetaSpec, positions: tuple[int, ...],
+                      bounds: tuple[int, ...]) -> int:
+    """The multiset bound with a simplex correction: roughly how many
+    multisets of generators project inside the box."""
+    box = 1
+    for gen in spec.dens:
+        ranges = [(b + gen[p] - 1) // gen[p] for p, b in zip(positions, bounds)]
+        box *= max(1, min(ranges))
+        if box > 5000 * TABLE_STATE_CAP:
+            break
+    return box // max(1, factorial(len(spec.dens))) + 1
 
 
 def _estimate_cells(spec: ZetaSpec, positions: tuple[int, ...],
                     bounds: tuple[int, ...]) -> int:
     """Cheap upper-estimate of the state count: the residue-weighted grid
     bound against the multiset bound with a simplex correction."""
-    from math import factorial
-    from math import gcd
     grid = spec.den
     for i, b in enumerate(bounds):
         g = 0
@@ -134,18 +240,13 @@ def _estimate_cells(spec: ZetaSpec, positions: tuple[int, ...],
         grid *= max(1, b // max(1, g))
         if grid > 64 * TABLE_STATE_CAP:
             break
-    box = 1
-    for gen in spec.dens:
-        ranges = [(b + gen[p] - 1) // gen[p] for p, b in zip(positions, bounds)]
-        box *= max(1, min(ranges))
-        if box > 5000 * TABLE_STATE_CAP:
-            break
-    simplex = box // max(1, factorial(len(spec.dens))) + 1
-    return min(grid, simplex)
+    return min(grid, _simplex_estimate(spec, positions, bounds))
 
 
 def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
                bounds: tuple[int, ...]) -> dict:
+    """Cached buckets covering the box; a larger box rebuilds the table.
+    Estimates refuse oversized tables before either builder is chosen."""
     per_spec = _TABLES.setdefault(spec, {})
     entry = per_spec.get(positions)
     if entry is not None:
@@ -160,8 +261,14 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
     if _estimate_cells(spec, positions, bounds) > (5 * TABLE_STATE_CAP) // 4:
         failed[positions] = bounds
         raise _TableBudgetExceeded(bounds)
+    simplex = _simplex_estimate(spec, positions, bounds)
     try:
-        table = _bucketise(_build_table(spec, positions, bounds))
+        table = None
+        if (spec.dens and simplex >= DENSE_MIN_CELLS
+                and prod(_dense_shape(spec, positions, bounds)[1]) <= simplex):
+            table = _build_dense(spec, positions, bounds)
+        if table is None:
+            table = _bucketise(spec, _build_table(spec, positions, bounds))
     except _TableBudgetExceeded:
         failed[positions] = bounds
         raise
@@ -312,7 +419,8 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
             xk = tuple(b + k * s for b, s in zip(bs, ss))
             out.append(_q_two_gens(spec, residue, positions, xk))
         return out
-    hist = _np.zeros(nk + 2, dtype=_np.int64)
+    wide = any(cs.dtype == object for _, cs in table.values())
+    hist = _np.zeros(nk + 2, dtype=object if wide else _np.int64)
     svec = _np.asarray([ss[p] for p in positions], dtype=_np.int64)
     for coeff, bexp in spec.num:
         need = tuple((a - b) % d for a, b in zip(residue, bexp))
@@ -357,7 +465,6 @@ def _period_candidates(spec: ZetaSpec, positions: tuple[int, ...],
     each divided by its alignment with the step.  Candidates above
     ``SPECIAL_CAP`` are dropped (the fit then reports non-stabilisation honestly).
     """
-    from math import gcd, lcm
     step = direction.scaled(spec.den)
     entry = 1
     for gen in spec.dens:

@@ -130,6 +130,7 @@ def test_criterion_3_nonrational(brieskorn, brieskorn_blown):
     report("criterion 3 (non-rational germ)", ok, time.monotonic() - t0, 5.0)
 
 
+@pytest.mark.slow
 def test_criterion_4_twisted_duality(a3, dihedral):
     t0 = time.monotonic()
     checked = failures = inconclusive = 0

@@ -83,6 +83,16 @@ def test_series_dump(capsys):
     assert "1 4/4 4/4 4/4" in lines
 
 
+def test_series_doc_is_json(capsys):
+    code, out, _ = run_cli(["--format", "doc", "--bound", "3", "series",
+                            GRAPHS / "cyclic4.graph", "--class-zero"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["den"] == 4
+    assert doc["terms"][0] == [1, ["0/1", "0/1", "0/1"]]
+    assert [1, ["1/1", "1/1", "1/1"]] in doc["terms"]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("v 1 -2\nv 1 -2\n")
@@ -132,6 +142,16 @@ def test_verify_cdgz_suite(capsys):
                             "--suite", "cdgz-delta"], capsys)
     assert code == 0
     assert "0 failed" in out
+
+
+def test_verify_cdgz_suite_skips_non_rational(capsys):
+    code, out, err = run_cli(["--trials", "3", "verify",
+                              GRAPHS / "brieskorn237_blown.graph",
+                              "--suite", "cdgz-delta"], capsys)
+    assert code == 0
+    assert "skip: graph is not rational" in out
+    assert "0 passed, 0 failed, 0 inconclusive" in out
+    assert err == ""
 
 
 def test_curve_ordinary(capsys):

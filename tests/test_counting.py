@@ -2,12 +2,15 @@
 surgery identity, all checked against brute-force oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from resgraph.counting import (StabilizationError, counting_Q,
+from resgraph.counting import (DENSE_CELL_CAP, StabilizationError,
+                               _bucketise, _build_dense, _build_table,
+                               _ray_q_values, _table_for, counting_Q,
                                counting_q, counting_qp_closed,
                                modified_qp_closed, periodic_constant_full,
                                periodic_constant_reduced, plain_zeta,
@@ -121,6 +124,85 @@ def test_inclusion_exclusion_identity():
             for sub in itertools.combinations(pos, k):
                 total += (-1) ** (k + 1) * counting_q(spec, res, sub, x)
         assert counting_Q(spec, res, pos, x) == total
+
+
+def test_counts_beyond_int64_stay_exact():
+    # sixteen copies of t: q at 100 counts the multisets with sum below 100
+    spec = synthetic_spec([(1, (0,))], [(1,)] * 16)
+    exact = math.comb(115, 16)
+    assert exact >= 2 ** 63
+    assert counting_q(spec, (0,), (0,), RationalCycle((100,))) == exact
+    vals = _ray_q_values(spec, (0,), (0,), RationalCycle((0,)),
+                         RationalCycle((1,)), 100)
+    assert vals[-1] == exact
+    assert vals[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# partition tables: the dense builder against the sparse one
+
+def _table_cells(buckets):
+    return {(tuple(y), rho): (c, cs.dtype)
+            for rho, (ys, cs) in buckets.items()
+            for y, c in zip(ys.tolist(), cs.tolist())}
+
+
+def _assert_builders_agree(spec, positions, bounds):
+    dense = _build_dense(spec, positions, bounds)
+    assert dense is not None
+    sparse = _bucketise(spec, _build_table(spec, positions, bounds))
+    assert _table_cells(dense) == _table_cells(sparse)
+    assert all(ys.dtype == sparse[rho][0].dtype for rho, (ys, _) in dense.items())
+    return dense
+
+
+def test_dense_table_dihedral(dihedral):
+    dense = _assert_builders_agree(plain_zeta(dihedral), (0, 2), (300, 300))
+    assert sum(len(cs) for _, cs in dense.values()) > 5000
+
+
+def test_dense_table_cyclic4_every_subset(a3):
+    spec = plain_zeta(a3)
+    for r in range(1, 4):
+        for pos in itertools.combinations(range(3), r):
+            _assert_builders_agree(spec, pos, (37, 41, 29)[:r])
+
+
+def test_dense_table_twisted_relative(dihedral):
+    spec = build_zeta(dihedral, twist=dihedral.dual(2), relative=(1,))
+    _assert_builders_agree(spec.untwisted(), (1, 3), (90, 70))
+
+
+def test_dense_table_reduced_coordinates():
+    # gcd 2 on the first coordinate, 3 on the second; bounds not multiples
+    spec = synthetic_spec([(1, (0, 0)), (-2, (2, 3))],
+                          [(2, 6), (4, 3), (6, 9)], den=5)
+    _assert_builders_agree(spec, (0, 1), (61, 50))
+    _assert_builders_agree(spec, (1,), (80,))
+
+
+def test_dense_table_wide_counts():
+    # a huge coefficient pushes ray sums past int64: both store Python ints
+    spec = synthetic_spec([(2 ** 50, (0,)), (-1, (1,))], [(1,), (2,), (3,)])
+    dense = _assert_builders_agree(spec, (0,), (2000,))
+    assert all(cs.dtype == object for _, cs in dense.values())
+
+
+def test_dense_table_edge_cases(dihedral, a3):
+    spec = plain_zeta(dihedral)
+    assert _build_dense(spec, (0, 2), (0, 10)) == {}
+    assert _build_table(spec, (0, 2), (0, 10)) == {}
+    # a relative factor at both leaves of the chain cancels every generator
+    bare = build_zeta(a3, relative=(1, 3))
+    assert bare.dens == ()
+    assert _build_dense(bare, (0,), (5,)) is None
+    assert _table_cells(_table_for(bare, (0,), (5,))) == \
+        _table_cells(_bucketise(bare, _build_table(bare, (0,), (5,))))
+    # declined without allocating: over the cell cap, counts past int64
+    line = synthetic_spec([(1, (0,))], [(1,), (2,)])
+    assert _build_dense(line, (0,), (DENSE_CELL_CAP + 1,)) is None
+    many = synthetic_spec([(1, (0,))], [(1,)] * 16)
+    assert _build_dense(many, (0,), (100,)) is None
 
 
 # ---------------------------------------------------------------------------
