@@ -1,6 +1,7 @@
 """Exact invariants of normal surface singularities from plumbing trees."""
 
-from .counting import (FitConfig, StabilizationError, counting_Q, counting_q,
+from .counting import (FitConfig, InternalCheckError, StabilizationError,
+                       TableBudgetExceeded, counting_Q, counting_q,
                        counting_qp_closed, modified_qp_closed,
                        periodic_constant_full, periodic_constant_reduced,
                        plain_zeta, quasipoly_value, surgery_check, sw_norm,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curves as curvemod
-from .counting import (FitConfig, StabilizationError, surgery_check,
-                       sw_norm, verify_symmetry)
+from .counting import (FitConfig, StabilizationError, TableBudgetExceeded,
+                       surgery_check, sw_norm, verify_symmetry)
 from .cycles import RationalCycle, zero_cycle
 from .embedded import (EmbeddedCurve, RationalityError, blache_correction,
                        delta_cross_check, delta_embedded, kappa_topological,
@@ -185,6 +185,16 @@ def cmd_series(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
+# Instances that end in one of these are counted inconclusive, not failed.
+INCONCLUSIVE = (TableBudgetExceeded, StabilizationError)
+
+
+def _inconclusive(lines: list[str], label: str, exc: Exception) -> None:
+    cause = ("partition table over the cell budget"
+             if isinstance(exc, TableBudgetExceeded) else str(exc))
+    lines.append(f"  inconclusive {label}: {cause}")
+
+
 def _verify_duality(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
                     lines: list[str]) -> tuple[int, int, int]:
     group = graph.group
@@ -201,14 +211,21 @@ def _verify_duality(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
         cases = [(twists[rng.randrange(2)], random_class(rng, graph),
                   random_positions(rng, graph)) for _ in range(cfg.trials)]
     for tw, h, positions in cases:
-        rep = verify_twisted_duality(graph, tw, h, positions, cfg.fit())
+        label = f"h={h} I={positions} twist={tw and _cycle_str(tw)}"
+        try:
+            rep = verify_twisted_duality(graph, tw, h, positions, cfg.fit())
+        except INCONCLUSIVE as exc:
+            inconclusive += 1
+            _inconclusive(lines, label, exc)
+            continue
         if rep.failed:
             failed += 1
-            lines.append(f"  FAIL h={h} I={positions} twist="
-                         f"{tw and _cycle_str(tw)}: pc {rep.lhs} vs count {rep.rhs}, "
+            lines.append(f"  FAIL {label}: pc {rep.lhs} vs count {rep.rhs}, "
                          f"mpc {rep.lhs_modified} vs {rep.rhs_modified}")
         elif "inconclusive" in (rep.status, rep.status_modified):
             inconclusive += 1
+            which = "pc" if rep.status == "inconclusive" else "mpc"
+            lines.append(f"  inconclusive {label}: {which} ray fit did not stabilise")
         else:
             passed += 1
     return passed, failed, inconclusive
@@ -216,19 +233,24 @@ def _verify_duality(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
 
 def _verify_surgery(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
                     lines: list[str]) -> tuple[int, int, int]:
-    passed = failed = 0
+    passed = failed = inconclusive = 0
     for _ in range(cfg.trials):
         keep = [graph.ids[p] for p in random_positions(rng, graph, allow_full=False)]
         x = zero_cycle(graph.n)
         for i in range(graph.n):
             x = x + (cfg.depth + rng.randint(0, 2)) * graph.duals[i]
-        rep = surgery_check(graph, keep, x)
+        try:
+            rep = surgery_check(graph, keep, x)
+        except INCONCLUSIVE as exc:
+            inconclusive += 1
+            _inconclusive(lines, f"keep={keep} x={_cycle_str(x)}", exc)
+            continue
         if rep.passed:
             passed += 1
         else:
             failed += 1
             lines.append(f"  FAIL keep={keep} x={_cycle_str(x)} residual={rep.residual}")
-    return passed, failed, 0
+    return passed, failed, inconclusive
 
 
 def _verify_cdgz_delta(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
@@ -245,8 +267,9 @@ def _verify_cdgz_delta(graph: ResolutionGraph, cfg: RunConfig, rng: random.Rando
         try:
             rep = delta_cross_check(probe, EmbeddedCurve.from_graph_arrows(probe),
                                     cfg.fit())
-        except StabilizationError:
+        except INCONCLUSIVE as exc:
             inconclusive += 1
+            _inconclusive(lines, f"arrows={probe.arrows}", exc)
             continue
         if rep.passed:
             passed += 1
@@ -263,16 +286,21 @@ def _verify_sw(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
         lines.append("  skip: graph is not rational")
         return 0, 0, 0
     group = graph.group
-    passed = failed = 0
+    passed = failed = inconclusive = 0
     for h in group.elements():
-        val = sw_norm(graph, h)
+        try:
+            val = sw_norm(graph, h)
+        except INCONCLUSIVE as exc:
+            inconclusive += 1
+            _inconclusive(lines, f"h={h}", exc)
+            continue
         expect = chi(graph, group.frac_rep(h)) - chi(graph, min_antinef_rep(graph, h))
         if val == expect:
             passed += 1
         else:
             failed += 1
             lines.append(f"  FAIL h={h}: sw {val} vs chi difference {expect}")
-    return passed, failed, 0
+    return passed, failed, inconclusive
 
 
 SUITES = {

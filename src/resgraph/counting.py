@@ -6,8 +6,12 @@ modified one (exponents strictly below it on every chosen coordinate).  Both
 reduce, through inclusion-exclusion, to box-bounded sums, which are computed
 from a dynamic-programming table of denominator-exponent sums keyed by the
 projected coordinates and the residue class mod the integral lattice.
-Tables grow monotonically and are cached per spec, so a ray of evaluations
-costs one table build plus cheap scans.
+Tables are cached per spec and only grow, so a ray of evaluations costs one
+table build plus cheap scans.  A first build covers exactly the box asked
+for; a box beyond the cached one rebuilds to the union of both with each
+bound rounded up to three significant bits, so a base point that creeps
+with the class does not rebuild at every step.  The rounded box falls back
+to the exact one wherever the budget would refuse it.
 
 A table has two builders with one output, residue -> (coordinates, counts)
 arrays.  The sparse one walks a dictionary of reachable cells.  The dense
@@ -22,7 +26,11 @@ Counts are Python ints instead of int64 once a ray sum could overflow.
 Periodic constants are read off by sampling the counting function along a
 ray interior to the Lipman cone, stabilising a Newton difference table on
 the deep tail, and extrapolating the fitted polynomial back to the ray base.
-Two strides must stabilise and agree before a value is accepted.
+Samples sit on an even grid k = s, 2s, ..., so the back-check and the
+extrapolation are integer operations on the difference rows (Newton's
+backward formula); no rational interpolation is needed.  Two strides must
+stabilise and agree before a value is accepted, and a stride that is not a
+multiple of a quasi-period the samples show is never fitted.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Sequence
 
 import numpy as _np
@@ -47,8 +55,23 @@ class StabilizationError(ArithmeticError):
     """A probe or difference-table fit failed to settle."""
 
 
-class _TableBudgetExceeded(Exception):
-    """Internal: a partition table grew past the configured cap."""
+class TableBudgetExceeded(Exception):
+    """A partition table would hold more than ``TABLE_STATE_CAP`` cells.
+
+    Ray fits treat it as the end of the ray and two-generator specs fall
+    back to their closed evaluation; anywhere else it reaches the caller,
+    and verification drivers report the instance as inconclusive."""
+
+
+class InternalCheckError(AssertionError):
+    """A mandatory internal cross-check failed.  Raised explicitly, so the
+    check also runs under ``python -O``, where ``assert`` is stripped."""
+
+
+def _integral(val: Fraction, what: str) -> int:
+    if val.denominator != 1:
+        raise InternalCheckError(f"{what} is not an integer: {val}")
+    return int(val)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +127,7 @@ def _build_table(spec: ZetaSpec, positions: tuple[int, ...],
                 cy = tuple(a + s for a, s in zip(cy, step_y))
                 cr = tuple((a + s) % d for a, s in zip(cr, step_r))
             if len(cells) > TABLE_STATE_CAP:
-                raise _TableBudgetExceeded(len(cells))
+                raise TableBudgetExceeded(len(cells))
         out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for cell in sorted(cells, key=lambda c: (sum(c[0]), c)):
             y, rho = cell
@@ -203,7 +226,7 @@ def _build_dense(spec: ZetaSpec, positions: tuple[int, ...],
                 table[(slice(y0 - s[0], top - s[0]),) + lo][..., src]
     cells = int(_np.count_nonzero(table))
     if cells > TABLE_STATE_CAP:
-        raise _TableBudgetExceeded(cells)
+        raise TableBudgetExceeded(cells)
     dtype = object if _wide(spec, int(table.sum(dtype=_np.int64))) else _np.int64
     scale = _np.asarray(gs, dtype=_np.int64)
     buckets = {}
@@ -243,35 +266,72 @@ def _estimate_cells(spec: ZetaSpec, positions: tuple[int, ...],
     return min(grid, _simplex_estimate(spec, positions, bounds))
 
 
+def _rounded_up(b: int) -> int:
+    """``b`` rounded up to three significant bits: 288 and 298 become 320."""
+    step = 1 << max(0, b.bit_length() - 3)
+    return -(-b // step) * step
+
+
+def _build_box(spec: ZetaSpec, positions: tuple[int, ...],
+               bounds: tuple[int, ...]) -> dict:
+    """Buckets of one box, dense when the table compresses and is large
+    enough to repay numpy, sparse otherwise."""
+    simplex = _simplex_estimate(spec, positions, bounds)
+    table = None
+    if (spec.dens and simplex >= DENSE_MIN_CELLS
+            and prod(_dense_shape(spec, positions, bounds)[1]) <= simplex):
+        table = _build_dense(spec, positions, bounds)
+    if table is None:
+        table = _bucketise(spec, _build_table(spec, positions, bounds))
+    return table
+
+
 def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
                bounds: tuple[int, ...]) -> dict:
-    """Cached buckets covering the box; a larger box rebuilds the table.
+    """Cached buckets covering the box.
+
+    A first build is exact.  A larger box rebuilds the table to the union of
+    both boxes with every bound rounded up to three significant bits, so a
+    base point that creeps along with the class does not force one rebuild
+    per step.  The rounded box is only tried where it cannot be refused by
+    the budget; otherwise, and if its build runs over the budget, the exact
+    box is built, so the rounding never refuses a table the exact box gets.
     Estimates refuse oversized tables before either builder is chosen."""
     per_spec = _TABLES.setdefault(spec, {})
     entry = per_spec.get(positions)
+    grown = bounds
     if entry is not None:
         stored_bounds, stored = entry
         if all(a <= b for a, b in zip(bounds, stored_bounds)):
             return stored
         bounds = tuple(max(a, b) for a, b in zip(bounds, stored_bounds))
+        grown = tuple(_rounded_up(b) for b in bounds)
     failed = _FAILED.setdefault(spec, {})
     known_bad = failed.get(positions)
-    if known_bad is not None and all(a >= b for a, b in zip(bounds, known_bad)):
-        raise _TableBudgetExceeded(bounds)
-    if _estimate_cells(spec, positions, bounds) > (5 * TABLE_STATE_CAP) // 4:
+
+    def covered(box: tuple[int, ...]) -> bool:  # a known refusal fits inside
+        return known_bad is not None and all(a >= b for a, b in zip(box, known_bad))
+
+    over = (5 * TABLE_STATE_CAP) // 4
+    if covered(bounds):
+        raise TableBudgetExceeded(bounds)
+    if _estimate_cells(spec, positions, bounds) > over:
         failed[positions] = bounds
-        raise _TableBudgetExceeded(bounds)
-    simplex = _simplex_estimate(spec, positions, bounds)
-    try:
-        table = None
-        if (spec.dens and simplex >= DENSE_MIN_CELLS
-                and prod(_dense_shape(spec, positions, bounds)[1]) <= simplex):
-            table = _build_dense(spec, positions, bounds)
-        if table is None:
-            table = _bucketise(spec, _build_table(spec, positions, bounds))
-    except _TableBudgetExceeded:
-        failed[positions] = bounds
-        raise
+        raise TableBudgetExceeded(bounds)
+    table = None
+    if (grown != bounds and not covered(grown)
+            and _estimate_cells(spec, positions, grown) <= over):
+        try:
+            table = _build_box(spec, positions, grown)
+            bounds = grown
+        except TableBudgetExceeded:
+            failed[positions] = grown  # the exact box may still fit
+    if table is None:
+        try:
+            table = _build_box(spec, positions, bounds)
+        except TableBudgetExceeded:
+            failed[positions] = bounds
+            raise
     per_spec[positions] = (bounds, table)
     return table
 
@@ -366,7 +426,7 @@ def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
         return 0
     try:
         table = _table_for(spec, pos, bounds)
-    except _TableBudgetExceeded:
+    except TableBudgetExceeded:
         if len(spec.dens) == 2:
             return _q_two_gens(spec, residue, pos, xs)
         raise
@@ -404,14 +464,15 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     d = spec.den
     bs = base.scaled(d)
     ss = step.scaled(d)
-    assert all(ss[p] > 0 for p in positions), "ray step must increase every kept coordinate"
+    if not all(ss[p] > 0 for p in positions):
+        raise ValueError("ray step must increase every kept coordinate")
     bounds = []
     for i, p in enumerate(positions):
         worst = max(bs[p] - b[p] for _, b in spec.num)
         bounds.append(max(0, worst + nk * ss[p]))
     try:
         table = _table_for(spec, positions, tuple(bounds))
-    except _TableBudgetExceeded:
+    except TableBudgetExceeded:
         if len(spec.dens) != 2:
             raise
         out = []
@@ -487,11 +548,16 @@ def _period_candidates(spec: ZetaSpec, positions: tuple[int, ...],
 
 
 def _detected_periods(vals: Sequence[int], deg_cap: int,
-                      max_period: int) -> list[int]:
+                      max_period: int) -> tuple[list[int], list[int]]:
     """Periods read off the sampled ray itself: the smallest tail period of
     each difference row.  Complements the entry analysis, which only bounds
-    periods from above and misses interactions."""
+    periods from above and misses interactions.
+
+    Returns every period found and, second, those of rows whose inspected
+    tail is not constant: a constant row shows the trivial period 2, a
+    non-constant one a genuine quasi-period of the counting function."""
     found = set()
+    genuine = set()
     row = list(vals)
     for _ in range(deg_cap + 1):
         n = len(row)
@@ -501,48 +567,39 @@ def _detected_periods(vals: Sequence[int], deg_cap: int,
             span = min(n - rho, 3 * rho)
             if all(row[-i] == row[-i - rho] for i in range(1, span + 1)):
                 found.add(rho)
+                if len(set(row[-(span + rho):])) > 1:
+                    genuine.add(rho)
                 break
         if len(row) < 2:
             break
         row = [b - a for a, b in zip(row, row[1:])]
-    return sorted(found)
+    return sorted(found), sorted(genuine)
 
 
-def _poly_eval(ks: Sequence[int], vals: Sequence[int], at: int) -> Fraction:
-    total = Fraction(0)
-    for i, (ki, vi) in enumerate(zip(ks, vals)):
-        w = Fraction(1)
-        for j, kj in enumerate(ks):
-            if j != i:
-                w *= Fraction(at - kj, ki - kj)
-        total += vi * w
-    return total
-
-
-def _stabilised_extrapolation(ks: Sequence[int], vals: Sequence[int],
-                              deg_cap: int) -> int | None:
-    """Extrapolate to zero once the Newton difference tail is constant.
+def _stabilised_extrapolation(vals: Sequence[int], deg_cap: int) -> int | None:
+    """Extrapolate samples at k = s, 2s, ..., m*s to k = 0 once the Newton
+    difference tail is constant.
 
     A constant window of differences is necessary but not sufficient: small
-    periodic blips with longer periods can hide inside it.  The fitted
-    polynomial must therefore back-predict a long stretch of the sampled
-    tail exactly before its value at zero is trusted.
+    periodic blips with longer periods can hide inside it.  The polynomial
+    through the last deg + 1 samples must therefore back-predict the last
+    ``check`` samples exactly, which on an even grid means the last
+    ``check - deg`` entries of the deg-th difference row agree.  Its value at
+    k = 0 is then the integer sum over i <= deg of (-1)**i C(m, i) times the
+    last entry of the i-th difference row (Newton's backward formula).
     """
+    m = len(vals)
     row = list(vals)
+    last = []  # last entry of each difference row so far
     for deg in range(0, deg_cap + 1):
-        if len(row) >= FIT_WINDOW and len(set(row[-FIT_WINDOW:])) == 1:
-            pts = vals[-(deg + 1):]
-            kpts = ks[-(deg + 1):]
-            if len(pts) < deg + 1:
+        if len(row) < FIT_WINDOW:
+            return None
+        last.append(row[-1])
+        if len(set(row[-FIT_WINDOW:])) == 1:
+            check = min(m, max(2 * (deg + 2), 10))
+            if len(set(row[-(check - deg):])) != 1:
                 return None
-            check = min(len(vals), max(2 * (deg + 2), 10))
-            for k, v in zip(ks[-check:], vals[-check:]):
-                if _poly_eval(kpts, pts, k) != v:
-                    return None
-            val = _poly_eval(kpts, pts, 0)
-            if val.denominator != 1:
-                return None
-            return int(val)
+            return sum((-1) ** i * comb(m, i) * d for i, d in enumerate(last))
         row = [b - a for a, b in zip(row, row[1:])]
     return None
 
@@ -556,8 +613,10 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
     The fit must stabilise on two nested substride subsequences of the ray
     with the same extrapolation before a value is accepted.  Quasi-periods
     show up as unstable difference tails and push the fit to coarser
-    substrides or a deeper ray; a ray is only deepened while its tables stay
-    affordable, and nothing is ever guessed.
+    substrides or a deeper ray; a substride that is not a multiple of a
+    quasi-period the samples show would mix constituents, so it is never
+    fitted.  A ray is only deepened while its tables stay affordable, and
+    nothing is ever guessed.
     """
     pos = tuple(sorted(positions))
     deg_cap = len(spec.dens) + 1
@@ -571,13 +630,13 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
         i += 1
         try:
             vals = _ray_count_values(spec, residue, pos, base, direction, depth)
-        except _TableBudgetExceeded:
+        except TableBudgetExceeded:
             break  # a deeper ray would only grow the tables further
         top = min(fit.max_substride, depth // (2 * (FIT_WINDOW + 1)))
+        found, genuine = _detected_periods(vals, deg_cap, depth // 2)
         sweep = list(range(1, top + 1))
         sweep += [a for a in specials if a > top]
-        sweep += [a for a in _detected_periods(vals, deg_cap, depth // 2)
-                  if a > top and a not in sweep]
+        sweep += [a for a in found if a > top and a not in sweep]
         for a in sorted(set(sweep)):
             if 2 * a * (FIT_WINDOW + 1) > depth:
                 # not enough samples yet; queue a deeper ray for this period
@@ -585,12 +644,13 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
                 if need <= MAX_RAY_DEPTH and need not in depths:
                     depths = sorted(set(depths) | {need})
                 continue
-            ks1 = list(range(a, depth + 1, a))
-            ks2 = list(range(2 * a, depth + 1, 2 * a))
-            v1 = _stabilised_extrapolation(ks1, [vals[k - 1] for k in ks1], deg_cap)
+            if any(a % p for p in genuine):
+                continue
+            # samples at k = a, 2a, ... and at k = 2a, 4a, ...
+            v1 = _stabilised_extrapolation(vals[a - 1::a], deg_cap)
             if v1 is None:
                 continue
-            v2 = _stabilised_extrapolation(ks2, [vals[k - 1] for k in ks2], deg_cap)
+            v2 = _stabilised_extrapolation(vals[2 * a - 1::2 * a], deg_cap)
             if v2 is not None and v1 == v2:
                 return v1
     raise StabilizationError(
@@ -598,14 +658,15 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
 
 
 _SW_CACHE: "weakref.WeakKeyDictionary[ResolutionGraph, dict]" = weakref.WeakKeyDictionary()
+# per graph: pure functions of the graph and a key, e.g. ("components", ids)
 _PIECES: "weakref.WeakKeyDictionary[ResolutionGraph, dict]" = weakref.WeakKeyDictionary()
 
 
-def _components_cached(graph: ResolutionGraph, keep_ids: tuple[int, ...]):
+def _graph_cached(graph: ResolutionGraph, kind: str, key: tuple[int, ...], compute):
     cache = _PIECES.setdefault(graph, {})
-    if keep_ids not in cache:
-        cache[keep_ids] = subgraph_components(graph, keep_ids)
-    return cache[keep_ids]
+    if (kind, key) not in cache:
+        cache[kind, key] = compute(graph, key)
+    return cache[kind, key]
 
 
 def _interior_certified(projected_duals: list[tuple[Fraction, ...]],
@@ -626,7 +687,7 @@ def _interior_certified(projected_duals: list[tuple[Fraction, ...]],
 
 
 def _ray_directions(graph: ResolutionGraph,
-                    positions: tuple[int, ...]) -> list[RationalCycle]:
+                    positions: tuple[int, ...]) -> tuple[RationalCycle, ...]:
     """Lattice directions whose projections are interior to the projected
     anti-nef cone, smallest first.
 
@@ -656,7 +717,7 @@ def _ray_directions(graph: ResolutionGraph,
         dirs.append(w1)
     if not dirs:
         dirs.append(w1)
-    return dirs[:4]
+    return tuple(dirs[:4])
 
 
 def fitted_qp_value(graph: ResolutionGraph, spec: ZetaSpec,
@@ -676,13 +737,16 @@ def fitted_qp_value(graph: ResolutionGraph, spec: ZetaSpec,
     if modified:
         return sum(sign * fitted_qp_value(graph, spec, residue, sub, base, fit)
                    for sign, sub in _signed_subsets(pos))
-    last: StabilizationError | None = None
-    for direction in _ray_directions(graph, pos):
+    cause = "no ray direction"
+    for direction in _graph_cached(graph, "directions", pos, _ray_directions):
         try:
             return quasipoly_value(spec, residue, pos, base, direction, fit)
         except StabilizationError as exc:
-            last = exc
-    raise last if last is not None else StabilizationError("no ray direction")
+            # keep the message only: a kept exception references this frame
+            # through its traceback, and the cycle holds every spec and table
+            # of the failed fits until the cyclic collector runs
+            cause = str(exc)
+    raise StabilizationError(cause)
 
 
 def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
@@ -704,9 +768,7 @@ def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
         shift = zk + margin * graph.sum_duals
         probe = laufer_saturate(graph, r - shift) + shift
         q = counting_Q(spec, graph.residue(probe), allpos, probe)
-        val = q - chi(graph, probe) + chi(graph, r)
-        assert val.denominator == 1
-        vals.append(int(val))
+        vals.append(_integral(q - chi(graph, probe) + chi(graph, r), "SW probe value"))
     if vals[0] != vals[1]:
         raise StabilizationError(
             f"normalised SW probe did not stabilise: margins (1, 2) gave {vals}")
@@ -732,14 +794,13 @@ def counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
     point = rg + lbar
     total = chi(graph, point) - chi(graph, rg) + sw_norm(graph, g)
     keep_ids = tuple(graph.ids[p] for p in sorted(positions))
-    for piece in _components_cached(graph, keep_ids):
+    for piece in _graph_cached(graph, "components", keep_ids, subgraph_components):
         sub = piece.graph
         y = piece.project(point)
         gk = sub.group.class_of(y)
         rk = sub.group.frac_rep(gk)
         total -= chi(sub, y) - chi(sub, rk) + sw_norm(sub, gk)
-    assert total.denominator == 1
-    return int(total)
+    return _integral(total, "closed quasi-polynomial value")
 
 
 def modified_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
@@ -767,7 +828,8 @@ def _twist_data(graph: ResolutionGraph, spec: ZetaSpec,
         g = group.sub(h, group.class_of(tw))
         base = group.frac_rep(h) - tw
     lbar = base - group.frac_rep(g)
-    assert lbar.is_integral, "twisted base does not differ from r_g by a lattice cycle"
+    if not lbar.is_integral:
+        raise InternalCheckError("twisted base does not differ from r_g by a lattice cycle")
     return g, base
 
 
@@ -782,9 +844,8 @@ def periodic_constant_full(graph: ResolutionGraph, spec: ZetaSpec,
     group = graph.group
     g, base = _twist_data(graph, spec, h)
     rg = group.frac_rep(g)
-    val = chi(graph, base) - chi(graph, rg) + sw_norm(graph, g)
-    assert val.denominator == 1
-    return int(val)
+    return _integral(chi(graph, base) - chi(graph, rg) + sw_norm(graph, g),
+                     "full periodic constant")
 
 
 def periodic_constant_reduced(graph: ResolutionGraph, spec: ZetaSpec,

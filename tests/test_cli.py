@@ -154,6 +154,22 @@ def test_verify_cdgz_suite_skips_non_rational(capsys):
     assert err == ""
 
 
+def test_verify_counts_budget_refusals_as_inconclusive(tmp_path, capsys):
+    # rational, |H| = 16767: every class needs a partition table over the
+    # cell budget, which used to end in a traceback with exit status 1
+    path = tmp_path / "star.graph"
+    path.write_text("v 1 -3\n" + "".join(f"v {v} -9\ne 1 {v}\n" for v in range(2, 6)))
+    code, out, err = run_cli(["verify", path, "--suite", "sw-rational"], capsys)
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "sw-rational: 0 passed, 0 failed, 16767 inconclusive"
+    assert len(lines) == 16768
+    assert all(line.startswith("  inconclusive h=")
+               and line.endswith(": partition table over the cell budget")
+               for line in lines[:-1])
+
+
 def test_curve_ordinary(capsys):
     code, out, _ = run_cli(["curve", "--ordinary", "3"], capsys)
     assert code == 0

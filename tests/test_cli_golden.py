@@ -9,6 +9,8 @@ with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,19 @@ def test_cli_golden(name, capsys):
     expected = json.loads(CODES.read_text(encoding="utf-8"))
     assert code == expected[name]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("suite", ["duality", "surgery", "cdgz-delta", "sw-rational"])
+def test_cli_golden_without_asserts(suite):
+    # python -O strips assert statements: the mandatory checks must not be
+    # asserts, and the output must not depend on them
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "resgraph.cli", "--seed", "7", "--trials", "3",
+         "verify", str(ROOT / "graphs" / "dihedral12.graph"), "--suite", suite],
+        capture_output=True, text=True, cwd=ROOT)
+    name = f"table-verify-{suite}-dihedral12"
+    assert proc.returncode == json.loads(CODES.read_text(encoding="utf-8"))[name]
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
 def _write_golden() -> None:

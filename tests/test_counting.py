@@ -4,20 +4,27 @@ surgery identity, all checked against brute-force oracles."""
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resgraph import counting
 from resgraph.counting import (DENSE_CELL_CAP, StabilizationError,
                                _bucketise, _build_dense, _build_table,
-                               _ray_q_values, _table_for, counting_Q,
-                               counting_q, counting_qp_closed,
-                               modified_qp_closed, periodic_constant_full,
+                               _ray_directions, _ray_q_values,
+                               _stabilised_extrapolation, _table_for,
+                               _twist_data, counting_Q, counting_q,
+                               counting_qp_closed, modified_qp_closed,
+                               periodic_constant_full,
                                periodic_constant_reduced, plain_zeta,
                                quasipoly_value, surgery_check, sw_norm,
                                verify_symmetry)
 from resgraph.cycles import RationalCycle, zero_cycle
-from resgraph.graphs import chi, min_antinef_rep, strict_interior_cycle
+from resgraph.embedded import verify_twisted_duality
+from resgraph.graphs import chi, min_antinef_rep, parse_graph, strict_interior_cycle
 from resgraph.randtrees import random_antinef, random_rational_graph
 from resgraph.series import build_zeta, synthetic_spec
 
@@ -205,6 +212,114 @@ def test_dense_table_edge_cases(dihedral, a3):
     assert _build_dense(many, (0,), (100,)) is None
 
 
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty table caches, so a test sees its own builds only."""
+    monkeypatch.setattr(counting, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(counting, "_FAILED", weakref.WeakKeyDictionary())
+
+
+def _restricted(buckets, box):
+    return {cell: v for cell, v in _table_cells(buckets).items()
+            if all(a < b for a, b in zip(cell[0], box))}
+
+
+@pytest.mark.parametrize("positions, first, second", [
+    ((0, 2), (200, 260), (290, 250)),        # dense, grown to (320, 320)
+    ((0, 1, 3), (9, 12, 10), (19, 17, 21)),  # sparse, three coordinates
+])
+def test_grown_table_restricts_to_exact_build(dihedral, fresh_tables,
+                                              positions, first, second):
+    spec = plain_zeta(dihedral)
+    _table_for(spec, positions, first)
+    assert counting._TABLES[spec][positions][0] == first  # first builds are exact
+    grown = _table_for(spec, positions, second)
+    union = tuple(max(a, b) for a, b in zip(first, second))
+    stored = counting._TABLES[spec][positions][0]
+    assert stored == tuple(counting._rounded_up(b) for b in union)
+    assert all(a >= b for a, b in zip(stored, union))
+    for box in (second, union):
+        exact = counting._build_box(spec, positions, box)
+        assert _restricted(grown, box) == _table_cells(exact)
+
+
+def test_rounding_never_refuses_an_exact_box(monkeypatch, fresh_tables):
+    # one generator t: a box of b cells holds exactly b cells
+    spec = synthetic_spec([(1, (0,))], [(1,)])
+    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 100)
+    _table_for(spec, (0,), (50,))
+    # 97 rounds up to 112: within the estimate margin, over the cap when built
+    _table_for(spec, (0,), (97,))
+    assert counting._TABLES[spec][(0,)][0] == (97,)
+    assert counting._FAILED[spec][(0,)] == (112,)
+    # a known refusal covers the rounded box: the exact one is built directly
+    _table_for(spec, (0,), (99,))
+    assert counting._TABLES[spec][(0,)][0] == (99,)
+    with pytest.raises(counting.TableBudgetExceeded):
+        _table_for(spec, (0,), (101,))
+
+
+def _lagrange_at(ks, vals, at):
+    total = Fraction(0)
+    for i, (ki, vi) in enumerate(zip(ks, vals)):
+        w = Fraction(1)
+        for j, kj in enumerate(ks):
+            if j != i:
+                w *= Fraction(at - kj, ki - kj)
+        total += vi * w
+    return total
+
+
+def _oracle_extrapolation(ks, vals, deg_cap):
+    """The fit in Fractions: at the first degree whose difference tail is
+    constant, the interpolant through the last deg + 1 samples must hit the
+    last ``check`` samples, and its value at zero must be an integer."""
+    row = list(vals)
+    for deg in range(deg_cap + 1):
+        if len(row) >= 3 and len(set(row[-3:])) == 1:
+            check = min(len(vals), max(2 * (deg + 2), 10))
+            pts, kpts = vals[-(deg + 1):], ks[-(deg + 1):]
+            if any(_lagrange_at(kpts, pts, k) != v
+                   for k, v in zip(ks[-check:], vals[-check:])):
+                return None
+            val = _lagrange_at(kpts, pts, 0)
+            return int(val) if val.denominator == 1 else None
+        row = [b - a for a, b in zip(row, row[1:])]
+    return None
+
+
+@st.composite
+def _ray_samples(draw):
+    """Samples at k = s, 2s, ..., m*s of a polynomial in k, optionally plus a
+    periodic part and a single blip."""
+    s = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 40))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=5))
+    period = draw(st.sampled_from([1, 2, 3, 5, 7, 19]))
+    wave = draw(st.lists(st.integers(-2, 2), min_size=period, max_size=period))
+    ks = [s * j for j in range(1, m + 1)]
+    vals = [sum(c * k ** i for i, c in enumerate(coeffs)) + wave[k % period]
+            for k in ks]
+    if draw(st.booleans()):
+        vals[draw(st.integers(0, m - 1))] += draw(st.integers(-3, 3))
+    return ks, vals, draw(st.integers(0, 5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ray_samples())
+def test_integer_extrapolation_matches_fraction_oracle(sample):
+    ks, vals, deg_cap = sample
+    assert _stabilised_extrapolation(vals, deg_cap) == \
+        _oracle_extrapolation(ks, vals, deg_cap)
+
+
+def test_extrapolation_recovers_polynomials():
+    # degree 3 in k on the grid k = 3, 6, ..., 60: the value at zero is c0
+    vals = [7 - 2 * k + 5 * k ** 3 for k in range(3, 61, 3)]
+    assert _stabilised_extrapolation(vals, 4) == 7
+    assert _stabilised_extrapolation(vals, 2) is None  # degree cap too low
+
+
 # ---------------------------------------------------------------------------
 # one-variable periodic constants
 
@@ -315,6 +430,24 @@ def test_qp_closed_matches_counting_deep(dihedral):
             counting_q(spec, res, pos, r + lbar)
         assert counting_qp_closed(dihedral, h, pos, lbar) == \
             counting_Q(spec, res, pos, r + lbar)
+
+
+def test_fit_skips_substrides_that_mix_quasi_period_constituents():
+    # period 19 shows along the ray; substride 5 once fitted 1 against the
+    # closed value 0, and the modified duality reported a wrong failure
+    g = parse_graph("v 1 -3\nv 2 -4\nv 3 -5\ne 1 3\ne 2 3\n")
+    tw = RationalCycle((23, 4, 16), 53)
+    spec = build_zeta(g, twist=tw)
+    cls, base = _twist_data(g, spec, (48,))
+    residue = g.residue(g.group.frac_rep(cls))
+    direction = _ray_directions(g, (0,))[0]
+    assert direction == RationalCycle((2, 0, 0))
+    closed = counting_qp_closed(g, cls, (0,), base - g.group.frac_rep(cls))
+    assert closed == 0
+    assert quasipoly_value(spec.untwisted(), residue, (0,), base, direction) == closed
+    rep = verify_twisted_duality(g, tw, (48,), (0, 2))
+    assert (rep.lhs_modified, rep.rhs_modified) == (0, 0)
+    assert (rep.status, rep.status_modified) == ("pass", "pass")
 
 
 # ---------------------------------------------------------------------------
