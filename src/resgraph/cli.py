@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curves as curvemod
-from .counting import (FitConfig, StabilizationError, TableBudgetExceeded,
-                       surgery_check, sw_norm, verify_symmetry)
+from .counting import (FitConfig, InternalCheckError, StabilizationError,
+                       TableBudgetExceeded, surgery_check, sw_norm,
+                       verify_symmetry)
 from .cycles import RationalCycle, zero_cycle
 from .embedded import (EmbeddedCurve, RationalityError, blache_correction,
                        delta_cross_check, delta_embedded, kappa_topological,
@@ -30,10 +31,11 @@ from .graphs import (GraphError, ResolutionGraph, artin_rationality, chi,
                      min_antinef_rep, parse_graph)
 from .randtrees import (random_antinef, random_class, random_positions,
                         random_unit_arrows)
-from .series import build_zeta, expand, h_part, reduce_to
+from .series import build_zeta, expand, expansion_cost, h_part, reduce_to
 
 
 CLASS_CAP = 24  # basics lists the classes of groups up to this order
+SERIES_COST_CAP = 2_000_000  # largest expansion_cost a series dump runs (about 1 s)
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,12 @@ def cmd_invariants(args, cfg: RunConfig) -> int:
 def cmd_series(args, cfg: RunConfig) -> int:
     graph = _load_graph(args.graph)
     spec = build_zeta(graph)
+    cost = expansion_cost(spec, cfg.bound)
+    if cost > SERIES_COST_CAP:
+        print(f"error: --bound {cfg.bound} would enumerate about {cost} terms, "
+              f"over the limit of {SERIES_COST_CAP}; choose a smaller bound",
+              file=sys.stderr)
+        return 2
     series = expand(spec, cfg.bound)
     if args.class_zero:
         series = h_part(series, graph.residue(zero_cycle(graph.n)), graph.det_abs)
@@ -189,10 +197,13 @@ def cmd_series(args, cfg: RunConfig) -> int:
 INCONCLUSIVE = (TableBudgetExceeded, StabilizationError)
 
 
+def _cause(exc: Exception) -> str:
+    return ("partition table over the cell budget"
+            if isinstance(exc, TableBudgetExceeded) else str(exc))
+
+
 def _inconclusive(lines: list[str], label: str, exc: Exception) -> None:
-    cause = ("partition table over the cell budget"
-             if isinstance(exc, TableBudgetExceeded) else str(exc))
-    lines.append(f"  inconclusive {label}: {cause}")
+    lines.append(f"  inconclusive {label}: {_cause(exc)}")
 
 
 def _verify_duality(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
@@ -431,6 +442,12 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, curvemod.CurveDataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except INCONCLUSIVE as exc:
+        print(f"refused: {_cause(exc)}", file=sys.stderr)
+        return 2
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,15 +13,12 @@ bound rounded up to three significant bits, so a base point that creeps
 with the class does not rebuild at every step.  The rounded box falls back
 to the exact one wherever the budget would refuse it.
 
-A table has two builders with one output, residue -> (coordinates, counts)
-arrays.  The sparse one walks a dictionary of reachable cells.  The dense
-one fills a numpy array over the kept coordinates divided by their
-generator gcds and one index into the residue subgroup the generators
-span.  ``_table_for`` picks dense when the table compresses (its reduced
-grid is no larger than the multiset estimate) and the estimate is at least
-``DENSE_MIN_CELLS``; the builder itself declines specs without generators,
-arrays above ``DENSE_CELL_CAP`` cells and counts that could reach 2**63.
-Counts are Python ints instead of int64 once a ray sum could overflow.
+A table is built as residue -> (coordinates, counts) arrays, on the kept
+coordinates divided by their generator gcds and on the digits of the
+residue class in the subgroup the generators span, read off a Smith normal
+form.  Only the reachable cells are kept, as sorted packed int64 keys, and
+each generator is added by binary doubling.  Counts are Python ints instead of int64 once a ray sum could
+overflow.
 
 Periodic constants are read off by sampling the counting function along a
 ray interior to the Lipman cone, stabilising a Newton difference table on
@@ -46,9 +43,10 @@ from typing import Sequence
 import numpy as _np
 
 from .cycles import RationalCycle, zero_cycle
-from .graphs import ResolutionGraph, chi, laufer_saturate, strict_interior_cycle, subgraph_components
+from .graphs import (InternalCheckError, ResolutionGraph, chi, laufer_saturate,
+                     strict_interior_cycle, subgraph_components)
 from .series import ZetaSpec, build_zeta
-from .snf import fraction_inverse
+from .snf import fraction_inverse, smith_normal_form, unimodular_inverse
 
 
 class StabilizationError(ArithmeticError):
@@ -63,11 +61,6 @@ class TableBudgetExceeded(Exception):
     and verification drivers report the instance as inconclusive."""
 
 
-class InternalCheckError(AssertionError):
-    """A mandatory internal cross-check failed.  Raised explicitly, so the
-    check also runs under ``python -O``, where ``assert`` is stripped."""
-
-
 def _integral(val: Fraction, what: str) -> int:
     if val.denominator != 1:
         raise InternalCheckError(f"{what} is not an integer: {val}")
@@ -80,10 +73,9 @@ def _integral(val: Fraction, what: str) -> int:
 _TABLES: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary()
 _FAILED: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary()
 _PLAIN: "weakref.WeakKeyDictionary[ResolutionGraph, ZetaSpec]" = weakref.WeakKeyDictionary()
+_GROUPS: "weakref.WeakKeyDictionary[ZetaSpec, tuple]" = weakref.WeakKeyDictionary()
 
 TABLE_STATE_CAP = 1_800_000
-DENSE_CELL_CAP = 2 ** 23  # largest dense table: residue classes x reduced grid
-DENSE_MIN_CELLS = 10 ** 4  # smallest multiset estimate worth numpy's overhead
 
 FIT_WINDOW = 3  # length of the constant difference tail a fit demands
 SPECIAL_CAP = 64  # largest period candidate read off the generators
@@ -99,48 +91,47 @@ def plain_zeta(graph: ResolutionGraph) -> ZetaSpec:
     return spec
 
 
-def _build_table(spec: ZetaSpec, positions: tuple[int, ...],
-                 bounds: tuple[int, ...]) -> dict:
-    """Sparse table of denominator-exponent sums.
+def _residue_group(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The residues mod den that sums of generators reach, as a product of
+    cyclic groups Z/e_j with every e_j > 1: the orders e_j, per generator its
+    digits in that product, and per digit the residue of its unit.
 
-    Keys are ``(projected coordinates, full residue mod den)``; values count
-    the multisets of denominator exponents realising them.  Only sums whose
-    projection lies strictly inside the box are kept; every generator has
-    strictly positive projected coordinates, so the table is finite.
-    """
-    d = spec.den
-    zero = ((0,) * len(positions), (0,) * spec.nvars)
-    states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {zero: 1}
-    if any(b <= 0 for b in bounds):
-        return {}
+    With ``U @ M @ V = diag(d_j)`` for the matrix M of generator columns mod
+    den, a multiset with multiplicities c has residue zero exactly when every
+    ``(V^-1 c)_j`` is a multiple of ``e_j = den / gcd(den, d_j)``, and digit
+    j's unit has residue ``M @ V[:, j] = d_j U^-1[:, j]``.  Nothing is
+    enumerated, so the cost does not grow with the group order.  Cached per
+    spec."""
+    found = _GROUPS.get(spec)
+    if found is None:
+        d = spec.den
+        orders: list[int] = []
+        digits: list[list[int]] = [[] for _ in spec.dens]
+        units: list[list[int]] = []
+        if spec.dens:
+            steps = [[gen[i] % d for gen in spec.dens] for i in range(spec.nvars)]
+            diag, _, v = smith_normal_form(steps)
+            v_inv = unimodular_inverse(v)
+            for j, dj in enumerate(diag):
+                e = d // gcd(d, dj)
+                if e > 1:
+                    orders.append(e)
+                    for i, dig in enumerate(digits):
+                        dig.append(v_inv[j][i] % e)
+                    units.append([sum(x * row[j] for x, row in zip(step, v)) % d
+                                  for step in steps])
+        found = _GROUPS[spec] = (orders, digits, units)
+    return found
+
+
+def _multiset_bound(spec: ZetaSpec, positions: tuple[int, ...],
+                    bounds: tuple[int, ...]) -> int:
+    """How many multisets of generators fit in the box if each generator is
+    capped separately; it bounds every count of the table."""
+    most = 1
     for gen in spec.dens:
-        step_y = tuple(gen[p] for p in positions)
-        step_r = tuple(x % d for x in gen)
-        cells: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-        for y, rho in states:
-            cy, cr = y, rho
-            while all(a < b for a, b in zip(cy, bounds)):
-                cell = (cy, cr)
-                if cell in cells:
-                    break
-                cells.add(cell)
-                cy = tuple(a + s for a, s in zip(cy, step_y))
-                cr = tuple((a + s) % d for a, s in zip(cr, step_r))
-            if len(cells) > TABLE_STATE_CAP:
-                raise TableBudgetExceeded(len(cells))
-        out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for cell in sorted(cells, key=lambda c: (sum(c[0]), c)):
-            y, rho = cell
-            py = tuple(a - s for a, s in zip(y, step_y))
-            prev = 0
-            if all(a >= 0 for a in py):
-                pr = tuple((a - s) % d for a, s in zip(rho, step_r))
-                prev = out.get((py, pr), 0)
-            total = states.get(cell, 0) + prev
-            if total:
-                out[cell] = total
-        states = out
-    return states
+        most *= 1 + min((b - 1) // gen[p] for p, b in zip(positions, bounds))
+    return most
 
 
 def _wide(spec: ZetaSpec, total: int) -> bool:
@@ -149,106 +140,108 @@ def _wide(spec: ZetaSpec, total: int) -> bool:
     return sum(abs(c) for c, _ in spec.num) * total >= 2 ** 63
 
 
-def _bucketise(spec: ZetaSpec, states: dict) -> dict:
-    """Group table states by residue: residue -> (projection matrix, counts),
-    as integer arrays for vectorised box queries.  Counts are Python-int
-    object arrays when int64 scans could overflow."""
-    grouped: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for (y, rho), count in states.items():
-        grouped.setdefault(rho, []).append((y, count))
-    dtype = object if _wide(spec, sum(states.values())) else _np.int64
-    buckets = {}
-    for rho, items in grouped.items():
-        ys = _np.array([y for y, _ in items], dtype=_np.int64).reshape(len(items), -1)
-        cs = _np.array([c for _, c in items], dtype=dtype)
-        buckets[rho] = (ys, cs)
-    return buckets
-
-
-def _dense_shape(spec: ZetaSpec, positions: tuple[int, ...],
-                 bounds: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+def _reduced_shape(spec: ZetaSpec, positions: tuple[int, ...],
+                   bounds: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
     """Per kept coordinate, the gcd g_p of the generator entries there (every
-    reachable y_p is a multiple of it) and the count ceil(b_p / g_p) of those
-    multiples below the bound.  The spec must have generators."""
-    gs = [reduce(gcd, (gen[p] for gen in spec.dens)) for p in positions]
+    reachable y_p is a multiple of it; 1 without generators) and the count
+    ceil(b_p / g_p) of those multiples below the bound."""
+    gs = [reduce(gcd, (gen[p] for gen in spec.dens), 0) or 1 for p in positions]
     return gs, tuple(-(-b // g) for b, g in zip(bounds, gs))
 
 
-def _build_dense(spec: ZetaSpec, positions: tuple[int, ...],
-                 bounds: tuple[int, ...]) -> dict | None:
-    """The buckets of ``_bucketise(spec, _build_table(...))`` from a dense DP.
+def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
+                  bounds: tuple[int, ...]) -> dict:
+    """Buckets ``residue -> (coordinates, counts)`` of the table of
+    denominator-exponent sums: per residue class mod den and projected point
+    strictly inside the box, the number of multisets of generators realising
+    it.  Every generator has strictly positive projected coordinates, so the
+    table is finite.
 
-    The array is indexed by the reduced coordinates ``y_p / g_p`` and one
-    scalar index into the subgroup of residues mod den that the generator
-    residues generate.  Each generator is one unbounded-knapsack pass over
-    blocks of the first axis; projected steps are strictly positive, so a
-    block only reads blocks already final.  Returns None where the dense form
-    does not apply: no generators, more than ``DENSE_CELL_CAP`` cells, or
-    counts that could reach 2**63.
+    The cells are kept as sorted arrays.  A cell packs the digits of its
+    class (as in ``_residue_group``) and its coordinates divided by the
+    generator gcds into one int64 key, class first, so sorted keys come
+    grouped by class.  Each generator is a binary-doubling knapsack:
+    multiplying by (1 + t^(h g)) for h = 1, 2, 4, ... shifts every cell with
+    room for h more copies, appends the shifted cells and merges equal keys.
+    Where the packed range would reach 2**63, every digit keeps its own
+    column and the merge sorts rows with ``lexsort``.  The cell count only
+    grows, so the budget is checked after each merge.
     """
     if any(b <= 0 for b in bounds):
         return {}
-    if not spec.dens:
-        return None
-    most = 1  # multisets inside the box bound every count
-    for gen in spec.dens:
-        most *= 1 + min((b - 1) // gen[p] for p, b in zip(positions, bounds))
-    if most >= 2 ** 63:
-        return None
-    gs, shape = _dense_shape(spec, positions, bounds)
-    grid = prod(shape)
-    d = spec.den
-    steps = [tuple(x % d for x in gen) for gen in spec.dens]
-    classes = [(0,) * spec.nvars]
-    index = {classes[0]: 0}
-    for rho in classes:  # breadth-first; the list grows while it is walked
-        if len(classes) * grid > DENSE_CELL_CAP:
-            return None
-        for st in steps:
-            nxt = tuple((a + b) % d for a, b in zip(rho, st))
-            if nxt not in index:
-                index[nxt] = len(classes)
-                classes.append(nxt)
-    table = _np.zeros(shape + (len(classes),),
-                      dtype=_np.int32 if most < 2 ** 31 else _np.int64)
-    table[(0,) * table.ndim] = 1
-    for gen, st in zip(spec.dens, steps):
+    orders, gen_digits, units = _residue_group(spec)
+    gs, shape = _reduced_shape(spec, positions, bounds)
+    r = len(orders)  # digits 0..r-1 are the class, r.. the coordinates
+    radices = tuple(orders) + shape
+    if prod(radices) < 2 ** 63:  # one column, digit i at stride prod(radices[i+1:])
+        column = [0] * len(radices)
+        stride = [prod(radices[i + 1:]) for i in range(len(radices))]
+    else:
+        column = list(range(len(radices)))
+        stride = [1] * len(radices)
+    cols = [_np.zeros(1, dtype=_np.int64) for _ in range(column[-1] + 1)]
+    counts = _np.ones(1, dtype=_np.int64 if _multiset_bound(spec, positions, bounds)
+                      < 2 ** 63 else object)
+
+    def digit(cols: list[_np.ndarray], i: int) -> _np.ndarray:
+        val = cols[column[i]] // stride[i]  # the top digit of a column is exact
+        return val if i == 0 or column[i] != column[i - 1] else val % radices[i]
+
+    for gen, dig in zip(spec.dens, gen_digits):
         s = [gen[p] // g for p, g in zip(positions, gs)]
-        if any(a >= n for a, n in zip(s, shape)):
-            continue  # not even one copy fits in the box
-        src = _np.array([index[tuple((a - b) % d for a, b in zip(rho, st))]
-                         for rho in classes])
-        dst = tuple(slice(a, None) for a in s[1:])
-        lo = tuple(slice(0, n - a) for a, n in zip(s[1:], shape[1:]))
-        for y0 in range(s[0], shape[0], s[0]):
-            top = min(y0 + s[0], shape[0])
-            table[(slice(y0, top),) + dst] += \
-                table[(slice(y0 - s[0], top - s[0]),) + lo][..., src]
-    cells = int(_np.count_nonzero(table))
-    if cells > TABLE_STATE_CAP:
-        raise TableBudgetExceeded(cells)
-    dtype = object if _wide(spec, int(table.sum(dtype=_np.int64))) else _np.int64
-    scale = _np.asarray(gs, dtype=_np.int64)
+        room = reduce(_np.minimum, ((n - 1 - digit(cols, r + i)) // a
+                                    for i, (a, n) in enumerate(zip(s, shape))))
+        step = [0] * len(cols)  # the key shift of one copy's coordinates, per column
+        for i, a in enumerate(s, r):
+            step[column[i]] += a * stride[i]
+        h = 1
+        top = int(room.max())
+        while h <= top:
+            fits = room >= h
+            moved = [c[fits] for c in cols]
+            shift = [h * x for x in step]
+            for j, (a, e) in enumerate(zip(dig, orders)):
+                sh = h * a % e
+                if sh:  # class digit j moves up by sh, less e where that passes e
+                    moved[column[j]] -= (digit(moved, j) >= e - sh) * (e * stride[j])
+                    shift[column[j]] += sh * stride[j]
+            for c, k in enumerate(shift):
+                moved[c] += k
+            cols = [_np.concatenate(pair) for pair in zip(cols, moved)]
+            if len(cols) == 1:
+                order = cols[0].argsort(kind="stable")
+            else:
+                order = _np.lexsort(cols[::-1])
+            cols = [c[order] for c in cols]
+            fresh = _np.empty(len(order), dtype=bool)
+            fresh[0] = True
+            _np.not_equal(cols[0][1:], cols[0][:-1], out=fresh[1:])
+            for c in cols[1:]:
+                fresh[1:] |= c[1:] != c[:-1]
+            first = fresh.nonzero()[0]
+            if len(first) > TABLE_STATE_CAP:
+                raise TableBudgetExceeded(len(first))
+            counts = _np.add.reduceat(_np.concatenate((counts, counts[fits]))[order], first)
+            room = _np.concatenate((room, room[fits] - h))[order[first]]
+            cols = [c[first] for c in cols]
+            h *= 2
+    dtype = object if _wide(spec, int(counts.sum())) else _np.int64
+    counts = counts.astype(dtype, copy=False)
+    ys = _np.stack([digit(cols, i) for i in range(r, len(radices))], axis=1) \
+        * _np.asarray(gs, dtype=_np.int64)
+    cls = [digit(cols, j) for j in range(r)]
+    new_class = _np.zeros(len(counts) - 1, dtype=bool)
+    for c in cls:
+        new_class |= c[1:] != c[:-1]
+    cuts = (new_class.nonzero()[0] + 1).tolist()
+    starts = [0, *cuts]
+    residues = _np.zeros((len(starts), spec.nvars), dtype=object)
+    for c, unit in zip(cls, units):  # Python ints: den * order may pass int64
+        residues += _np.outer(c[starts].astype(object), _np.array(unit, dtype=object))
     buckets = {}
-    for c, rho in enumerate(classes):
-        plane = table[..., c]
-        at = _np.nonzero(plane)
-        if at[0].size:
-            buckets[rho] = (_np.stack(at, axis=1) * scale, plane[at].astype(dtype))
+    for a, b, rho in zip(starts, [*cuts, len(counts)], (residues % spec.den).tolist()):
+        buckets[tuple(rho)] = (ys[a:b], counts[a:b])
     return buckets
-
-
-def _simplex_estimate(spec: ZetaSpec, positions: tuple[int, ...],
-                      bounds: tuple[int, ...]) -> int:
-    """The multiset bound with a simplex correction: roughly how many
-    multisets of generators project inside the box."""
-    box = 1
-    for gen in spec.dens:
-        ranges = [(b + gen[p] - 1) // gen[p] for p, b in zip(positions, bounds)]
-        box *= max(1, min(ranges))
-        if box > 5000 * TABLE_STATE_CAP:
-            break
-    return box // max(1, factorial(len(spec.dens))) + 1
 
 
 def _estimate_cells(spec: ZetaSpec, positions: tuple[int, ...],
@@ -263,27 +256,19 @@ def _estimate_cells(spec: ZetaSpec, positions: tuple[int, ...],
         grid *= max(1, b // max(1, g))
         if grid > 64 * TABLE_STATE_CAP:
             break
-    return min(grid, _simplex_estimate(spec, positions, bounds))
+    box = 1
+    for gen in spec.dens:
+        ranges = [(b + gen[p] - 1) // gen[p] for p, b in zip(positions, bounds)]
+        box *= max(1, min(ranges))
+        if box > 5000 * TABLE_STATE_CAP:
+            break
+    return min(grid, box // max(1, factorial(len(spec.dens))) + 1)
 
 
 def _rounded_up(b: int) -> int:
     """``b`` rounded up to three significant bits: 288 and 298 become 320."""
     step = 1 << max(0, b.bit_length() - 3)
     return -(-b // step) * step
-
-
-def _build_box(spec: ZetaSpec, positions: tuple[int, ...],
-               bounds: tuple[int, ...]) -> dict:
-    """Buckets of one box, dense when the table compresses and is large
-    enough to repay numpy, sparse otherwise."""
-    simplex = _simplex_estimate(spec, positions, bounds)
-    table = None
-    if (spec.dens and simplex >= DENSE_MIN_CELLS
-            and prod(_dense_shape(spec, positions, bounds)[1]) <= simplex):
-        table = _build_dense(spec, positions, bounds)
-    if table is None:
-        table = _bucketise(spec, _build_table(spec, positions, bounds))
-    return table
 
 
 def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
@@ -296,7 +281,7 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
     per step.  The rounded box is only tried where it cannot be refused by
     the budget; otherwise, and if its build runs over the budget, the exact
     box is built, so the rounding never refuses a table the exact box gets.
-    Estimates refuse oversized tables before either builder is chosen."""
+    Estimates refuse oversized tables before anything is built."""
     per_spec = _TABLES.setdefault(spec, {})
     entry = per_spec.get(positions)
     grown = bounds
@@ -322,13 +307,13 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
     if (grown != bounds and not covered(grown)
             and _estimate_cells(spec, positions, grown) <= over):
         try:
-            table = _build_box(spec, positions, grown)
+            table = _build_sparse(spec, positions, grown)
             bounds = grown
         except TableBudgetExceeded:
             failed[positions] = grown  # the exact box may still fit
     if table is None:
         try:
-            table = _build_box(spec, positions, bounds)
+            table = _build_sparse(spec, positions, bounds)
         except TableBudgetExceeded:
             failed[positions] = bounds
             raise

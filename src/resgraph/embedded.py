@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import (FitConfig, StabilizationError, counting_Q, counting_q,
-                       fitted_qp_value, modified_qp_closed,
-                       periodic_constant_full, periodic_constant_reduced,
-                       plain_zeta)
+from .counting import (FitConfig, InternalCheckError, StabilizationError,
+                       counting_Q, counting_q, fitted_qp_value,
+                       modified_qp_closed, periodic_constant_full,
+                       periodic_constant_reduced, plain_zeta)
 from .cycles import RationalCycle, zero_cycle
 from .graphs import (ResolutionGraph, artin_rationality, chi,
                      min_antinef_rep)
@@ -109,7 +109,7 @@ def delta_embedded(graph: ResolutionGraph, curve: EmbeddedCurve) -> int:
     """Delta invariant of an embedded curve on a rational graph.
 
     Computed as the chi drop to the minimal anti-nef representative of the
-    shifted class; internally asserted to coincide with the full and the
+    shifted class; internally checked to coincide with the full and the
     support-reduced kappa invariants.
     """
     _require_rational(graph)
@@ -118,12 +118,13 @@ def delta_embedded(graph: ResolutionGraph, curve: EmbeddedCurve) -> int:
     h = graph.group.class_of(shifted)
     s = min_antinef_rep(graph, h)
     val = chi(graph, shifted) - chi(graph, s)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise InternalCheckError(f"delta is not an integer: {val}")
     delta = int(val)
-    assert delta == kappa_topological(graph, ell), \
-        "delta disagrees with the full kappa invariant"
-    assert delta == kappa_topological(graph, ell, curve.support_positions), \
-        "delta disagrees with the support-reduced kappa invariant"
+    if delta != kappa_topological(graph, ell):
+        raise InternalCheckError("delta disagrees with the full kappa invariant")
+    if delta != kappa_topological(graph, ell, curve.support_positions):
+        raise InternalCheckError("delta disagrees with the support-reduced kappa invariant")
     return delta
 
 
@@ -131,7 +132,7 @@ def blache_correction(graph: ResolutionGraph, curve: EmbeddedCurve) -> Fraction:
     """Local Riemann-Roch correction of the curve on a rational graph.
 
     chi of the minimal anti-nef representative of the negated curve class;
-    asserted equal to the value at the canonically shifted class and to the
+    checked equal to the value at the canonically shifted class and to the
     chi-minus-delta expression it corrects.
     """
     _require_rational(graph)
@@ -139,9 +140,10 @@ def blache_correction(graph: ResolutionGraph, curve: EmbeddedCurve) -> Fraction:
     group = graph.group
     a_neg = chi(graph, min_antinef_rep(graph, group.class_of(-ell)))
     a_can = chi(graph, min_antinef_rep(graph, group.class_of(graph.canonical + ell)))
-    assert a_neg == a_can, "the two minimal-representative chi values disagree"
-    assert a_neg == chi(graph, -ell) - delta_embedded(graph, curve), \
-        "correction does not account for chi minus delta"
+    if a_neg != a_can:
+        raise InternalCheckError("the two minimal-representative chi values disagree")
+    if a_neg != chi(graph, -ell) - delta_embedded(graph, curve):
+        raise InternalCheckError("correction does not account for chi minus delta")
     return a_neg
 
 

@@ -29,6 +29,11 @@ class GraphError(ValueError):
     """Base class for invalid graph input."""
 
 
+class InternalCheckError(AssertionError):
+    """A mandatory internal cross-check failed.  Raised explicitly, so the
+    check also runs under ``python -O``, where ``assert`` is stripped."""
+
+
 class GraphSyntaxError(GraphError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -211,19 +216,21 @@ class ResolutionGraph:
         """E*_v for every vertex: the unique cycles with (E*_u, E_v) = -delta_uv.
 
         Negative definiteness of a connected tree forces every entry to be
-        strictly positive; this is asserted.
+        strictly positive; this is checked.
         """
         inv = self.form.inverse
         out = []
         for v in range(self.n):
             col = [-inv[u][v] for u in range(self.n)]
             cyc = RationalCycle.from_fractions(col)
-            assert all(a > 0 for a in cyc.num), "dual cycle with a nonpositive entry"
+            if not all(a > 0 for a in cyc.num):
+                raise InternalCheckError("dual cycle with a nonpositive entry")
             out.append(cyc)
         for v, cyc in enumerate(out):
             for u in range(self.n):
                 expect = Fraction(-1 if u == v else 0)
-                assert self.form.pair_basis(cyc, u) == expect
+                if self.form.pair_basis(cyc, u) != expect:
+                    raise InternalCheckError("dual cycle does not invert the form")
         return tuple(out)
 
     def dual(self, vertex_id: int) -> RationalCycle:
@@ -249,7 +256,8 @@ class ResolutionGraph:
             zk = zk - (2 - self.valences[v]) * self.duals[v]
         for v in range(self.n):
             lhs = self.form.pair_basis(zk, v)
-            assert lhs == self.eulers[v] + 2, "canonical cycle fails adjunction"
+            if lhs != self.eulers[v] + 2:
+                raise InternalCheckError("canonical cycle fails adjunction")
         return zk
 
     @cached_property
@@ -364,7 +372,8 @@ class DiscriminantGroup:
         order = 1
         for x in diag:
             order *= x
-        assert order == graph.det_abs, "invariant factors do not multiply to |det|"
+        if order != graph.det_abs:
+            raise InternalCheckError("invariant factors do not multiply to |det|")
         positions = tuple(i for i, x in enumerate(diag) if x > 1)
         grp = cls(
             invariant_factors=tuple(diag[i] for i in positions),
@@ -375,7 +384,8 @@ class DiscriminantGroup:
             _positions=positions,
             _alldiag=tuple(diag),
         )
-        assert grp.class_of(graph.unit_cycle) == grp.zero, "integral cycle with nonzero class"
+        if grp.class_of(graph.unit_cycle) != grp.zero:
+            raise InternalCheckError("integral cycle with nonzero class")
         return grp
 
     @property
@@ -426,7 +436,8 @@ class DiscriminantGroup:
     def frac_rep(self, h: tuple[int, ...]) -> RationalCycle:
         """The reduced representative of h: all coordinates in [0, 1)."""
         r = self.representative(h).frac_part()
-        assert self.class_of(r) == h
+        if self.class_of(r) != h:
+            raise InternalCheckError(f"reduced representative misses class {h}")
         return r
 
 
@@ -458,7 +469,7 @@ def laufer_saturate(graph: ResolutionGraph, x0: RationalCycle,
         num[v] += d
         for w in range(graph.n):
             pair_scaled[w] += rows[w][v] * d
-    raise RuntimeError("anti-nef saturation exceeded its iteration cap; this is a bug")
+    raise InternalCheckError("anti-nef saturation exceeded its iteration cap")
 
 
 def min_antinef_rep(graph: ResolutionGraph, h: tuple[int, ...]) -> RationalCycle:
@@ -500,7 +511,7 @@ class SubgraphComponent:
     The projection rewrites a cycle in the dual basis of the ambient tree and
     keeps only the coordinates of the component, re-expanded in the
     component's own dual basis.  It sends the ambient canonical cycle to the
-    component's canonical cycle (asserted at construction).
+    component's canonical cycle (checked at construction).
     """
 
     graph: ResolutionGraph
@@ -554,7 +565,8 @@ def subgraph_components(graph: ResolutionGraph,
             [e for e in graph.edges if e[0] in cset and e[1] in cset],
         )
         piece = SubgraphComponent(graph=sub, parent=graph, vertex_ids=tuple(comp))
-        assert piece.project(graph.canonical) == sub.canonical, \
-            "canonical cycle does not project to the subtree canonical cycle"
+        if piece.project(graph.canonical) != sub.canonical:
+            raise InternalCheckError(
+                "canonical cycle does not project to the subtree canonical cycle")
         out.append(piece)
     return out

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 from typing import Iterable, Sequence
 
 from .cycles import RationalCycle
-from .graphs import ResolutionGraph
+from .graphs import InternalCheckError, ResolutionGraph
 
 
 class RegionError(LookupError):
@@ -115,7 +115,8 @@ def build_zeta(graph: ResolutionGraph, twist: RationalCycle | None = None,
             raise TwistError("twist must be anti-nef")
         tw = twist.scaled(d)
     for a in dens:
-        assert all(x > 0 for x in a), "denominator exponent with a nonpositive entry"
+        if not all(x > 0 for x in a):
+            raise InternalCheckError("denominator exponent with a nonpositive entry")
     return ZetaSpec(graph.ids, d, tuple(num), tuple(dens), tw)
 
 
@@ -157,7 +158,7 @@ class SparseSeries:
 
 
 def _geometric_sums(dens: Sequence[tuple[int, ...]], nvars: int,
-                    bound: Fraction) -> dict[tuple[int, ...], int]:
+                    bound: int) -> dict[tuple[int, ...], int]:
     """Multiplicities of all sums of denominator exponents having some
     coordinate below ``bound`` (scaled units)."""
     sums: dict[tuple[int, ...], int] = {}
@@ -194,14 +195,16 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
     if bound <= 0:
         raise ValueError("expansion bound must be positive")
     bscaled = bound * spec.den
-    sums = _geometric_sums(spec.dens, spec.nvars, bscaled)
+    # exponents are integers, so x < bscaled exactly when x < its ceiling
+    top = ceil(bscaled)
+    sums = _geometric_sums(spec.dens, spec.nvars, top)
     tw = spec.twist_or_zero
     shifted_num = [(c, tuple(a + b for a, b in zip(e, tw))) for c, e in spec.num]
     terms: dict[tuple[int, ...], int] = {}
     for c, base in shifted_num:
         for vec, mult in sums.items():
             p = tuple(a + b for a, b in zip(base, vec))
-            if any(x < bscaled for x in p):
+            if any(x < top for x in p):
                 terms[p] = terms.get(p, 0) + c * mult
     return SparseSeries(
         ids=spec.ids, den=spec.den, bound=bscaled,

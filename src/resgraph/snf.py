@@ -91,6 +91,7 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[list[int], list[list[int]]
                     q = a[t][j] // a[t][t]
                     for i in range(m):
                         a[i][j] -= q * a[i][t]
+                    for i in range(n):
                         v[i][j] -= q * v[i][t]
                     if a[t][j]:
                         for row in a:
@@ -124,13 +125,32 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[list[int], list[list[int]]
 
 
 def unimodular_inverse(rows: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    out = []
-    for row in fraction_inverse(rows):
-        if any(x.denominator != 1 for x in row):
+    """Exact inverse of a unimodular integer matrix, by integer row operations:
+    Euclid's algorithm down each column leaves one pivot, which must be +-1."""
+    n = len(rows)
+    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        while True:
+            live = [i for i in range(k, n) if aug[i][k]]
+            if not live:
+                raise ValueError("matrix is singular")
+            p = min(live, key=lambda i: abs(aug[i][k]))
+            aug[k], aug[p] = aug[p], aug[k]
+            if len(live) == 1:
+                break
+            for i in range(k + 1, n):
+                q = aug[i][k] // aug[k][k]
+                if q:
+                    aug[i] = [x - q * y for x, y in zip(aug[i], aug[k])]
+        if abs(aug[k][k]) != 1:
             raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+        if aug[k][k] < 0:
+            aug[k] = [-x for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                q = aug[i][k]
+                aug[i] = [x - q * y for x, y in zip(aug[i], aug[k])]
+    return [row[n:] for row in aug]
 
 
 def fraction_inverse(rows: list[list[int | Fraction]]) -> list[list[Fraction]]:

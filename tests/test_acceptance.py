@@ -7,8 +7,11 @@ asserted with the stated budgets.  Run with ``pytest tests/test_acceptance.py
 
 import itertools
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +262,15 @@ def test_criterion_8_dual_route_delta():
     ok = bad == 0 and inconclusive <= 1
     report("criterion 8 (dual-route delta)", ok, time.monotonic() - t0, 600.0,
            f"{trees} trees, {bad} mismatches, {inconclusive} inconclusive")
+
+
+def test_acceptance_under_python_O():
+    # python -O strips assert statements: criteria 1-3 and 6 run the
+    # library's mandatory cross-checks, which must raise explicitly instead
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py", "-k",
+         "criterion_1 or criterion_2 or criterion_3 or criterion_6"],
+        capture_output=True, text=True, cwd=Path(__file__).resolve().parent.parent)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("4 passed")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from resgraph import cli
 from resgraph.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +94,50 @@ def test_series_doc_is_json(capsys):
     assert [1, ["1/1", "1/1", "1/1"]] in doc["terms"]
 
 
+def test_series_refuses_a_bound_beyond_the_cost_cap(capsys):
+    # bound 32 on dihedral12 once enumerated for about 18 s
+    code, out, err = run_cli(["--bound", "32", "series",
+                              GRAPHS / "dihedral12.graph"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --bound 32 would enumerate about ")
+    assert err.endswith("choose a smaller bound\n")
+
+
+def _star(tmp_path, arrow: str = ""):
+    # rational, |H| = 16767, and every partition table is over the cell budget
+    path = tmp_path / "star.graph"
+    path.write_text("v 1 -3\n" + "".join(f"v {v} -9\ne 1 {v}\n" for v in range(2, 6))
+                    + arrow)
+    return path
+
+
+def test_invariants_over_the_cell_budget_is_refused(tmp_path, capsys):
+    # used to end in a TableBudgetExceeded traceback with exit status 1
+    code, out, err = run_cli(["invariants", _star(tmp_path, "a 2\n")], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "refused: partition table over the cell budget\n"
+
+
+def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
+    def broken(graph):
+        raise cli.InternalCheckError("check x failed")
+    monkeypatch.setattr(cli, "artin_rationality", broken)
+    code, out, err = run_cli(["basics", GRAPHS / "cyclic4.graph"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: check x failed\n"
+
+
+def test_other_runtime_errors_keep_their_traceback(monkeypatch):
+    def broken(graph):
+        raise RuntimeError("library failure")
+    monkeypatch.setattr(cli, "artin_rationality", broken)
+    with pytest.raises(RuntimeError, match="library failure"):
+        cli.main(["basics", str(GRAPHS / "cyclic4.graph")])
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("v 1 -2\nv 1 -2\n")
@@ -155,11 +200,10 @@ def test_verify_cdgz_suite_skips_non_rational(capsys):
 
 
 def test_verify_counts_budget_refusals_as_inconclusive(tmp_path, capsys):
-    # rational, |H| = 16767: every class needs a partition table over the
-    # cell budget, which used to end in a traceback with exit status 1
-    path = tmp_path / "star.graph"
-    path.write_text("v 1 -3\n" + "".join(f"v {v} -9\ne 1 {v}\n" for v in range(2, 6)))
-    code, out, err = run_cli(["verify", path, "--suite", "sw-rational"], capsys)
+    # every class needs a partition table over the cell budget, which used
+    # to end in a traceback with exit status 1
+    code, out, err = run_cli(["verify", _star(tmp_path), "--suite", "sw-rational"],
+                             capsys)
     assert code == 0
     assert err == ""
     lines = out.splitlines()

@@ -1,22 +1,23 @@
 """Counting functions, periodic constants, normalised SW invariants and the
 surgery identity, all checked against brute-force oracles."""
 
+import gc
 import itertools
 import math
 import random
 import weakref
 from fractions import Fraction
 
+import numpy as _np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resgraph import counting
-from resgraph.counting import (DENSE_CELL_CAP, StabilizationError,
-                               _bucketise, _build_dense, _build_table,
-                               _ray_directions, _ray_q_values,
+from resgraph.counting import (StabilizationError, TableBudgetExceeded,
+                               _build_sparse, _ray_directions, _ray_q_values,
                                _stabilised_extrapolation, _table_for,
-                               _twist_data, counting_Q, counting_q,
+                               _twist_data, _wide, counting_Q, counting_q,
                                counting_qp_closed, modified_qp_closed,
                                periodic_constant_full,
                                periodic_constant_reduced, plain_zeta,
@@ -26,7 +27,7 @@ from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph.embedded import verify_twisted_duality
 from resgraph.graphs import chi, min_antinef_rep, parse_graph, strict_interior_cycle
 from resgraph.randtrees import random_antinef, random_rational_graph
-from resgraph.series import build_zeta, synthetic_spec
+from resgraph.series import ZetaSpec, build_zeta, synthetic_spec
 
 
 def brute_count(spec, residue, positions, x, strict_all: bool) -> int:
@@ -146,7 +147,71 @@ def test_counts_beyond_int64_stay_exact():
 
 
 # ---------------------------------------------------------------------------
-# partition tables: the dense builder against the sparse one
+# partition tables: the builder against a dictionary DP
+
+def _build_table(spec: ZetaSpec, positions: tuple[int, ...],
+                 bounds: tuple[int, ...]) -> dict:
+    """Sparse table of denominator-exponent sums.
+
+    Keys are ``(projected coordinates, full residue mod den)``; values count
+    the multisets of denominator exponents realising them.  Only sums whose
+    projection lies strictly inside the box are kept; every generator has
+    strictly positive projected coordinates, so the table is finite.
+    """
+    d = spec.den
+    zero = ((0,) * len(positions), (0,) * spec.nvars)
+    states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {zero: 1}
+    if any(b <= 0 for b in bounds):
+        return {}
+    for gen in spec.dens:
+        step_y = tuple(gen[p] for p in positions)
+        step_r = tuple(x % d for x in gen)
+        cells: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+        for y, rho in states:
+            cy, cr = y, rho
+            while all(a < b for a, b in zip(cy, bounds)):
+                cell = (cy, cr)
+                if cell in cells:
+                    break
+                cells.add(cell)
+                cy = tuple(a + s for a, s in zip(cy, step_y))
+                cr = tuple((a + s) % d for a, s in zip(cr, step_r))
+            if len(cells) > counting.TABLE_STATE_CAP:
+                raise TableBudgetExceeded(len(cells))
+        out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for cell in sorted(cells, key=lambda c: (sum(c[0]), c)):
+            y, rho = cell
+            py = tuple(a - s for a, s in zip(y, step_y))
+            prev = 0
+            if all(a >= 0 for a in py):
+                pr = tuple((a - s) % d for a, s in zip(rho, step_r))
+                prev = out.get((py, pr), 0)
+            total = states.get(cell, 0) + prev
+            if total:
+                out[cell] = total
+        states = out
+    return states
+
+
+def _bucketise(spec: ZetaSpec, states: dict) -> dict:
+    """Group table states by residue: residue -> (projection matrix, counts),
+    as integer arrays for vectorised box queries.  Counts are Python-int
+    object arrays when int64 scans could overflow."""
+    grouped: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for (y, rho), count in states.items():
+        grouped.setdefault(rho, []).append((y, count))
+    dtype = object if _wide(spec, sum(states.values())) else _np.int64
+    buckets = {}
+    for rho, items in grouped.items():
+        ys = _np.array([y for y, _ in items], dtype=_np.int64).reshape(len(items), -1)
+        cs = _np.array([c for _, c in items], dtype=dtype)
+        buckets[rho] = (ys, cs)
+    return buckets
+
+
+def _oracle_table(spec, positions, bounds):
+    return _bucketise(spec, _build_table(spec, positions, bounds))
+
 
 def _table_cells(buckets):
     return {(tuple(y), rho): (c, cs.dtype)
@@ -154,62 +219,147 @@ def _table_cells(buckets):
             for y, c in zip(ys.tolist(), cs.tolist())}
 
 
-def _assert_builders_agree(spec, positions, bounds):
-    dense = _build_dense(spec, positions, bounds)
-    assert dense is not None
-    sparse = _bucketise(spec, _build_table(spec, positions, bounds))
-    assert _table_cells(dense) == _table_cells(sparse)
-    assert all(ys.dtype == sparse[rho][0].dtype for rho, (ys, _) in dense.items())
-    return dense
+def _assert_same_table(buckets, oracle):
+    assert _table_cells(buckets) == _table_cells(oracle)
+    assert all(ys.dtype == oracle[rho][0].dtype for rho, (ys, _) in buckets.items())
+
+
+def _assert_matches_oracle(spec, positions, bounds):
+    table = _build_sparse(spec, positions, bounds)
+    _assert_same_table(table, _oracle_table(spec, positions, bounds))
+    return table
 
 
 def test_dense_table_dihedral(dihedral):
-    dense = _assert_builders_agree(plain_zeta(dihedral), (0, 2), (300, 300))
-    assert sum(len(cs) for _, cs in dense.values()) > 5000
+    table = _assert_matches_oracle(plain_zeta(dihedral), (0, 2), (300, 300))
+    assert sum(len(cs) for _, cs in table.values()) > 5000
 
 
 def test_dense_table_cyclic4_every_subset(a3):
     spec = plain_zeta(a3)
     for r in range(1, 4):
         for pos in itertools.combinations(range(3), r):
-            _assert_builders_agree(spec, pos, (37, 41, 29)[:r])
+            _assert_matches_oracle(spec, pos, (37, 41, 29)[:r])
 
 
 def test_dense_table_twisted_relative(dihedral):
     spec = build_zeta(dihedral, twist=dihedral.dual(2), relative=(1,))
-    _assert_builders_agree(spec.untwisted(), (1, 3), (90, 70))
+    _assert_matches_oracle(spec.untwisted(), (1, 3), (90, 70))
 
 
 def test_dense_table_reduced_coordinates():
     # gcd 2 on the first coordinate, 3 on the second; bounds not multiples
     spec = synthetic_spec([(1, (0, 0)), (-2, (2, 3))],
                           [(2, 6), (4, 3), (6, 9)], den=5)
-    _assert_builders_agree(spec, (0, 1), (61, 50))
-    _assert_builders_agree(spec, (1,), (80,))
+    _assert_matches_oracle(spec, (0, 1), (61, 50))
+    _assert_matches_oracle(spec, (1,), (80,))
 
 
 def test_dense_table_wide_counts():
-    # a huge coefficient pushes ray sums past int64: both store Python ints
+    # a huge coefficient pushes ray sums past int64: counts are Python ints
     spec = synthetic_spec([(2 ** 50, (0,)), (-1, (1,))], [(1,), (2,), (3,)])
-    dense = _assert_builders_agree(spec, (0,), (2000,))
-    assert all(cs.dtype == object for _, cs in dense.values())
+    table = _assert_matches_oracle(spec, (0,), (2000,))
+    assert all(cs.dtype == object for _, cs in table.values())
 
 
 def test_dense_table_edge_cases(dihedral, a3):
     spec = plain_zeta(dihedral)
-    assert _build_dense(spec, (0, 2), (0, 10)) == {}
+    assert _build_sparse(spec, (0, 2), (0, 10)) == {}
     assert _build_table(spec, (0, 2), (0, 10)) == {}
     # a relative factor at both leaves of the chain cancels every generator
     bare = build_zeta(a3, relative=(1, 3))
     assert bare.dens == ()
-    assert _build_dense(bare, (0,), (5,)) is None
-    assert _table_cells(_table_for(bare, (0,), (5,))) == \
-        _table_cells(_bucketise(bare, _build_table(bare, (0,), (5,))))
-    # declined without allocating: over the cell cap, counts past int64
-    line = synthetic_spec([(1, (0,))], [(1,), (2,)])
-    assert _build_dense(line, (0,), (DENSE_CELL_CAP + 1,)) is None
+    _assert_same_table(_table_for(bare, (0,), (5,)), _oracle_table(bare, (0,), (5,)))
+    # the multiset bound passes 2**63: counts accumulate as Python ints
     many = synthetic_spec([(1, (0,))], [(1,)] * 16)
-    assert _build_dense(many, (0,), (100,)) is None
+    table = _assert_matches_oracle(many, (0,), (100,))
+    assert table[(0,)][1][-1] == math.comb(114, 15)
+
+
+@st.composite
+def _small_tables(draw):
+    """A synthetic spec with up to four generators on up to three variables,
+    kept positions, a box, and a cell cap that may refuse the table."""
+    nvars = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(1, 7), min_size=nvars, max_size=nvars)
+    num = [(1, [0] * nvars)]
+    if draw(st.booleans()):  # a huge coefficient makes the counts Python ints
+        num.append((draw(st.sampled_from([-1, 3, 2 ** 62])), draw(vec)))
+    spec = synthetic_spec(num, draw(st.lists(vec, max_size=4)),
+                          den=draw(st.integers(1, 12)))
+    positions = tuple(sorted(draw(st.sets(st.integers(0, nvars - 1), min_size=1))))
+    bounds = tuple(draw(st.integers(-1, 30)) for _ in positions)
+    cap = draw(st.sampled_from([1, 4, 16, 64, counting.TABLE_STATE_CAP]))
+    return spec, positions, bounds, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_tables())
+def test_sparse_table_matches_dictionary_dp(case):
+    spec, positions, bounds, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "TABLE_STATE_CAP", cap)
+        try:
+            oracle = _oracle_table(spec, positions, bounds)
+        except TableBudgetExceeded:
+            with pytest.raises(TableBudgetExceeded):
+                _build_sparse(spec, positions, bounds)
+            return
+        _assert_same_table(_build_sparse(spec, positions, bounds), oracle)
+
+
+def test_sparse_table_beyond_the_packed_key_range():
+    # three coordinates of about 2**23 reduced cells each: class index and
+    # coordinates no longer pack into one int64, so rows are merged by lexsort
+    big = 2 ** 21
+    spec = synthetic_spec([(1, (0, 0, 0)), (-1, (5, 0, 7))],
+                          [(big - 1, big + 1, big + 3), (big + 5, big - 3, big + 7),
+                           (big + 11, big + 13, big - 5)], den=3)
+    positions, bounds = (0, 1, 2), (4 * big, 4 * big, 4 * big)
+    orders, _, _ = counting._residue_group(spec)
+    gs, shape = counting._reduced_shape(spec, positions, bounds)
+    assert gs == [1, 1, 1]
+    assert math.prod(orders) * math.prod(shape) >= 2 ** 63
+    table = _build_sparse(spec, positions, bounds)
+    _assert_same_table(table, _oracle_table(spec, positions, bounds))
+    assert sum(len(cs) for _, cs in table.values()) == 20  # 3 copies at most in all
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 40), min_size=n, max_size=n), max_size=4),
+    st.integers(1, 12))))
+def test_residue_group_matches_the_reachable_residues(case):
+    gens, den = case
+    nvars = len(gens[0]) if gens else 1
+    spec = synthetic_spec([(1, [0] * nvars)], [[x + den for x in g] for g in gens],
+                          den=den)
+    reached = {(0,) * nvars}  # breadth-first walk over sums of generators
+    frontier = list(reached)
+    while frontier:
+        frontier = {tuple((a + b) % den for a, b in zip(rho, g))
+                    for rho in frontier for g in spec.dens} - reached
+        reached |= frontier
+    orders, digits, units = counting._residue_group(spec)
+
+    def residue(ks):
+        return tuple(sum(k * u[i] for k, u in zip(ks, units)) % den for i in range(nvars))
+
+    assert all(e > 1 for e in orders)
+    assert {residue(ks) for ks in itertools.product(*map(range, orders))} == reached
+    assert math.prod(orders) == len(reached)
+    for g, dig in zip(spec.dens, digits):
+        assert residue(dig) == tuple(x % den for x in g)
+
+
+def test_large_group_small_table_enumerates_nothing():
+    # |H| = 1,000,999: a table of one cell must not walk the whole group
+    g = parse_graph("v 1 -1000\nv 2 -1001\ne 1 2\n")
+    spec = plain_zeta(g)
+    orders, _, _ = counting._residue_group(spec)
+    assert math.prod(orders) == 1000999
+    table = _build_sparse(spec, (0, 1), (50, 50))
+    assert _table_cells(table) == {((0, 0), (0, 0)): (1, _np.dtype(_np.int64))}
 
 
 @pytest.fixture
@@ -219,13 +369,23 @@ def fresh_tables(monkeypatch):
     monkeypatch.setattr(counting, "_FAILED", weakref.WeakKeyDictionary())
 
 
+def test_table_caches_hold_specs_weakly(fresh_tables):
+    spec = synthetic_spec([(1, (0, 0))], [(2, 3), (3, 1)], den=5)
+    _table_for(spec, (0, 1), (40, 40))
+    assert spec in counting._TABLES and spec in counting._GROUPS
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
 def _restricted(buckets, box):
     return {cell: v for cell, v in _table_cells(buckets).items()
             if all(a < b for a, b in zip(cell[0], box))}
 
 
 @pytest.mark.parametrize("positions, first, second", [
-    ((0, 2), (200, 260), (290, 250)),        # dense, grown to (320, 320)
+    ((0, 2), (200, 260), (290, 250)),        # two coordinates, grown to (320, 320)
     ((0, 1, 3), (9, 12, 10), (19, 17, 21)),  # sparse, three coordinates
 ])
 def test_grown_table_restricts_to_exact_build(dihedral, fresh_tables,
@@ -239,7 +399,7 @@ def test_grown_table_restricts_to_exact_build(dihedral, fresh_tables,
     assert stored == tuple(counting._rounded_up(b) for b in union)
     assert all(a >= b for a, b in zip(stored, union))
     for box in (second, union):
-        exact = counting._build_box(spec, positions, box)
+        exact = _build_sparse(spec, positions, box)
         assert _restricted(grown, box) == _table_cells(exact)
 
 

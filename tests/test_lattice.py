@@ -289,6 +289,22 @@ def test_inverse_round_trips(dihedral):
     assert _product(u, unimodular_inverse(u)) == eye
 
 
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.integers(-12, 12), min_size=16, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_smith_normal_form_of_rectangular_matrices(m, n, entries):
+    rows = [entries[i * n:(i + 1) * n] for i in range(m)]
+    diag, u, v = smith_normal_form(rows)
+    assert len(u) == m and len(v) == n
+    for w in (u, v):
+        eye = [[int(i == j) for j in range(len(w))] for i in range(len(w))]
+        assert _product(w, unimodular_inverse(w)) == eye
+    out = _product(_product(u, rows), v)
+    assert out == [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    assert all(x >= 0 for x in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+
+
 # ---------------------------------------------------------------------------
 # subtree projections
 
