@@ -6,12 +6,15 @@ modified one (exponents strictly below it on every chosen coordinate).  Both
 reduce, through inclusion-exclusion, to box-bounded sums, which are computed
 from a dynamic-programming table of denominator-exponent sums keyed by the
 projected coordinates and the residue class mod the integral lattice.
-Tables are cached per spec and only grow, so a ray of evaluations costs one
-table build plus cheap scans.  A first build covers exactly the box asked
-for; a box beyond the cached one rebuilds to the union of both with each
-bound rounded up to three significant bits, so a base point that creeps
-with the class does not rebuild at every step.  The rounded box falls back
-to the exact one wherever the budget would refuse it.
+Tables are cached per spec and only grow.  A first build covers exactly the
+box asked for; a box beyond the cached one rebuilds to the union of both
+with each bound rounded up to three significant bits, so a base point that
+creeps with the class does not rebuild at every step.  The rounded box falls
+back to the exact one wherever the budget would refuse it.  Beside its
+tables, a spec keeps the values of every ray scanned so far: a ray is read
+off its table in one histogram pass, and the value at depth k does not
+depend on how deep the pass went, so a shallower request is a prefix of a
+deeper one and only a deeper request scans again.
 
 A table is built as residue -> (coordinates, counts) arrays, on the kept
 coordinates divided by their generator gcds and on the digits of the
@@ -70,6 +73,8 @@ def _integral(val: Fraction, what: str) -> int:
 # ---------------------------------------------------------------------------
 # partition tables
 
+# per spec: positions -> (bounds, buckets) of a partition table, and
+# (residue, positions, base, step) -> the deepest ray values found so far
 _TABLES: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary()
 _FAILED: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary()
 _PLAIN: "weakref.WeakKeyDictionary[ResolutionGraph, ZetaSpec]" = weakref.WeakKeyDictionary()
@@ -356,8 +361,14 @@ def _q_two_gens(spec: ZetaSpec, residue: tuple[int, ...],
                 positions: tuple[int, ...], xs: tuple[int, ...]) -> int:
     """Exact closed evaluation for two geometric generators: sum over the
     second multiplicity of arithmetic-progression counts of the first.
-    Depth costs almost nothing here, which rescues rays whose partition
-    tables are unaffordable."""
+
+    It needs no table, which rescues rays whose partition tables are
+    unaffordable, but it is not free: the multiplicity pairs of the wanted
+    residue are found by walking all den**2 pairs (once per spec and
+    residue), and each point loops over those pairs and the second
+    multiplicity up to the box, so one point costs about pairs x box / den
+    steps.  A group of order 10**6 makes the pair walk alone run for
+    minutes."""
     ga, gb = spec.dens
     d = spec.den
     total = 0
@@ -443,7 +454,13 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     """Modified counting values at ``base + k * step`` for k = 1..nk.
 
     One histogram pass over the table: each state contributes from the first
-    k whose box contains it, so a whole ray costs one table scan.
+    k whose box contains it.  States first counted beyond nk are clipped to
+    nk + 1, and every state counted at some k <= nk lies in the depth-nk
+    box, so the value at k depends neither on nk nor on how far the table
+    has grown.  The values are therefore kept beside the spec's tables, per
+    untwisted ray (residue, positions, and base and step on the positions):
+    a shallower request is a prefix of the deepest list found so far, and
+    only a deeper one scans again.  A refused table stores nothing.
     """
     spec, residue, base = _untwist(spec, residue, base)
     d = spec.den
@@ -451,8 +468,14 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     ss = step.scaled(d)
     if not all(ss[p] > 0 for p in positions):
         raise ValueError("ray step must increase every kept coordinate")
+    per_spec = _TABLES.setdefault(spec, {})
+    ray = (residue, positions, tuple(bs[p] for p in positions),
+           tuple(ss[p] for p in positions))
+    known = per_spec.get(ray, ())
+    if len(known) >= nk:
+        return list(known[:nk])
     bounds = []
-    for i, p in enumerate(positions):
+    for p in positions:
         worst = max(bs[p] - b[p] for _, b in spec.num)
         bounds.append(max(0, worst + nk * ss[p]))
     try:
@@ -460,25 +483,27 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     except TableBudgetExceeded:
         if len(spec.dens) != 2:
             raise
-        out = []
-        for k in range(1, nk + 1):
+        vals = list(known)
+        for k in range(len(known) + 1, nk + 1):
             xk = tuple(b + k * s for b, s in zip(bs, ss))
-            out.append(_q_two_gens(spec, residue, positions, xk))
-        return out
-    wide = any(cs.dtype == object for _, cs in table.values())
-    hist = _np.zeros(nk + 2, dtype=object if wide else _np.int64)
-    svec = _np.asarray([ss[p] for p in positions], dtype=_np.int64)
-    for coeff, bexp in spec.num:
-        need = tuple((a - b) % d for a, b in zip(residue, bexp))
-        entry = table.get(need)
-        if entry is None:
-            continue
-        ys, cs = entry
-        t0 = _np.asarray([bs[p] - bexp[p] for p in positions], dtype=_np.int64)
-        kmin = ((ys - t0) // svec).max(axis=1) + 1
-        kmin = _np.clip(kmin, 1, nk + 1)
-        _np.add.at(hist, kmin, coeff * cs)
-    return [int(v) for v in _np.cumsum(hist[1:nk + 1])]
+            vals.append(_q_two_gens(spec, residue, positions, xk))
+    else:
+        wide = any(cs.dtype == object for _, cs in table.values())
+        hist = _np.zeros(nk + 2, dtype=object if wide else _np.int64)
+        svec = _np.asarray([ss[p] for p in positions], dtype=_np.int64)
+        for coeff, bexp in spec.num:
+            need = tuple((a - b) % d for a, b in zip(residue, bexp))
+            entry = table.get(need)
+            if entry is None:
+                continue
+            ys, cs = entry
+            t0 = _np.asarray([bs[p] - bexp[p] for p in positions], dtype=_np.int64)
+            kmin = ((ys - t0) // svec).max(axis=1) + 1
+            kmin = _np.clip(kmin, 1, nk + 1)
+            _np.add.at(hist, kmin, coeff * cs)
+        vals = [int(v) for v in _np.cumsum(hist[1:nk + 1])]
+    per_spec[ray] = tuple(vals)
+    return vals
 
 
 def _ray_count_values(spec: ZetaSpec, residue: tuple[int, ...],

@@ -1,6 +1,7 @@
 """Counting functions, periodic constants, normalised SW invariants and the
 surgery identity, all checked against brute-force oracles."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -18,7 +19,8 @@ from resgraph.counting import (StabilizationError, TableBudgetExceeded,
                                _build_sparse, _ray_directions, _ray_q_values,
                                _stabilised_extrapolation, _table_for,
                                _twist_data, _wide, counting_Q, counting_q,
-                               counting_qp_closed, modified_qp_closed,
+                               counting_qp_closed, fitted_qp_value,
+                               modified_qp_closed,
                                periodic_constant_full,
                                periodic_constant_reduced, plain_zeta,
                                quasipoly_value, surgery_check, sw_norm,
@@ -362,17 +364,24 @@ def test_large_group_small_table_enumerates_nothing():
     assert _table_cells(table) == {((0, 0), (0, 0)): (1, _np.dtype(_np.int64))}
 
 
+def _empty_caches(mp):
+    mp.setattr(counting, "_TABLES", weakref.WeakKeyDictionary())
+    mp.setattr(counting, "_FAILED", weakref.WeakKeyDictionary())
+
+
 @pytest.fixture
 def fresh_tables(monkeypatch):
     """Empty table caches, so a test sees its own builds only."""
-    monkeypatch.setattr(counting, "_TABLES", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(counting, "_FAILED", weakref.WeakKeyDictionary())
+    _empty_caches(monkeypatch)
 
 
 def test_table_caches_hold_specs_weakly(fresh_tables):
     spec = synthetic_spec([(1, (0, 0))], [(2, 3), (3, 1)], den=5)
     _table_for(spec, (0, 1), (40, 40))
+    _ray_q_values(spec, (0, 0), (0, 1), RationalCycle((1, 1)),
+                  RationalCycle((2, 1)), 20)
     assert spec in counting._TABLES and spec in counting._GROUPS
+    assert ((0, 0), (0, 1), (5, 5), (10, 5)) in counting._TABLES[spec]
     ref = weakref.ref(spec)
     del spec
     gc.collect()
@@ -417,6 +426,135 @@ def test_rounding_never_refuses_an_exact_box(monkeypatch, fresh_tables):
     assert counting._TABLES[spec][(0,)][0] == (99,)
     with pytest.raises(counting.TableBudgetExceeded):
         _table_for(spec, (0,), (101,))
+
+
+# ---------------------------------------------------------------------------
+# ray values: memoised per ray, a shallower request is a prefix
+
+@st.composite
+def _rays(draw):
+    """A synthetic spec on up to three variables, maybe twisted, a ray on
+    some of its coordinates, depths to request in order, and a cell cap
+    that may refuse the ray's table."""
+    nvars = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(1, 7), min_size=nvars, max_size=nvars)
+    den = draw(st.integers(1, 12))
+    num = [(1, [0] * nvars)]
+    if draw(st.booleans()):
+        num.append((draw(st.sampled_from([-1, 2])), draw(vec)))
+    spec = synthetic_spec(num, draw(st.lists(vec, max_size=3)), den=den)
+    if draw(st.booleans()):
+        spec = dataclasses.replace(spec, twist=tuple(draw(vec)))
+    positions = tuple(sorted(draw(st.sets(st.integers(0, nvars - 1), min_size=1))))
+    residue = tuple(draw(st.integers(0, den - 1)) for _ in range(nvars))
+    base = RationalCycle(tuple(draw(st.integers(-4, 12)) for _ in range(nvars)), den)
+    # off the kept coordinates the step is arbitrary and changes nothing
+    step = RationalCycle(tuple(draw(st.integers(1, 3)) if i in positions
+                               else draw(st.integers(-2, 2))
+                               for i in range(nvars)), den)
+    depths = draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))
+    cap = draw(st.sampled_from([8, 64, counting.TABLE_STATE_CAP]))
+    return spec, residue, positions, base, step, depths, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rays())
+def test_ray_values_are_exact_in_any_request_order(case):
+    spec, residue, positions, base, step, depths, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        _empty_caches(mp)
+        exact = [counting_q(spec, residue, positions, base + k * step)
+                 for k in range(1, max(depths) + 1)]
+        _empty_caches(mp)
+        # a fit holds the untwisted spec, so a twisted ray's values outlive a call
+        plain = spec.untwisted()
+        counting._TABLES[plain] = {}
+        mp.setattr(counting, "TABLE_STATE_CAP", cap)
+        served = {}
+        for nk in depths:
+            try:
+                served[nk] = _ray_q_values(spec, residue, positions, base, step, nk)
+            except TableBudgetExceeded:
+                assert len(spec.dens) != 2  # two generators fall back instead
+                with pytest.raises(TableBudgetExceeded):  # and refuses again
+                    _ray_q_values(spec, residue, positions, base, step, nk)
+                continue
+            assert served[nk] == exact[:nk]
+        for nk, vals in served.items():  # cold: every cache emptied first
+            _empty_caches(mp)
+            assert _ray_q_values(spec, residue, positions, base, step, nk) == vals
+
+
+def test_two_generator_rays_fall_back_pointwise(monkeypatch, fresh_tables):
+    spec = synthetic_spec([(1, (0, 0)), (-1, (3, 2))], [(2, 3), (3, 1)], den=5)
+    twisted = dataclasses.replace(spec, twist=(4, 2))
+    positions, step = (0, 1), RationalCycle((2, 3), 5)
+    # the same ray twisted: residue and base shifted by the twist
+    residue, base = (1, 3), RationalCycle((3, 2), 5)
+    plain_res, plain_base = (2, 1), base - RationalCycle((4, 2), 5)
+    shallow = _ray_q_values(spec, plain_res, positions, plain_base, step, 12)
+    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 8)  # deeper tables refused
+    points = []
+    closed = counting._q_two_gens
+
+    def counted(*args):
+        points.append(args[3])
+        return closed(*args)
+    monkeypatch.setattr(counting, "_q_two_gens", counted)
+    deep = _ray_q_values(twisted, residue, positions, base, step, 40)
+    # only the points beyond the known prefix are evaluated
+    assert points == [(plain_base + k * step).scaled(5) for k in range(13, 41)]
+    assert deep[:12] == shallow
+    assert deep == [closed(spec, plain_res, positions, (plain_base + k * step).scaled(5))
+                    for k in range(1, 41)]
+    assert deep == [counting_q(twisted, residue, positions, base + k * step)
+                    for k in range(1, 41)]
+    # more than two generators: the refusal reaches the caller, every time,
+    # and leaves no ray values behind
+    three = synthetic_spec([(1, (0, 0))], [(2, 3), (3, 1), (1, 1)], den=5)
+    for _ in range(2):
+        with pytest.raises(TableBudgetExceeded):
+            _ray_q_values(three, (0, 0), positions, base, step, 40)
+    assert ((0, 0), positions, (3, 2), (2, 3)) not in counting._TABLES[three]
+
+
+def _count_scans(monkeypatch) -> list[int]:
+    """A ray is scanned once ``_table_for`` has returned its table; count
+    those returns.  A refusal scans nothing: ``_FAILED`` repeats it."""
+    calls = [0]
+    lookup = counting._table_for
+
+    def counted(*args):
+        table = lookup(*args)
+        calls[0] += 1
+        return table
+    monkeypatch.setattr(counting, "_table_for", counted)
+    return calls
+
+
+def test_repeated_and_shallower_rays_scan_nothing(dihedral, monkeypatch, fresh_tables):
+    calls = _count_scans(monkeypatch)
+    spec = plain_zeta(dihedral)
+    grp = dihedral.group
+    h = grp.elements()[3]
+    base = grp.frac_rep(h)
+    residue = dihedral.residue(base)
+    first = fitted_qp_value(dihedral, spec, residue, (0, 2), base, modified=True)
+    assert calls[0] > 0
+    calls[0] = 0
+    assert fitted_qp_value(dihedral, spec, residue, (0, 2), base, modified=True) == first
+    assert calls[0] == 0
+    direction = RationalCycle((1, 1, 2, 1))
+    deep = _ray_q_values(spec, residue, (0, 1, 3), base, direction, 50)
+    assert calls[0] == 1
+    assert _ray_q_values(spec, residue, (0, 1, 3), base, direction, 18) == deep[:18]
+    assert calls[0] == 1
+    # the twisted spec's fit reads the plain spec's rays
+    tw = dihedral.dual(1)
+    twisted = build_zeta(dihedral, twist=tw)
+    shifted = tuple((a + b) % spec.den for a, b in zip(residue, tw.scaled(spec.den)))
+    assert _ray_q_values(twisted, shifted, (0, 1, 3), base + tw, direction, 50) == deep
+    assert calls[0] == 1
 
 
 def _lagrange_at(ks, vals, at):
