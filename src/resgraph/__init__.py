@@ -1,6 +1,6 @@
 """Exact invariants of normal surface singularities from plumbing trees."""
 
-from .counting import (FitConfig, InternalCheckError, StabilizationError,
+from .counting import (InternalCheckError, StabilizationError,
                        TableBudgetExceeded, counting_Q, counting_q,
                        counting_qp_closed, modified_qp_closed,
                        periodic_constant_full, periodic_constant_reduced,

@@ -16,11 +16,10 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curves as curvemod
-from .counting import (FitConfig, InternalCheckError, StabilizationError,
+from .counting import (InternalCheckError, StabilizationError,
                        TableBudgetExceeded, surgery_check, sw_norm,
                        verify_symmetry)
 from .cycles import RationalCycle, zero_cycle
@@ -38,19 +37,6 @@ CLASS_CAP = 24  # basics lists the classes of groups up to this order
 SERIES_COST_CAP = 2_000_000  # largest expansion_cost a series dump runs (about 1 s)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    fmt: str = "table"
-    bound: Fraction = Fraction(3)
-    depth: int = 3
-    stride: int = 5
-    seed: int = 1
-    trials: int = 25
-
-    def fit(self) -> FitConfig:
-        return FitConfig(max_substride=max(1, self.stride))
-
-
 def _frac(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
@@ -64,8 +50,8 @@ def _cycle_doc(c: RationalCycle) -> list[str]:
     return [_frac(f) for f in c.fractions()]
 
 
-def _emit(doc: dict, cfg: RunConfig, table_lines: list[str]) -> None:
-    if cfg.fmt == "doc":
+def _emit(doc: dict, args, table_lines: list[str]) -> None:
+    if args.format == "doc":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in table_lines:
@@ -80,7 +66,7 @@ def _load_graph(path: str) -> ResolutionGraph:
 # ---------------------------------------------------------------------------
 # basics
 
-def cmd_basics(args, cfg: RunConfig) -> int:
+def cmd_basics(args) -> int:
     graph = _load_graph(args.graph)
     group = graph.group
     zmin, rational = artin_rationality(graph)
@@ -117,14 +103,14 @@ def cmd_basics(args, cfg: RunConfig) -> int:
             lines.append(f"  h={h}: r_h = {_cycle_str(r)}  s_h = {_cycle_str(s)}  "
                          f"chi(r_h) = {chi(graph, r)}  chi(s_h) = {chi(graph, s)}")
         doc["classes"] = classes
-    _emit(doc, cfg, lines)
+    _emit(doc, args, lines)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
-def cmd_invariants(args, cfg: RunConfig) -> int:
+def cmd_invariants(args) -> int:
     graph = _load_graph(args.graph)
     if not any(graph.arrows):
         print("error: graph file declares no arrows", file=sys.stderr)
@@ -156,23 +142,23 @@ def cmd_invariants(args, cfg: RunConfig) -> int:
         doc.update({"delta": None, "blache_correction": None, "rational": False,
                     "refusal": str(exc)})
         lines.append(f"delta: refused -- {exc}")
-    _emit(doc, cfg, lines)
+    _emit(doc, args, lines)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # series dump
 
-def cmd_series(args, cfg: RunConfig) -> int:
+def cmd_series(args) -> int:
     graph = _load_graph(args.graph)
     spec = build_zeta(graph)
-    cost = expansion_cost(spec, cfg.bound)
+    cost = expansion_cost(spec, args.bound)
     if cost > SERIES_COST_CAP:
-        print(f"error: --bound {cfg.bound} would enumerate about {cost} terms, "
+        print(f"error: --bound {args.bound} would enumerate about {cost} terms, "
               f"over the limit of {SERIES_COST_CAP}; choose a smaller bound",
               file=sys.stderr)
         return 2
-    series = expand(spec, cfg.bound)
+    series = expand(spec, args.bound)
     if args.class_zero:
         series = h_part(series, graph.residue(zero_cycle(graph.n)), graph.det_abs)
     if args.reduce:
@@ -186,7 +172,7 @@ def cmd_series(args, cfg: RunConfig) -> int:
     doc = {"den": series.den,
            "terms": [[c, [_frac(Fraction(x, series.den)) for x in key]]
                      for key, c in series.sorted_items()]}
-    _emit(doc, cfg, [series.dump()])
+    _emit(doc, args, [series.dump()])
     return 0
 
 
@@ -206,12 +192,12 @@ def _inconclusive(lines: list[str], label: str, exc: Exception) -> None:
     lines.append(f"  inconclusive {label}: {_cause(exc)}")
 
 
-def _verify_duality(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
-                    lines: list[str]) -> tuple[int, int, int]:
+def _verify_duality(graph: ResolutionGraph, args: argparse.Namespace,
+                    rng: random.Random, lines: list[str]) -> tuple[int, int, int]:
     group = graph.group
     twists = [None, random_antinef(rng, graph, max_coeff=1)]
     passed = failed = inconclusive = 0
-    exhaustive = group.order * (2 ** graph.n - 1) * len(twists) <= 4 * cfg.trials
+    exhaustive = group.order * (2 ** graph.n - 1) * len(twists) <= 4 * args.trials
     if exhaustive:
         cases = [(tw, h, I)
                  for tw in twists
@@ -220,11 +206,11 @@ def _verify_duality(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
                  for I in itertools.combinations(range(graph.n), r)]
     else:
         cases = [(twists[rng.randrange(2)], random_class(rng, graph),
-                  random_positions(rng, graph)) for _ in range(cfg.trials)]
+                  random_positions(rng, graph)) for _ in range(args.trials)]
     for tw, h, positions in cases:
         label = f"h={h} I={positions} twist={tw and _cycle_str(tw)}"
         try:
-            rep = verify_twisted_duality(graph, tw, h, positions, cfg.fit())
+            rep = verify_twisted_duality(graph, tw, h, positions, args.stride)
         except INCONCLUSIVE as exc:
             inconclusive += 1
             _inconclusive(lines, label, exc)
@@ -242,14 +228,14 @@ def _verify_duality(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
     return passed, failed, inconclusive
 
 
-def _verify_surgery(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
-                    lines: list[str]) -> tuple[int, int, int]:
+def _verify_surgery(graph: ResolutionGraph, args: argparse.Namespace,
+                    rng: random.Random, lines: list[str]) -> tuple[int, int, int]:
     passed = failed = inconclusive = 0
-    for _ in range(cfg.trials):
+    for _ in range(args.trials):
         keep = [graph.ids[p] for p in random_positions(rng, graph, allow_full=False)]
         x = zero_cycle(graph.n)
         for i in range(graph.n):
-            x = x + (cfg.depth + rng.randint(0, 2)) * graph.duals[i]
+            x = x + (args.depth + rng.randint(0, 2)) * graph.duals[i]
         try:
             rep = surgery_check(graph, keep, x)
         except INCONCLUSIVE as exc:
@@ -264,20 +250,23 @@ def _verify_surgery(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
     return passed, failed, inconclusive
 
 
-def _verify_cdgz_delta(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
-                       lines: list[str]) -> tuple[int, int, int]:
+def _verify_cdgz_delta(graph: ResolutionGraph, args: argparse.Namespace,
+                       rng: random.Random, lines: list[str]) -> tuple[int, int, int]:
     if not artin_rationality(graph)[1]:
         lines.append("  skip: graph is not rational")
         return 0, 0, 0
     passed = failed = inconclusive = 0
-    for _ in range(cfg.trials):
-        probe = graph if any(graph.arrows) else random_unit_arrows(rng, graph)
+    if any(graph.arrows):
+        probes = [graph]  # a declared curve is deterministic: check it once
+    else:
+        probes = (random_unit_arrows(rng, graph) for _ in range(args.trials))
+    for probe in probes:
         if any(a > 1 for a in probe.arrows):
             lines.append("  skip: arrow multiplicities above one")
             continue
         try:
             rep = delta_cross_check(probe, EmbeddedCurve.from_graph_arrows(probe),
-                                    cfg.fit())
+                                    args.stride)
         except INCONCLUSIVE as exc:
             inconclusive += 1
             _inconclusive(lines, f"arrows={probe.arrows}", exc)
@@ -291,8 +280,8 @@ def _verify_cdgz_delta(graph: ResolutionGraph, cfg: RunConfig, rng: random.Rando
     return passed, failed, inconclusive
 
 
-def _verify_sw(graph: ResolutionGraph, cfg: RunConfig, rng: random.Random,
-               lines: list[str]) -> tuple[int, int, int]:
+def _verify_sw(graph: ResolutionGraph, args: argparse.Namespace,
+               rng: random.Random, lines: list[str]) -> tuple[int, int, int]:
     if not artin_rationality(graph)[1]:
         lines.append("  skip: graph is not rational")
         return 0, 0, 0
@@ -322,17 +311,17 @@ SUITES = {
 }
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     graph = _load_graph(args.graph)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     lines: list[str] = []
     suite = SUITES[args.suite]
-    passed, failed, inconclusive = suite(graph, cfg, rng, lines)
+    passed, failed, inconclusive = suite(graph, args, rng, lines)
     summary = (f"{args.suite}: {passed} passed, {failed} failed, "
                f"{inconclusive} inconclusive")
     doc = {"suite": args.suite, "passed": passed, "failed": failed,
            "inconclusive": inconclusive, "detail": lines}
-    _emit(doc, cfg, lines + [summary])
+    _emit(doc, args, lines + [summary])
     if not verify_symmetry(graph):
         print("zeta factorisation symmetry check failed", file=sys.stderr)
         return 1
@@ -342,7 +331,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # curves
 
-def cmd_curve(args, cfg: RunConfig) -> int:
+def cmd_curve(args) -> int:
     if args.ordinary is not None:
         curve = curvemod.MultibranchCurve.ordinary(args.ordinary)
     elif args.semigroup is not None:
@@ -371,7 +360,7 @@ def cmd_curve(args, cfg: RunConfig) -> int:
         val = curvemod.poincare_series(curve).value_at_one()
         doc["poincare_at_one"] = val
         lines.append(f"Poincare evaluation at one = {val}")
-    _emit(doc, cfg, lines)
+    _emit(doc, args, lines)
     return 0 if ok else 1
 
 
@@ -387,6 +376,16 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="resgraph",
@@ -395,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--bound", type=_positive_rational, default="3",
                     help="expansion window bound (positive rational, e.g. 5/2)")
     ap.add_argument("--depth", type=int, default=3, help="surgery probe depth")
-    ap.add_argument("--stride", type=int, default=5,
+    ap.add_argument("--stride", type=_positive_int, default=5,
                     help="substride sweep ceiling for the periodic-constant fit")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--trials", type=int, default=25)
+    ap.add_argument("--trials", type=_positive_int, default=25)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basics", help="lattice report for a graph file")
@@ -435,10 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig(fmt=args.format, bound=args.bound, depth=args.depth,
-                    stride=args.stride, seed=args.seed, trials=args.trials)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (GraphError, curvemod.CurveDataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,13 @@ off its table in one histogram pass, and the value at depth k does not
 depend on how deep the pass went, so a shallower request is a prefix of a
 deeper one and only a deeper request scans again.
 
+Everything cached lives in one store, one dict of entries per owner: a spec
+keeps its tables, budget refusals, ray values, residue group and pair
+classes, a graph its plain spec, SW invariants, ray directions and subgraph
+components.  Owners are held weakly and matched by equality, so an equal
+owner is served the entries of the first one stored, which live as long as
+that first owner does.
+
 A table is built as residue -> (coordinates, counts) arrays, on the kept
 coordinates divided by their generator gcds and on the digits of the
 residue class in the subgroup the generators span, read off a Smith normal
@@ -35,19 +42,20 @@ multiple of a quasi-period the samples show is never fitted.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from math import comb, factorial, gcd, lcm, prod
 from typing import Sequence
 
 import numpy as _np
 
 from .cycles import RationalCycle, zero_cycle
-from .graphs import (InternalCheckError, ResolutionGraph, chi, laufer_saturate,
-                     strict_interior_cycle, subgraph_components)
+from .graphs import (InternalCheckError, ResolutionGraph, SubgraphComponent, chi,
+                     laufer_saturate, strict_interior_cycle, subgraph_components)
 from .series import ZetaSpec, build_zeta
 from .snf import fraction_inverse, smith_normal_form, unimodular_inverse
 
@@ -71,14 +79,33 @@ def _integral(val: Fraction, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# partition tables
+# the cache store
 
-# per spec: positions -> (bounds, buckets) of a partition table, and
-# (residue, positions, base, step) -> the deepest ray values found so far
-_TABLES: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary()
-_FAILED: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary()
-_PLAIN: "weakref.WeakKeyDictionary[ResolutionGraph, ZetaSpec]" = weakref.WeakKeyDictionary()
-_GROUPS: "weakref.WeakKeyDictionary[ZetaSpec, tuple]" = weakref.WeakKeyDictionary()
+# owner -> {("table", positions): (bounds, buckets), ("refused", positions):
+# smallest refused box, ("ray", residue, positions, base, step): ray values,
+# (function name, *key): value of a memoised function}
+_STORE = weakref.WeakKeyDictionary()
+
+
+def _memo(fn):
+    """Cache ``fn(owner, *key)`` among the owner's entries under the
+    function's name; a call that raises stores nothing."""
+    bind = inspect.signature(fn).bind
+
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        if kwargs:  # a keyword call shares the entry of the positional one
+            args = bind(*args, **kwargs).args
+        entries = _STORE.setdefault(args[0], {})
+        tag = (fn.__name__, *args[1:])
+        if tag not in entries:
+            entries[tag] = fn(*args)
+        return entries[tag]
+    return cached
+
+
+# ---------------------------------------------------------------------------
+# partition tables
 
 TABLE_STATE_CAP = 1_800_000
 
@@ -88,14 +115,12 @@ RAY_DEPTHS = (12, 18, 26, 38, 56, 80)  # ray depths every fit tries
 MAX_RAY_DEPTH = 320  # deepest ray queued for a long period
 
 
+@_memo
 def plain_zeta(graph: ResolutionGraph) -> ZetaSpec:
-    spec = _PLAIN.get(graph)
-    if spec is None:
-        spec = build_zeta(graph)
-        _PLAIN[graph] = spec
-    return spec
+    return build_zeta(graph)
 
 
+@_memo
 def _residue_group(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """The residues mod den that sums of generators reach, as a product of
     cyclic groups Z/e_j with every e_j > 1: the orders e_j, per generator its
@@ -105,28 +130,24 @@ def _residue_group(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[lis
     den, a multiset with multiplicities c has residue zero exactly when every
     ``(V^-1 c)_j`` is a multiple of ``e_j = den / gcd(den, d_j)``, and digit
     j's unit has residue ``M @ V[:, j] = d_j U^-1[:, j]``.  Nothing is
-    enumerated, so the cost does not grow with the group order.  Cached per
-    spec."""
-    found = _GROUPS.get(spec)
-    if found is None:
-        d = spec.den
-        orders: list[int] = []
-        digits: list[list[int]] = [[] for _ in spec.dens]
-        units: list[list[int]] = []
-        if spec.dens:
-            steps = [[gen[i] % d for gen in spec.dens] for i in range(spec.nvars)]
-            diag, _, v = smith_normal_form(steps)
-            v_inv = unimodular_inverse(v)
-            for j, dj in enumerate(diag):
-                e = d // gcd(d, dj)
-                if e > 1:
-                    orders.append(e)
-                    for i, dig in enumerate(digits):
-                        dig.append(v_inv[j][i] % e)
-                    units.append([sum(x * row[j] for x, row in zip(step, v)) % d
-                                  for step in steps])
-        found = _GROUPS[spec] = (orders, digits, units)
-    return found
+    enumerated, so the cost does not grow with the group order."""
+    d = spec.den
+    orders: list[int] = []
+    digits: list[list[int]] = [[] for _ in spec.dens]
+    units: list[list[int]] = []
+    if spec.dens:
+        steps = [[gen[i] % d for gen in spec.dens] for i in range(spec.nvars)]
+        diag, _, v = smith_normal_form(steps)
+        v_inv = unimodular_inverse(v)
+        for j, dj in enumerate(diag):
+            e = d // gcd(d, dj)
+            if e > 1:
+                orders.append(e)
+                for i, dig in enumerate(digits):
+                    dig.append(v_inv[j][i] % e)
+                units.append([sum(x * row[j] for x, row in zip(step, v)) % d
+                              for step in steps])
+    return orders, digits, units
 
 
 def _multiset_bound(spec: ZetaSpec, positions: tuple[int, ...],
@@ -287,8 +308,8 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
     the budget; otherwise, and if its build runs over the budget, the exact
     box is built, so the rounding never refuses a table the exact box gets.
     Estimates refuse oversized tables before anything is built."""
-    per_spec = _TABLES.setdefault(spec, {})
-    entry = per_spec.get(positions)
+    entries = _STORE.setdefault(spec, {})
+    entry = entries.get(("table", positions))
     grown = bounds
     if entry is not None:
         stored_bounds, stored = entry
@@ -296,8 +317,7 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
             return stored
         bounds = tuple(max(a, b) for a, b in zip(bounds, stored_bounds))
         grown = tuple(_rounded_up(b) for b in bounds)
-    failed = _FAILED.setdefault(spec, {})
-    known_bad = failed.get(positions)
+    known_bad = entries.get(("refused", positions))
 
     def covered(box: tuple[int, ...]) -> bool:  # a known refusal fits inside
         return known_bad is not None and all(a >= b for a, b in zip(box, known_bad))
@@ -306,7 +326,7 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
     if covered(bounds):
         raise TableBudgetExceeded(bounds)
     if _estimate_cells(spec, positions, bounds) > over:
-        failed[positions] = bounds
+        entries["refused", positions] = bounds
         raise TableBudgetExceeded(bounds)
     table = None
     if (grown != bounds and not covered(grown)
@@ -315,14 +335,14 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
             table = _build_sparse(spec, positions, grown)
             bounds = grown
         except TableBudgetExceeded:
-            failed[positions] = grown  # the exact box may still fit
+            entries["refused", positions] = grown  # the exact box may still fit
     if table is None:
         try:
             table = _build_sparse(spec, positions, bounds)
         except TableBudgetExceeded:
-            failed[positions] = bounds
+            entries["refused", positions] = bounds
             raise
-    per_spec[positions] = (bounds, table)
+    entries["table", positions] = (bounds, table)
     return table
 
 
@@ -336,15 +356,10 @@ def _untwist(spec: ZetaSpec, residue: tuple[int, ...],
     return spec.untwisted(), res, x - tw
 
 
-_PAIR_RES: "weakref.WeakKeyDictionary[ZetaSpec, dict]" = weakref.WeakKeyDictionary()
-
-
+@_memo
 def _pair_residue_classes(spec: ZetaSpec, need: tuple[int, ...]) -> list[tuple[int, int]]:
     """Multiplicity pairs mod den whose generator combination has the wanted
     residue (two-generator specs only)."""
-    cache = _PAIR_RES.setdefault(spec, {})
-    if need in cache:
-        return cache[need]
     d = spec.den
     ga, gb = spec.dens
     pairs = []
@@ -353,7 +368,6 @@ def _pair_residue_classes(spec: ZetaSpec, need: tuple[int, ...]) -> list[tuple[i
             if all((r1 * a + r2 * b) % d == w
                    for a, b, w in zip(ga, gb, need)):
                 pairs.append((r1, r2))
-    cache[need] = pairs
     return pairs
 
 
@@ -468,10 +482,10 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     ss = step.scaled(d)
     if not all(ss[p] > 0 for p in positions):
         raise ValueError("ray step must increase every kept coordinate")
-    per_spec = _TABLES.setdefault(spec, {})
-    ray = (residue, positions, tuple(bs[p] for p in positions),
+    entries = _STORE.setdefault(spec, {})
+    ray = ("ray", residue, positions, tuple(bs[p] for p in positions),
            tuple(ss[p] for p in positions))
-    known = per_spec.get(ray, ())
+    known = entries.get(ray, ())
     if len(known) >= nk:
         return list(known[:nk])
     bounds = []
@@ -502,7 +516,7 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
             kmin = _np.clip(kmin, 1, nk + 1)
             _np.add.at(hist, kmin, coeff * cs)
         vals = [int(v) for v in _np.cumsum(hist[1:nk + 1])]
-    per_spec[ray] = tuple(vals)
+    entries[ray] = tuple(vals)
     return vals
 
 
@@ -518,13 +532,6 @@ def _ray_count_values(spec: ZetaSpec, residue: tuple[int, ...],
 
 # ---------------------------------------------------------------------------
 # ray fits and periodic constants
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the difference-table fit of counting functions along rays."""
-
-    max_substride: int = 12
-
 
 def _period_candidates(spec: ZetaSpec, positions: tuple[int, ...],
                        direction: RationalCycle) -> list[int]:
@@ -616,7 +623,7 @@ def _stabilised_extrapolation(vals: Sequence[int], deg_cap: int) -> int | None:
 
 def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
                     positions: Sequence[int], base: RationalCycle,
-                    direction: RationalCycle, fit: FitConfig = FitConfig()) -> int:
+                    direction: RationalCycle, max_substride: int = 12) -> int:
     """Value at the ray base of the polynomial the counting function agrees
     with deep along ``base + k * direction``.
 
@@ -642,7 +649,7 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
             vals = _ray_count_values(spec, residue, pos, base, direction, depth)
         except TableBudgetExceeded:
             break  # a deeper ray would only grow the tables further
-        top = min(fit.max_substride, depth // (2 * (FIT_WINDOW + 1)))
+        top = min(max_substride, depth // (2 * (FIT_WINDOW + 1)))
         found, genuine = _detected_periods(vals, deg_cap, depth // 2)
         sweep = list(range(1, top + 1))
         sweep += [a for a in specials if a > top]
@@ -667,18 +674,6 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
         f"counting function did not stabilise along the ray (positions {pos})")
 
 
-_SW_CACHE: "weakref.WeakKeyDictionary[ResolutionGraph, dict]" = weakref.WeakKeyDictionary()
-# per graph: pure functions of the graph and a key, e.g. ("components", ids)
-_PIECES: "weakref.WeakKeyDictionary[ResolutionGraph, dict]" = weakref.WeakKeyDictionary()
-
-
-def _graph_cached(graph: ResolutionGraph, kind: str, key: tuple[int, ...], compute):
-    cache = _PIECES.setdefault(graph, {})
-    if (kind, key) not in cache:
-        cache[kind, key] = compute(graph, key)
-    return cache[kind, key]
-
-
 def _interior_certified(projected_duals: list[tuple[Fraction, ...]],
                         y: tuple[int, ...]) -> bool:
     """Exact interiority certificate for the projected anti-nef cone: some
@@ -696,6 +691,7 @@ def _interior_certified(projected_duals: list[tuple[Fraction, ...]],
     return False
 
 
+@_memo
 def _ray_directions(graph: ResolutionGraph,
                     positions: tuple[int, ...]) -> tuple[RationalCycle, ...]:
     """Lattice directions whose projections are interior to the projected
@@ -732,7 +728,7 @@ def _ray_directions(graph: ResolutionGraph,
 
 def fitted_qp_value(graph: ResolutionGraph, spec: ZetaSpec,
                     residue: tuple[int, ...], positions: Sequence[int],
-                    base: RationalCycle, fit: FitConfig = FitConfig(),
+                    base: RationalCycle, max_substride: int = 12,
                     modified: bool = False) -> int:
     """Ray-fitted quasi-polynomial value with direction retry.
 
@@ -745,12 +741,12 @@ def fitted_qp_value(graph: ResolutionGraph, spec: ZetaSpec,
     """
     pos = tuple(sorted(positions))
     if modified:
-        return sum(sign * fitted_qp_value(graph, spec, residue, sub, base, fit)
+        return sum(sign * fitted_qp_value(graph, spec, residue, sub, base, max_substride)
                    for sign, sub in _signed_subsets(pos))
     cause = "no ray direction"
-    for direction in _graph_cached(graph, "directions", pos, _ray_directions):
+    for direction in _ray_directions(graph, pos):
         try:
-            return quasipoly_value(spec, residue, pos, base, direction, fit)
+            return quasipoly_value(spec, residue, pos, base, direction, max_substride)
         except StabilizationError as exc:
             # keep the message only: a kept exception references this frame
             # through its traceback, and the cycle holds every spec and table
@@ -759,15 +755,13 @@ def fitted_qp_value(graph: ResolutionGraph, spec: ZetaSpec,
     raise StabilizationError(cause)
 
 
+@_memo
 def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
     """Normalised Seiberg-Witten invariant of the link for one class.
 
     Probes the counting function at two depths inside the cone shifted by the
     canonical cycle; the two stabilised values must agree.
     """
-    cache = _SW_CACHE.setdefault(graph, {})
-    if h in cache:
-        return cache[h]
     group = graph.group
     r = group.frac_rep(h)
     zk = graph.canonical
@@ -782,8 +776,13 @@ def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
     if vals[0] != vals[1]:
         raise StabilizationError(
             f"normalised SW probe did not stabilise: margins (1, 2) gave {vals}")
-    cache[h] = vals[0]
     return vals[0]
+
+
+@_memo
+def _components(graph: ResolutionGraph,
+                removed_ids: tuple[int, ...]) -> list[SubgraphComponent]:
+    return subgraph_components(graph, removed_ids)
 
 
 def counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
@@ -804,7 +803,7 @@ def counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
     point = rg + lbar
     total = chi(graph, point) - chi(graph, rg) + sw_norm(graph, g)
     keep_ids = tuple(graph.ids[p] for p in sorted(positions))
-    for piece in _graph_cached(graph, "components", keep_ids, subgraph_components):
+    for piece in _components(graph, keep_ids):
         sub = piece.graph
         y = piece.project(point)
         gk = sub.group.class_of(y)
@@ -860,14 +859,14 @@ def periodic_constant_full(graph: ResolutionGraph, spec: ZetaSpec,
 
 def periodic_constant_reduced(graph: ResolutionGraph, spec: ZetaSpec,
                               h: tuple[int, ...], positions: Sequence[int],
-                              fit: FitConfig = FitConfig(),
+                              max_substride: int = 12,
                               modified: bool = False) -> int:
     """Periodic constant of one class part reduced to a variable subset,
     via the two-stride ray fit."""
     g, base = _twist_data(graph, spec, h)
     return fitted_qp_value(graph, spec.untwisted(),
                            graph.residue(graph.group.frac_rep(g)),
-                           tuple(positions), base, fit, modified)
+                           tuple(positions), base, max_substride, modified)
 
 
 # ---------------------------------------------------------------------------

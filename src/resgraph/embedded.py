@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import (FitConfig, InternalCheckError, StabilizationError,
-                       counting_Q, counting_q, fitted_qp_value,
-                       modified_qp_closed, periodic_constant_full,
-                       periodic_constant_reduced, plain_zeta)
+from .counting import (InternalCheckError, StabilizationError, counting_Q,
+                       counting_q, fitted_qp_value, modified_qp_closed,
+                       periodic_constant_full, periodic_constant_reduced,
+                       plain_zeta)
 from .cycles import RationalCycle, zero_cycle
 from .graphs import (ResolutionGraph, artin_rationality, chi,
                      min_antinef_rep)
@@ -177,7 +177,7 @@ class DualityReport:
 
 def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
                            h: tuple[int, ...], positions: Sequence[int],
-                           fit: FitConfig = FitConfig()) -> DualityReport:
+                           max_substride: int = 12) -> DualityReport:
     """Compare the periodic constant of a twisted class part against the
     counting value of the dual class at the reflected argument, in both the
     plain and the modified form.
@@ -207,7 +207,7 @@ def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
         if len(pos) == graph.n:
             lhs = periodic_constant_full(graph, spec, h)
         else:
-            lhs = periodic_constant_reduced(graph, spec, h, pos, fit)
+            lhs = periodic_constant_reduced(graph, spec, h, pos, max_substride)
         status = "pass" if lhs == rhs else "fail"
     except StabilizationError:
         lhs = None
@@ -216,7 +216,7 @@ def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
         if len(pos) == graph.n:
             lhs_mod = modified_qp_closed(graph, g, pos, lbar)
         else:
-            lhs_mod = periodic_constant_reduced(graph, spec, h, pos, fit,
+            lhs_mod = periodic_constant_reduced(graph, spec, h, pos, max_substride,
                                                 modified=True)
         status_mod = "pass" if lhs_mod == rhs_mod else "fail"
     except StabilizationError:
@@ -245,7 +245,7 @@ class DeltaCrossCheckReport:
 
 
 def _relative_pc(graph: ResolutionGraph, arrow_ids: tuple[int, ...],
-                 fit: FitConfig) -> int:
+                 max_substride: int) -> int:
     """Periodic constant of the reduced class-zero relative series.
 
     For a single marked vertex this is minus the branch delta; for two or
@@ -254,11 +254,11 @@ def _relative_pc(graph: ResolutionGraph, arrow_ids: tuple[int, ...],
     spec = build_zeta(graph, relative=arrow_ids)
     pos = tuple(graph.index[v] for v in arrow_ids)
     return fitted_qp_value(graph, spec, graph.residue(zero_cycle(graph.n)),
-                           pos, zero_cycle(graph.n), fit)
+                           pos, zero_cycle(graph.n), max_substride)
 
 
 def delta_cross_check(graph: ResolutionGraph, curve: EmbeddedCurve,
-                      fit: FitConfig = FitConfig()) -> DeltaCrossCheckReport:
+                      max_substride: int = 12) -> DeltaCrossCheckReport:
     """Assemble delta from periodic constants of relative series over every
     branch subset and compare with the direct chi expression.
 
@@ -271,13 +271,13 @@ def delta_cross_check(graph: ResolutionGraph, curve: EmbeddedCurve,
     arrows = curve.support_ids
     branch_deltas = []
     for v in arrows:
-        pc = _relative_pc(graph, (v,), fit)
+        pc = _relative_pc(graph, (v,), max_substride)
         branch_deltas.append(-pc)
     subset_values = []
     total = sum(branch_deltas)
     for k in range(2, len(arrows) + 1):
         for js in itertools.combinations(arrows, k):
-            val = _relative_pc(graph, js, fit)
+            val = _relative_pc(graph, js, max_substride)
             subset_values.append((js, val))
             total += (-1) ** k * val
     delta_chi = delta_embedded(graph, curve)

@@ -159,6 +159,19 @@ def test_bad_bound_is_usage_error(bound, capsys):
     assert "argument --bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--stride", "0"), ("--stride", "-3"),
+                                         ("--trials", "0"), ("--trials", "-2")])
+def test_non_positive_stride_or_trials_is_usage_error(flag, value, capsys):
+    # both once ran: stride 0 as substride 1, trials 0 as an empty suite
+    with pytest.raises(SystemExit) as exc:
+        main([flag, value, "verify", str(GRAPHS / "cyclic4.graph"),
+              "--suite", "surgery"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: must be positive, got '{value}'" in out.err
+
+
 def test_verify_sw_suite(capsys):
     code, out, _ = run_cli(["verify", GRAPHS / "dihedral12.graph",
                             "--suite", "sw-rational"], capsys)
@@ -187,6 +200,19 @@ def test_verify_cdgz_suite(capsys):
                             "--suite", "cdgz-delta"], capsys)
     assert code == 0
     assert "0 failed" in out
+
+
+@pytest.mark.parametrize("graph, lines", [
+    ("dihedral12_center", ["cdgz-delta: 1 passed, 0 failed, 0 inconclusive"]),
+    ("cyclic4_cartier", ["  skip: arrow multiplicities above one",
+                         "cdgz-delta: 0 passed, 0 failed, 0 inconclusive"]),
+])
+def test_verify_cdgz_checks_a_declared_curve_once(graph, lines, capsys):
+    # declared arrows fix the curve: more trials would repeat the same check
+    code, out, _ = run_cli(["--trials", "3", "verify", GRAPHS / f"{graph}.graph",
+                            "--suite", "cdgz-delta"], capsys)
+    assert code == 0
+    assert out.splitlines() == lines
 
 
 def test_verify_cdgz_suite_skips_non_rational(capsys):

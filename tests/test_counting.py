@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DIHEDRAL_TEXT
 from resgraph import counting
 from resgraph.counting import (StabilizationError, TableBudgetExceeded,
                                _build_sparse, _ray_directions, _ray_q_values,
@@ -365,13 +366,12 @@ def test_large_group_small_table_enumerates_nothing():
 
 
 def _empty_caches(mp):
-    mp.setattr(counting, "_TABLES", weakref.WeakKeyDictionary())
-    mp.setattr(counting, "_FAILED", weakref.WeakKeyDictionary())
+    mp.setattr(counting, "_STORE", weakref.WeakKeyDictionary())
 
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty table caches, so a test sees its own builds only."""
+    """An empty cache store, so a test sees its own builds only."""
     _empty_caches(monkeypatch)
 
 
@@ -380,12 +380,52 @@ def test_table_caches_hold_specs_weakly(fresh_tables):
     _table_for(spec, (0, 1), (40, 40))
     _ray_q_values(spec, (0, 0), (0, 1), RationalCycle((1, 1)),
                   RationalCycle((2, 1)), 20)
-    assert spec in counting._TABLES and spec in counting._GROUPS
-    assert ((0, 0), (0, 1), (5, 5), (10, 5)) in counting._TABLES[spec]
+    entries = counting._STORE[spec]
+    assert ("table", (0, 1)) in entries and ("_residue_group",) in entries
+    assert ("ray", (0, 0), (0, 1), (5, 5), (10, 5)) in entries
     ref = weakref.ref(spec)
-    del spec
+    del spec, entries
     gc.collect()
     assert ref() is None
+
+
+def test_caches_hold_graphs_weakly(fresh_tables):
+    graph = parse_graph(DIHEDRAL_TEXT)
+    spec = plain_zeta(graph)
+    h = graph.group.elements()[3]
+    sw_norm(graph, h)
+    base = graph.group.frac_rep(h)
+    fitted_qp_value(graph, spec, graph.residue(base), (0, 2), base)
+    entries = counting._STORE[graph]
+    assert {("plain_zeta",), ("sw_norm", h), ("_ray_directions", (0, 2))} <= set(entries)
+    assert ("table", (0, 2)) in counting._STORE[spec]
+    refs = [weakref.ref(graph), weakref.ref(spec)]
+    del graph, spec, entries
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert len(counting._STORE) == 0
+
+
+def test_equal_graphs_share_their_entries(fresh_tables, monkeypatch):
+    # owners match by equality: a second parse of the same file reads the
+    # first graph's entries and counts nothing again
+    first = parse_graph(DIHEDRAL_TEXT)
+    h = first.group.elements()[3]
+    value = sw_norm(first, h)
+    counted = []
+    count = counting.counting_Q
+
+    def counting_Q_spy(*args):
+        counted.append(args)
+        return count(*args)
+    monkeypatch.setattr(counting, "counting_Q", counting_Q_spy)
+    second = parse_graph(DIHEDRAL_TEXT)
+    assert second is not first and second == first
+    assert sw_norm(second, h) == value
+    assert sw_norm(graph=second, h=h) == value
+    assert plain_zeta(second) is plain_zeta(first)
+    assert counted == []
+    assert len(counting._STORE) == 2  # the first graph and its plain spec
 
 
 def _restricted(buckets, box):
@@ -401,10 +441,10 @@ def test_grown_table_restricts_to_exact_build(dihedral, fresh_tables,
                                               positions, first, second):
     spec = plain_zeta(dihedral)
     _table_for(spec, positions, first)
-    assert counting._TABLES[spec][positions][0] == first  # first builds are exact
+    assert counting._STORE[spec]["table", positions][0] == first  # first builds are exact
     grown = _table_for(spec, positions, second)
     union = tuple(max(a, b) for a, b in zip(first, second))
-    stored = counting._TABLES[spec][positions][0]
+    stored = counting._STORE[spec]["table", positions][0]
     assert stored == tuple(counting._rounded_up(b) for b in union)
     assert all(a >= b for a, b in zip(stored, union))
     for box in (second, union):
@@ -419,11 +459,11 @@ def test_rounding_never_refuses_an_exact_box(monkeypatch, fresh_tables):
     _table_for(spec, (0,), (50,))
     # 97 rounds up to 112: within the estimate margin, over the cap when built
     _table_for(spec, (0,), (97,))
-    assert counting._TABLES[spec][(0,)][0] == (97,)
-    assert counting._FAILED[spec][(0,)] == (112,)
+    assert counting._STORE[spec]["table", (0,)][0] == (97,)
+    assert counting._STORE[spec]["refused", (0,)] == (112,)
     # a known refusal covers the rounded box: the exact one is built directly
     _table_for(spec, (0,), (99,))
-    assert counting._TABLES[spec][(0,)][0] == (99,)
+    assert counting._STORE[spec]["table", (0,)][0] == (99,)
     with pytest.raises(counting.TableBudgetExceeded):
         _table_for(spec, (0,), (101,))
 
@@ -468,7 +508,7 @@ def test_ray_values_are_exact_in_any_request_order(case):
         _empty_caches(mp)
         # a fit holds the untwisted spec, so a twisted ray's values outlive a call
         plain = spec.untwisted()
-        counting._TABLES[plain] = {}
+        counting._STORE[plain] = {}
         mp.setattr(counting, "TABLE_STATE_CAP", cap)
         served = {}
         for nk in depths:
@@ -515,12 +555,13 @@ def test_two_generator_rays_fall_back_pointwise(monkeypatch, fresh_tables):
     for _ in range(2):
         with pytest.raises(TableBudgetExceeded):
             _ray_q_values(three, (0, 0), positions, base, step, 40)
-    assert ((0, 0), positions, (3, 2), (2, 3)) not in counting._TABLES[three]
+    assert ("ray", (0, 0), positions, (3, 2), (2, 3)) not in counting._STORE[three]
 
 
 def _count_scans(monkeypatch) -> list[int]:
     """A ray is scanned once ``_table_for`` has returned its table; count
-    those returns.  A refusal scans nothing: ``_FAILED`` repeats it."""
+    those returns.  A refusal scans nothing: its stored ``"refused"`` entry
+    repeats it."""
     calls = [0]
     lookup = counting._table_for
 
