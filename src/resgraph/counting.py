@@ -16,12 +16,20 @@ off its table in one histogram pass, and the value at depth k does not
 depend on how deep the pass went, so a shallower request is a prefix of a
 deeper one and only a deeper request scans again.
 
+A spec with exactly two generators (a chain) needs no table for a point:
+the multiplicity pairs of the wanted residue are a coset of a rank-2
+lattice read off a Smith normal form, and the pairs of that coset inside
+the box are counted in closed form by floor sums, with work bounded
+independently of den and of the box.  Its ray scans still read tables and
+fall back to the closed count per point where the budget refuses one.
+
 Everything cached lives in one store, one dict of entries per owner: a spec
-keeps its tables, budget refusals, ray values, residue group and pair
-classes, a graph its plain spec, SW invariants, ray directions and subgraph
-components.  Owners are held weakly and matched by equality, so an equal
-owner is served the entries of the first one stored, which live as long as
-that first owner does.
+keeps its tables, budget refusals, ray values, Smith normal form, residue
+group and two-generator lattice and cosets, a graph its plain spec, SW
+invariants, ray directions and subgraph components.  Owners are held weakly
+and matched by equality, so an equal owner is served the entries of the
+first one stored, which live as long as that first owner does.  No entry
+refers back to its owner, so an owner and its entries are freed together.
 
 A table is built as residue -> (coordinates, counts) arrays, on the kept
 coordinates divided by their generator gcds and on the digits of the
@@ -121,6 +129,14 @@ def plain_zeta(graph: ResolutionGraph) -> ZetaSpec:
 
 
 @_memo
+def _generator_snf(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Smith normal form ``U @ M @ V = diag(d_j)`` of the matrix M of
+    generator columns mod den (spec with generators only)."""
+    return smith_normal_form([[gen[i] % spec.den for gen in spec.dens]
+                              for i in range(spec.nvars)])
+
+
+@_memo
 def _residue_group(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """The residues mod den that sums of generators reach, as a product of
     cyclic groups Z/e_j with every e_j > 1: the orders e_j, per generator its
@@ -136,8 +152,7 @@ def _residue_group(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[lis
     digits: list[list[int]] = [[] for _ in spec.dens]
     units: list[list[int]] = []
     if spec.dens:
-        steps = [[gen[i] % d for gen in spec.dens] for i in range(spec.nvars)]
-        diag, _, v = smith_normal_form(steps)
+        diag, _, v = _generator_snf(spec)
         v_inv = unimodular_inverse(v)
         for j, dj in enumerate(diag):
             e = d // gcd(d, dj)
@@ -145,8 +160,8 @@ def _residue_group(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[lis
                 orders.append(e)
                 for i, dig in enumerate(digits):
                     dig.append(v_inv[j][i] % e)
-                units.append([sum(x * row[j] for x, row in zip(step, v)) % d
-                              for step in steps])
+                units.append([sum(gen[i] * row[j] for gen, row in zip(spec.dens, v)) % d
+                              for i in range(spec.nvars)])
     return orders, digits, units
 
 
@@ -356,52 +371,127 @@ def _untwist(spec: ZetaSpec, residue: tuple[int, ...],
     return spec.untwisted(), res, x - tw
 
 
+# ---------------------------------------------------------------------------
+# two generators: closed counts by floor sums
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum(floor((a*i + b) / m) for i in range(n))`` for m > 0 and any signs
+    of a and b, in O(log m) steps: reduce a and b mod m, then swap the roles
+    of m and a (Graham-Knuth-Patashnik, *Concrete Mathematics* 3.5; the
+    AtCoder Library's ``floor_sum``)."""
+    total = 0
+    while n > 0:
+        total += (a // m) * (n * (n - 1) // 2) + (b // m) * n
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            break
+        n, b, m, a = top // m, top % m, a, m
+    return total
+
+
+def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
+    """``(g, u, v)`` with ``u*x + v*y = g = gcd(x, y) >= 0``."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while y:
+        k, r = divmod(x, y)
+        x, y = y, r
+        u0, v0, u1, v1 = u1, v1, u0 - k * u1, v0 - k * v1
+    return (x, u0, v0) if x >= 0 else (-x, -u0, -v0)
+
+
 @_memo
-def _pair_residue_classes(spec: ZetaSpec, need: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Multiplicity pairs mod den whose generator combination has the wanted
-    residue (two-generator specs only)."""
+def _two_gen_lattice(spec: ZetaSpec) -> tuple[int, int, int]:
+    """Hermite basis ``{(p, 0), (q, s)}``, with 0 <= q < p, of the lattice of
+    multiplicity pairs (c1, c2) whose combination c1 A + c2 B of the two
+    generators is zero mod den.  By the Smith normal form it is spanned by
+    the columns ``e_j V[:, j]``, with ``e_j = den / gcd(den, d_j)`` (1 for a
+    column beyond the diagonal); it contains den Z^2."""
     d = spec.den
-    ga, gb = spec.dens
-    pairs = []
-    for r1 in range(d):
-        for r2 in range(d):
-            if all((r1 * a + r2 * b) % d == w
-                   for a, b, w in zip(ga, gb, need)):
-                pairs.append((r1, r2))
-    return pairs
+    diag, _, v = _generator_snf(spec)
+    es = [d // gcd(d, dj) for dj in diag] + [1] * (2 - len(diag))
+    (x1, x2), (y1, y2) = [[e * v[i][j] for j, e in enumerate(es)] for i in range(2)]
+    s, f1, f2 = _ext_gcd(y1, y2)
+    p = abs(x1 * y2 - x2 * y1) // s
+    return p, (f1 * x1 + f2 * x2) % p, s
+
+
+@_memo
+def _two_gen_coset(spec: ZetaSpec,
+                   need: tuple[int, ...]) -> tuple[int, int, int, int, int] | None:
+    """The pairs with c1 A + c2 B = need mod den, as ``(p, q, s, r, c)``:
+    they are ``(r + q*j + p*n, c + s*j)`` over all integers j, n, with the
+    Hermite basis of ``_two_gen_lattice`` and ``0 <= c < s``; None if there
+    are none.
+
+    With z = V^-1 (c1, c2), the congruence reads ``d_j z_j = (U need)_j`` mod
+    den on the diagonal and ``(U need)_j = 0`` mod den on any row below it."""
+    d = spec.den
+    diag, u, v = _generator_snf(spec)
+    p, q, s = _two_gen_lattice(spec)
+    z = [0, 0]
+    for j, row in enumerate(u):
+        rhs = sum(a * b for a, b in zip(row, need)) % d
+        dj = diag[j] if j < len(diag) else 0
+        g = gcd(d, dj)
+        if rhs % g:
+            return None
+        if g < d:
+            z[j] = rhs // g * pow(dj // g, -1, d // g)
+    c1, c2 = (v[i][0] * z[0] + v[i][1] * z[1] for i in range(2))
+    shift = -(c2 // s)  # multiples of (q, s) that bring c2 into [0, s)
+    return p, q, s, (c1 + shift * q) % p, c2 + shift * s
 
 
 def _q_two_gens(spec: ZetaSpec, residue: tuple[int, ...],
                 positions: tuple[int, ...], xs: tuple[int, ...]) -> int:
-    """Exact closed evaluation for two geometric generators: sum over the
-    second multiplicity of arithmetic-progression counts of the first.
+    """Exact closed evaluation for two geometric generators A and B.
 
-    It needs no table, which rescues rays whose partition tables are
-    unaffordable, but it is not free: the multiplicity pairs of the wanted
-    residue are found by walking all den**2 pairs (once per spec and
-    residue), and each point loops over those pairs and the second
-    multiplicity up to the box, so one point costs about pairs x box / den
-    steps.  A group of order 10**6 makes the pair walk alone run for
-    minutes."""
+    The pairs (c1, c2) >= 0 with the wanted residue and c1 A + c2 B strictly
+    below the target on the positions are a lattice coset cut by a box: with
+    ``c2 = c + s*j``, c1 runs over a progression of step p whose offset is
+    linear in j (``_two_gen_coset``) and up to ``F(j) = min_k floor((T_k -
+    B_k j) / a_k)``.  That minimum of lines splits the range of j into at
+    most one piece per position, at crossings found by cross-multiplication,
+    and on each piece the count is a floor sum, since ``floor(floor(x/a)/p)
+    = floor(x/(a p))``.  The work is bounded by the number of positions and
+    logarithms of the entries; it grows neither with den nor with the box.
+    """
     ga, gb = spec.dens
     d = spec.den
     total = 0
     for coeff, base in spec.num:
-        t = [xs[p] - base[p] for p in positions]
-        if any(v <= 0 for v in t):
+        t = [xs[k] - base[k] for k in positions]
+        if min(t) <= 0:
             continue
-        need = tuple((a - b) % d for a, b in zip(residue, base))
-        a_pos = [ga[p] for p in positions]
-        b_pos = [gb[p] for p in positions]
-        c2_cap = min((tw - 1) // bw for tw, bw in zip(t, b_pos))
-        for r1, r2 in _pair_residue_classes(spec, need):
-            c2 = r2
-            while c2 <= c2_cap:
-                u = min((tw - c2 * bw - 1) // aw
-                        for tw, aw, bw in zip(t, a_pos, b_pos)) + 1
-                if u > r1:
-                    total += coeff * ((u - r1 - 1) // d + 1)
-                c2 += d
+        coset = _two_gen_coset(spec, tuple((a - b) % d for a, b in zip(residue, base)))
+        if coset is None:
+            continue
+        p, q, s, r, c = coset
+        # F_k(j) = floor((T_k - B_k j) / a_k), the largest c1 the position allows
+        lines = [(ga[k], gb[k] * s, tw - 1 - gb[k] * c) for k, tw in zip(positions, t)]
+        top = min(tt // bb for _, bb, tt in lines)  # F(j) >= 0 exactly for j <= top
+        if top < 0:
+            continue
+        # per j: floor((F(j) - r - q j) / p) + floor((r + q j) / p) + 1 values of c1
+        count = top + 1 + _floor_sum(top + 1, p, q, r)
+        for k, (a, bb, tt) in enumerate(lines):
+            lo, hi = 0, top  # the j where line k is the first smallest
+            for m, (a2, bb2, tt2) in enumerate(lines):
+                if m == k:
+                    continue
+                # line k <= line m  <=>  j * dd <= nn (strictly below for m < k)
+                dd, nn = bb2 * a - bb * a2, tt2 * a - tt * a2 - (m < k)
+                if dd > 0:
+                    hi = min(hi, nn // dd)
+                elif dd < 0:
+                    lo = max(lo, -(nn // -dd))
+                elif nn < 0:
+                    hi = -1
+            if lo <= hi:
+                count += _floor_sum(hi - lo + 1, a * p, -(bb + a * q),
+                                    tt - a * r - (bb + a * q) * lo)
+        total += coeff * count
     return total
 
 
@@ -418,13 +508,16 @@ def _signed_subsets(positions: Sequence[int]):
 def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
                positions: Sequence[int], x: RationalCycle) -> int:
     """Modified counting function: coefficient sum over support exponents of
-    the given class lying strictly below x on every chosen coordinate."""
+    the given class lying strictly below x on every chosen coordinate.  Two
+    generators are counted in closed form, any other spec off its table."""
     if not positions:
         raise ValueError("variable subset must be nonempty")
     spec, residue, x = _untwist(spec, residue, x)
     pos = tuple(sorted(positions))
     d = spec.den
     xs = x.scaled(d)
+    if len(spec.dens) == 2:
+        return _q_two_gens(spec, residue, pos, xs)
     targets = []
     for coeff, base in spec.num:
         t = tuple(xs[p] - base[p] for p in pos)
@@ -434,12 +527,7 @@ def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
     bounds = tuple(max(0, *(t[i] for _, t, _ in targets)) for i in range(len(pos)))
     if all(b <= 0 for b in bounds):
         return 0
-    try:
-        table = _table_for(spec, pos, bounds)
-    except TableBudgetExceeded:
-        if len(spec.dens) == 2:
-            return _q_two_gens(spec, residue, pos, xs)
-        raise
+    table = _table_for(spec, pos, bounds)
     total = 0
     for coeff, t, need in targets:
         entry = table.get(need)

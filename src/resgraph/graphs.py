@@ -80,12 +80,13 @@ class IntersectionForm:
         return tuple(tuple(row) for row in inv)
 
     def pair(self, x: RationalCycle, y: RationalCycle) -> Fraction:
-        xs, ys = x.fractions(), y.fractions()
-        total = Fraction(0)
-        for i, row in enumerate(self.rows):
-            if xs[i]:
-                total += xs[i] * sum(row[j] * ys[j] for j in range(self.n) if ys[j])
-        return total
+        """(x, y) as an exact rational: an integer sum over the numerators,
+        divided once by both denominators."""
+        total = 0
+        for a, row in zip(x.num, self.rows):
+            if a:
+                total += a * sum(r * b for r, b in zip(row, y.num))
+        return Fraction(total, x.den * y.den)
 
     def pair_basis(self, x: RationalCycle, v: int) -> Fraction:
         """(x, E_v) for the v-th basis vector, as an exact rational."""
@@ -511,22 +512,23 @@ class SubgraphComponent:
     The projection rewrites a cycle in the dual basis of the ambient tree and
     keeps only the coordinates of the component, re-expanded in the
     component's own dual basis.  It sends the ambient canonical cycle to the
-    component's canonical cycle (checked at construction).
+    component's canonical cycle (checked at construction).  Of the ambient
+    tree it keeps only the intersection rows of the component's vertices,
+    so a cached component does not keep the ambient graph alive.
     """
 
     graph: ResolutionGraph
-    parent: ResolutionGraph
     vertex_ids: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]  # ambient (E_v, E_u) for v in vertex_ids
 
     def project(self, x: RationalCycle) -> RationalCycle:
-        parent = self.parent
         out = zero_cycle(self.graph.n)
-        for vid in self.vertex_ids:
-            a = -parent.form.pair_basis(x, parent.index[vid])
-            if a.denominator != 1:
+        for vid, row in zip(self.vertex_ids, self.rows):
+            a, rem = divmod(-sum(r * c for r, c in zip(row, x.num)), x.den)
+            if rem:
                 raise ValueError("projection input must lie in the dual lattice")
             if a:
-                out = out + int(a) * self.graph.duals[self.graph.index[vid]]
+                out = out + a * self.graph.duals[self.graph.index[vid]]
         return out
 
 
@@ -564,7 +566,8 @@ def subgraph_components(graph: ResolutionGraph,
             {v: graph.eulers[graph.index[v]] for v in comp},
             [e for e in graph.edges if e[0] in cset and e[1] in cset],
         )
-        piece = SubgraphComponent(graph=sub, parent=graph, vertex_ids=tuple(comp))
+        piece = SubgraphComponent(graph=sub, vertex_ids=tuple(comp),
+                                  rows=tuple(graph.form.rows[graph.index[v]] for v in comp))
         if piece.project(graph.canonical) != sub.canonical:
             raise InternalCheckError(
                 "canonical cycle does not project to the subtree canonical cycle")

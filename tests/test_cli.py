@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, determinism, file grammars."""
 
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,24 @@ def test_invariants_rational(capsys):
     assert code == 0
     assert "delta = 6" in out
     assert "curve cycle = (3, 2, 1)" in out
+
+
+def test_invariants_on_a_large_chain_ends(tmp_path, capsys):
+    # |H| = 1,000,999: the chain's point counts must not walk the group
+    path = tmp_path / "large.graph"
+    path.write_text("v 1 -1000\nv 2 -1001\ne 1 2\na 1\n")
+
+    def hung(signum, frame):
+        pytest.fail("invariants ran for more than 30 s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        code, out, _ = run_cli(["invariants", path], capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert "delta = 0" in out
 
 
 def test_invariants_refusal_on_brieskorn(capsys):

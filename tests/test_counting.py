@@ -365,6 +365,98 @@ def test_large_group_small_table_enumerates_nothing():
     assert _table_cells(table) == {((0, 0), (0, 0)): (1, _np.dtype(_np.int64))}
 
 
+# ---------------------------------------------------------------------------
+# two generators: closed counts by floor sums
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 30), st.integers(-200, 200),
+       st.integers(-200, 200))
+def test_floor_sum_matches_the_direct_sum(n, m, a, b):
+    assert counting._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def _pair_count(spec, residue, positions, xs) -> int:
+    """Direct definition for two generators: every multiplicity pair."""
+    ga, gb = spec.dens
+    total = 0
+    for coeff, base in spec.num:
+        t = [xs[k] - base[k] for k in positions]
+        if any(v <= 0 for v in t):
+            continue
+        for c1 in range(min((v - 1) // ga[k] for v, k in zip(t, positions)) + 1):
+            for c2 in range(min((v - 1) // gb[k] for v, k in zip(t, positions)) + 1):
+                y = [b + c1 * u + c2 * v for b, u, v in zip(base, ga, gb)]
+                if (all(y[k] < xs[k] for k in positions)
+                        and all((a - r) % spec.den == 0 for a, r in zip(y, residue))):
+                    total += coeff
+    return total
+
+
+def _table_count(spec, residue, positions, xs) -> int:
+    """The same count read off a partition table of ``_build_sparse``."""
+    targets = [(coeff, tuple(xs[k] - base[k] for k in positions),
+                tuple((a - b) % spec.den for a, b in zip(residue, base)))
+               for coeff, base in spec.num]
+    bounds = tuple(max(0, *(t[i] for _, t, _ in targets)) for i in range(len(positions)))
+    table = _build_sparse(spec, positions, bounds)
+    total = 0
+    for coeff, t, need in targets:
+        if need in table and all(b > 0 for b in t):
+            ys, cs = table[need]
+            total += coeff * int(cs[(ys < _np.asarray(t)).all(axis=1)].sum())
+    return total
+
+
+@st.composite
+def _two_generator_points(draw):
+    """A two-generator spec on 1-3 variables with den <= 12 and 1-3 signed
+    numerator terms, a variable subset, a residue and a target that may sit
+    at or below the numerator exponents."""
+    nvars = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(1, 9), min_size=nvars, max_size=nvars)
+    den = draw(st.integers(1, 12))
+    num = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 3]),
+                                  st.lists(st.integers(-3, 6), min_size=nvars,
+                                           max_size=nvars)),
+                        min_size=1, max_size=3))
+    spec = synthetic_spec(num, [draw(vec), draw(vec)], den=den)
+    positions = tuple(sorted(draw(st.sets(st.integers(0, nvars - 1), min_size=1))))
+    residue = tuple(draw(st.integers(0, den - 1)) for _ in range(nvars))
+    xs = tuple(draw(st.integers(-4, 40)) for _ in range(nvars))
+    return spec, residue, positions, xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_generator_points())
+def test_two_generator_count_matches_pairs_and_tables(case):
+    spec, residue, positions, xs = case
+    closed = counting._q_two_gens(spec, residue, positions, xs)
+    assert closed == _pair_count(spec, residue, positions, xs)
+    assert closed == _table_count(spec, residue, positions, xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_generator_points(), st.data())
+def test_twisted_two_generator_count_matches_brute_force(case, data):
+    spec, residue, positions, xs = case
+    twist = tuple(data.draw(st.integers(0, 9)) for _ in range(spec.nvars))
+    twisted = dataclasses.replace(spec, twist=twist)
+    x = RationalCycle(xs, spec.den)
+    assert counting_q(twisted, residue, positions, x) == \
+        brute_count(twisted, residue, positions, x, True)
+
+
+def test_two_generator_points_build_no_table(fresh_tables):
+    # |H| = 1,000,999: the coset count touches nothing of den's size
+    g = parse_graph("v 1 -1000\nv 2 -1001\ne 1 2\n")
+    spec = plain_zeta(g)
+    x = 2 * g.dual(1) + 3 * g.dual(2)
+    for h in ((0, 0), g.residue(g.dual(2)), g.residue(x)):
+        assert counting_q(spec, h, (0, 1), x) == \
+            _pair_count(spec, h, (0, 1), x.scaled(spec.den))
+    assert not any(tag[0] == "table" for tag in counting._STORE[spec])
+
+
 def _empty_caches(mp):
     mp.setattr(counting, "_STORE", weakref.WeakKeyDictionary())
 
@@ -404,6 +496,17 @@ def test_caches_hold_graphs_weakly(fresh_tables):
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     assert len(counting._STORE) == 0
+
+
+def test_cached_components_free_their_graph(fresh_tables):
+    graph = parse_graph(DIHEDRAL_TEXT)
+    h = graph.group.elements()[3]
+    counting_qp_closed(graph, h, (0, 2), zero_cycle(graph.n))
+    assert any(tag[0] == "_components" for tag in counting._STORE[graph])
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
 
 
 def test_equal_graphs_share_their_entries(fresh_tables, monkeypatch):
