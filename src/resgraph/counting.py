@@ -95,6 +95,14 @@ def _integral(val: Fraction, what: str) -> int:
 _STORE = weakref.WeakKeyDictionary()
 
 
+def _entries(owner) -> dict:
+    """The owner's entries, an empty dict stored on the first call."""
+    entries = _STORE.get(owner)
+    if entries is None:
+        entries = _STORE[owner] = {}
+    return entries
+
+
 def _memo(fn):
     """Cache ``fn(owner, *key)`` among the owner's entries under the
     function's name; a call that raises stores nothing."""
@@ -104,7 +112,7 @@ def _memo(fn):
     def cached(*args, **kwargs):
         if kwargs:  # a keyword call shares the entry of the positional one
             args = bind(*args, **kwargs).args
-        entries = _STORE.setdefault(args[0], {})
+        entries = _entries(args[0])
         tag = (fn.__name__, *args[1:])
         if tag not in entries:
             entries[tag] = fn(*args)
@@ -323,7 +331,7 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
     the budget; otherwise, and if its build runs over the budget, the exact
     box is built, so the rounding never refuses a table the exact box gets.
     Estimates refuse oversized tables before anything is built."""
-    entries = _STORE.setdefault(spec, {})
+    entries = _entries(spec)
     entry = entries.get(("table", positions))
     grown = bounds
     if entry is not None:
@@ -570,7 +578,7 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     ss = step.scaled(d)
     if not all(ss[p] > 0 for p in positions):
         raise ValueError("ray step must increase every kept coordinate")
-    entries = _STORE.setdefault(spec, {})
+    entries = _entries(spec)
     ray = ("ray", residue, positions, tuple(bs[p] for p in positions),
            tuple(ss[p] for p in positions))
     known = entries.get(ray, ())

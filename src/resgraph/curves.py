@@ -9,21 +9,79 @@ function, the signed Poincare coefficients, and the delta invariant three
 ways (gap counts of the branches plus the alternating evaluation sum, the
 Hilbert value at the conductor, and for one branch the plain gap count),
 with mandatory agreement.
+
+Every box computation is a handful of operations on dense integer arrays
+indexed by the cells of the box [0, c + 1], c the conductor:
+
+* Jumps.  The increment of the Hilbert function in direction i at l is
+  D_i(l) = 1 iff some semigroup element s has s_i = l_i and s_j >= l_j for
+  j != i.  With I the membership indicator on [0, c + 1] (the values on
+  [0, c], edge-padded by one cell along every axis: the clamp rule), D_i is
+  a reverse cumulative maximum of I along every axis j != i, read at
+  l_i <= c_i.
+* Hilbert table.  H is the cumulative sum of the increments along one path
+  (axis 0 first, then axis 1, ...).  The value set is a curve semigroup only
+  if every path agrees, that is ``np.diff(H, axis=i) == D_i`` for every i;
+  the first cell in lexicographic order where a predecessor disagrees is
+  reported.
+* Poincare coefficients.  H continues to [0, c + 3] by the linear rule (each
+  coordinate past c + 1 adds one), and P = (-1)^(r+1) Delta_1 ... Delta_r H
+  on [0, c + 2]; the shell outside [0, c + 1] must vanish.  Each axis is
+  continued just before its difference, so no array exceeds about
+  prod(c_i + 3) cells.
+* Inversion.  H is the sum over the nonempty branch subsets J of
+  (-1)^(|J|-1) times the prefix sums of P_J (over the cells strictly below l
+  on the coordinates in J), broadcast over the other axes.
+
+The work grows with the box cells prod(c_i + 2) and, through the branch
+subsets, with 2^r.  A curve whose box holds more than ``BOX_CELL_CAP`` cells
+is refused with a ``CurveDataError`` before anything of that size is built,
+and the command line prints one ``error:`` line and exits 2.  The costliest
+accepted shape is eleven branches with conductor zero (2^11 cells, 2^11
+subsets): ``delta_total`` and ``verify_inversion`` take about 2.5 s there.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Sequence
+
+import numpy as np
+
+BOX_CELL_CAP = 2048  # largest accepted box [0, conductor + 1], in cells
 
 
 class CurveDataError(ValueError):
     """Invalid multibranch value-set input."""
 
 
-def _boxes(limits: Sequence[int]):
-    return itertools.product(*(range(m + 1) for m in limits))
+def _check_box(conductor: Iterable[int]) -> None:
+    """Refuse a box [0, conductor + 1] of more than ``BOX_CELL_CAP`` cells;
+    stops reading ``conductor`` as soon as the product passes the cap."""
+    cells = 1
+    for c in conductor:
+        cells *= c + 2
+        if cells > BOX_CELL_CAP:
+            raise CurveDataError(
+                f"the box [0, conductor + 1] holds more than {BOX_CELL_CAP} "
+                "cells; refused")
+
+
+def _indicator(conductor: Sequence[int], values: Iterable[Sequence[int]]) -> np.ndarray:
+    """Boolean indicator of the values on the box [0, conductor]."""
+    ind = np.zeros(tuple(m + 1 for m in conductor), dtype=bool)
+    cells = np.array(list(values), dtype=np.int64).reshape(-1, len(conductor))
+    ind[tuple(cells.T)] = True
+    return ind
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """First True cell of ``mask`` in lexicographic order, as Python ints."""
+    if not mask.any():
+        return None
+    return tuple(np.argwhere(mask)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -43,6 +101,7 @@ class MultibranchCurve:
             raise CurveDataError("conductor length must equal the branch count")
         if any(x < 0 for x in c):
             raise CurveDataError("conductor entries must be nonnegative")
+        _check_box(c)
         for v in self.values:
             if len(v) != r or any(x < 0 for x in v) or any(x > m for x, m in zip(v, c)):
                 raise CurveDataError(f"value {v} outside the box [0, conductor]")
@@ -50,13 +109,18 @@ class MultibranchCurve:
             raise CurveDataError("the zero vector must belong to the value set")
         if c not in self.values:
             raise CurveDataError("the conductor must belong to the value set")
-        vals = sorted(self.values)
-        for s in vals:
-            for t in vals:
+        # s + t for every value t with s + t <= c must be a value; the first
+        # failing t in lexicographic order is the first missing sum
+        present = _indicator(c, self.values)
+        absent = ~present
+        for s in sorted(self.values):
+            room = tuple(slice(0, m - x + 1) for x, m in zip(s, c))
+            sums = tuple(slice(x, m + 1) for x, m in zip(s, c))
+            t = _first(present[room] & absent[sums])
+            if t is not None:
                 u = tuple(a + b for a, b in zip(s, t))
-                if all(x <= m for x, m in zip(u, c)) and u not in self.values:
-                    raise CurveDataError(f"value set is not closed under addition: "
-                                         f"{s} + {t} = {u} is missing")
+                raise CurveDataError(f"value set is not closed under addition: "
+                                     f"{s} + {t} = {u} is missing")
 
     # -- constructors -------------------------------------------------------
 
@@ -73,32 +137,33 @@ class MultibranchCurve:
         gens = sorted(set(int(g) for g in generators if g > 0))
         if not gens:
             raise CurveDataError("need at least one positive generator")
-        from math import gcd
-        g = 0
-        for a in gens:
-            g = gcd(g, a)
-        if g != 1:
+        if gcd(*gens) != 1:
             raise CurveDataError("generators must be coprime (finite gap set)")
-        bound = gens[0] * gens[-1] + 1  # beyond any Frobenius number
-        member = [False] * (bound + 1)
+        a = gens[0]
+        _check_box((a if a > 1 else 0,))  # 1 .. a - 1 are gaps
+        # the conductor is at most (a - 1)(b - 1) for the largest generator b.
+        # A gap x >= a makes x - a a gap, so a gap past the limit leaves one
+        # in (limit - a, limit], above the cap: the array can stop there.
+        limit = min(a * gens[-1], BOX_CELL_CAP + a)
+        member = np.zeros(limit + 1, dtype=bool)
         member[0] = True
-        for a in gens:
-            for x in range(a, bound + 1):
-                if member[x - a]:
-                    member[x] = True
-        cond = 0
-        for x in range(bound, -1, -1):
-            if not member[x]:
-                cond = x + 1
-                break
-        return cls(branches=1, conductor=(cond,),
-                   values=frozenset((x,) for x in range(cond + 1) if member[x]))
+        for g in gens:
+            step = g  # adds 0 .. 2k - 1 copies of g once step = k * g
+            while step <= limit:
+                member[step:] |= member[:-step]
+                step *= 2
+        gaps = np.flatnonzero(~member)
+        cond = int(gaps[-1]) + 1 if len(gaps) else 0
+        _check_box((cond,))
+        values = np.flatnonzero(member[:cond + 1]).tolist()
+        return cls(branches=1, conductor=(cond,), values=frozenset((x,) for x in values))
 
     @classmethod
     def ordinary(cls, r: int) -> "MultibranchCurve":
         """r smooth branches in general position (pairwise transversal axes)."""
         if r < 1:
             raise CurveDataError("branch count must be positive")
+        _check_box(itertools.repeat(1, r))
         return cls(branches=r, conductor=(1,) * r,
                    values=frozenset({(0,) * r, (1,) * r}))
 
@@ -173,56 +238,78 @@ def parse_curve(text: str) -> MultibranchCurve:
 
 @dataclass(frozen=True)
 class HilbertTable:
-    """Hilbert function on the box [0, conductor + 1], with the linear
-    extension rule beyond it."""
+    """Hilbert function on the box [0, conductor + 1] (``grid``), with the
+    linear extension rule beyond it."""
 
     curve: MultibranchCurve
-    table: dict[tuple[int, ...], int] = field(hash=False)
+    grid: np.ndarray = field(compare=False, repr=False)
 
     def value(self, ell: Sequence[int]) -> int:
         clipped = tuple(max(x, 0) for x in ell)
         capped = tuple(min(x, c + 1) for x, c in zip(clipped, self.curve.conductor))
         overflow = sum(x - (c + 1) for x, c in zip(clipped, self.curve.conductor)
                        if x > c + 1)
-        return self.table[capped] + overflow
+        return int(self.grid[capped]) + overflow
 
+    def differences(self) -> np.ndarray:
+        """Delta_1 ... Delta_r of the function on [0, conductor + 3]: an array
+        on [0, conductor + 2].
 
-def _has_jump(curve: MultibranchCurve, ell: tuple[int, ...], i: int) -> bool:
-    # jump criterion: a value with i-th coordinate exactly ell_i dominating
-    # ell elsewhere; witnesses beyond the box are found through their clamp
-    c = curve.conductor
-    need = tuple(min(x, m) for x, m in zip(ell, c))
-    for s in curve.values:
-        if s[i] == ell[i] and all(s[j] >= need[j] for j in range(curve.branches) if j != i):
-            return True
-    return False
+        Each axis is continued by two cells just before its difference is
+        taken.  By the extension rule a step past c + 1 adds one, but only
+        until the first difference: after it that ramp cancels, and the
+        continuation is constant.
+        """
+        out = self.grid
+        for axis in range(out.ndim):
+            edge = np.take(out, [-1], axis=axis)
+            step = int(axis == 0)
+            out = np.diff(np.concatenate([out, edge + step, edge + 2 * step], axis=axis),
+                          axis=axis)
+        return out
 
 
 def hilbert_table(curve: MultibranchCurve) -> HilbertTable:
-    """Fill the box by coordinate increments from h(0) = 0.
+    """Sum the increments from h(0) = 0 along one coordinate path.
 
     The increment in direction i is one exactly when the jump criterion
     holds.  Every coordinate path must give the same value; disagreement
     means the value set was not a valid semigroup of a curve.
     """
     r, c = curve.branches, curve.conductor
-    limits = tuple(x + 1 for x in c)
-    table: dict[tuple[int, ...], int] = {}
-    for ell in _boxes(limits):
-        if not any(ell):
-            table[ell] = 0
-            continue
+    # membership on [0, c + 1] by the clamp rule
+    present = _indicator(c, curve.values)[np.ix_(*(
+        np.minimum(np.arange(m + 2), m) for m in c))]
+    flip = (slice(None, None, -1),) * r  # reverse cumulative maxima as forward ones
+    jumps = []
+    for i in range(r):
+        d = present[flip][(slice(None),) * i + (slice(1, None),)]  # l_i <= c_i
+        for j in range(r):
+            if j != i:
+                d = np.logical_or.accumulate(d, axis=j)
+        jumps.append(d[flip])
+    grid = np.zeros(tuple(m + 2 for m in c), dtype=np.int64)
+    for i, d in enumerate(jumps):
+        # the path runs along axis i once the earlier axes are set and the
+        # later ones are still zero
+        at, zeros = (slice(None),) * i, (0,) * (r - i - 1)
+        steps = np.cumsum(d[at + (slice(None),) + zeros], axis=i)
+        grid[at + (slice(1, None),) + zeros] = grid[at + (slice(0, 1),) + zeros] + steps
+    # the cells where some predecessor disagrees with the path
+    bad = np.zeros(grid.shape, dtype=bool)
+    for i, d in enumerate(jumps):
+        bad[(slice(None),) * i + (slice(1, None),)] |= np.diff(grid, axis=i) != d
+    ell = _first(bad)
+    if ell is not None:
         vals = set()
-        for i in range(r):
+        for i, d in enumerate(jumps):
             if ell[i] > 0:
-                prev = tuple(x - 1 if j == i else x for j, x in enumerate(ell))
-                vals.add(table[prev] + int(_has_jump(curve, prev, i)))
-        if len(vals) != 1:
-            raise CurveDataError(
-                f"Hilbert recursion is path dependent at {ell}: got {sorted(vals)}; "
-                "the value set is not a valid curve semigroup")
-        table[ell] = vals.pop()
-    return HilbertTable(curve=curve, table=table)
+                prev = tuple(x - (j == i) for j, x in enumerate(ell))
+                vals.add(int(grid[prev] + d[prev]))
+        raise CurveDataError(
+            f"Hilbert recursion is path dependent at {ell}: got {sorted(vals)}; "
+            "the value set is not a valid curve semigroup")
+    return HilbertTable(curve=curve, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +320,14 @@ class CurvePoincare:
     """Signed coefficient map of the Poincare series of a (sub)curve.
 
     For two or more branches the support is finite and lives in the box
-    [0, conductor + 1]; for one branch the coefficients are the semigroup
-    indicator, constant one from the conductor on.
+    [0, conductor + 1], where ``grid`` holds the coefficients; for one branch
+    the coefficients are the semigroup indicator (``grid`` on [0, conductor]),
+    constant one from the conductor on.
     """
 
     curve: MultibranchCurve
     terms: dict[tuple[int, ...], int] = field(hash=False)
+    grid: np.ndarray = field(compare=False, repr=False)
 
     def coefficient(self, ell: Sequence[int]) -> int:
         ell = tuple(ell)
@@ -254,7 +343,7 @@ class CurvePoincare:
         """Coefficient sum; only meaningful for the finite (multibranch) case."""
         if self.curve.branches == 1:
             raise CurveDataError("one-branch series has no finite value at 1")
-        return sum(self.terms.values())
+        return int(self.grid.sum())
 
 
 def poincare_series(curve: MultibranchCurve,
@@ -264,35 +353,22 @@ def poincare_series(curve: MultibranchCurve,
     its box (an outer shell of vanishing coefficients is verified)."""
     sub = curve if branch_indices is None else curve.subcurve(branch_indices)
     r = sub.branches
-    h = hilbert_table(sub)
     if r == 1:
-        terms = {(x,): 1 for x in range(sub.conductor[0] + 1) if sub.member((x,))}
-        return CurvePoincare(curve=sub, terms=terms)
-
-    def coef(ell: tuple[int, ...]) -> int:
-        total = 0
-        for k in range(1, r + 1):
-            for js in itertools.combinations(range(r), k):
-                bumped = tuple(x + 1 if j in js else x for j, x in enumerate(ell))
-                total += (-1) ** (k + 1) * h.value(bumped)
-        total -= h.value(ell)  # empty subset contributes -h(ell)
-        return total
-
-    limits = tuple(x + 1 for x in sub.conductor)
-    terms = {}
-    for ell in _boxes(limits):
-        v = coef(ell)
-        if v:
-            terms[ell] = v
-    shell_limits = tuple(x + 2 for x in sub.conductor)
-    for ell in _boxes(shell_limits):
-        if all(x <= m for x, m in zip(ell, limits)):
-            continue
-        if coef(ell):
+        grid = _indicator(sub.conductor, sub.values).astype(np.int64)
+    else:
+        grid = (-1) ** (r + 1) * hilbert_table(sub).differences()
+        box = tuple(slice(0, m + 2) for m in sub.conductor)
+        shell = grid.copy()
+        shell[box] = 0
+        ell = _first(shell)
+        if ell is not None:
             raise CurveDataError(
                 f"Poincare support escapes the conductor box at {ell}; "
                 "inconsistent value data")
-    return CurvePoincare(curve=sub, terms=terms)
+        grid = grid[box]
+    cells = np.argwhere(grid)
+    terms = dict(zip(map(tuple, cells.tolist()), grid[tuple(cells.T)].tolist()))
+    return CurvePoincare(curve=sub, terms=terms, grid=grid)
 
 
 def delta_branch(curve: MultibranchCurve) -> int:
@@ -327,19 +403,19 @@ def verify_inversion(curve: MultibranchCurve) -> tuple[bool, tuple[int, ...] | N
     and compare on the box; returns the first mismatch as a witness."""
     r = curve.branches
     h = hilbert_table(curve)
-    series = {js: poincare_series(curve, js)
-              for k in range(1, r + 1) for js in itertools.combinations(range(r), k)}
-    limits = tuple(x + 1 for x in curve.conductor)
-    for ell in _boxes(limits):
-        total = 0
-        for js, ps in series.items():
-            bound = [ell[j] - 1 for j in js]
-            if any(b < 0 for b in bound):
-                continue
-            sub_sum = 0
-            for tl in itertools.product(*(range(b + 1) for b in bound)):
-                sub_sum += ps.coefficient(tl)
-            total += (-1) ** (len(js) - 1) * sub_sum
-        if total != h.table[ell]:
-            return False, ell
-    return True, None
+    total = np.zeros_like(h.grid)
+    for k in range(1, r + 1):
+        for js in itertools.combinations(range(r), k):
+            ps = poincare_series(curve, js)
+            # a leading zero makes the prefix sums run strictly below l
+            sums = np.zeros([curve.conductor[j] + 2 for j in js], dtype=np.int64)
+            sums[(slice(1, None),) * k] = ps.grid[
+                tuple(slice(0, curve.conductor[j] + 1) for j in js)]
+            for axis in range(k):
+                np.cumsum(sums, axis=axis, out=sums)
+            shape = [1] * r
+            for j in js:
+                shape[j] = curve.conductor[j] + 2
+            total += (-1) ** (k - 1) * sums.reshape(shape)
+    ell = _first(total != h.grid)
+    return ell is None, ell

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from resgraph import cli
+from resgraph import curves as curvemod
 from resgraph.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -278,6 +279,45 @@ def test_curve_file(capsys):
     assert code == 0
     assert "delta = 2" in out
     assert "Poincare evaluation at one = 2" in out
+
+
+@pytest.mark.parametrize("args", [["--ordinary", "20"],
+                                  ["--semigroup", "1000,1001"],
+                                  ["--semigroup", "100000007,100000009"]])
+def test_curve_over_the_box_cap_is_refused(args, capsys):
+    def hung(signum, frame):
+        pytest.fail("curve ran for more than 30 s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        code, out, err = run_cli(["curve", *args], capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the box [0, conductor + 1] holds more than 2048 cells; refused\n"
+
+
+def test_curve_failed_inversion_reports(monkeypatch, capsys):
+    # a Hilbert table off by one at a face cell breaks the inversion identity
+    build = curvemod.hilbert_table
+
+    def bumped(curve):
+        h = build(curve)
+        if curve.branches == 1:
+            return h
+        grid = h.grid.copy()
+        grid[1, 0] += 1
+        return curvemod.HilbertTable(curve=h.curve, grid=grid)
+    monkeypatch.setattr(curvemod, "hilbert_table", bumped)
+    tacnode = ROOT / "curves_data" / "tacnode.curve"
+    code, out, _ = run_cli(["--format", "doc", "curve", tacnode], capsys)
+    assert code == 1
+    assert json.loads(out)["inversion"] is False
+    code, out, _ = run_cli(["curve", tacnode], capsys)
+    assert code == 1
+    assert "Hilbert-Poincare inversion: FAIL at (1, 0)" in out
 
 
 def test_entry_point_runs():
