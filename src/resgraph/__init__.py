@@ -1,8 +1,7 @@
 """Exact invariants of normal surface singularities from plumbing trees."""
 
-from .counting import (InternalCheckError, StabilizationError,
-                       TableBudgetExceeded, counting_Q, counting_q,
-                       counting_qp_closed, modified_qp_closed,
+from .counting import (InternalCheckError, StabilizationError, counting_Q,
+                       counting_q, counting_qp_closed, modified_qp_closed,
                        periodic_constant_full, periodic_constant_reduced,
                        plain_zeta, quasipoly_value, surgery_check, sw_norm,
                        verify_symmetry)
@@ -20,7 +19,8 @@ from .graphs import (DiscriminantGroup, GraphError, GraphSyntaxError,
                      min_antinef_rep, parse_graph, strict_interior_cycle,
                      subgraph_components)
 from .randtrees import random_rational_graph
-from .series import (RegionError, SparseSeries, TwistError, ZetaSpec,
-                     build_zeta, expand, h_part, reduce_to, synthetic_spec)
+from .series import (RegionError, SparseSeries, TableBudgetExceeded, TwistError,
+                     ZetaSpec, build_zeta, expand, h_part, reduce_to,
+                     synthetic_spec)
 
 __version__ = "0.1.0"

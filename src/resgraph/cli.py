@@ -19,9 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import curves as curvemod
-from .counting import (InternalCheckError, StabilizationError,
-                       TableBudgetExceeded, surgery_check, sw_norm,
-                       verify_symmetry)
+from .counting import (InternalCheckError, StabilizationError, surgery_check,
+                       sw_norm, verify_symmetry)
 from .cycles import RationalCycle, zero_cycle
 from .embedded import (EmbeddedCurve, RationalityError, blache_correction,
                        delta_cross_check, delta_embedded, kappa_topological,
@@ -30,7 +29,8 @@ from .graphs import (GraphError, ResolutionGraph, artin_rationality, chi,
                      min_antinef_rep, parse_graph)
 from .randtrees import (random_antinef, random_class, random_positions,
                         random_unit_arrows)
-from .series import build_zeta, expand, expansion_cost, h_part, reduce_to
+from .series import (TableBudgetExceeded, build_zeta, expand, expansion_cost,
+                     h_part, reduce_to)
 
 
 CLASS_CAP = 24  # basics lists the classes of groups up to this order
@@ -184,7 +184,7 @@ INCONCLUSIVE = (TableBudgetExceeded, StabilizationError)
 
 
 def _cause(exc: Exception) -> str:
-    return ("partition table over the cell budget"
+    return (f"{exc.what} over the cell budget"
             if isinstance(exc, TableBudgetExceeded) else str(exc))
 
 

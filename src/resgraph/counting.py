@@ -64,20 +64,12 @@ import numpy as _np
 from .cycles import RationalCycle, zero_cycle
 from .graphs import (InternalCheckError, ResolutionGraph, SubgraphComponent, chi,
                      laufer_saturate, strict_interior_cycle, subgraph_components)
-from .series import ZetaSpec, build_zeta
+from .series import TABLE_STATE_CAP, TableBudgetExceeded, ZetaSpec, build_zeta
 from .snf import fraction_inverse, smith_normal_form, unimodular_inverse
 
 
 class StabilizationError(ArithmeticError):
     """A probe or difference-table fit failed to settle."""
-
-
-class TableBudgetExceeded(Exception):
-    """A partition table would hold more than ``TABLE_STATE_CAP`` cells.
-
-    Ray fits treat it as the end of the ray and two-generator specs fall
-    back to their closed evaluation; anywhere else it reaches the caller,
-    and verification drivers report the instance as inconclusive."""
 
 
 def _integral(val: Fraction, what: str) -> int:
@@ -122,8 +114,6 @@ def _memo(fn):
 
 # ---------------------------------------------------------------------------
 # partition tables
-
-TABLE_STATE_CAP = 1_800_000
 
 FIT_WINDOW = 3  # length of the constant difference tail a fit demands
 SPECIAL_CAP = 64  # largest period candidate read off the generators

@@ -11,17 +11,50 @@ per chosen vertex (cancelling the denominator at a leaf).
 Expansions are sparse: a finite exact term map together with the region it
 is guaranteed to cover.  Reading a coefficient outside the region raises,
 never silently returns zero.
+
+``expand`` enumerates on numpy arrays: rows of exponents with a column of
+multiplicities.  Each denominator generator repeats every row once per copy
+that keeps some coordinate below the bound (less any negative numerator
+entry there); the region is downward closed, so a row pruned there never
+returns.  Equal rows are merged by a stable sort
+of packed int64 keys (``lexsort`` where the packed range reaches 2**63) and
+``np.add.reduceat``.  Each numerator term shifts the rows and keeps those
+still in the region, and the terms are merged once.  Python-int bounds on
+every coordinate and on every multiplicity times coefficient come first;
+where one reaches 2**63 the same code runs on object arrays of Python ints,
+so no sum wraps.  No step materialises more than ``TABLE_STATE_CAP`` rows:
+``expand`` raises ``TableBudgetExceeded`` instead, as a partition table of
+``counting`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, prod
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .cycles import RationalCycle
 from .graphs import InternalCheckError, ResolutionGraph
+
+
+TABLE_STATE_CAP = 1_800_000
+
+
+class TableBudgetExceeded(Exception):
+    """An enumeration would hold more than ``TABLE_STATE_CAP`` rows: a
+    partition table of ``counting`` or the rows of an ``expand``.
+
+    Ray fits treat a refused table as the end of the ray and two-generator
+    specs fall back to their closed evaluation; anywhere else it reaches the
+    caller.  Verification drivers report the instance as inconclusive, and
+    the CLI prints one ``refused:`` line and exits with status 2."""
+
+    def __init__(self, size, what: str = "partition table"):
+        super().__init__(size)
+        self.what = what
 
 
 class RegionError(LookupError):
@@ -157,27 +190,31 @@ class SparseSeries:
         return "\n".join(lines)
 
 
-def _geometric_sums(dens: Sequence[tuple[int, ...]], nvars: int,
-                    bound: int) -> dict[tuple[int, ...], int]:
-    """Multiplicities of all sums of denominator exponents having some
-    coordinate below ``bound`` (scaled units)."""
-    sums: dict[tuple[int, ...], int] = {}
-    gens = list(dens)
+def _merge(rows: np.ndarray, mult: np.ndarray, low: np.ndarray,
+           strides: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows merged into one, their multiplicities summed, in
+    lexicographic order: by the packed keys ``(rows - low) @ strides``, or
+    column by column with ``lexsort`` where ``strides`` is None."""
+    if not len(rows):
+        return rows, mult
+    fresh = np.empty(len(rows), dtype=bool)
+    fresh[0] = True
+    if strides is not None:
+        key = (rows - low).astype(np.int64) @ strides
+        order = key.argsort(kind="stable")
+        key = key[order]
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = fresh.nonzero()[0]
+    return rows[order[first]], np.add.reduceat(mult[order], first)
 
-    def rec(i: int, vec: tuple[int, ...]) -> None:
-        if all(x >= bound for x in vec):
-            return
-        if i == len(gens):
-            sums[vec] = sums.get(vec, 0) + 1
-            return
-        g = gens[i]
-        cur = vec
-        while any(x < bound for x in cur):
-            rec(i + 1, cur)
-            cur = tuple(a + b for a, b in zip(cur, g))
 
-    rec(0, (0,) * nvars)
-    return sums
+def _refuse_over_cap(rows: int) -> None:
+    if rows > TABLE_STATE_CAP:
+        raise TableBudgetExceeded(rows, "series expansion")
 
 
 def expansion_cost(spec: ZetaSpec, bound: int | Fraction) -> int:
@@ -190,25 +227,72 @@ def expansion_cost(spec: ZetaSpec, bound: int | Fraction) -> int:
 
 
 def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
-    """Exact expansion covering all support with some coordinate < bound."""
+    """Exact expansion covering all support with some coordinate < bound.
+
+    Raises ``TableBudgetExceeded`` instead of materialising more than
+    ``TABLE_STATE_CAP`` rows at once."""
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("expansion bound must be positive")
     bscaled = bound * spec.den
     # exponents are integers, so x < bscaled exactly when x < its ceiling
     top = ceil(bscaled)
-    sums = _geometric_sums(spec.dens, spec.nvars, top)
     tw = spec.twist_or_zero
-    shifted_num = [(c, tuple(a + b for a, b in zip(e, tw))) for c, e in spec.num]
-    terms: dict[tuple[int, ...], int] = {}
-    for c, base in shifted_num:
-        for vec, mult in sums.items():
-            p = tuple(a + b for a, b in zip(base, vec))
-            if any(x < top for x in p):
-                terms[p] = terms.get(p, 0) + c * mult
-    return SparseSeries(
-        ids=spec.ids, den=spec.den, bound=bscaled,
-        terms={k: v for k, v in terms.items() if v})
+    shifted = [(c, [a + b for a, b in zip(e, tw)]) for c, e in spec.num if c]
+    columns = list(zip(*(e for _, e in shifted))) or [()] * spec.nvars
+    low = [min((0, *col)) for col in columns]
+    # a sum of generators matters while some coordinate j stays below
+    # limit_j, where a numerator term can still bring it below top; no such
+    # sum takes `copies` copies of a generator, so every coordinate stays in
+    # [low, high] and every multiplicity times |coeff| below `weight`
+    limit = [top - x for x in low]
+    copies = [max(-(-b // x) for b, x in zip(limit, gen)) for gen in spec.dens]
+    high = [max((0, *col)) + sum((k - 1) * gen[j] for k, gen in zip(copies, spec.dens))
+            for j, col in enumerate(columns)]
+    weight = prod(copies) * sum(abs(c) for c, _ in spec.num)
+    dtype = object if max(weight, *limit, *high) >= 2 ** 63 else np.int64
+    spans = [b - a + 1 for a, b in zip(low, high)]
+    strides = (np.array([prod(spans[j + 1:]) for j in range(spec.nvars)], dtype=np.int64)
+               if prod(spans) < 2 ** 63 else None)
+    offset = np.array(low, dtype=dtype)
+    gens = np.array(spec.dens, dtype=dtype).reshape(-1, spec.nvars)
+    if len(gens):  # the first generator's copies are distinct rows
+        _refuse_over_cap(copies[0])
+        rows = np.arange(copies[0])[:, None] * gens[0]
+        mult = np.ones(copies[0], dtype=dtype)
+    else:
+        rows = np.zeros((1, spec.nvars), dtype=dtype)
+        mult = np.ones(1, dtype=dtype)
+    limit = np.array(limit, dtype=dtype)
+    for gen in gens[1:]:
+        # copies k >= 0 of gen keeping some coordinate below its limit; the
+        # region is downward closed, so no later generator brings a row back
+        room = (-((rows - limit) // gen)).max(axis=1)
+        n = int(room.sum())
+        _refuse_over_cap(n)
+        room = room.astype(np.int64)
+        k = np.arange(n) - np.repeat(np.cumsum(room) - room, room)
+        rows, mult = _merge(np.repeat(rows, room, axis=0) + k[:, None] * gen,
+                            np.repeat(mult, room), offset, strides)
+    picked = []
+    for c, e in shifted:
+        if any(e) or any(low):
+            moved = rows + np.array(e, dtype=dtype)
+            keep = (moved < top).any(axis=1)
+            picked.append((moved[keep], c * mult[keep]))
+        else:  # every row has a coordinate below top already
+            picked.append((rows, c * mult))
+    _refuse_over_cap(sum(len(m) for m, _ in picked))
+    if len(picked) == 1:  # coefficients are nonzero and multiplicities positive
+        (rows, mult), = picked
+    else:  # terms may cancel
+        rows, mult = _merge(np.concatenate([rows[:0], *(m for m, _ in picked)]),
+                            np.concatenate([mult[:0], *(p for _, p in picked)]),
+                            offset, strides)
+        nonzero = mult != 0
+        rows, mult = rows[nonzero], mult[nonzero]
+    return SparseSeries(ids=spec.ids, den=spec.den, bound=bscaled,
+                        terms=dict(zip(map(tuple, rows.tolist()), mult.tolist())))
 
 
 def h_part(series: SparseSeries, residue: tuple[int, ...], d: int) -> SparseSeries:
@@ -222,8 +306,10 @@ def h_part(series: SparseSeries, residue: tuple[int, ...], d: int) -> SparseSeri
         raise ValueError("class decomposition of a variable-reduced series is not defined")
     if d != series.den:
         raise ValueError("residue scale does not match the series")
+    res = tuple(residue)
+    first = res[0]  # one coordinate rules out most terms before the tuple is built
     keep = {k: v for k, v in series.terms.items()
-            if tuple(x % d for x in k) == tuple(residue)}
+            if k[0] % d == first and tuple(x % d for x in k) == res}
     return SparseSeries(series.ids, series.den, series.bound, keep)
 
 
@@ -240,6 +326,9 @@ def reduce_to(series: SparseSeries, keep_ids: Sequence[int]) -> SparseSeries:
     unknown = set(keep) - set(series.ids)
     if unknown:
         raise ValueError(f"unknown variable id {min(unknown)}")
+    repeated = [v for i, v in enumerate(keep) if v in keep[:i]]
+    if repeated:
+        raise ValueError(f"duplicate variable id {repeated[0]}")
     pos = [series.ids.index(v) for v in keep]
     if len(pos) == len(series.ids):
         return series

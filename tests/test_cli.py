@@ -124,6 +124,25 @@ def test_series_refuses_a_bound_beyond_the_cost_cap(capsys):
     assert err.endswith("choose a smaller bound\n")
 
 
+@pytest.mark.parametrize("ids", ["1,1,1", "1,1", "2,3,2"])
+def test_series_reduce_refuses_duplicate_ids(ids, capsys):
+    # 1,1,1 once printed the unreduced series and 1,1 variable 1 twice
+    code, out, err = run_cli(["--bound", "3", "series", GRAPHS / "cyclic4.graph",
+                              "--class-zero", "--reduce", ids], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: duplicate variable id {ids[0]}\n"
+
+
+def test_series_over_the_row_cap_is_refused(monkeypatch, capsys):
+    from resgraph import series
+    monkeypatch.setattr(series, "TABLE_STATE_CAP", 10)
+    code, out, err = run_cli(["--bound", "3", "series", GRAPHS / "cyclic4.graph"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "refused: series expansion over the cell budget\n"
+
+
 def _star(tmp_path, arrow: str = ""):
     # rational, |H| = 16767, and every partition table is over the cell budget
     path = tmp_path / "star.graph"

@@ -5,9 +5,12 @@ Every shipped graph runs through ``basics``, ``invariants`` and the class-zero
 built-in germs, and each verify suite runs at a fixed seed, all in both
 output formats.  Stdout and exit status must equal the outputs stored under
 ``tests/data/cli_golden/``.  After a deliberate output change, rewrite them
-with ``PYTHONPATH=src python tests/test_cli_golden.py``.
+with ``PYTHONPATH=src python tests/test_cli_golden.py``.  The depth-8 series
+dump of ``dihedral12`` is too large to store; its sha256 digests are checked
+instead, with and without ``python -O``.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -67,6 +70,29 @@ def test_cli_golden_without_asserts(suite):
     name = f"table-verify-{suite}-dihedral12"
     assert proc.returncode == json.loads(CODES.read_text(encoding="utf-8"))[name]
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+# sha256 of the stdout of ``--bound 8 series dihedral12`` (20,176 terms)
+DEEP_SERIES = ["--bound", "8", "series", str(ROOT / "graphs" / "dihedral12.graph")]
+DEEP_DIGESTS = {
+    "table": "5a49f2f9c7c9f0188674a220c99d0f5457c873e185339bc05b535b2764cf976d",
+    "doc": "30ab5b71621e09d179aac979ab820f6dc21c34172a92145f8f713d2296df21aa",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DEEP_DIGESTS))
+def test_deep_series_digest(fmt, capsys):
+    assert main(["--format", fmt, *DEEP_SERIES]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(DEEP_DIGESTS))
+def test_deep_series_digest_without_asserts(fmt):
+    proc = subprocess.run([sys.executable, "-O", "-m", "resgraph.cli", "--format", fmt,
+                           *DEEP_SERIES], capture_output=True, cwd=ROOT)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEEP_DIGESTS[fmt]
 
 
 def _write_golden() -> None:

@@ -40,7 +40,9 @@ def brute_count(spec, residue, positions, x, strict_all: bool) -> int:
     xs = x.scaled(den)
     gens = list(spec.dens)
     tw = spec.twist_or_zero
-    bound = max(max(xs), 1)
+    # a numerator entry below zero needs that many more copies to leave
+    low = min([0, *(b + t for _, base in spec.num for b, t in zip(base, tw))])
+    bound = max(max(xs) - low, 1)
     ranges = [int(Fraction(bound, min(g))) + 2 for g in gens]
     total = 0
     for combo in itertools.product(*(range(r) for r in ranges)):

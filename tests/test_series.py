@@ -2,13 +2,29 @@
 expander that knows nothing about the production enumeration order."""
 
 import itertools
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resgraph import series as seriesmod
 from resgraph.cycles import RationalCycle, zero_cycle
-from resgraph.series import (RegionError, TwistError, build_zeta,
-                             expand, h_part, reduce_to, synthetic_spec)
+from resgraph.series import (RegionError, SparseSeries, TableBudgetExceeded,
+                             TwistError, ZetaSpec, build_zeta, expand, h_part,
+                             reduce_to, synthetic_spec)
+
+
+def brute_ranges(spec, bound: Fraction) -> list[int]:
+    """Per generator, how many multiplicities ``brute_terms`` tries."""
+    den = spec.den
+    tw = spec.twist_or_zero
+    # a numerator entry below zero needs that many more copies to leave
+    low = min([0, *(b + t for _, e in spec.num for b, t in zip(e, tw))])
+    return [int(max((Fraction(bound) - Fraction(low, den)) / Fraction(c, den) for c in g)) + 2
+            for g in spec.dens]
 
 
 def brute_terms(spec, bound: Fraction) -> dict:
@@ -19,9 +35,7 @@ def brute_terms(spec, bound: Fraction) -> dict:
     gens = [tuple(Fraction(x, den) for x in g) for g in spec.dens]
     tw = tuple(Fraction(x, den) for x in spec.twist_or_zero)
     num = [(c, tuple(Fraction(x, den) for x in e)) for c, e in spec.num]
-    ranges = []
-    for g in gens:
-        ranges.append(int(max(bound / c for c in g)) + 2)
+    ranges = brute_ranges(spec, bound)
     out: dict = {}
     for combo in itertools.product(*(range(r) for r in ranges)):
         vec = [Fraction(0)] * nvars
@@ -164,3 +178,119 @@ def test_dump_format(a3):
     zero = h_part(series, a3.residue(zero_cycle(3)), 4)
     assert zero.dump() == ("1 0/4 0/4 0/4\n1 4/4 4/4 4/4\n"
                            "1 4/4 8/4 12/4\n1 12/4 8/4 4/4")
+
+
+@st.composite
+def _specs_and_bounds(draw):
+    """A spec on 1-3 variables with den <= 12, 0-4 generators and 1-3 signed
+    numerator terms, twisted or not, and a Fraction bound small enough for
+    the brute force."""
+    nvars = draw(st.integers(1, 3))
+
+    def vec(lo: int, hi: int):
+        return st.lists(st.integers(lo, hi), min_size=nvars, max_size=nvars).map(tuple)
+
+    den = draw(st.integers(1, 12))
+    dens = draw(st.lists(vec(1, 9), max_size=4))
+    num = draw(st.lists(st.tuples(st.sampled_from([-3, -1, 1, 2]), vec(-3, 9)),
+                        min_size=1, max_size=3))
+    twist = draw(st.none() | vec(0, 6))
+    spec = ZetaSpec(tuple(range(1, nvars + 1)), den, tuple(num), tuple(dens), twist)
+    scaled, q = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    while scaled > 1 and prod(brute_ranges(spec, Fraction(scaled, q * den))) > 1500:
+        scaled -= 1
+    return spec, Fraction(scaled, q * den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs_and_bounds())
+def test_expand_matches_brute_force_on_random_specs(case):
+    spec, bound = case
+    series = expand(spec, bound)
+    assert series.terms == brute_terms(spec, bound)
+    assert series.bound == bound * spec.den
+    assert all(type(x) is int for key in series.terms for x in key)
+    assert all(type(c) is int for c in series.terms.values())
+
+
+def test_wide_coordinates_match_brute_force():
+    # int64 sums of these entries wrap after two copies
+    big = 2 ** 62 + 5
+    spec = synthetic_spec(num=[(1, (0, 0)), (-2, (big, 3))], dens=[(1, big), (big, 2)])
+    series = expand(spec, 6)
+    assert series.terms == brute_terms(spec, 6)
+    assert max(max(key) for key in series.terms) > 2 ** 63
+
+
+def test_packed_range_over_int64_matches_brute_force():
+    # each coordinate fits int64, the product of their ranges does not
+    w = 2 ** 22
+    spec = synthetic_spec(num=[(1, (0, 0, 0)), (-1, (1, 1, 1))],
+                          dens=[(1, w, w), (w, 1, w), (w, w, 1)])
+    assert expand(spec, 4).terms == brute_terms(spec, 4)
+
+
+def test_wide_multiplicities_stay_exact():
+    big = 2 ** 70
+    spec = synthetic_spec(num=[(big, (0,)), (1 - big, (1,)), (3, (2,))], dens=[(1,), (2,)])
+    series = expand(spec, 9)
+    assert series.terms == brute_terms(spec, 9)
+    assert max(abs(c) for c in series.terms.values()) > 2 ** 63
+    assert all(type(c) is int for c in series.terms.values())
+
+
+@pytest.mark.parametrize("num, dens, cap, refused", [
+    ([(1, (0,))], [(1,)], 9, True),  # the first generator's 10 copies
+    ([(1, (0,))], [(1,)], 10, False),
+    ([(1, (0,))], [(1,), (1,)], 54, True),  # 55 rows before the merge
+    ([(1, (0,))], [(1,), (1,)], 55, False),
+    ([(1, (0,)), (-1, (1,))], [(1,)], 18, True),  # 10 + 9 numerator rows
+    ([(1, (0,)), (-1, (1,))], [(1,)], 19, False),
+])
+def test_expand_refuses_rows_over_the_cap(monkeypatch, num, dens, cap, refused):
+    from resgraph import counting
+    monkeypatch.setattr(seriesmod, "TABLE_STATE_CAP", cap)
+    spec = synthetic_spec(num=num, dens=dens)
+    if refused:
+        with pytest.raises(TableBudgetExceeded) as exc:
+            expand(spec, 10)
+        assert exc.value.what == "series expansion"
+    else:
+        assert expand(spec, 10).terms == brute_terms(spec, 10)
+    assert counting.TABLE_STATE_CAP == 1_800_000  # counting keeps its own binding
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_h_part_prefilter_equals_the_plain_filter(data):
+    nvars = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 12))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(-30, 30)] * nvars),
+        st.integers(-5, 5).filter(bool), max_size=60))
+    if terms and data.draw(st.booleans()):
+        residue = tuple(x % d for x in data.draw(st.sampled_from(sorted(terms))))
+    else:  # unreduced and negative residues match nothing
+        residue = tuple(data.draw(st.integers(-d, 2 * d)) for _ in range(nvars))
+    series = SparseSeries(tuple(range(1, nvars + 1)), d, Fraction(10), terms)
+    plain = {k: v for k, v in terms.items() if tuple(x % d for x in k) == residue}
+    assert list(h_part(series, residue, d).terms.items()) == list(plain.items())
+
+
+def test_h_part_on_a_shuffled_term_map(dihedral):
+    # the term order of an expansion is not part of its contract
+    series = expand(build_zeta(dihedral), 3)
+    items = list(series.terms.items())
+    random.Random(3).shuffle(items)
+    shuffled = SparseSeries(series.ids, series.den, series.bound, dict(items))
+    residue = dihedral.residue(zero_cycle(4))
+    assert h_part(shuffled, residue, 12).sorted_items() == \
+        h_part(series, residue, 12).sorted_items()
+    assert shuffled.dump() == series.dump()
+
+
+@pytest.mark.parametrize("keep, dup", [([1, 1, 1], 1), ([1, 1], 1), ([2, 3, 2], 2)])
+def test_reduce_refuses_duplicate_ids(a3, keep, dup):
+    zero = h_part(expand(build_zeta(a3), 2), a3.residue(zero_cycle(3)), 4)
+    with pytest.raises(ValueError, match=f"^duplicate variable id {dup}$"):
+        reduce_to(zero, keep)
