@@ -2,9 +2,9 @@
 
 Two sums over the support of a class part are needed: the counting function
 (exponents not dominating the test cycle on a variable subset) and the
-modified one (exponents strictly below it on every chosen coordinate).  Both
-reduce, through inclusion-exclusion, to box-bounded sums, which are computed
-from a dynamic-programming table of denominator-exponent sums keyed by the
+modified one (exponents strictly below it on every chosen coordinate).  With
+three or more generators both reduce, through inclusion-exclusion, to
+box-bounded sums, which are computed from a dynamic-programming table of denominator-exponent sums keyed by the
 projected coordinates and the residue class mod the integral lattice.
 Tables are cached per spec and only grow.  A first build covers exactly the
 box asked for; a box beyond the cached one rebuilds to the union of both
@@ -18,10 +18,12 @@ deeper one and only a deeper request scans again.
 
 A spec with exactly two generators (a chain) needs no table for a point:
 the multiplicity pairs of the wanted residue are a coset of a rank-2
-lattice read off a Smith normal form, and the pairs of that coset inside
-the box are counted in closed form by floor sums, with work bounded
-independently of den and of the box.  Its ray scans still read tables and
-fall back to the closed count per point where the budget refuses one.
+lattice read off a Smith normal form, and the pairs of that coset under the
+lower envelope of the positions' lines (the modified count) or under their
+upper envelope (the counting function, with no inclusion-exclusion) are
+counted in closed form by floor sums, with work bounded independently of
+den and of the box.  Its ray scans still read tables and fall back to the
+closed count per point where the budget refuses one.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
 keeps its tables, budget refusals, ray values, Smith normal form, residue
@@ -441,45 +443,52 @@ def _two_gen_coset(spec: ZetaSpec,
     return p, q, s, (c1 + shift * q) % p, c2 + shift * s
 
 
-def _q_two_gens(spec: ZetaSpec, residue: tuple[int, ...],
-                positions: tuple[int, ...], xs: tuple[int, ...]) -> int:
-    """Exact closed evaluation for two geometric generators A and B.
+def _two_gen_count(spec: ZetaSpec, residue: tuple[int, ...], positions: tuple[int, ...],
+                   xs: tuple[int, ...], union: bool) -> int:
+    """Exact closed count for two geometric generators A and B.
 
     The pairs (c1, c2) >= 0 with the wanted residue and c1 A + c2 B strictly
-    below the target on the positions are a lattice coset cut by a box: with
-    ``c2 = c + s*j``, c1 runs over a progression of step p whose offset is
-    linear in j (``_two_gen_coset``) and up to ``F(j) = min_k floor((T_k -
-    B_k j) / a_k)``.  That minimum of lines splits the range of j into at
-    most one piece per position, at crossings found by cross-multiplication,
-    and on each piece the count is a floor sum, since ``floor(floor(x/a)/p)
-    = floor(x/(a p))``.  The work is bounded by the number of positions and
-    logarithms of the entries; it grows neither with den nor with the box.
+    below the target on every position (on some position if ``union``) are a
+    lattice coset cut by a box: with ``c2 = c + s*j``, c1 runs over a
+    progression of step p whose offset is linear in j (``_two_gen_coset``)
+    and up to ``F(j) = min_k floor((T_k - B_k j) / a_k)``, or the upper
+    envelope ``max_k`` for the union.  That minimum or maximum of lines
+    splits the range of j into at most one piece per position, at crossings
+    found by cross-multiplication, and on each piece the count is a floor
+    sum, since ``floor(floor(x/a)/p) = floor(x/(a p))``.  The work is bounded
+    by the number of positions and logarithms of the entries; it grows
+    neither with den nor with the box.
     """
     ga, gb = spec.dens
     d = spec.den
+    envelope, sign = (max, -1) if union else (min, 1)
     total = 0
     for coeff, base in spec.num:
-        t = [xs[k] - base[k] for k in positions]
-        if min(t) <= 0:
+        t = {k: xs[k] - base[k] for k in positions}
+        if union:  # a line with t <= 0 is negative for every j >= 0, never the largest
+            t = {k: tk for k, tk in t.items() if tk > 0}
+        if not t or min(t.values()) <= 0:
             continue
         coset = _two_gen_coset(spec, tuple((a - b) % d for a, b in zip(residue, base)))
         if coset is None:
             continue
         p, q, s, r, c = coset
         # F_k(j) = floor((T_k - B_k j) / a_k), the largest c1 the position allows
-        lines = [(ga[k], gb[k] * s, tw - 1 - gb[k] * c) for k, tw in zip(positions, t)]
-        top = min(tt // bb for _, bb, tt in lines)  # F(j) >= 0 exactly for j <= top
+        lines = [(ga[k], gb[k] * s, tk - 1 - gb[k] * c) for k, tk in t.items()]
+        top = envelope(tt // bb for _, bb, tt in lines)  # F(j) >= 0 exactly for j <= top
         if top < 0:
             continue
         # per j: floor((F(j) - r - q j) / p) + floor((r + q j) / p) + 1 values of c1
         count = top + 1 + _floor_sum(top + 1, p, q, r)
         for k, (a, bb, tt) in enumerate(lines):
-            lo, hi = 0, top  # the j where line k is the first smallest
+            lo, hi = 0, top  # the j where line k is the first smallest (largest)
             for m, (a2, bb2, tt2) in enumerate(lines):
                 if m == k:
                     continue
-                # line k <= line m  <=>  j * dd <= nn (strictly below for m < k)
-                dd, nn = bb2 * a - bb * a2, tt2 * a - tt * a2 - (m < k)
+                # line k <= line m  <=>  j * dd <= nn (strictly below for m < k);
+                # for the largest, line k >= line m flips both signs
+                dd = sign * (bb2 * a - bb * a2)
+                nn = sign * (tt2 * a - tt * a2) - (m < k)
                 if dd > 0:
                     hi = min(hi, nn // dd)
                 elif dd < 0:
@@ -491,6 +500,12 @@ def _q_two_gens(spec: ZetaSpec, residue: tuple[int, ...],
                                     tt - a * r - (bb + a * q) * lo)
         total += coeff * count
     return total
+
+
+def _q_two_gens(spec: ZetaSpec, residue: tuple[int, ...],
+                positions: tuple[int, ...], xs: tuple[int, ...]) -> int:
+    """The modified count of a two-generator spec: every position below."""
+    return _two_gen_count(spec, residue, positions, xs, union=False)
 
 
 def _signed_subsets(positions: Sequence[int]):
@@ -540,10 +555,17 @@ def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
 def counting_Q(spec: ZetaSpec, residue: tuple[int, ...],
                positions: Sequence[int], x: RationalCycle) -> int:
     """Counting function: coefficient sum over support exponents of the given
-    class not dominating x on the chosen coordinates.  Assembled from the
-    modified counting function by inclusion-exclusion."""
+    class not dominating x on the chosen coordinates, that is, strictly below
+    x on some chosen coordinate.  For two generators (a chain) it is one
+    closed count of the coset pairs under the upper envelope of the
+    positions' lines, untwisted as in ``counting_q``; for three or more it is
+    assembled from the modified counting function by inclusion-exclusion."""
     if not positions:
         raise ValueError("variable subset must be nonempty")
+    if len(spec.dens) == 2:
+        spec, residue, x = _untwist(spec, residue, x)
+        return _two_gen_count(spec, residue, tuple(sorted(positions)),
+                              x.scaled(spec.den), union=True)
     return sum(sign * counting_q(spec, residue, sub, x)
                for sign, sub in _signed_subsets(sorted(positions)))
 

@@ -364,6 +364,7 @@ class DiscriminantGroup:
     _uinv: tuple[tuple[int, ...], ...] = field(repr=False)
     _positions: tuple[int, ...] = field(repr=False)  # indices of nontrivial factors
     _alldiag: tuple[int, ...] = field(repr=False)
+    _reps: dict = field(default_factory=dict, compare=False, repr=False)  # class -> frac_rep
 
     @classmethod
     def _from_graph(cls, graph: ResolutionGraph) -> "DiscriminantGroup":
@@ -435,10 +436,15 @@ class DiscriminantGroup:
         return out
 
     def frac_rep(self, h: tuple[int, ...]) -> RationalCycle:
-        """The reduced representative of h: all coordinates in [0, 1)."""
-        r = self.representative(h).frac_part()
-        if self.class_of(r) != h:
-            raise InternalCheckError(f"reduced representative misses class {h}")
+        """The reduced representative of h: all coordinates in [0, 1).  Built
+        and checked against ``class_of`` once per class, then served from the
+        group's memo; the cycle is immutable, so sharing it is safe."""
+        r = self._reps.get(h)
+        if r is None:
+            r = self.representative(h).frac_part()
+            if self.class_of(r) != h:
+                raise InternalCheckError(f"reduced representative misses class {h}")
+            self._reps[h] = r
         return r
 
 

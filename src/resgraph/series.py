@@ -314,7 +314,8 @@ def h_part(series: SparseSeries, residue: tuple[int, ...], d: int) -> SparseSeri
 
 
 def reduce_to(series: SparseSeries, keep_ids: Sequence[int]) -> SparseSeries:
-    """Set t_v = 1 for the variables outside ``keep_ids``.
+    """Set t_v = 1 for the variables outside ``keep_ids``; the columns follow
+    ``keep_ids`` in the order given.
 
     Complete fibers are guaranteed for every projected point with some kept
     coordinate below the original bound, because any preimage shares that
@@ -329,9 +330,9 @@ def reduce_to(series: SparseSeries, keep_ids: Sequence[int]) -> SparseSeries:
     repeated = [v for i, v in enumerate(keep) if v in keep[:i]]
     if repeated:
         raise ValueError(f"duplicate variable id {repeated[0]}")
-    pos = [series.ids.index(v) for v in keep]
-    if len(pos) == len(series.ids):
+    if tuple(keep) == series.ids:
         return series
+    pos = [series.ids.index(v) for v in keep]
     out: dict[tuple[int, ...], int] = {}
     for k, v in series.terms.items():
         q = tuple(k[p] for p in pos)

@@ -4,6 +4,7 @@ import json
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,21 @@ def test_series_reduce_refuses_duplicate_ids(ids, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: duplicate variable id {ids[0]}\n"
+
+
+@pytest.mark.parametrize("ids", ["3,2,1", "2,1,3", "3,1,2"])
+def test_series_reduce_keeps_the_order_asked_for(ids, capsys):
+    # a permutation of every id once printed the columns in the order 1,2,3
+    def terms(keep):
+        code, out, err = run_cli(["--format", "doc", "--bound", "2", "series",
+                                  GRAPHS / "cyclic4.graph", "--class-zero",
+                                  "--reduce", keep], capsys)
+        assert code == 0 and err == ""
+        return json.loads(out)["terms"]
+    pos = [int(v) - 1 for v in ids.split(",")]
+    want = sorted(([c, [key[p] for p in pos]] for c, key in terms("1,2,3")),
+                  key=lambda term: [Fraction(v) for v in term[1]])
+    assert terms(ids) == want
 
 
 def test_series_over_the_row_cap_is_refused(monkeypatch, capsys):

@@ -410,11 +410,11 @@ def _table_count(spec, residue, positions, xs) -> int:
 
 
 @st.composite
-def _two_generator_points(draw):
-    """A two-generator spec on 1-3 variables with den <= 12 and 1-3 signed
-    numerator terms, a variable subset, a residue and a target that may sit
-    at or below the numerator exponents."""
-    nvars = draw(st.integers(1, 3))
+def _two_generator_points(draw, max_vars=3):
+    """A two-generator spec on 1 to ``max_vars`` variables with den <= 12 and
+    1-3 signed numerator terms, a variable subset, a residue and a target
+    that may sit at or below the numerator exponents."""
+    nvars = draw(st.integers(1, max_vars))
     vec = st.lists(st.integers(1, 9), min_size=nvars, max_size=nvars)
     den = draw(st.integers(1, 12))
     num = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 3]),
@@ -456,6 +456,72 @@ def test_two_generator_points_build_no_table(fresh_tables):
     for h in ((0, 0), g.residue(g.dual(2)), g.residue(x)):
         assert counting_q(spec, h, (0, 1), x) == \
             _pair_count(spec, h, (0, 1), x.scaled(spec.den))
+    assert not any(tag[0] == "table" for tag in counting._STORE[spec])
+
+
+def _inclusion_exclusion(count, positions):
+    """Some position below, assembled from every-position-below counts."""
+    return sum(sign * count(sub) for sign, sub in counting._signed_subsets(positions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_generator_points(max_vars=5))
+def test_two_generator_union_count_matches_inclusion_exclusion(case):
+    # chains in the fuzz workloads have up to five vertices
+    spec, residue, positions, xs = case
+    union = counting._two_gen_count(spec, residue, positions, xs, union=True)
+    assert union == _inclusion_exclusion(
+        lambda sub: counting._q_two_gens(spec, residue, sub, xs), positions)
+    x = RationalCycle(xs, spec.den)
+    assert union == counting_Q(spec, residue, positions, x)
+    assert union == brute_count(spec, residue, positions, x, False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_generator_points(max_vars=5), st.data())
+def test_twisted_two_generator_union_matches_brute_force(case, data):
+    spec, residue, positions, xs = case
+    twist = tuple(data.draw(st.integers(0, 9)) for _ in range(spec.nvars))
+    twisted = dataclasses.replace(spec, twist=twist)
+    x = RationalCycle(xs, spec.den)
+    assert counting_Q(twisted, residue, positions, x) == \
+        brute_count(twisted, residue, positions, x, False)
+
+
+def test_two_generator_union_below_every_numerator_is_empty():
+    # t_k <= 0 on every position of every term: no line reaches j = 0
+    spec = synthetic_spec([(1, (2, 3)), (-1, (5, 4))], [(2, 3), (3, 1)], den=5)
+    x = RationalCycle((2, 3), 5)
+    for residue in itertools.product(range(5), repeat=2):
+        for positions in ((0,), (1,), (0, 1)):
+            assert counting._two_gen_count(spec, residue, positions, (2, 3), True) == 0
+            assert counting_Q(spec, residue, positions, x) == 0
+            assert brute_count(spec, residue, positions, x, False) == 0
+
+
+def test_chain_counting_Q_makes_no_modified_count(monkeypatch, a3):
+    def refuse(*args):
+        raise AssertionError("modified count on a chain")
+    spec, twisted = plain_zeta(a3), build_zeta(a3, twist=a3.dual(1))
+    x = RationalCycle((3, 2, 1))
+    res = a3.residue(x)
+    subsets = [sub for _, sub in counting._signed_subsets((0, 1, 2))]
+    want = [brute_count(twisted, res, sub, x, False) for sub in subsets]
+    monkeypatch.setattr(counting, "counting_q", refuse)
+    monkeypatch.setattr(counting, "_q_two_gens", refuse)
+    assert counting_Q(spec, res, (0, 1, 2), x) == 6
+    assert [counting_Q(twisted, res, sub, x) for sub in subsets] == want
+
+
+def test_two_generator_union_builds_no_table(fresh_tables):
+    # the |H| = 1,000,999 chain: one closed count, no table of den's size
+    g = parse_graph("v 1 -1000\nv 2 -1001\ne 1 2\n")
+    spec = plain_zeta(g)
+    x = 2 * g.dual(1) + 3 * g.dual(2)
+    xs = x.scaled(spec.den)
+    for h in ((0, 0), g.residue(g.dual(2)), g.residue(x)):
+        assert counting_Q(spec, h, (0, 1), x) == _inclusion_exclusion(
+            lambda sub: _pair_count(spec, h, sub, xs), (0, 1))
     assert not any(tag[0] == "table" for tag in counting._STORE[spec])
 
 

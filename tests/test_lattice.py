@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dihedral_rows
+from conftest import DIHEDRAL_TEXT, dihedral_rows
 from resgraph.cycles import RationalCycle, basis_cycle, zero_cycle
-from resgraph.graphs import (GraphError, GraphSyntaxError, NotATreeError,
+from resgraph.graphs import (DiscriminantGroup, GraphError, GraphSyntaxError,
+                             InternalCheckError, NotATreeError,
                              NotNegativeDefiniteError,
                              artin_rationality, chi,
                              fundamental_cycle, is_rational, laufer_saturate,
@@ -161,6 +162,43 @@ def test_dihedral_representatives(dihedral):
     grp = dihedral.group
     assert grp.frac_rep(rows["leg_center"]) == frac_cycle(0, 0, "1/2", "1/2")
     assert grp.frac_rep(rows["two_center"]) == frac_cycle("2/3", "1/3", "2/3", "2/3")
+
+
+def test_frac_rep_is_built_and_checked_once_per_class(monkeypatch):
+    grp = parse_graph(DIHEDRAL_TEXT).group  # a fresh group: an empty memo
+    checked = []
+    class_of = DiscriminantGroup.class_of
+
+    def counted(self, x):
+        checked.append(x)
+        return class_of(self, x)
+    monkeypatch.setattr(DiscriminantGroup, "class_of", counted)
+    first = [grp.frac_rep(h) for h in grp.elements()]
+    assert len(checked) == grp.order == 12
+    assert all(grp.frac_rep(h) is r for h, r in zip(grp.elements(), first))
+    assert len(checked) == grp.order
+
+
+def test_frac_rep_memo_leaves_equality_and_hash_alone():
+    g1, g2 = parse_graph(DIHEDRAL_TEXT), parse_graph(DIHEDRAL_TEXT)
+    h = g1.group.elements()[1]
+    g1.group.frac_rep(h)
+    assert h in g1.group._reps and h not in g2.group._reps
+    assert g1.group == g2.group and hash(g1.group) == hash(g2.group)
+    assert g1 == g2 and hash(g1) == hash(g2)
+
+
+def test_frac_rep_check_raises_on_a_wrong_representative(monkeypatch):
+    # an explicit raise, so the check also runs under python -O
+    graph = parse_graph(DIHEDRAL_TEXT)
+    grp = graph.group
+    h = next(h for h in grp.elements() if h != grp.zero)
+    monkeypatch.setattr(DiscriminantGroup, "representative",
+                        lambda self, h: zero_cycle(graph.n))
+    for _ in range(2):  # a failed check stores nothing
+        with pytest.raises(InternalCheckError, match="misses class"):
+            grp.frac_rep(h)
+    assert h not in grp._reps
 
 
 # ---------------------------------------------------------------------------

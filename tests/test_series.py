@@ -148,6 +148,15 @@ def test_reduce_identity_when_all_kept(a3):
     assert reduce_to(series, list(a3.ids)) is series
 
 
+def test_reduce_keeps_the_order_asked_for(a3):
+    zero = h_part(expand(build_zeta(a3), 2), a3.residue(zero_cycle(3)), 4)
+    for keep in ([3, 2, 1], [2, 1, 3]):
+        red = reduce_to(zero, keep)
+        assert red.ids == tuple(keep) and red.projected
+        pos = [a3.ids.index(v) for v in keep]
+        assert red.terms == {tuple(k[p] for p in pos): c for k, c in zero.terms.items()}
+
+
 def test_brieskorn_reduction_to_seifert_end(brieskorn):
     series = expand(build_zeta(brieskorn), 2)
     zero = h_part(series, brieskorn.residue(zero_cycle(4)), 1)
