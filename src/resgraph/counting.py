@@ -740,8 +740,9 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
     show up as unstable difference tails and push the fit to coarser
     substrides or a deeper ray; a substride that is not a multiple of a
     quasi-period the samples show would mix constituents, so it is never
-    fitted.  A ray is only deepened while its tables stay affordable, and
-    nothing is ever guessed.
+    fitted.  A ray is only deepened while its tables stay affordable.  This
+    is no proof: a quasi-period longer than the samples can pass unseen, and
+    a wrong value is then accepted (about 0.5% of fits; ROADMAP item 1).
     """
     pos = tuple(sorted(positions))
     deg_cap = len(spec.dens) + 1
@@ -875,12 +876,13 @@ def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
     zk = graph.canonical
     spec = plain_zeta(graph)
     allpos = tuple(range(graph.n))
+    chi_r = chi(graph, r)
     vals = []
     for margin in (1, 2):
         shift = zk + margin * graph.sum_duals
         probe = laufer_saturate(graph, r - shift) + shift
         q = counting_Q(spec, graph.residue(probe), allpos, probe)
-        vals.append(_integral(q - chi(graph, probe) + chi(graph, r), "SW probe value"))
+        vals.append(_integral(q - chi(graph, probe) + chi_r, "SW probe value"))
     if vals[0] != vals[1]:
         raise StabilizationError(
             f"normalised SW probe did not stabilise: margins (1, 2) gave {vals}")

@@ -1,12 +1,15 @@
 """Multibranch value semigroups: Hilbert tables, Poincare coefficients,
 delta invariants, and the Hilbert-Poincare inversion round trip."""
 
+import collections
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import sample_curves
 from resgraph import curves
@@ -406,18 +409,26 @@ def _shifted_tables(monkeypatch, shift):
     monkeypatch.setattr(curves, "hilbert_table", shifted)
 
 
-def test_poincare_shell_escape_is_reported(monkeypatch):
-    differences = HilbertTable.differences
+@st.composite
+def integer_tables(draw):
+    """A table of arbitrary integers on the box of a curve with 2..4 branches."""
+    c = tuple(draw(st.lists(st.integers(0, 3), min_size=2, max_size=4)))
+    curve = MultibranchCurve.from_values([(0,) * len(c), c], c)
+    grid = draw(arrays(np.int64, tuple(m + 2 for m in c),
+                       elements=st.integers(-10 ** 6, 10 ** 6)))
+    return HilbertTable(curve=curve, grid=grid)
 
-    def leaky(self):
-        out = differences(self)
-        out[0, -1] += 1  # the first shell cell of the tacnode's [0, 4]^2
-        return out
-    monkeypatch.setattr(HilbertTable, "differences", leaky)
-    with pytest.raises(CurveDataError) as err:
-        poincare_series(tacnode())
-    assert str(err.value) == ("Poincare support escapes the conductor box at "
-                              "(0, 4); inconsistent value data")
+
+@given(integer_tables())
+@settings(max_examples=200, deadline=None)
+def test_differences_vanish_on_every_top_layer(table):
+    # what lets poincare_series drop the layers l_i = c_i + 1 unchecked and
+    # delta_total read the evaluations at one off the corner of the reassembly
+    out = table.differences()
+    c = table.curve.conductor
+    assert out.shape == tuple(m + 2 for m in c)
+    for i, m in enumerate(c):
+        assert not np.take(out, m + 1, axis=i).any()
 
 
 def test_delta_cross_check_failure_is_reported(monkeypatch):
@@ -438,6 +449,43 @@ def test_failed_inversion_names_a_python_int_witness(monkeypatch):
     ok, witness = verify_inversion(tacnode())
     assert (ok, witness) == (False, (1, 0))
     assert all(type(x) is int for x in witness)
+
+
+# ---------------------------------------------------------------------------
+# one reassembly per curve object
+
+def _counted(monkeypatch, name):
+    """Count the calls of ``curves.<name>`` by the branch count of the curve."""
+    calls = collections.Counter()
+    build = getattr(curves, name)
+
+    def counted(curve, *args):
+        calls[curve.branches] += 1
+        return build(curve, *args)
+    monkeypatch.setattr(curves, name, counted)
+    return calls
+
+
+def test_delta_and_inversion_share_one_subset_pass(monkeypatch):
+    tables = _counted(monkeypatch, "hilbert_table")
+    curve = MultibranchCurve.ordinary(3)
+    assert delta_total(curve) == 2
+    assert verify_inversion(curve) == (True, None)
+    # each 2-branch subcurve once; the whole curve in the pass, for the
+    # delta cross-check and for the inversion check
+    assert tables == {2: 3, 3: 3}
+
+
+def test_equal_curves_do_not_share_the_reassembly(monkeypatch):
+    series = _counted(monkeypatch, "poincare_series")
+    first, second = tacnode(), tacnode()
+    assert first == second and first is not second
+    assert type(delta_total(first)) is int
+    assert sum(series.values()) == 3
+    delta_total(first)
+    assert sum(series.values()) == 3
+    delta_total(second)
+    assert sum(series.values()) == 6
 
 
 # ---------------------------------------------------------------------------
