@@ -4,77 +4,55 @@
 Runs the four identity suites and prints one summary line each:
 twisted duality (periodic constants against counting values), the rational
 Seiberg-Witten identity, the tree surgery identity, and the dual-route delta
-comparison.  Every trial is deterministic in the seed.
+comparison.  Every instance is judged by the check and the tally that
+``resgraph verify`` uses, so a refusal or a fit that did not stabilise counts
+as inconclusive on either duality side.  Every trial is deterministic in the
+seed.
 """
 
 import argparse
 import random
 import time
+from functools import partial
 
-from resgraph.counting import StabilizationError, surgery_check, sw_norm
+from resgraph.cli import check_delta, check_duality, check_surgery, check_sw, tally
 from resgraph.cycles import zero_cycle
-from resgraph.embedded import (EmbeddedCurve, delta_cross_check,
-                               verify_twisted_duality)
-from resgraph.graphs import chi, min_antinef_rep
 from resgraph.randtrees import (random_antinef, random_class,
                                 random_positions, random_rational_graph,
                                 random_unit_arrows)
 
 
 def duality(rng, trials):
-    fails = inconclusive = 0
-    for _ in range(trials):
+    for t in range(trials):
         graph = random_rational_graph(rng, max_vertices=6)
         twist = random_antinef(rng, graph, max_coeff=1) \
             if rng.random() < 0.7 else None
-        rep = verify_twisted_duality(graph, twist, random_class(rng, graph),
-                                     random_positions(rng, graph))
-        if rep.failed:
-            fails += 1
-        elif rep.status == "inconclusive":
-            inconclusive += 1
-    return fails, inconclusive
+        yield f"trial {t}", partial(check_duality, graph, twist, random_class(rng, graph),
+                                    random_positions(rng, graph), 12)
 
 
 def sw_identity(rng, trials):
-    fails = 0
-    for _ in range(trials):
+    for t in range(trials):
         graph = random_rational_graph(rng, max_vertices=6)
-        grp = graph.group
-        for h in grp.elements():
-            expect = chi(graph, grp.frac_rep(h)) - \
-                chi(graph, min_antinef_rep(graph, h))
-            if sw_norm(graph, h) != expect:
-                fails += 1
-    return fails, 0
+        for h in graph.group.elements():
+            yield f"trial {t} h={h}", partial(check_sw, graph, h)
 
 
 def surgery(rng, trials):
-    fails = 0
-    for _ in range(trials):
+    for t in range(trials):
         graph = random_rational_graph(rng, max_vertices=6)
         keep = [graph.ids[p]
                 for p in random_positions(rng, graph, allow_full=False)]
         x = zero_cycle(graph.n)
         for i in range(graph.n):
             x = x + rng.randint(2, 4) * graph.duals[i]
-        if not surgery_check(graph, keep, x).passed:
-            fails += 1
-    return fails, 0
+        yield f"trial {t}", partial(check_surgery, graph, keep, x)
 
 
 def dual_route_delta(rng, trials):
-    fails = inconclusive = 0
-    for _ in range(trials):
+    for t in range(trials):
         graph = random_unit_arrows(rng, random_rational_graph(rng, max_vertices=6))
-        try:
-            rep = delta_cross_check(graph, EmbeddedCurve.from_graph_arrows(graph))
-        except StabilizationError:
-            inconclusive += 1
-            continue
-        if not rep.passed:
-            fails += 1
-    return fails, inconclusive
+        yield f"trial {t}", partial(check_delta, graph, 12)
 
 
 CAMPAIGNS = [
@@ -91,10 +69,10 @@ def main():
     ap.add_argument("--trials", type=int, default=50)
     args = ap.parse_args()
     overall_fail = 0
-    for name, fn in CAMPAIGNS:
+    for name, cases in CAMPAIGNS:
         rng = random.Random(args.seed)
         t0 = time.monotonic()
-        fails, inconclusive = fn(rng, args.trials)
+        _, fails, inconclusive = tally(cases(rng, args.trials), [])
         overall_fail += fails
         print(f"{name:>22}: {args.trials} trials, {fails} failures, "
               f"{inconclusive} inconclusive, {time.monotonic() - t0:.1f}s")

@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import curves as curvemod
 from .counting import (InternalCheckError, StabilizationError, surgery_check,
@@ -40,10 +41,6 @@ SERIES_COST_CAP = 2_000_000  # largest expansion_cost a series dump runs (about 
 def _frac(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def _cycle_str(c: RationalCycle) -> str:
-    return "(" + ", ".join(str(f) for f in c.fractions()) + ")"
 
 
 def _cycle_doc(c: RationalCycle) -> list[str]:
@@ -83,11 +80,11 @@ def cmd_basics(args) -> int:
     lines = [f"vertices: {len(graph.ids)}   |H| = {graph.det_abs}   "
              f"invariant factors: {list(group.invariant_factors) or 'trivial'}"]
     for v in graph.ids:
-        lines.append(f"  E*_{v} = {_cycle_str(graph.dual(v))}   "
+        lines.append(f"  E*_{v} = {graph.dual(v)}   "
                      f"(euler {graph.eulers[graph.index[v]]}, "
                      f"valence {graph.valences[graph.index[v]]})")
-    lines.append(f"canonical cycle Z_K = {_cycle_str(graph.canonical)}")
-    lines.append(f"fundamental cycle Z_min = {_cycle_str(zmin)}   "
+    lines.append(f"canonical cycle Z_K = {graph.canonical}")
+    lines.append(f"fundamental cycle Z_min = {zmin}   "
                  f"chi = {chi(graph, zmin)}   "
                  f"{'rational' if rational else 'NOT rational'}")
     if group.order <= CLASS_CAP:
@@ -100,7 +97,7 @@ def cmd_basics(args) -> int:
                 "r": _cycle_doc(r), "s": _cycle_doc(s),
                 "chi_r": _frac(chi(graph, r)), "chi_s": _frac(chi(graph, s)),
             }
-            lines.append(f"  h={h}: r_h = {_cycle_str(r)}  s_h = {_cycle_str(s)}  "
+            lines.append(f"  h={h}: r_h = {r}  s_h = {s}  "
                          f"chi(r_h) = {chi(graph, r)}  chi(s_h) = {chi(graph, s)}")
         doc["classes"] = classes
     _emit(doc, args, lines)
@@ -128,7 +125,7 @@ def cmd_invariants(args) -> int:
         "chi_neg": _frac(chi(graph, -ell)),
     }
     lines = [
-        f"curve cycle = {_cycle_str(ell)}   support = {list(curve.support_ids)}",
+        f"curve cycle = {ell}   support = {list(curve.support_ids)}",
         f"kappa = {kap_full}   kappa reduced to support = {kap_red}",
         f"chi(-curve cycle) = {chi(graph, -ell)}",
     ]
@@ -177,7 +174,7 @@ def cmd_series(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites: four checks, one tally
 
 # Instances that end in one of these are counted inconclusive, not failed.
 INCONCLUSIVE = (TableBudgetExceeded, StabilizationError)
@@ -188,15 +185,68 @@ def _cause(exc: Exception) -> str:
             if isinstance(exc, TableBudgetExceeded) else str(exc))
 
 
-def _inconclusive(lines: list[str], label: str, exc: Exception) -> None:
-    lines.append(f"  inconclusive {label}: {_cause(exc)}")
+def check_duality(graph: ResolutionGraph, twist: RationalCycle | None, h: tuple[int, ...],
+                  positions: tuple[int, ...], max_substride: int) -> tuple[str, str]:
+    """Twisted duality, plain and modified: a failure on either side fails,
+    otherwise a side whose ray fit did not stabilise is inconclusive."""
+    rep = verify_twisted_duality(graph, twist, h, positions, max_substride)
+    if rep.failed:
+        return "fail", (f": pc {rep.lhs} vs count {rep.rhs}, "
+                        f"mpc {rep.lhs_modified} vs {rep.rhs_modified}")
+    if "inconclusive" in (rep.status, rep.status_modified):
+        which = "pc" if rep.status == "inconclusive" else "mpc"
+        return "inconclusive", f": {which} ray fit did not stabilise"
+    return "pass", ""
 
 
-def _verify_duality(graph: ResolutionGraph, args: argparse.Namespace,
-                    rng: random.Random, lines: list[str]) -> tuple[int, int, int]:
+def check_surgery(graph: ResolutionGraph, keep: list[int],
+                  x: RationalCycle) -> tuple[str, str]:
+    """The surgery identity at x for the subtree on ``keep``."""
+    rep = surgery_check(graph, keep, x)
+    return ("pass", "") if rep.passed else ("fail", f" residual={rep.residual}")
+
+
+def check_delta(graph: ResolutionGraph, max_substride: int) -> tuple[str, str]:
+    """Delta of the curve the graph's arrows declare, by both routes."""
+    rep = delta_cross_check(graph, EmbeddedCurve.from_graph_arrows(graph), max_substride)
+    return ("pass", "") if rep.passed else \
+        ("fail", f": series route {rep.delta_series} vs chi route {rep.delta_chi}")
+
+
+def check_sw(graph: ResolutionGraph, h: tuple[int, ...]) -> tuple[str, str]:
+    """The rational SW identity for one class."""
+    val = sw_norm(graph, h)
+    expect = chi(graph, graph.group.frac_rep(h)) - chi(graph, min_antinef_rep(graph, h))
+    return ("pass", "") if val == expect else \
+        ("fail", f": sw {val} vs chi difference {expect}")
+
+
+def tally(cases, lines: list[str]) -> tuple[int, int, int]:
+    """Run ``(label, check)`` pairs and count the passed, failed and
+    inconclusive instances.  A check runs one instance and returns its
+    verdict ("pass", "fail" or "inconclusive") and the text that follows the
+    label on its line; an ``INCONCLUSIVE`` exception is an inconclusive
+    verdict naming its cause.  Every instance that did not pass appends its
+    line, ``FAIL <label><text>`` or ``inconclusive <label><text>``."""
+    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
+    for label, check in cases:
+        try:
+            verdict, text = check()
+        except INCONCLUSIVE as exc:
+            verdict, text = "inconclusive", f": {_cause(exc)}"
+        counts[verdict] += 1
+        if verdict != "pass":
+            lines.append(f"  {'FAIL' if verdict == 'fail' else verdict} {label}{text}")
+    return counts["pass"], counts["fail"], counts["inconclusive"]
+
+
+# A suite yields the (label, check) pairs of its instances; a skip line is
+# appended to ``lines`` as the suite reaches it.
+
+def _duality_cases(graph: ResolutionGraph, args: argparse.Namespace,
+                   rng: random.Random, lines: list[str]):
     group = graph.group
     twists = [None, random_antinef(rng, graph, max_coeff=1)]
-    passed = failed = inconclusive = 0
     exhaustive = group.order * (2 ** graph.n - 1) * len(twists) <= 4 * args.trials
     if exhaustive:
         cases = [(tw, h, I)
@@ -208,54 +258,25 @@ def _verify_duality(graph: ResolutionGraph, args: argparse.Namespace,
         cases = [(twists[rng.randrange(2)], random_class(rng, graph),
                   random_positions(rng, graph)) for _ in range(args.trials)]
     for tw, h, positions in cases:
-        label = f"h={h} I={positions} twist={tw and _cycle_str(tw)}"
-        try:
-            rep = verify_twisted_duality(graph, tw, h, positions, args.stride)
-        except INCONCLUSIVE as exc:
-            inconclusive += 1
-            _inconclusive(lines, label, exc)
-            continue
-        if rep.failed:
-            failed += 1
-            lines.append(f"  FAIL {label}: pc {rep.lhs} vs count {rep.rhs}, "
-                         f"mpc {rep.lhs_modified} vs {rep.rhs_modified}")
-        elif "inconclusive" in (rep.status, rep.status_modified):
-            inconclusive += 1
-            which = "pc" if rep.status == "inconclusive" else "mpc"
-            lines.append(f"  inconclusive {label}: {which} ray fit did not stabilise")
-        else:
-            passed += 1
-    return passed, failed, inconclusive
+        yield (f"h={h} I={positions} twist={tw}",
+               partial(check_duality, graph, tw, h, positions, args.stride))
 
 
-def _verify_surgery(graph: ResolutionGraph, args: argparse.Namespace,
-                    rng: random.Random, lines: list[str]) -> tuple[int, int, int]:
-    passed = failed = inconclusive = 0
+def _surgery_cases(graph: ResolutionGraph, args: argparse.Namespace,
+                   rng: random.Random, lines: list[str]):
     for _ in range(args.trials):
         keep = [graph.ids[p] for p in random_positions(rng, graph, allow_full=False)]
         x = zero_cycle(graph.n)
         for i in range(graph.n):
             x = x + (args.depth + rng.randint(0, 2)) * graph.duals[i]
-        try:
-            rep = surgery_check(graph, keep, x)
-        except INCONCLUSIVE as exc:
-            inconclusive += 1
-            _inconclusive(lines, f"keep={keep} x={_cycle_str(x)}", exc)
-            continue
-        if rep.passed:
-            passed += 1
-        else:
-            failed += 1
-            lines.append(f"  FAIL keep={keep} x={_cycle_str(x)} residual={rep.residual}")
-    return passed, failed, inconclusive
+        yield f"keep={keep} x={x}", partial(check_surgery, graph, keep, x)
 
 
-def _verify_cdgz_delta(graph: ResolutionGraph, args: argparse.Namespace,
-                       rng: random.Random, lines: list[str]) -> tuple[int, int, int]:
+def _cdgz_delta_cases(graph: ResolutionGraph, args: argparse.Namespace,
+                      rng: random.Random, lines: list[str]):
     if not artin_rationality(graph)[1]:
         lines.append("  skip: graph is not rational")
-        return 0, 0, 0
-    passed = failed = inconclusive = 0
+        return
     if any(graph.arrows):
         probes = [graph]  # a declared curve is deterministic: check it once
     else:
@@ -264,50 +285,23 @@ def _verify_cdgz_delta(graph: ResolutionGraph, args: argparse.Namespace,
         if any(a > 1 for a in probe.arrows):
             lines.append("  skip: arrow multiplicities above one")
             continue
-        try:
-            rep = delta_cross_check(probe, EmbeddedCurve.from_graph_arrows(probe),
-                                    args.stride)
-        except INCONCLUSIVE as exc:
-            inconclusive += 1
-            _inconclusive(lines, f"arrows={probe.arrows}", exc)
-            continue
-        if rep.passed:
-            passed += 1
-        else:
-            failed += 1
-            lines.append(f"  FAIL arrows={probe.arrows}: series route "
-                         f"{rep.delta_series} vs chi route {rep.delta_chi}")
-    return passed, failed, inconclusive
+        yield f"arrows={probe.arrows}", partial(check_delta, probe, args.stride)
 
 
-def _verify_sw(graph: ResolutionGraph, args: argparse.Namespace,
-               rng: random.Random, lines: list[str]) -> tuple[int, int, int]:
+def _sw_cases(graph: ResolutionGraph, args: argparse.Namespace,
+              rng: random.Random, lines: list[str]):
     if not artin_rationality(graph)[1]:
         lines.append("  skip: graph is not rational")
-        return 0, 0, 0
-    group = graph.group
-    passed = failed = inconclusive = 0
-    for h in group.elements():
-        try:
-            val = sw_norm(graph, h)
-        except INCONCLUSIVE as exc:
-            inconclusive += 1
-            _inconclusive(lines, f"h={h}", exc)
-            continue
-        expect = chi(graph, group.frac_rep(h)) - chi(graph, min_antinef_rep(graph, h))
-        if val == expect:
-            passed += 1
-        else:
-            failed += 1
-            lines.append(f"  FAIL h={h}: sw {val} vs chi difference {expect}")
-    return passed, failed, inconclusive
+        return
+    for h in graph.group.elements():
+        yield f"h={h}", partial(check_sw, graph, h)
 
 
 SUITES = {
-    "duality": _verify_duality,
-    "surgery": _verify_surgery,
-    "cdgz-delta": _verify_cdgz_delta,
-    "sw-rational": _verify_sw,
+    "duality": _duality_cases,
+    "surgery": _surgery_cases,
+    "cdgz-delta": _cdgz_delta_cases,
+    "sw-rational": _sw_cases,
 }
 
 
@@ -315,8 +309,8 @@ def cmd_verify(args) -> int:
     graph = _load_graph(args.graph)
     rng = random.Random(args.seed)
     lines: list[str] = []
-    suite = SUITES[args.suite]
-    passed, failed, inconclusive = suite(graph, args, rng, lines)
+    passed, failed, inconclusive = tally(
+        SUITES[args.suite](graph, args, rng, lines), lines)
     summary = (f"{args.suite}: {passed} passed, {failed} failed, "
                f"{inconclusive} inconclusive")
     doc = {"suite": args.suite, "passed": passed, "failed": failed,

@@ -22,8 +22,8 @@ lattice read off a Smith normal form, and the pairs of that coset under the
 lower envelope of the positions' lines (the modified count) or under their
 upper envelope (the counting function, with no inclusion-exclusion) are
 counted in closed form by floor sums, with work bounded independently of
-den and of the box.  Its ray scans still read tables and fall back to the
-closed count per point where the budget refuses one.
+den and of the box.  Its ray scans count each point the same way, so a
+chain builds no table at all.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
 keeps its tables, budget refusals, ray values, Smith normal form, residue
@@ -579,10 +579,12 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     k whose box contains it.  States first counted beyond nk are clipped to
     nk + 1, and every state counted at some k <= nk lies in the depth-nk
     box, so the value at k depends neither on nk nor on how far the table
-    has grown.  The values are therefore kept beside the spec's tables, per
-    untwisted ray (residue, positions, and base and step on the positions):
-    a shallower request is a prefix of the deepest list found so far, and
-    only a deeper one scans again.  A refused table stores nothing.
+    has grown.  A two-generator spec (a chain) reads no table: each point
+    past the known prefix is one closed count (``_q_two_gens``).  The values
+    are kept beside the spec's tables, per untwisted ray (residue,
+    positions, and base and step on the positions): a shallower request is a
+    prefix of the deepest list found so far, and only a deeper one scans
+    again.  A refused table stores nothing.
     """
     spec, residue, base = _untwist(spec, residue, base)
     d = spec.den
@@ -596,20 +598,17 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     known = entries.get(ray, ())
     if len(known) >= nk:
         return list(known[:nk])
-    bounds = []
-    for p in positions:
-        worst = max(bs[p] - b[p] for _, b in spec.num)
-        bounds.append(max(0, worst + nk * ss[p]))
-    try:
-        table = _table_for(spec, positions, tuple(bounds))
-    except TableBudgetExceeded:
-        if len(spec.dens) != 2:
-            raise
+    if len(spec.dens) == 2:
         vals = list(known)
         for k in range(len(known) + 1, nk + 1):
             xk = tuple(b + k * s for b, s in zip(bs, ss))
             vals.append(_q_two_gens(spec, residue, positions, xk))
     else:
+        bounds = []
+        for p in positions:
+            worst = max(bs[p] - b[p] for _, b in spec.num)
+            bounds.append(max(0, worst + nk * ss[p]))
+        table = _table_for(spec, positions, tuple(bounds))
         wide = any(cs.dtype == object for _, cs in table.values())
         hist = _np.zeros(nk + 2, dtype=object if wide else _np.int64)
         svec = _np.asarray([ss[p] for p in positions], dtype=_np.int64)

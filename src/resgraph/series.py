@@ -47,10 +47,11 @@ class TableBudgetExceeded(Exception):
     """An enumeration would hold more than ``TABLE_STATE_CAP`` rows: a
     partition table of ``counting`` or the rows of an ``expand``.
 
-    Ray fits treat a refused table as the end of the ray and two-generator
-    specs fall back to their closed evaluation; anywhere else it reaches the
-    caller.  Verification drivers report the instance as inconclusive, and
-    the CLI prints one ``refused:`` line and exits with status 2."""
+    Ray fits treat a refused table as the end of the ray; anywhere else it
+    reaches the caller.  Two-generator specs build no partition table, so
+    they never meet it there.  The verify suites and the fuzz campaign
+    count the instance as inconclusive, and elsewhere the CLI prints one
+    ``refused:`` line and exits with status 2."""
 
     def __init__(self, size, what: str = "partition table"):
         super().__init__(size)

@@ -1,15 +1,19 @@
 """Command-line surface: reports, exit codes, determinism, file grammars."""
 
 import json
+import os
+import re
+import runpy
 import signal
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from resgraph import cli
+from resgraph import cli, counting
 from resgraph import curves as curvemod
 from resgraph.cli import main
 
@@ -293,6 +297,40 @@ def test_verify_counts_budget_refusals_as_inconclusive(tmp_path, capsys):
     assert all(line.startswith("  inconclusive h=")
                and line.endswith(": partition table over the cell budget")
                for line in lines[:-1])
+
+
+CAMPAIGN = ROOT / "scripts" / "fuzz_campaign.py"
+
+
+def _campaign_counts(out: str) -> list[tuple[int, int]]:
+    """(failures, inconclusive) of each campaign summary line."""
+    return [tuple(map(int, re.search(r"(\d+) failures, (\d+) inconclusive", line).groups()))
+            for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_fuzz_campaign_default_run(flags):
+    # seed 1, 50 trials, about 3 s: the same counts under -O, so no check
+    # of the campaign rests on assert
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, *flags, str(CAMPAIGN)], capture_output=True,
+                          text=True, cwd=ROOT, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert _campaign_counts(proc.stdout) == [(0, 2), (0, 0), (0, 0), (0, 0)]
+
+
+def test_refusals_count_as_inconclusive(monkeypatch, capsys):
+    # a 20-cell budget refuses almost every partition table; the campaign
+    # once let the first refusal end the run in a traceback
+    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 20)
+    monkeypatch.setattr(counting, "_STORE", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(sys, "argv", [str(CAMPAIGN), "--trials", "10"])
+    assert runpy.run_path(str(CAMPAIGN))["main"]() == 0
+    counts = _campaign_counts(capsys.readouterr().out)
+    assert len(counts) == 4
+    assert all(fails == 0 for fails, _ in counts)
+    assert sum(inconclusive for _, inconclusive in counts) > 0
 
 
 def test_curve_ordinary(capsys):

@@ -525,6 +525,17 @@ def test_two_generator_union_builds_no_table(fresh_tables):
     assert not any(tag[0] == "table" for tag in counting._STORE[spec])
 
 
+def test_chain_ray_fits_build_no_table(a3, fresh_tables):
+    # a chain's ray scans count every point in closed form, as its points do
+    spec, grp = plain_zeta(a3), a3.group
+    for h in grp.elements():
+        base = grp.frac_rep(h)
+        for pos in ((0,), (0, 2), (0, 1, 2)):
+            assert fitted_qp_value(a3, spec, a3.residue(base), pos, base) == \
+                counting_qp_closed(a3, h, pos, zero_cycle(a3.n))
+    assert not any(tag[0] == "table" for tag in counting._STORE[spec])
+
+
 def _empty_caches(mp):
     mp.setattr(counting, "_STORE", weakref.WeakKeyDictionary())
 
