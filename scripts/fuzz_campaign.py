@@ -16,7 +16,6 @@ import time
 from functools import partial
 
 from resgraph.cli import check_delta, check_duality, check_surgery, check_sw, tally
-from resgraph.cycles import zero_cycle
 from resgraph.randtrees import (random_antinef, random_class,
                                 random_positions, random_rational_graph,
                                 random_unit_arrows)
@@ -43,9 +42,7 @@ def surgery(rng, trials):
         graph = random_rational_graph(rng, max_vertices=6)
         keep = [graph.ids[p]
                 for p in random_positions(rng, graph, allow_full=False)]
-        x = zero_cycle(graph.n)
-        for i in range(graph.n):
-            x = x + rng.randint(2, 4) * graph.duals[i]
+        x = graph.dual_combination([rng.randint(2, 4) for _ in range(graph.n)])
         yield f"trial {t}", partial(check_surgery, graph, keep, x)
 
 

@@ -3,8 +3,7 @@
 from .counting import (InternalCheckError, StabilizationError, counting_Q,
                        counting_q, counting_qp_closed, modified_qp_closed,
                        periodic_constant_full, periodic_constant_reduced,
-                       plain_zeta, quasipoly_value, surgery_check, sw_norm,
-                       verify_symmetry)
+                       plain_zeta, quasipoly_value, surgery_check, sw_norm)
 from .curves import (CurveDataError, MultibranchCurve, delta_branch,
                      delta_total, hilbert_table, parse_curve, poincare_series,
                      verify_inversion)

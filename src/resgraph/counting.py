@@ -63,7 +63,7 @@ from typing import Sequence
 
 import numpy as _np
 
-from .cycles import RationalCycle, zero_cycle
+from .cycles import RationalCycle
 from .graphs import (InternalCheckError, ResolutionGraph, SubgraphComponent, chi,
                      laufer_saturate, strict_interior_cycle, subgraph_components)
 from .series import TABLE_STATE_CAP, TableBudgetExceeded, ZetaSpec, build_zeta
@@ -979,22 +979,7 @@ def periodic_constant_reduced(graph: ResolutionGraph, spec: ZetaSpec,
 
 
 # ---------------------------------------------------------------------------
-# structural checks
-
-def verify_symmetry(graph: ResolutionGraph) -> bool:
-    """Functional-equation check for the zeta factorisation.
-
-    Substituting 1/t into the factor product and clearing denominators
-    multiplies by the monomial of exponent sum((val - 2) E*) and the sign
-    (-1)**sum(val - 2); the product is symmetric exactly when that exponent
-    is the canonical cycle minus the unit cycle and the sign is even.
-    """
-    total_power = sum(v - 2 for v in graph.valences)
-    shift = zero_cycle(graph.n)
-    for i in range(graph.n):
-        shift = shift + (graph.valences[i] - 2) * graph.duals[i]
-    return total_power % 2 == 0 and shift == graph.canonical - graph.unit_cycle
-
+# tree surgery
 
 @dataclass(frozen=True)
 class SurgeryReport:

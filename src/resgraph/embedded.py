@@ -62,11 +62,7 @@ class EmbeddedCurve:
 
     @property
     def cycle(self) -> RationalCycle:
-        total = zero_cycle(self.graph.n)
-        for i, a in enumerate(self.multiplicities):
-            if a:
-                total = total + a * self.graph.duals[i]
-        return total
+        return self.graph.dual_combination(self.multiplicities)
 
     @property
     def support_positions(self) -> tuple[int, ...]:
@@ -86,7 +82,7 @@ class EmbeddedCurve:
 
 def dual_support_positions(graph: ResolutionGraph, x: RationalCycle) -> tuple[int, ...]:
     """Vertices pairing nontrivially with x (support in the dual basis)."""
-    return tuple(v for v in range(graph.n) if graph.form.pair_basis(x, v) != 0)
+    return tuple(v for v, p in enumerate(graph.form.apply_scaled(x.num)) if p)
 
 
 def kappa_topological(graph: ResolutionGraph, x: RationalCycle,

@@ -8,6 +8,13 @@ dual cycles, the canonical cycle, the Riemann-Roch quadratic chi, the
 discriminant group L'/L, anti-nef saturation, the Artin rationality test and
 full-subtree projections.
 
+The form A is factored once, in integers, as a Smith form U·A·V = diag(d_k)
+(``IntersectionForm.smith``).  Everything else reads that one factorisation:
+|det|·E*_v is the v-th column of -V·diag(|det|/d_k)·U, a class of L'/L is
+U·a mod diag for the dual-basis coordinates a, and the representative of a
+class is -V·diag^{-1}·coords.  A dual-basis sum is one integer product over
+|det| (``ResolutionGraph.dual_combination``).
+
 Vertex genera are implicitly zero throughout; the link of any graph accepted
 here is a rational homology sphere, and nothing else is representable.
 """
@@ -15,14 +22,14 @@ here is a rational homology sphere, and nothing else is representable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .cycles import RationalCycle, zero_cycle
-from .snf import (fraction_inverse, int_det, leading_principal_minors,
-                  smith_normal_form, unimodular_inverse)
+from .cycles import RationalCycle
+from .snf import int_det, leading_principal_minors, smith_normal_form
 
 
 class GraphError(ValueError):
@@ -75,9 +82,15 @@ class IntersectionForm:
         return abs(self.det)
 
     @cached_property
-    def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        inv = fraction_inverse([list(r) for r in self.rows])
-        return tuple(tuple(row) for row in inv)
+    def smith(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                             tuple[tuple[int, ...], ...]]:
+        """``(diag, U, V)`` with U·A·V = diag(d_k): the one factorisation the
+        duals, the discriminant group and its representatives are read from.
+        The invariant factors are checked to multiply to the Bareiss |det|."""
+        diag, u, v = smith_normal_form([list(r) for r in self.rows])
+        if math.prod(diag) != self.det_abs:
+            raise InternalCheckError("invariant factors do not multiply to |det|")
+        return tuple(diag), tuple(map(tuple, u)), tuple(map(tuple, v))
 
     def pair(self, x: RationalCycle, y: RationalCycle) -> Fraction:
         """(x, y) as an exact rational: an integer sum over the numerators,
@@ -213,26 +226,39 @@ class ResolutionGraph:
         return self.form.det_abs
 
     @cached_property
-    def duals(self) -> tuple[RationalCycle, ...]:
-        """E*_v for every vertex: the unique cycles with (E*_u, E_v) = -delta_uv.
+    def _scaled_duals(self) -> tuple[tuple[int, ...], ...]:
+        """|det|·E*_v for every v: the columns of -V·diag(|det|/d_k)·U, read
+        off the Smith form U·A·V = diag(d_k), since A^{-1} = V·diag^{-1}·U.
 
         Negative definiteness of a connected tree forces every entry to be
-        strictly positive; this is checked.
+        strictly positive, and A·(|det|·E*_v) must be -|det|·e_v; both are
+        checked.
         """
-        inv = self.form.inverse
-        out = []
-        for v in range(self.n):
-            col = [-inv[u][v] for u in range(self.n)]
-            cyc = RationalCycle.from_fractions(col)
-            if not all(a > 0 for a in cyc.num):
+        d = self.det_abs
+        diag, u, v = self.form.smith
+        su = [[(d // x) * a for a in row] for x, row in zip(diag, u)]
+        cols = tuple(tuple(-sum(vw[k] * su[k][c] for k in range(self.n)) for vw in v)
+                     for c in range(self.n))
+        for c, col in enumerate(cols):
+            if not all(a > 0 for a in col):
                 raise InternalCheckError("dual cycle with a nonpositive entry")
-            out.append(cyc)
-        for v, cyc in enumerate(out):
-            for u in range(self.n):
-                expect = Fraction(-1 if u == v else 0)
-                if self.form.pair_basis(cyc, u) != expect:
-                    raise InternalCheckError("dual cycle does not invert the form")
-        return tuple(out)
+            if self.form.apply_scaled(col) != [-d if w == c else 0 for w in range(self.n)]:
+                raise InternalCheckError("dual cycle does not invert the form")
+        return cols
+
+    @cached_property
+    def duals(self) -> tuple[RationalCycle, ...]:
+        """E*_v for every vertex: the unique cycles with (E*_u, E_v) = -delta_uv,
+        each one column of the integer matrix |det|·(-A^{-1}) read off the
+        form's Smith form (see ``_scaled_duals``), over |det|."""
+        return tuple(RationalCycle(col, self.det_abs) for col in self._scaled_duals)
+
+    def dual_combination(self, coeffs: Sequence[int]) -> RationalCycle:
+        """sum_v c_v E*_v for integer coefficients: one integer product over |det|."""
+        cols = self._scaled_duals
+        return RationalCycle(
+            tuple(sum(c * col[w] for c, col in zip(coeffs, cols, strict=True))
+                  for w in range(self.n)), self.det_abs)
 
     def dual(self, vertex_id: int) -> RationalCycle:
         return self.duals[self.index[vertex_id]]
@@ -243,22 +269,15 @@ class ResolutionGraph:
 
     @cached_property
     def sum_duals(self) -> RationalCycle:
-        total = zero_cycle(self.n)
-        for c in self.duals:
-            total = total + c
-        return total
+        return self.dual_combination((1,) * self.n)
 
     @cached_property
     def canonical(self) -> RationalCycle:
         """The canonical cycle, via the valence formula, cross-checked against
-        the adjunction relations it must solve."""
-        zk = self.unit_cycle
-        for v in range(self.n):
-            zk = zk - (2 - self.valences[v]) * self.duals[v]
-        for v in range(self.n):
-            lhs = self.form.pair_basis(zk, v)
-            if lhs != self.eulers[v] + 2:
-                raise InternalCheckError("canonical cycle fails adjunction")
+        the adjunction relations it must solve: (Z_K, E_v) = e_v + 2."""
+        zk = self.unit_cycle + self.dual_combination([val - 2 for val in self.valences])
+        if self.form.apply_scaled(zk.num) != [(e + 2) * zk.den for e in self.eulers]:
+            raise InternalCheckError("canonical cycle fails adjunction")
         return zk
 
     @cached_property
@@ -275,7 +294,7 @@ class ResolutionGraph:
         return [self.form.pair_basis(x, v) for v in range(self.n)]
 
     def in_lipman_cone(self, x: RationalCycle) -> bool:
-        return all(p <= 0 for p in self.antinef_defect(x))
+        return all(p <= 0 for p in self.form.apply_scaled(x.num))
 
 
 # ---------------------------------------------------------------------------
@@ -354,37 +373,26 @@ class DiscriminantGroup:
     Classes are labelled by tuples modulo the nontrivial invariant factors
     (the empty tuple for the trivial group).  ``class_of`` reads the label of
     any cycle of L'; ``frac_rep`` returns the unique representative with all
-    coordinates in [0, 1).
+    coordinates in [0, 1).  Both read the form's one Smith form
+    U·A·V = diag(d_k): the label of x is U·a mod diag for its dual-basis
+    coordinates a, at the positions of the nontrivial factors.
     """
 
     invariant_factors: tuple[int, ...]
     order: int
     _graph: ResolutionGraph = field(repr=False)
-    _u: tuple[tuple[int, ...], ...] = field(repr=False)
-    _uinv: tuple[tuple[int, ...], ...] = field(repr=False)
     _positions: tuple[int, ...] = field(repr=False)  # indices of nontrivial factors
-    _alldiag: tuple[int, ...] = field(repr=False)
     _reps: dict = field(default_factory=dict, compare=False, repr=False)  # class -> frac_rep
 
     @classmethod
     def _from_graph(cls, graph: ResolutionGraph) -> "DiscriminantGroup":
-        rows = [list(r) for r in graph.form.rows]
-        diag, u, _v = smith_normal_form(rows)
-        diag = [abs(x) for x in diag]
-        order = 1
-        for x in diag:
-            order *= x
-        if order != graph.det_abs:
-            raise InternalCheckError("invariant factors do not multiply to |det|")
+        diag = graph.form.smith[0]
         positions = tuple(i for i, x in enumerate(diag) if x > 1)
         grp = cls(
             invariant_factors=tuple(diag[i] for i in positions),
-            order=order,
+            order=graph.det_abs,
             _graph=graph,
-            _u=tuple(tuple(r) for r in u),
-            _uinv=tuple(tuple(r) for r in unimodular_inverse(u)),
             _positions=positions,
-            _alldiag=tuple(diag),
         )
         if grp.class_of(graph.unit_cycle) != grp.zero:
             raise InternalCheckError("integral cycle with nonzero class")
@@ -395,20 +403,21 @@ class DiscriminantGroup:
         return (0,) * len(self.invariant_factors)
 
     def dual_coordinates(self, x: RationalCycle) -> list[int]:
-        """Coordinates of x in the dual-cycle basis: a_v = -(x, E_v)."""
+        """Coordinates of x in the dual-cycle basis: a_v = -(x, E_v), one
+        integer product and one divmod per vertex."""
         out = []
-        for v in range(self._graph.n):
-            p = -self._graph.form.pair_basis(x, v)
-            if p.denominator != 1:
+        for p in self._graph.form.apply_scaled(x.num):
+            a, rem = divmod(-p, x.den)
+            if rem:
                 raise ValueError("cycle does not pair integrally with the lattice")
-            out.append(int(p))
+            out.append(a)
         return out
 
     def class_of(self, x: RationalCycle) -> tuple[int, ...]:
         a = self.dual_coordinates(x)
-        n = self._graph.n
-        coords = [sum(self._u[i][j] * a[j] for j in range(n)) for i in range(n)]
-        return tuple(coords[p] % self._alldiag[p] for p in self._positions)
+        u = self._graph.form.smith[1]
+        return tuple(sum(r * b for r, b in zip(u[p], a)) % m
+                     for p, m in zip(self._positions, self.invariant_factors))
 
     def add(self, h1: tuple[int, ...], h2: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a + b) % m for a, b, m in zip(h1, h2, self.invariant_factors, strict=True))
@@ -423,17 +432,15 @@ class DiscriminantGroup:
         return [tuple(t) for t in itertools.product(*(range(m) for m in self.invariant_factors))]
 
     def representative(self, h: tuple[int, ...]) -> RationalCycle:
-        """Some cycle of L' whose class is h (an integer combination of duals)."""
-        n = self._graph.n
-        coords = [0] * n
-        for val, p in zip(h, self._positions, strict=True):
-            coords[p] = val
-        a = [sum(self._uinv[i][j] * coords[j] for j in range(n)) for i in range(n)]
-        out = zero_cycle(n)
-        for v, av in enumerate(a):
-            if av:
-                out = out + av * self._graph.duals[v]
-        return out
+        """Some cycle of L' whose class is h: -V·diag^{-1}·coords, with coords
+        the label h placed at the nontrivial factors, read off the Smith form
+        U·A·V = diag(d_k) as one cycle over |det|.  It is the dual-basis
+        combination with coefficients U^{-1}·coords."""
+        diag, _u, v = self._graph.form.smith
+        scaled = [(p, x * (self.order // diag[p]))
+                  for x, p in zip(h, self._positions, strict=True)]
+        return RationalCycle(tuple(-sum(vw[p] * x for p, x in scaled) for vw in v),
+                             self.order)
 
     def frac_rep(self, h: tuple[int, ...]) -> RationalCycle:
         """The reduced representative of h: all coordinates in [0, 1).  Built
@@ -528,14 +535,13 @@ class SubgraphComponent:
     rows: tuple[tuple[int, ...], ...]  # ambient (E_v, E_u) for v in vertex_ids
 
     def project(self, x: RationalCycle) -> RationalCycle:
-        out = zero_cycle(self.graph.n)
-        for vid, row in zip(self.vertex_ids, self.rows):
+        coeffs = []
+        for row in self.rows:
             a, rem = divmod(-sum(r * c for r, c in zip(row, x.num)), x.den)
             if rem:
                 raise ValueError("projection input must lie in the dual lattice")
-            if a:
-                out = out + a * self.graph.duals[self.graph.index[vid]]
-        return out
+            coeffs.append(a)
+        return self.graph.dual_combination(coeffs)
 
 
 def subgraph_components(graph: ResolutionGraph,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .cycles import RationalCycle, zero_cycle
+from .cycles import RationalCycle
 from .graphs import (GraphError, NotNegativeDefiniteError, ResolutionGraph,
                      artin_rationality)
 
@@ -68,12 +68,7 @@ def random_rational_graph(rng: random.Random, max_vertices: int = 6,
 def random_antinef(rng: random.Random, graph: ResolutionGraph,
                    max_coeff: int = 2) -> RationalCycle:
     """Random small element of the anti-nef cone (dual-basis combination)."""
-    total = zero_cycle(graph.n)
-    for i in range(graph.n):
-        c = rng.randint(0, max_coeff)
-        if c:
-            total = total + c * graph.duals[i]
-    return total
+    return graph.dual_combination([rng.randint(0, max_coeff) for _ in range(graph.n)])
 
 
 def random_class(rng: random.Random, graph: ResolutionGraph) -> tuple[int, ...]:

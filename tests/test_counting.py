@@ -24,8 +24,7 @@ from resgraph.counting import (StabilizationError, TableBudgetExceeded,
                                modified_qp_closed,
                                periodic_constant_full,
                                periodic_constant_reduced, plain_zeta,
-                               quasipoly_value, surgery_check, sw_norm,
-                               verify_symmetry)
+                               quasipoly_value, surgery_check, sw_norm)
 from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph.embedded import verify_twisted_duality
 from resgraph.graphs import chi, min_antinef_rep, parse_graph, strict_interior_cycle
@@ -972,7 +971,7 @@ def test_fit_skips_substrides_that_mix_quasi_period_constituents():
 
 
 # ---------------------------------------------------------------------------
-# symmetry and surgery
+# surgery
 
 def test_rational_counting_is_chi_exact_beyond_canonical():
     # on rational graphs, counting at points of the canonically shifted cone
@@ -992,18 +991,6 @@ def test_rational_counting_is_chi_exact_beyond_canonical():
             assert got == expect
             checked += 1
     assert checked >= 30
-
-
-def test_symmetry_known_graphs(a3, dihedral, brieskorn):
-    assert verify_symmetry(a3)
-    assert verify_symmetry(dihedral)
-    assert verify_symmetry(brieskorn)
-
-
-def test_symmetry_random_trees():
-    rng = random.Random(13)
-    for _ in range(25):
-        assert verify_symmetry(random_rational_graph(rng, max_vertices=7))
 
 
 def test_surgery_keep_everything_is_trivial(dihedral):

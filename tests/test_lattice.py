@@ -3,6 +3,7 @@ anti-nef saturation, rationality, subtree projections."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import DIHEDRAL_TEXT, dihedral_rows
 from resgraph.cycles import RationalCycle, basis_cycle, zero_cycle
+from resgraph import graphs as graphs_module
 from resgraph.graphs import (DiscriminantGroup, GraphError, GraphSyntaxError,
-                             InternalCheckError, NotATreeError,
+                             InternalCheckError, IntersectionForm, NotATreeError,
                              NotNegativeDefiniteError,
                              artin_rationality, chi,
                              fundamental_cycle, is_rational, laufer_saturate,
@@ -199,6 +201,94 @@ def test_frac_rep_check_raises_on_a_wrong_representative(monkeypatch):
         with pytest.raises(InternalCheckError, match="misses class"):
             grp.frac_rep(h)
     assert h not in grp._reps
+
+
+# ---------------------------------------------------------------------------
+# one factorisation: the Smith form against the parent's algorithms
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+
+@pytest.fixture(scope="module")
+def lattice_draws():
+    """The shipped graphs and seeded random rational trees, twelve of them
+    drawn without an order cap so that |H| reaches the thousands."""
+    shipped = [parse_graph(p.read_text()) for p in sorted(GRAPHS.glob("*.graph"))]
+    rng = random.Random(14)
+    uncapped = [random_rational_graph(rng, max_vertices=7, order_cap=None)
+                for _ in range(12)]
+    rng = random.Random(15)
+    capped = [random_rational_graph(rng, max_vertices=7) for _ in range(12)]
+    graphs = shipped + uncapped + capped
+    assert max(g.det_abs for g in graphs) >= 1000
+    return graphs
+
+
+def _dual_sum(g, coeffs):
+    """The dual-basis sum as a loop of RationalCycle additions."""
+    total = zero_cycle(g.n)
+    for c, dual in zip(coeffs, g.duals, strict=True):
+        if c:
+            total = total + c * dual
+    return total
+
+
+def test_duals_match_the_fraction_inverse(lattice_draws):
+    for g in lattice_draws:
+        rows = [list(r) for r in g.form.rows]
+        diag, u, v = g.form.smith
+        assert _product(_product(u, rows), v) == [
+            [diag[i] if i == j else 0 for j in range(g.n)] for i in range(g.n)]
+        inv = fraction_inverse(rows)
+        for v in range(g.n):
+            assert g.duals[v] == RationalCycle.from_fractions(
+                [-inv[u][v] for u in range(g.n)])
+
+
+def test_representative_matches_the_dual_sum_of_u_inverse(lattice_draws):
+    for g in lattice_draws:
+        diag, u, _v = g.form.smith
+        uinv = unimodular_inverse([list(r) for r in u])
+        positions = [p for p, d in enumerate(diag) if d > 1]
+        grp = g.group
+        for h in grp.elements():
+            coords = [0] * g.n
+            for x, p in zip(h, positions, strict=True):
+                coords[p] = x
+            a = [sum(r * c for r, c in zip(row, coords)) for row in uinv]
+            rep = grp.representative(h)
+            assert rep == _dual_sum(g, a)
+            assert grp.class_of(rep) == h
+
+
+def test_dual_combination_matches_the_sum_loop(lattice_draws):
+    rng = random.Random(16)
+    for g in lattice_draws:
+        for _ in range(6):
+            coeffs = [rng.randint(-3, 3) for _ in range(g.n)]
+            x = g.dual_combination(coeffs)
+            assert x == _dual_sum(g, coeffs)
+            assert g.in_lipman_cone(x) == all(p <= 0 for p in g.antinef_defect(x))
+        assert g.sum_duals == _dual_sum(g, [1] * g.n)
+
+
+def test_a_wrong_smith_form_makes_duals_raise(monkeypatch):
+    # an explicit raise, so the check also runs under python -O
+    graph = parse_graph(DIHEDRAL_TEXT)
+    diag, u, v = graph.form.smith
+    wrong = (diag, (u[1], u[0]) + u[2:], v)
+    monkeypatch.setattr(IntersectionForm, "smith", property(lambda self: wrong))
+    with pytest.raises(InternalCheckError, match="dual cycle"):
+        parse_graph(DIHEDRAL_TEXT).duals
+
+
+def test_invariant_factors_are_checked_against_the_determinant(monkeypatch):
+    def bad_snf(rows):
+        diag, u, v = smith_normal_form(rows)
+        return diag[:-1] + [2 * diag[-1]], u, v
+    monkeypatch.setattr(graphs_module, "smith_normal_form", bad_snf)
+    with pytest.raises(InternalCheckError, match="multiply to"):
+        parse_graph(DIHEDRAL_TEXT).group
 
 
 # ---------------------------------------------------------------------------
