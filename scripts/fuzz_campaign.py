@@ -16,6 +16,7 @@ import time
 from functools import partial
 
 from resgraph.cli import check_delta, check_duality, check_surgery, check_sw, tally
+from resgraph.counting import MAX_SUBSTRIDE
 from resgraph.randtrees import (random_antinef, random_class,
                                 random_positions, random_rational_graph,
                                 random_unit_arrows)
@@ -27,7 +28,7 @@ def duality(rng, trials):
         twist = random_antinef(rng, graph, max_coeff=1) \
             if rng.random() < 0.7 else None
         yield f"trial {t}", partial(check_duality, graph, twist, random_class(rng, graph),
-                                    random_positions(rng, graph), 12)
+                                    random_positions(rng, graph), MAX_SUBSTRIDE)
 
 
 def sw_identity(rng, trials):
@@ -49,7 +50,7 @@ def surgery(rng, trials):
 def dual_route_delta(rng, trials):
     for t in range(trials):
         graph = random_unit_arrows(rng, random_rational_graph(rng, max_vertices=6))
-        yield f"trial {t}", partial(check_delta, graph, 12)
+        yield f"trial {t}", partial(check_delta, graph, MAX_SUBSTRIDE)
 
 
 CAMPAIGNS = [

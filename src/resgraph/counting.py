@@ -40,9 +40,12 @@ form.  Only the reachable cells are kept, as sorted packed int64 keys, and
 each generator is added by binary doubling.  Counts are Python ints instead of int64 once a ray sum could
 overflow.
 
-Periodic constants are read off by sampling the counting function along a
-ray interior to the Lipman cone, stabilising a Newton difference table on
-the deep tail, and extrapolating the fitted polynomial back to the ray base.
+Every periodic constant goes through ``periodic_constant_reduced``: the
+plain zeta function (twisted or not) in all its variables has a closed one,
+chi quadratic plus normalised SW invariant, and any other is read off by
+sampling the counting function along a ray interior to the Lipman cone,
+stabilising a Newton difference table on the deep tail, and extrapolating
+the fitted polynomial back to the ray base.
 Samples sit on an even grid k = s, 2s, ..., so the back-check and the
 extrapolation are integer operations on the difference rows (Newton's
 backward formula); no rational interpolation is needed.  Two strides must
@@ -119,6 +122,7 @@ def _memo(fn):
 
 FIT_WINDOW = 3  # length of the constant difference tail a fit demands
 SPECIAL_CAP = 64  # largest period candidate read off the generators
+MAX_SUBSTRIDE = 12  # a fit sweeps substrides up to this, then candidate periods
 RAY_DEPTHS = (12, 18, 26, 38, 56, 80)  # ray depths every fit tries
 MAX_RAY_DEPTH = 320  # deepest ray queued for a long period
 
@@ -502,12 +506,6 @@ def _two_gen_count(spec: ZetaSpec, residue: tuple[int, ...], positions: tuple[in
     return total
 
 
-def _q_two_gens(spec: ZetaSpec, residue: tuple[int, ...],
-                positions: tuple[int, ...], xs: tuple[int, ...]) -> int:
-    """The modified count of a two-generator spec: every position below."""
-    return _two_gen_count(spec, residue, positions, xs, union=False)
-
-
 def _signed_subsets(positions: Sequence[int]):
     """Nonempty subsets with their inclusion-exclusion signs, sizes ascending,
     then ``itertools.combinations`` order.  Tables grow monotonically, so the
@@ -530,7 +528,7 @@ def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
     d = spec.den
     xs = x.scaled(d)
     if len(spec.dens) == 2:
-        return _q_two_gens(spec, residue, pos, xs)
+        return _two_gen_count(spec, residue, pos, xs, union=False)
     targets = []
     for coeff, base in spec.num:
         t = tuple(xs[p] - base[p] for p in pos)
@@ -580,7 +578,7 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
     nk + 1, and every state counted at some k <= nk lies in the depth-nk
     box, so the value at k depends neither on nk nor on how far the table
     has grown.  A two-generator spec (a chain) reads no table: each point
-    past the known prefix is one closed count (``_q_two_gens``).  The values
+    past the known prefix is one closed count (``_two_gen_count``).  The values
     are kept beside the spec's tables, per untwisted ray (residue,
     positions, and base and step on the positions): a shallower request is a
     prefix of the deepest list found so far, and only a deeper one scans
@@ -602,7 +600,7 @@ def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
         vals = list(known)
         for k in range(len(known) + 1, nk + 1):
             xk = tuple(b + k * s for b, s in zip(bs, ss))
-            vals.append(_q_two_gens(spec, residue, positions, xk))
+            vals.append(_two_gen_count(spec, residue, positions, xk, union=False))
     else:
         bounds = []
         for p in positions:
@@ -730,7 +728,8 @@ def _stabilised_extrapolation(vals: Sequence[int], deg_cap: int) -> int | None:
 
 def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
                     positions: Sequence[int], base: RationalCycle,
-                    direction: RationalCycle, max_substride: int = 12) -> int:
+                    direction: RationalCycle,
+                    max_substride: int = MAX_SUBSTRIDE) -> int:
     """Value at the ray base of the polynomial the counting function agrees
     with deep along ``base + k * direction``.
 
@@ -836,7 +835,7 @@ def _ray_directions(graph: ResolutionGraph,
 
 def fitted_qp_value(graph: ResolutionGraph, spec: ZetaSpec,
                     residue: tuple[int, ...], positions: Sequence[int],
-                    base: RationalCycle, max_substride: int = 12,
+                    base: RationalCycle, max_substride: int = MAX_SUBSTRIDE,
                     modified: bool = False) -> int:
     """Ray-fitted quasi-polynomial value with direction retry.
 
@@ -953,29 +952,26 @@ def _twist_data(graph: ResolutionGraph, spec: ZetaSpec,
 
 def periodic_constant_full(graph: ResolutionGraph, spec: ZetaSpec,
                            h: tuple[int, ...]) -> int:
-    """Periodic constant of one class part in all variables.
-
-    In the full variable set the counting quasi-polynomial is the closed
-    quadratic chi form plus the normalised SW constant, so no fitting is
-    needed; the untwisted case collapses to the SW constant itself.
-    """
-    group = graph.group
-    g, base = _twist_data(graph, spec, h)
-    rg = group.frac_rep(g)
-    return _integral(chi(graph, base) - chi(graph, rg) + sw_norm(graph, g),
-                     "full periodic constant")
+    """Periodic constant of one class part in all variables."""
+    return periodic_constant_reduced(graph, spec, h, range(graph.n))
 
 
 def periodic_constant_reduced(graph: ResolutionGraph, spec: ZetaSpec,
                               h: tuple[int, ...], positions: Sequence[int],
-                              max_substride: int = 12,
+                              max_substride: int = MAX_SUBSTRIDE,
                               modified: bool = False) -> int:
-    """Periodic constant of one class part reduced to a variable subset,
-    via the two-stride ray fit."""
+    """Periodic constant of one class part reduced to a variable subset, and
+    the one place its route is chosen: the closed form for the plain zeta
+    function (twisted or not) in all variables, else the two-stride ray fit,
+    also for a relative series with every vertex marked."""
     g, base = _twist_data(graph, spec, h)
-    return fitted_qp_value(graph, spec.untwisted(),
-                           graph.residue(graph.group.frac_rep(g)),
-                           tuple(positions), base, max_substride, modified)
+    spec = spec.untwisted()
+    rg = graph.group.frac_rep(g)
+    if len(positions) == graph.n and spec == plain_zeta(graph):
+        closed = modified_qp_closed if modified else counting_qp_closed
+        return closed(graph, g, positions, base - rg)
+    return fitted_qp_value(graph, spec, graph.residue(rg), positions, base,
+                           max_substride, modified)
 
 
 # ---------------------------------------------------------------------------

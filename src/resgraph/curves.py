@@ -3,7 +3,9 @@
 A curve with r branches is described by its value set inside the box below
 the conductor: the finite list of multi-orders realised by functions on the
 germ.  Membership beyond the box follows the conductor rule: a vector
-belongs to the semigroup iff its coordinatewise clamp to the conductor does.
+belongs to the semigroup iff its coordinatewise clamp to the conductor does,
+so a value set is accepted only if the clamp of s + t is a value for every
+pair of values s, t.
 From this single piece of data the module computes the multivariable Hilbert
 function, the signed Poincare coefficients, and the delta invariant three
 ways (gap counts of the branches plus the alternating evaluation sum, the
@@ -111,18 +113,21 @@ class MultibranchCurve:
             raise CurveDataError("the zero vector must belong to the value set")
         if c not in self.values:
             raise CurveDataError("the conductor must belong to the value set")
-        # s + t for every value t with s + t <= c must be a value; the first
-        # failing t in lexicographic order is the first missing sum
+        # the clamp of s + t to c must be a value for every value t (the
+        # membership rule); the first failing t in lexicographic order is the
+        # first missing sum
         present = _indicator(c, self.values)
-        absent = ~present
+        # absence on [0, 2c], a cell past c read at its clamp
+        absent = ~present[np.ix_(*(np.minimum(np.arange(2 * m + 1), m) for m in c))]
         for s in sorted(self.values):
-            room = tuple(slice(0, m - x + 1) for x, m in zip(s, c))
-            sums = tuple(slice(x, m + 1) for x, m in zip(s, c))
-            t = _first(present[room] & absent[sums])
+            sums = tuple(slice(x, x + m + 1) for x, m in zip(s, c))
+            t = _first(present & absent[sums])
             if t is not None:
                 u = tuple(a + b for a, b in zip(s, t))
+                w = tuple(map(min, u, c))
+                clamp = "" if u == w else f" clamps to {w}, which"
                 raise CurveDataError(f"value set is not closed under addition: "
-                                     f"{s} + {t} = {u} is missing")
+                                     f"{s} + {t} = {u}{clamp} is missing")
 
     # -- constructors -------------------------------------------------------
 

@@ -6,7 +6,8 @@ delta invariant and the local Riemann-Roch correction of the curve are
 exact chi expressions in minimal anti-nef representatives; the kappa
 counting invariants are defined on every graph, and the rationality gate
 is what separates them.  Verification routines compare the twisted-duality
-sides and reassemble delta through the relative series route.
+sides and reassemble delta through the relative series route, with every
+periodic constant from ``periodic_constant_reduced`` (closed form or ray fit).
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import (InternalCheckError, StabilizationError, counting_Q,
-                       counting_q, fitted_qp_value, modified_qp_closed,
-                       periodic_constant_full, periodic_constant_reduced,
+from .counting import (MAX_SUBSTRIDE, InternalCheckError, StabilizationError,
+                       counting_Q, counting_q, periodic_constant_reduced,
                        plain_zeta)
 from .cycles import RationalCycle, zero_cycle
 from .graphs import (ResolutionGraph, artin_rationality, chi,
@@ -173,14 +173,12 @@ class DualityReport:
 
 def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
                            h: tuple[int, ...], positions: Sequence[int],
-                           max_substride: int = 12) -> DualityReport:
+                           max_substride: int = MAX_SUBSTRIDE) -> DualityReport:
     """Compare the periodic constant of a twisted class part against the
     counting value of the dual class at the reflected argument, in both the
     plain and the modified form.
 
-    The plain constant comes from the ray fit (closed form when every
-    variable is kept); the modified one is assembled subsetwise, with the
-    full-variable instance drawing on the closed surgery evaluation.
+    Both constants come from ``periodic_constant_reduced``.
     """
     group = graph.group
     pos = tuple(sorted(positions))
@@ -195,29 +193,15 @@ def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
     rhs = counting_Q(pspec, rres, pos, rhs_arg)
     rhs_mod = counting_q(pspec, rres, pos, rhs_arg)
     dual_shift = tw + group.frac_rep(group.sub(h, h0))
-    g = group.sub(h, h0)
-    lbar = group.frac_rep(h) - tw - group.frac_rep(g)
-    lhs: int | None
-    lhs_mod: int | None
-    try:
-        if len(pos) == graph.n:
-            lhs = periodic_constant_full(graph, spec, h)
-        else:
-            lhs = periodic_constant_reduced(graph, spec, h, pos, max_substride)
-        status = "pass" if lhs == rhs else "fail"
-    except StabilizationError:
-        lhs = None
-        status = "inconclusive"
-    try:
-        if len(pos) == graph.n:
-            lhs_mod = modified_qp_closed(graph, g, pos, lbar)
-        else:
-            lhs_mod = periodic_constant_reduced(graph, spec, h, pos, max_substride,
-                                                modified=True)
-        status_mod = "pass" if lhs_mod == rhs_mod else "fail"
-    except StabilizationError:
-        lhs_mod = None
-        status_mod = "inconclusive"
+    sides = []
+    for modified, want in ((False, rhs), (True, rhs_mod)):
+        try:
+            value = periodic_constant_reduced(graph, spec, h, pos, max_substride,
+                                              modified)
+            sides.append((value, "pass" if value == want else "fail"))
+        except StabilizationError:
+            sides.append((None, "inconclusive"))
+    (lhs, status), (lhs_mod, status_mod) = sides
     return DualityReport(h=h, twist=tw, positions=pos, dual_shift=dual_shift,
                          lhs=lhs, rhs=rhs, lhs_modified=lhs_mod,
                          rhs_modified=rhs_mod, status=status,
@@ -247,14 +231,13 @@ def _relative_pc(graph: ResolutionGraph, arrow_ids: tuple[int, ...],
     For a single marked vertex this is minus the branch delta; for two or
     more the series is a polynomial and the constant is its coefficient
     sum, the evaluation at one."""
-    spec = build_zeta(graph, relative=arrow_ids)
-    pos = tuple(graph.index[v] for v in arrow_ids)
-    return fitted_qp_value(graph, spec, graph.residue(zero_cycle(graph.n)),
-                           pos, zero_cycle(graph.n), max_substride)
+    return periodic_constant_reduced(graph, build_zeta(graph, relative=arrow_ids),
+                                     graph.group.zero,
+                                     [graph.index[v] for v in arrow_ids], max_substride)
 
 
 def delta_cross_check(graph: ResolutionGraph, curve: EmbeddedCurve,
-                      max_substride: int = 12) -> DeltaCrossCheckReport:
+                      max_substride: int = MAX_SUBSTRIDE) -> DeltaCrossCheckReport:
     """Assemble delta from periodic constants of relative series over every
     branch subset and compare with the direct chi expression.
 

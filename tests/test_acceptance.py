@@ -13,8 +13,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from conftest import dihedral_rows, sample_curves
 from resgraph.counting import (StabilizationError, plain_zeta,
                                surgery_check, sw_norm)
@@ -133,7 +131,6 @@ def test_criterion_3_nonrational(brieskorn, brieskorn_blown):
     report("criterion 3 (non-rational germ)", ok, time.monotonic() - t0, 5.0)
 
 
-@pytest.mark.slow
 def test_criterion_4_twisted_duality(a3, dihedral):
     t0 = time.monotonic()
     checked = failures = inconclusive = 0

@@ -372,6 +372,24 @@ def test_curve_over_the_box_cap_is_refused(args, capsys):
     assert err == "error: the box [0, conductor + 1] holds more than 2048 cells; refused\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    # once reported delta = 2 and a passing inversion
+    ("branches 2\nconductor 3 2\ns 0 0\ns 1 2\ns 2 1\ns 3 2\n",
+     "(1, 2) + (1, 2) = (2, 4) clamps to (2, 2), which is missing"),
+    # once refused through a one-branch subcurve, in coordinates the file never names
+    ("branches 2\nconductor 1 3\ns 0 0\ns 1 1\ns 1 3\n",
+     "(1, 1) + (1, 1) = (2, 2) clamps to (1, 2), which is missing"),
+], ids=["once-answered", "once-refused-by-a-subcurve"])
+def test_curve_not_closed_under_the_clamp_rule_is_refused(text, message, tmp_path,
+                                                          capsys):
+    path = tmp_path / "bad.curve"
+    path.write_text(text)
+    code, out, err = run_cli(["curve", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: value set is not closed under addition: {message}\n"
+
+
 def test_curve_failed_inversion_reports(monkeypatch, capsys):
     # a Hilbert table off by one at a face cell breaks the inversion identity
     build = curvemod.hilbert_table

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import DIHEDRAL_TEXT
 from resgraph import counting
-from resgraph.counting import (StabilizationError, TableBudgetExceeded,
-                               _build_sparse, _ray_directions, _ray_q_values,
+from resgraph.counting import (MAX_SUBSTRIDE, StabilizationError,
+                               TableBudgetExceeded, _build_sparse,
+                               _ray_directions, _ray_q_values,
                                _stabilised_extrapolation, _table_for,
                                _twist_data, _wide, counting_Q, counting_q,
                                counting_qp_closed, fitted_qp_value,
@@ -26,7 +27,7 @@ from resgraph.counting import (StabilizationError, TableBudgetExceeded,
                                periodic_constant_reduced, plain_zeta,
                                quasipoly_value, surgery_check, sw_norm)
 from resgraph.cycles import RationalCycle, zero_cycle
-from resgraph.embedded import verify_twisted_duality
+from resgraph.embedded import _relative_pc, verify_twisted_duality
 from resgraph.graphs import chi, min_antinef_rep, parse_graph, strict_interior_cycle
 from resgraph.randtrees import random_antinef, random_rational_graph
 from resgraph.series import ZetaSpec, build_zeta, synthetic_spec
@@ -431,7 +432,7 @@ def _two_generator_points(draw, max_vars=3):
 @given(_two_generator_points())
 def test_two_generator_count_matches_pairs_and_tables(case):
     spec, residue, positions, xs = case
-    closed = counting._q_two_gens(spec, residue, positions, xs)
+    closed = counting._two_gen_count(spec, residue, positions, xs, union=False)
     assert closed == _pair_count(spec, residue, positions, xs)
     assert closed == _table_count(spec, residue, positions, xs)
 
@@ -470,7 +471,8 @@ def test_two_generator_union_count_matches_inclusion_exclusion(case):
     spec, residue, positions, xs = case
     union = counting._two_gen_count(spec, residue, positions, xs, union=True)
     assert union == _inclusion_exclusion(
-        lambda sub: counting._q_two_gens(spec, residue, sub, xs), positions)
+        lambda sub: counting._two_gen_count(spec, residue, sub, xs, union=False),
+        positions)
     x = RationalCycle(xs, spec.den)
     assert union == counting_Q(spec, residue, positions, x)
     assert union == brute_count(spec, residue, positions, x, False)
@@ -501,13 +503,19 @@ def test_two_generator_union_below_every_numerator_is_empty():
 def test_chain_counting_Q_makes_no_modified_count(monkeypatch, a3):
     def refuse(*args):
         raise AssertionError("modified count on a chain")
+    closed = counting._two_gen_count
+
+    def union_only(*args, union):
+        if not union:
+            refuse()
+        return closed(*args, union=union)
     spec, twisted = plain_zeta(a3), build_zeta(a3, twist=a3.dual(1))
     x = RationalCycle((3, 2, 1))
     res = a3.residue(x)
     subsets = [sub for _, sub in counting._signed_subsets((0, 1, 2))]
     want = [brute_count(twisted, res, sub, x, False) for sub in subsets]
     monkeypatch.setattr(counting, "counting_q", refuse)
-    monkeypatch.setattr(counting, "_q_two_gens", refuse)
+    monkeypatch.setattr(counting, "_two_gen_count", union_only)
     assert counting_Q(spec, res, (0, 1, 2), x) == 6
     assert [counting_Q(twisted, res, sub, x) for sub in subsets] == want
 
@@ -716,18 +724,19 @@ def test_two_generator_rays_fall_back_pointwise(monkeypatch, fresh_tables):
     shallow = _ray_q_values(spec, plain_res, positions, plain_base, step, 12)
     monkeypatch.setattr(counting, "TABLE_STATE_CAP", 8)  # deeper tables refused
     points = []
-    closed = counting._q_two_gens
+    closed = counting._two_gen_count
 
-    def counted(*args):
+    def counted(*args, union):
+        assert not union
         points.append(args[3])
-        return closed(*args)
-    monkeypatch.setattr(counting, "_q_two_gens", counted)
+        return closed(*args, union=union)
+    monkeypatch.setattr(counting, "_two_gen_count", counted)
     deep = _ray_q_values(twisted, residue, positions, base, step, 40)
     # only the points beyond the known prefix are evaluated
     assert points == [(plain_base + k * step).scaled(5) for k in range(13, 41)]
     assert deep[:12] == shallow
-    assert deep == [closed(spec, plain_res, positions, (plain_base + k * step).scaled(5))
-                    for k in range(1, 41)]
+    assert deep == [closed(spec, plain_res, positions, (plain_base + k * step).scaled(5),
+                           union=False) for k in range(1, 41)]
     assert deep == [counting_q(twisted, residue, positions, base + k * step)
                     for k in range(1, 41)]
     # more than two generators: the refusal reaches the caller, every time,
@@ -886,12 +895,47 @@ def test_sw_brieskorn_regression(brieskorn):
 
 
 def test_reduced_constant_matches_full(a3, dihedral):
+    # the ray fit in all variables against the closed value the entry takes
     for g in (a3, dihedral):
         spec = plain_zeta(g)
         for h in g.group.elements():
-            full = periodic_constant_full(g, spec, h)
-            red = periodic_constant_reduced(g, spec, h, tuple(range(g.n)))
-            assert full == red
+            base = g.group.frac_rep(h)
+            fit = fitted_qp_value(g, spec, g.residue(base), tuple(range(g.n)), base)
+            assert fit == periodic_constant_full(g, spec, h)
+
+
+def test_relative_constant_in_all_variables_is_fitted(a3, dihedral):
+    # every vertex marked is still a relative series, not the plain zeta
+    # function: its closed value (0 on both graphs) does not apply
+    for g in (a3, dihedral):
+        spec = build_zeta(g, relative=g.ids)
+        fit = _relative_pc(g, g.ids, MAX_SUBSTRIDE)
+        assert fit == 1
+        assert periodic_constant_full(g, spec, g.group.zero) == fit
+        assert periodic_constant_reduced(g, spec, g.group.zero, range(g.n)) == fit
+
+
+def test_only_proper_subsets_are_fitted(dihedral, monkeypatch):
+    fits = []
+    fit = counting.quasipoly_value
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+    monkeypatch.setattr(counting, "quasipoly_value", counted)
+    allpos = tuple(range(dihedral.n))
+    for tw in (None, dihedral.dual(1)):
+        spec = build_zeta(dihedral, twist=tw)
+        for h in dihedral.group.elements():
+            for modified in (False, True):
+                periodic_constant_reduced(dihedral, spec, h, allpos, modified=modified)
+    assert fits == []
+    spec = build_zeta(dihedral, twist=dihedral.dual(1))
+    for modified in (False, True):
+        periodic_constant_reduced(dihedral, spec, dihedral.group.zero, (0, 2),
+                                  modified=modified)
+        assert fits
+        fits.clear()
 
 
 def test_twisted_full_constant_matches_counting(dihedral):

@@ -327,8 +327,9 @@ def _outcome(compute):
 
 @st.composite
 def closed_value_sets(draw):
-    """Random value sets closed under addition inside the box; many are not
-    curve semigroups (their Hilbert recursion is path dependent)."""
+    """Random value sets closed under the clamp of sums to the conductor;
+    many are not curve semigroups (their Hilbert recursion is path
+    dependent)."""
     r = draw(st.integers(1, 3))
     c = tuple(draw(st.integers(0, 5)) for _ in range(r))
     values = {(0,) * r, c}
@@ -338,9 +339,8 @@ def closed_value_sets(draw):
     grown = True
     while grown:
         old = set(values)
-        values |= {u for s in old for t in old
-                   for u in [tuple(a + b for a, b in zip(s, t))]
-                   if all(x <= m for x, m in zip(u, c))}
+        values |= {tuple(min(a + b, m) for a, b, m in zip(s, t, c))
+                   for s in old for t in old}
         if with_minima:
             values |= {tuple(map(min, s, t)) for s in old for t in old}
         grown = values != old
@@ -348,9 +348,9 @@ def closed_value_sets(draw):
 
 
 @given(closed_value_sets())
-@example(MultibranchCurve.from_values(  # mismatches at (1, 0, 1) and (2, 1, 1)
-    [(0, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1), (2, 2, 0),
-     (2, 2, 1)], (2, 2, 1)))
+@example(MultibranchCurve.from_values(  # recursion disagrees at 12 cells, first (1, 0, 1)
+    [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
+     (2, 2, 0), (2, 2, 1)], (2, 2, 1)))
 @settings(max_examples=300, deadline=None)
 def test_array_layer_matches_per_cell_oracle(curve):
     box = list(_boxes(tuple(x + 1 for x in curve.conductor)))
@@ -366,13 +366,16 @@ def test_array_layer_matches_per_cell_oracle(curve):
 
 
 def oracle_closure_error(values, c):
-    """The first missing sum s + t over sorted pairs of values, as an error."""
+    """The first sum s + t over sorted pairs of values whose clamp to the
+    conductor is missing, as an error."""
     for s in sorted(values):
         for t in sorted(values):
             u = tuple(a + b for a, b in zip(s, t))
-            if all(x <= m for x, m in zip(u, c)) and u not in values:
+            w = tuple(min(x, m) for x, m in zip(u, c))
+            if w not in values:
+                clamp = "" if u == w else f" clamps to {w}, which"
                 return ("error", f"value set is not closed under addition: "
-                                 f"{s} + {t} = {u} is missing")
+                                 f"{s} + {t} = {u}{clamp} is missing")
     return "value", None
 
 
