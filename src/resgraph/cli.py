@@ -186,17 +186,12 @@ def _cause(exc: Exception) -> str:
 
 
 def check_duality(graph: ResolutionGraph, twist: RationalCycle | None, h: tuple[int, ...],
-                  positions: tuple[int, ...], max_substride: int) -> tuple[str, str]:
-    """Twisted duality, plain and modified: a failure on either side fails,
-    otherwise a side whose ray fit did not stabilise is inconclusive."""
-    rep = verify_twisted_duality(graph, twist, h, positions, max_substride)
-    if rep.failed:
-        return "fail", (f": pc {rep.lhs} vs count {rep.rhs}, "
-                        f"mpc {rep.lhs_modified} vs {rep.rhs_modified}")
-    if "inconclusive" in (rep.status, rep.status_modified):
-        which = "pc" if rep.status == "inconclusive" else "mpc"
-        return "inconclusive", f": {which} ray fit did not stabilise"
-    return "pass", ""
+                  positions: tuple[int, ...]) -> tuple[str, str]:
+    """Twisted duality, plain and modified: a failure on either side fails."""
+    rep = verify_twisted_duality(graph, twist, h, positions)
+    return ("pass", "") if rep.passed else \
+        ("fail", f": pc {rep.lhs} vs count {rep.rhs}, "
+                 f"mpc {rep.lhs_modified} vs {rep.rhs_modified}")
 
 
 def check_surgery(graph: ResolutionGraph, keep: list[int],
@@ -206,9 +201,9 @@ def check_surgery(graph: ResolutionGraph, keep: list[int],
     return ("pass", "") if rep.passed else ("fail", f" residual={rep.residual}")
 
 
-def check_delta(graph: ResolutionGraph, max_substride: int) -> tuple[str, str]:
+def check_delta(graph: ResolutionGraph) -> tuple[str, str]:
     """Delta of the curve the graph's arrows declare, by both routes."""
-    rep = delta_cross_check(graph, EmbeddedCurve.from_graph_arrows(graph), max_substride)
+    rep = delta_cross_check(graph, EmbeddedCurve.from_graph_arrows(graph))
     return ("pass", "") if rep.passed else \
         ("fail", f": series route {rep.delta_series} vs chi route {rep.delta_chi}")
 
@@ -259,7 +254,7 @@ def _duality_cases(graph: ResolutionGraph, args: argparse.Namespace,
                   random_positions(rng, graph)) for _ in range(args.trials)]
     for tw, h, positions in cases:
         yield (f"h={h} I={positions} twist={tw}",
-               partial(check_duality, graph, tw, h, positions, args.stride))
+               partial(check_duality, graph, tw, h, positions))
 
 
 def _surgery_cases(graph: ResolutionGraph, args: argparse.Namespace,
@@ -283,7 +278,7 @@ def _cdgz_delta_cases(graph: ResolutionGraph, args: argparse.Namespace,
         if any(a > 1 for a in probe.arrows):
             lines.append("  skip: arrow multiplicities above one")
             continue
-        yield f"arrows={probe.arrows}", partial(check_delta, probe, args.stride)
+        yield f"arrows={probe.arrows}", partial(check_delta, probe)
 
 
 def _sw_cases(graph: ResolutionGraph, args: argparse.Namespace,
@@ -383,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--bound", type=_positive_rational, default="3",
                     help="expansion window bound (positive rational, e.g. 5/2)")
     ap.add_argument("--depth", type=int, default=3, help="surgery probe depth")
-    ap.add_argument("--stride", type=_positive_int, default=5,
-                    help="substride sweep ceiling for the periodic-constant fit")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trials", type=_positive_int, default=25)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -4,53 +4,47 @@ Two sums over the support of a class part are needed: the counting function
 (exponents not dominating the test cycle on a variable subset) and the
 modified one (exponents strictly below it on every chosen coordinate).  With
 three or more generators both reduce, through inclusion-exclusion, to
-box-bounded sums, which are computed from a dynamic-programming table of denominator-exponent sums keyed by the
-projected coordinates and the residue class mod the integral lattice.
-Tables are cached per spec and only grow.  A first build covers exactly the
-box asked for; a box beyond the cached one rebuilds to the union of both
-with each bound rounded up to three significant bits, so a base point that
-creeps with the class does not rebuild at every step.  The rounded box falls
-back to the exact one wherever the budget would refuse it.  Beside its
-tables, a spec keeps the values of every ray scanned so far: a ray is read
-off its table in one histogram pass, and the value at depth k does not
-depend on how deep the pass went, so a shallower request is a prefix of a
-deeper one and only a deeper request scans again.
+box-bounded sums, which are computed from a dynamic-programming table of
+denominator-exponent sums keyed by the projected coordinates and the residue
+class mod the integral lattice.  Tables are cached per spec and only grow.
+A first build covers exactly the box asked for; a box beyond the cached one
+rebuilds to the union of both with each bound rounded up to three
+significant bits, so a point-count base that creeps with the class does not
+rebuild at every step.  The rounded box falls back to the exact one wherever
+the budget would refuse it.
 
-A spec with exactly two generators (a chain) needs no table for a point:
-the multiplicity pairs of the wanted residue are a coset of a rank-2
-lattice read off a Smith normal form, and the pairs of that coset under the
-lower envelope of the positions' lines (the modified count) or under their
-upper envelope (the counting function, with no inclusion-exclusion) are
-counted in closed form by floor sums, with work bounded independently of
-den and of the box.  Its ray scans count each point the same way, so a
-chain builds no table at all.
+A spec with exactly two generators (a chain) needs no table: the
+multiplicity pairs of the wanted residue are a coset of a rank-2 lattice
+read off a Smith normal form, and the pairs of that coset under the lower
+envelope of the positions' lines (the modified count) or under their upper
+envelope (the counting function, with no inclusion-exclusion) are counted in
+closed form by floor sums, with work bounded independently of den and of the
+box.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
-keeps its tables, budget refusals, ray values, Smith normal form, residue
-group and two-generator lattice and cosets, a graph its plain spec, SW
-invariants, ray directions and subgraph components.  Owners are held weakly
-and matched by equality, so an equal owner is served the entries of the
-first one stored, which live as long as that first owner does.  No entry
-refers back to its owner, so an owner and its entries are freed together.
+keeps its tables, budget refusals, Smith normal form, residue group and
+two-generator lattice and cosets, a graph its plain spec, SW invariants and
+subgraph components.  Owners are held weakly and matched by equality, so an
+equal owner is served the entries of the first one stored, which live as
+long as that first owner does.  No entry refers back to its owner, so an
+owner and its entries are freed together.
 
 A table is built as residue -> (coordinates, counts) arrays, on the kept
 coordinates divided by their generator gcds and on the digits of the
 residue class in the subgroup the generators span, read off a Smith normal
 form.  Only the reachable cells are kept, as sorted packed int64 keys, and
-each generator is added by binary doubling.  Counts are Python ints instead of int64 once a ray sum could
-overflow.
+each generator is added by binary doubling.  Counts are Python ints instead
+of int64 once a sum over the table could overflow.
 
-Every periodic constant goes through ``periodic_constant_reduced``: the
-plain zeta function (twisted or not) in all its variables has a closed one,
-chi quadratic plus normalised SW invariant, and any other is read off by
-sampling the counting function along a ray interior to the Lipman cone,
-stabilising a Newton difference table on the deep tail, and extrapolating
-the fitted polynomial back to the ray base.
-Samples sit on an even grid k = s, 2s, ..., so the back-check and the
-extrapolation are integer operations on the difference rows (Newton's
-backward formula); no rational interpolation is needed.  Two strides must
-stabilise and agree before a value is accepted, and a stride that is not a
-multiple of a quasi-period the samples show is never fitted.
+Every periodic constant goes through ``periodic_constant_reduced``, and
+every route is exact.  The plain zeta function (twisted or not) has a closed
+one on any variable subset: chi quadratic plus normalised SW invariant in
+all variables, less the same closed form on each subtree of the complement
+(the surgery formula, Braun-Nemethi, J. reine angew. Math. 638, 2010).  A
+relative series reduced to its two or more marked vertices is a polynomial,
+so its constant is one count past the polynomial's degree bound; reduced to
+one vertex, its class part N / D is divided exactly, N = P D + M, and the
+constant is P(1) (Laszlo-Nemethi, Geom. Topol. 2014).
 """
 
 from __future__ import annotations
@@ -61,20 +55,20 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, wraps
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 from typing import Sequence
 
 import numpy as _np
 
 from .cycles import RationalCycle
 from .graphs import (InternalCheckError, ResolutionGraph, SubgraphComponent, chi,
-                     laufer_saturate, strict_interior_cycle, subgraph_components)
+                     laufer_saturate, subgraph_components)
 from .series import TABLE_STATE_CAP, TableBudgetExceeded, ZetaSpec, build_zeta
-from .snf import fraction_inverse, smith_normal_form, unimodular_inverse
+from .snf import smith_normal_form, unimodular_inverse
 
 
 class StabilizationError(ArithmeticError):
-    """A probe or difference-table fit failed to settle."""
+    """The two margins of an SW probe disagree."""
 
 
 def _integral(val: Fraction, what: str) -> int:
@@ -87,8 +81,7 @@ def _integral(val: Fraction, what: str) -> int:
 # the cache store
 
 # owner -> {("table", positions): (bounds, buckets), ("refused", positions):
-# smallest refused box, ("ray", residue, positions, base, step): ray values,
-# (function name, *key): value of a memoised function}
+# smallest refused box, (function name, *key): value of a memoised function}
 _STORE = weakref.WeakKeyDictionary()
 
 
@@ -119,13 +112,6 @@ def _memo(fn):
 
 # ---------------------------------------------------------------------------
 # partition tables
-
-FIT_WINDOW = 3  # length of the constant difference tail a fit demands
-SPECIAL_CAP = 64  # largest period candidate read off the generators
-MAX_SUBSTRIDE = 12  # a fit sweeps substrides up to this, then candidate periods
-RAY_DEPTHS = (12, 18, 26, 38, 56, 80)  # ray depths every fit tries
-MAX_RAY_DEPTH = 320  # deepest ray queued for a long period
-
 
 @_memo
 def plain_zeta(graph: ResolutionGraph) -> ZetaSpec:
@@ -180,8 +166,9 @@ def _multiset_bound(spec: ZetaSpec, positions: tuple[int, ...],
 
 
 def _wide(spec: ZetaSpec, total: int) -> bool:
-    """Whether scans of a table holding ``total`` multisets could leave int64:
-    a ray histogram sums up to ``sum |coeff| * total`` in absolute value."""
+    """Whether a table holding ``total`` multisets keeps Python-int counts: a
+    count sums at most ``total`` of them, and ``sum |coeff| * total`` bounds
+    that sum weighted by the numerator, conservatively."""
     return sum(abs(c) for c, _ in spec.num) * total >= 2 ** 63
 
 
@@ -321,12 +308,15 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
     """Cached buckets covering the box.
 
     A first build is exact.  A larger box rebuilds the table to the union of
-    both boxes with every bound rounded up to three significant bits, so a
-    base point that creeps along with the class does not force one rebuild
-    per step.  The rounded box is only tried where it cannot be refused by
-    the budget; otherwise, and if its build runs over the budget, the exact
-    box is built, so the rounding never refuses a table the exact box gets.
-    Estimates refuse oversized tables before anything is built."""
+    both boxes with every bound rounded up to three significant bits, so
+    point-count bases that creep along with the class do not force one
+    rebuild per step: with exact union boxes, one in-process pass builds 82
+    tables instead of 57 on the ``sweep-fixed`` benchmark and 407 instead of
+    328 on ``fuzz-points``.  The rounded box is only tried where it cannot
+    be refused by the budget; otherwise, and if its build runs over the
+    budget, the exact box is built, so the rounding never refuses a table
+    the exact box gets.  Estimates refuse oversized tables before anything
+    is built."""
     entries = _entries(spec)
     entry = entries.get(("table", positions))
     grown = bounds
@@ -568,298 +558,99 @@ def counting_Q(spec: ZetaSpec, residue: tuple[int, ...],
                for sign, sub in _signed_subsets(sorted(positions)))
 
 
-def _ray_q_values(spec: ZetaSpec, residue: tuple[int, ...],
-                  positions: tuple[int, ...], base: RationalCycle,
-                  step: RationalCycle, nk: int) -> list[int]:
-    """Modified counting values at ``base + k * step`` for k = 1..nk.
-
-    One histogram pass over the table: each state contributes from the first
-    k whose box contains it.  States first counted beyond nk are clipped to
-    nk + 1, and every state counted at some k <= nk lies in the depth-nk
-    box, so the value at k depends neither on nk nor on how far the table
-    has grown.  A two-generator spec (a chain) reads no table: each point
-    past the known prefix is one closed count (``_two_gen_count``).  The values
-    are kept beside the spec's tables, per untwisted ray (residue,
-    positions, and base and step on the positions): a shallower request is a
-    prefix of the deepest list found so far, and only a deeper one scans
-    again.  A refused table stores nothing.
-    """
-    spec, residue, base = _untwist(spec, residue, base)
-    d = spec.den
-    bs = base.scaled(d)
-    ss = step.scaled(d)
-    if not all(ss[p] > 0 for p in positions):
-        raise ValueError("ray step must increase every kept coordinate")
-    entries = _entries(spec)
-    ray = ("ray", residue, positions, tuple(bs[p] for p in positions),
-           tuple(ss[p] for p in positions))
-    known = entries.get(ray, ())
-    if len(known) >= nk:
-        return list(known[:nk])
-    if len(spec.dens) == 2:
-        vals = list(known)
-        for k in range(len(known) + 1, nk + 1):
-            xk = tuple(b + k * s for b, s in zip(bs, ss))
-            vals.append(_two_gen_count(spec, residue, positions, xk, union=False))
-    else:
-        bounds = []
-        for p in positions:
-            worst = max(bs[p] - b[p] for _, b in spec.num)
-            bounds.append(max(0, worst + nk * ss[p]))
-        table = _table_for(spec, positions, tuple(bounds))
-        wide = any(cs.dtype == object for _, cs in table.values())
-        hist = _np.zeros(nk + 2, dtype=object if wide else _np.int64)
-        svec = _np.asarray([ss[p] for p in positions], dtype=_np.int64)
-        for coeff, bexp in spec.num:
-            need = tuple((a - b) % d for a, b in zip(residue, bexp))
-            entry = table.get(need)
-            if entry is None:
-                continue
-            ys, cs = entry
-            t0 = _np.asarray([bs[p] - bexp[p] for p in positions], dtype=_np.int64)
-            kmin = ((ys - t0) // svec).max(axis=1) + 1
-            kmin = _np.clip(kmin, 1, nk + 1)
-            _np.add.at(hist, kmin, coeff * cs)
-        vals = [int(v) for v in _np.cumsum(hist[1:nk + 1])]
-    entries[ray] = tuple(vals)
-    return vals
-
-
-def _ray_count_values(spec: ZetaSpec, residue: tuple[int, ...],
-                      positions: tuple[int, ...], base: RationalCycle,
-                      step: RationalCycle, nk: int) -> list[int]:
-    totals = [0] * nk
-    for sign, sub in _signed_subsets(positions):
-        vals = _ray_q_values(spec, residue, sub, base, step, nk)
-        totals = [t + sign * v for t, v in zip(totals, vals)]
-    return totals
-
-
 # ---------------------------------------------------------------------------
-# ray fits and periodic constants
+# exact periodic constants of relative series
 
-def _period_candidates(spec: ZetaSpec, positions: tuple[int, ...],
-                       direction: RationalCycle) -> list[int]:
-    """Quasi-period candidates of the counting function along the ray.
+def _step_bound(spec: ZetaSpec, p: int, base: tuple[int, ...]) -> tuple[int, list[int]]:
+    """Degree data of a class part along coordinate p, in whole steps from
+    ``base`` (scaled by den).
 
-    Jumps of the count happen when a face of the dilating region crosses
-    lattice points; the relevant denominators are the single generator
-    entries and the two-by-two minors of the projected generator matrix,
-    each divided by its alignment with the step.  Candidates above
-    ``SPECIAL_CAP`` are dropped (the fit then reports non-stabilisation honestly).
+    With o_i = den / gcd(den, g_i) the order of generator i's residue, the
+    class part is N_h / prod_i (1 - t^{o_i g_i}), and every monomial of N_h
+    is a numerator shift b_j plus fewer than o_i copies of each g_i.  So N_h
+    has no term past B_p = max_j b_j[p] + sum_i (o_i - 1) g_i[p].  Returns
+    B_p in steps from the base and the denominator exponents o_i g_i[p] / den.
     """
-    step = direction.scaled(spec.den)
-    entry = 1
-    for gen in spec.dens:
-        for p in positions:
-            entry = lcm(entry, gen[p] // gcd(gen[p], step[p]))
-    cands = {entry}
-    minor = entry
-    for (i, gi), (j, gj) in itertools.combinations(enumerate(spec.dens), 2):
-        for p, q in itertools.combinations(positions, 2):
-            det = abs(gi[p] * gj[q] - gi[q] * gj[p])
-            if det == 0:
-                continue
-            vertex_move = gcd(abs(gj[q] * step[p] - gj[p] * step[q]),
-                              abs(gi[p] * step[q] - gi[q] * step[p]))
-            minor = lcm(minor, det // gcd(det, vertex_move))
-            if minor > 16 * SPECIAL_CAP:
-                break
-    cands.add(minor)
-    return sorted(c for c in cands if 1 < c <= SPECIAL_CAP)
-
-
-def _detected_periods(vals: Sequence[int], deg_cap: int,
-                      max_period: int) -> tuple[list[int], list[int]]:
-    """Periods read off the sampled ray itself: the smallest tail period of
-    each difference row.  Complements the entry analysis, which only bounds
-    periods from above and misses interactions.
-
-    Returns every period found and, second, those of rows whose inspected
-    tail is not constant: a constant row shows the trivial period 2, a
-    non-constant one a genuine quasi-period of the counting function."""
-    found = set()
-    genuine = set()
-    row = list(vals)
-    for _ in range(deg_cap + 1):
-        n = len(row)
-        for rho in range(2, max_period + 1):
-            if n < 2 * rho:
-                break
-            span = min(n - rho, 3 * rho)
-            if all(row[-i] == row[-i - rho] for i in range(1, span + 1)):
-                found.add(rho)
-                if len(set(row[-(span + rho):])) > 1:
-                    genuine.add(rho)
-                break
-        if len(row) < 2:
-            break
-        row = [b - a for a, b in zip(row, row[1:])]
-    return sorted(found), sorted(genuine)
-
-
-def _stabilised_extrapolation(vals: Sequence[int], deg_cap: int) -> int | None:
-    """Extrapolate samples at k = s, 2s, ..., m*s to k = 0 once the Newton
-    difference tail is constant.
-
-    A constant window of differences is necessary but not sufficient: small
-    periodic blips with longer periods can hide inside it.  The polynomial
-    through the last deg + 1 samples must therefore back-predict the last
-    ``check`` samples exactly, which on an even grid means the last
-    ``check - deg`` entries of the deg-th difference row agree.  Its value at
-    k = 0 is then the integer sum over i <= deg of (-1)**i C(m, i) times the
-    last entry of the i-th difference row (Newton's backward formula).
-    """
-    m = len(vals)
-    row = list(vals)
-    last = []  # last entry of each difference row so far
-    for deg in range(0, deg_cap + 1):
-        if len(row) < FIT_WINDOW:
-            return None
-        last.append(row[-1])
-        if len(set(row[-FIT_WINDOW:])) == 1:
-            check = min(m, max(2 * (deg + 2), 10))
-            if len(set(row[-(check - deg):])) != 1:
-                return None
-            return sum((-1) ** i * comb(m, i) * d for i, d in enumerate(last))
-        row = [b - a for a, b in zip(row, row[1:])]
-    return None
+    d = spec.den
+    orders = [d // reduce(gcd, gen, d) for gen in spec.dens]
+    top = max(b[p] for _, b in spec.num) + sum((o - 1) * gen[p]
+                                               for o, gen in zip(orders, spec.dens))
+    return (top - base[p]) // d, [o * gen[p] // d for o, gen in zip(orders, spec.dens)]
 
 
 def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
-                    positions: Sequence[int], base: RationalCycle,
-                    direction: RationalCycle,
-                    max_substride: int = MAX_SUBSTRIDE) -> int:
-    """Value at the ray base of the polynomial the counting function agrees
-    with deep along ``base + k * direction``.
+                    positions: Sequence[int], base: RationalCycle) -> int:
+    """Periodic constant of a class part whose reduction to ``positions`` is a
+    polynomial: its coefficient sum, which is the counting function at any
+    point past the polynomial's support.  A relative series reduced to
+    exactly its two or more marked vertices is such a polynomial.
 
-    The fit must stabilise on two nested substride subsequences of the ray
-    with the same extrapolation before a value is accepted.  Quasi-periods
-    show up as unstable difference tails and push the fit to coarser
-    substrides or a deeper ray; a substride that is not a multiple of a
-    quasi-period the samples show would mix constituents, so it is never
-    fitted.  A ray is only deepened while its tables stay affordable.  This
-    is no proof: a quasi-period longer than the samples can pass unseen, and
-    a wrong value is then accepted (about 0.5% of fits; ROADMAP item 1).
+    The point is base + x with x_p two steps past the degree bound B_p of
+    ``_step_bound``.  Polynomiality is the premise, so the count must not move
+    one step further along any kept coordinate; otherwise
+    ``InternalCheckError`` is raised.
     """
     pos = tuple(sorted(positions))
-    deg_cap = len(spec.dens) + 1
-    specials = _period_candidates(spec, pos, direction)
-    depths = sorted(set(RAY_DEPTHS)
-                    | {2 * a * (FIT_WINDOW + 2) for a in specials
-                       if 2 * a * (FIT_WINDOW + 2) > max(RAY_DEPTHS)})
-    i = 0
-    while i < len(depths):
-        depth = depths[i]
-        i += 1
-        try:
-            vals = _ray_count_values(spec, residue, pos, base, direction, depth)
-        except TableBudgetExceeded:
-            break  # a deeper ray would only grow the tables further
-        top = min(max_substride, depth // (2 * (FIT_WINDOW + 1)))
-        found, genuine = _detected_periods(vals, deg_cap, depth // 2)
-        sweep = list(range(1, top + 1))
-        sweep += [a for a in specials if a > top]
-        sweep += [a for a in found if a > top and a not in sweep]
-        for a in sorted(set(sweep)):
-            if 2 * a * (FIT_WINDOW + 1) > depth:
-                # not enough samples yet; queue a deeper ray for this period
-                need = 2 * a * (FIT_WINDOW + 2)
-                if need <= MAX_RAY_DEPTH and need not in depths:
-                    depths = sorted(set(depths) | {need})
-                continue
-            if any(a % p for p in genuine):
-                continue
-            # samples at k = a, 2a, ... and at k = 2a, 4a, ...
-            v1 = _stabilised_extrapolation(vals[a - 1::a], deg_cap)
-            if v1 is None:
-                continue
-            v2 = _stabilised_extrapolation(vals[2 * a - 1::2 * a], deg_cap)
-            if v2 is not None and v1 == v2:
-                return v1
-    raise StabilizationError(
-        f"counting function did not stabilise along the ray (positions {pos})")
+    bs = base.scaled(spec.den)
+    steps = [_step_bound(spec, p, bs)[0] + 2 if p in pos else 0 for p in range(spec.nvars)]
+
+    def count(shift: list[int]) -> int:
+        return counting_Q(spec, residue, pos, base + RationalCycle(tuple(shift)))
+    value = count(steps)
+    for p in pos:
+        if count([k + (i == p) for i, k in enumerate(steps)]) != value:
+            raise InternalCheckError(
+                f"reduced series is not a polynomial: the count moves past its "
+                f"degree bound on coordinate {p}")
+    return value
 
 
-def _interior_certified(projected_duals: list[tuple[Fraction, ...]],
-                        y: tuple[int, ...]) -> bool:
-    """Exact interiority certificate for the projected anti-nef cone: some
-    full-rank subset of projected dual cycles expresses y with strictly
-    positive coefficients, which places y in the interior of the sub-cone it
-    spans and hence of the whole cone."""
-    k = len(y)
-    for subset in itertools.combinations(projected_duals, k):
-        try:
-            inv = fraction_inverse([[subset[j][i] for j in range(k)] for i in range(k)])
-        except ValueError:
-            continue  # singular: the subset spans no full-rank sub-cone
-        if all(sum(a * b for a, b in zip(row, y)) > 0 for row in inv):
-            return True
-    return False
+def fitted_qp_value(spec: ZetaSpec, residue: tuple[int, ...], p: int,
+                    base: RationalCycle) -> int:
+    """Periodic constant of a class part reduced to the one coordinate p.
 
-
-@_memo
-def _ray_directions(graph: ResolutionGraph,
-                    positions: tuple[int, ...]) -> tuple[RationalCycle, ...]:
-    """Lattice directions whose projections are interior to the projected
-    anti-nef cone, smallest first.
-
-    Only the kept coordinates of the direction matter, and any integer
-    vector is a lattice cycle, so candidates are roundings of the projected
-    dual sum at a few scales, each certified interior exactly.  Different
-    directions align differently with the generator entries, so a
-    quasi-period that defeats one ray can be invisible along another.
+    In v, one step along p from the base, the class part is
+    S = sum_m a_m v^m = N / D with D = prod_i (1 - v^{o_i g_i[p] / den}) and N
+    a Laurent polynomial of degree at most B (``_step_bound``).  The a_m are
+    read off the counting function up to B + deg D, N = S D is formed there,
+    and N must vanish on (B, B + deg D], else ``InternalCheckError`` is
+    raised.  Dividing, N = P D + M with M's powers in [0, deg D); M / D has
+    periodic constant zero, so the constant is P(1) (Laszlo-Nemethi, Geom.
+    Topol. 2014).  P has negative powers where exponents lie below the base.
+    The work grows with B and deg D, not with the period of the counting
+    function.
     """
-    proj = [tuple(dual.coeff(p) for p in positions) for dual in graph.duals]
-    y0 = [sum(col) for col in zip(*proj)]
-    peak = max(y0)
-    seen = set()
-    dirs = []
-    for scale in (2, 3, 5, 8, 12):
-        y = tuple(max(1, round(scale * c / peak)) for c in y0)
-        if y in seen:
-            continue
-        seen.add(y)
-        if _interior_certified(proj, y):
-            coords = [0] * graph.n
-            for i, p in enumerate(positions):
-                coords[p] = y[i]
-            dirs.append(RationalCycle(tuple(coords)))
-    w1 = strict_interior_cycle(graph)
-    if tuple(w1.coeff(p) for p in positions) not in seen:
-        dirs.append(w1)
-    if not dirs:
-        dirs.append(w1)
-    return tuple(dirs[:4])
-
-
-def fitted_qp_value(graph: ResolutionGraph, spec: ZetaSpec,
-                    residue: tuple[int, ...], positions: Sequence[int],
-                    base: RationalCycle, max_substride: int = MAX_SUBSTRIDE,
-                    modified: bool = False) -> int:
-    """Ray-fitted quasi-polynomial value with direction retry.
-
-    The modified variant is assembled from plain fits over the nonempty
-    variable subsets, so each subset picks its own ray: the
-    inclusion-exclusion relation between the two counting functions holds
-    identically at the quasi-polynomial level, and the subsetwise fits are
-    far more stable because the deeper periodic parts of the modified
-    function cancel in the alternating sum.
-    """
-    pos = tuple(sorted(positions))
-    if modified:
-        return sum(sign * fitted_qp_value(graph, spec, residue, sub, base, max_substride)
-                   for sign, sub in _signed_subsets(pos))
-    cause = "no ray direction"
-    for direction in _ray_directions(graph, pos):
-        try:
-            return quasipoly_value(spec, residue, pos, base, direction, max_substride)
-        except StabilizationError as exc:
-            # keep the message only: a kept exception references this frame
-            # through its traceback, and the cycle holds every spec and table
-            # of the failed fits until the cyclic collector runs
-            cause = str(exc)
-    raise StabilizationError(cause)
+    d = spec.den
+    bs = base.scaled(d)
+    bound, degs = _step_bound(spec, p, bs)
+    dpoly = [1]
+    for e in degs:  # times (1 - v^e)
+        dpoly = [c - (dpoly[i - e] if i >= e else 0) for i, c in enumerate(dpoly + [0] * e)]
+    n = len(dpoly) - 1
+    lo = (min(b[p] for _, b in spec.num) - bs[p]) // d  # no exponent below
+    unit = RationalCycle(tuple(int(i == p) for i in range(spec.nvars)))
+    below = [counting_q(spec, residue, (p,), base + k * unit)
+             for k in range(bound + n + 1, lo - 1, -1)][::-1]  # the largest box first
+    s = min(lo, 0)  # the lists below start at power s
+    coeffs = [0] * (lo - s) + [y - x for x, y in zip(below, below[1:])]
+    num = [sum(dpoly[k] * coeffs[i - k] for k in range(min(i, n) + 1))
+           for i in range(len(coeffs))]
+    if any(num[bound + 1 - s:]):
+        raise InternalCheckError(
+            f"class part along coordinate {p} has a numerator term past its degree bound")
+    num = num[:bound + 1 - s] + [0] * (n - 1 - bound)
+    total = 0  # P(1), the sum of the quotient's coefficients
+    for i in range(-s):  # negative powers, lowest first: D has constant term 1
+        c = num[i]
+        total += c
+        for k, dk in enumerate(dpoly):
+            num[i + k] -= c * dk
+    for i in range(len(num) - 1, n - s - 1, -1):  # powers >= deg D, highest first
+        c = num[i] * dpoly[n]  # D's leading coefficient is +-1
+        total += c
+        for k, dk in enumerate(dpoly):
+            num[i - n + k] -= c * dk
+    return total
 
 
 @_memo
@@ -901,8 +692,7 @@ def counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
     In the full variable set the quasi-polynomial is the chi quadratic plus
     the normalised SW constant.  The tree-surgery identity transfers that to
     a variable subset: subtract the same closed form on each subtree of the
-    complement, at the projected argument and its own class.  Serves as an
-    exact cross-oracle for the ray fitter.
+    complement, at the projected argument and its own class.
     """
     if not lbar.is_integral:
         raise ValueError("quasi-polynomial argument must be a lattice cycle")
@@ -958,20 +748,30 @@ def periodic_constant_full(graph: ResolutionGraph, spec: ZetaSpec,
 
 def periodic_constant_reduced(graph: ResolutionGraph, spec: ZetaSpec,
                               h: tuple[int, ...], positions: Sequence[int],
-                              max_substride: int = MAX_SUBSTRIDE,
                               modified: bool = False) -> int:
     """Periodic constant of one class part reduced to a variable subset, and
-    the one place its route is chosen: the closed form for the plain zeta
-    function (twisted or not) in all variables, else the two-stride ray fit,
-    also for a relative series with every vertex marked."""
+    the one place its route is chosen.  Every route is exact: the plain zeta
+    function (twisted or not) takes the surgery closed form on any subset
+    (``modified_qp_closed`` for the modified constant); a relative series
+    takes the one-variable division on one position (``fitted_qp_value``)
+    and, on two or more, the coefficient sum of its polynomial
+    (``quasipoly_value``), which needs the marked vertices to be exactly the
+    kept ones.  A relative series has no modified route."""
     g, base = _twist_data(graph, spec, h)
     spec = spec.untwisted()
     rg = graph.group.frac_rep(g)
-    if len(positions) == graph.n and spec == plain_zeta(graph):
+    if spec == plain_zeta(graph):
         closed = modified_qp_closed if modified else counting_qp_closed
         return closed(graph, g, positions, base - rg)
-    return fitted_qp_value(graph, spec, graph.residue(rg), positions, base,
-                           max_substride, modified)
+    if modified:
+        raise ValueError("a relative series has no modified periodic constant")
+    pos = sorted(positions)
+    if len(pos) == 1:
+        return fitted_qp_value(spec, graph.residue(rg), pos[0], base)
+    if spec != build_zeta(graph, relative=[graph.ids[p] for p in pos]):
+        raise ValueError("a relative series is a polynomial only in the variables "
+                         "of its marked vertices")
+    return quasipoly_value(spec, graph.residue(rg), pos, base)
 
 
 # ---------------------------------------------------------------------------

@@ -507,7 +507,8 @@ def is_rational(graph: ResolutionGraph) -> bool:
 
 def strict_interior_cycle(graph: ResolutionGraph) -> RationalCycle:
     """A small integral cycle pairing at most -1 with every basis vector,
-    used as a ray direction inside the Lipman cone.
+    so it lies strictly inside the Lipman cone.  Public API; no periodic
+    constant route uses it.
 
     As (sum of E*_u, E_v) = -1, a cycle does so exactly when subtracting the
     dual sum leaves it anti-nef: a saturation shifted by the dual sum.

@@ -47,9 +47,8 @@ class TableBudgetExceeded(Exception):
     """An enumeration would hold more than ``TABLE_STATE_CAP`` rows: a
     partition table of ``counting`` or the rows of an ``expand``.
 
-    Ray fits treat a refused table as the end of the ray; anywhere else it
-    reaches the caller.  Two-generator specs build no partition table, so
-    they never meet it there.  The verify suites and the fuzz campaign
+    It reaches the caller.  Two-generator specs build no partition table,
+    so they never meet it there.  The verify suites and the fuzz campaign
     count the instance as inconclusive, and elsewhere the CLI prints one
     ``refused:`` line and exits with status 2."""
 

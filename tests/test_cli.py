@@ -218,10 +218,9 @@ def test_bad_bound_is_usage_error(bound, capsys):
     assert "argument --bound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--stride", "0"), ("--stride", "-3"),
-                                         ("--trials", "0"), ("--trials", "-2")])
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-2")])
 def test_non_positive_stride_or_trials_is_usage_error(flag, value, capsys):
-    # both once ran: stride 0 as substride 1, trials 0 as an empty suite
+    # trials 0 once ran as an empty suite (the --stride flag is gone)
     with pytest.raises(SystemExit) as exc:
         main([flag, value, "verify", str(GRAPHS / "cyclic4.graph"),
               "--suite", "surgery"])
@@ -308,16 +307,28 @@ def _campaign_counts(out: str) -> list[tuple[int, int]]:
             for line in out.splitlines()]
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
-def test_fuzz_campaign_default_run(flags):
-    # seed 1, 50 trials, about 3 s: the same counts under -O, so no check
-    # of the campaign rests on assert
+def _run_campaign(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, *flags, str(CAMPAIGN)], capture_output=True,
-                          text=True, cwd=ROOT, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=ROOT, env=env)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_fuzz_campaign_default_run(flags):
+    # seed 1, 50 trials, about 2 s: the same counts under -O, so no check
+    # of the campaign rests on assert
+    proc = _run_campaign(*flags, str(CAMPAIGN))
     assert proc.returncode == 0, proc.stderr
-    assert _campaign_counts(proc.stdout) == [(0, 2), (0, 0), (0, 0), (0, 0)]
+    assert _campaign_counts(proc.stdout) == [(0, 0)] * 4
+
+
+def test_fuzz_campaign_at_200_trials():
+    # about 5 s; with ray-fitted constants this run had one twisted-duality
+    # failure and exited 1
+    proc = _run_campaign(str(CAMPAIGN), "--seed", "1", "--trials", "200")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert _campaign_counts(proc.stdout) == [(0, 0)] * 4
 
 
 def test_refusals_count_as_inconclusive(monkeypatch, capsys):

@@ -6,8 +6,11 @@ import gc
 import itertools
 import math
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as _np
 import pytest
@@ -16,20 +19,18 @@ from hypothesis import strategies as st
 
 from conftest import DIHEDRAL_TEXT
 from resgraph import counting
-from resgraph.counting import (MAX_SUBSTRIDE, StabilizationError,
-                               TableBudgetExceeded, _build_sparse,
-                               _ray_directions, _ray_q_values,
-                               _stabilised_extrapolation, _table_for,
-                               _twist_data, _wide, counting_Q, counting_q,
-                               counting_qp_closed, fitted_qp_value,
-                               modified_qp_closed,
+from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
+                               _build_sparse, _table_for, _twist_data, _wide,
+                               counting_Q, counting_q, counting_qp_closed,
+                               fitted_qp_value, modified_qp_closed,
                                periodic_constant_full,
                                periodic_constant_reduced, plain_zeta,
-                               quasipoly_value, surgery_check, sw_norm)
+                               surgery_check, sw_norm)
 from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph.embedded import _relative_pc, verify_twisted_duality
-from resgraph.graphs import chi, min_antinef_rep, parse_graph, strict_interior_cycle
-from resgraph.randtrees import random_antinef, random_rational_graph
+from resgraph.graphs import chi, min_antinef_rep, parse_graph
+from resgraph.randtrees import (random_antinef, random_class, random_positions,
+                                random_rational_graph, random_unit_arrows)
 from resgraph.series import ZetaSpec, build_zeta, synthetic_spec
 
 
@@ -145,10 +146,7 @@ def test_counts_beyond_int64_stay_exact():
     exact = math.comb(115, 16)
     assert exact >= 2 ** 63
     assert counting_q(spec, (0,), (0,), RationalCycle((100,))) == exact
-    vals = _ray_q_values(spec, (0,), (0,), RationalCycle((0,)),
-                         RationalCycle((1,)), 100)
-    assert vals[-1] == exact
-    assert vals[0] == 1
+    assert counting_q(spec, (0,), (0,), RationalCycle((1,))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +530,23 @@ def test_two_generator_union_builds_no_table(fresh_tables):
     assert not any(tag[0] == "table" for tag in counting._STORE[spec])
 
 
-def test_chain_ray_fits_build_no_table(a3, fresh_tables):
-    # a chain's ray scans count every point in closed form, as its points do
+def test_chain_constants_build_no_table(a3, fresh_tables):
+    # every count behind a chain's constants is closed: the plain ones (SW
+    # probes on the chain and its subchains) and the one-variable divisions
+    # of a relative series that keeps two generators
     spec, grp = plain_zeta(a3), a3.group
+    relative = build_zeta(a3, relative=(2,))
+    assert len(relative.dens) == 2
     for h in grp.elements():
-        base = grp.frac_rep(h)
         for pos in ((0,), (0, 2), (0, 1, 2)):
-            assert fitted_qp_value(a3, spec, a3.residue(base), pos, base) == \
+            assert periodic_constant_reduced(a3, spec, h, pos) == \
                 counting_qp_closed(a3, h, pos, zero_cycle(a3.n))
-    assert not any(tag[0] == "table" for tag in counting._STORE[spec])
+        base = grp.frac_rep(h)
+        for p in range(a3.n):
+            assert periodic_constant_reduced(a3, relative, h, (p,)) == \
+                sampled_constant(relative, a3.residue(base), p, base)
+    assert not any(tag[0] == "table" for entries in counting._STORE.values()
+                   for tag in entries)
 
 
 def _empty_caches(mp):
@@ -556,11 +562,8 @@ def fresh_tables(monkeypatch):
 def test_table_caches_hold_specs_weakly(fresh_tables):
     spec = synthetic_spec([(1, (0, 0))], [(2, 3), (3, 1)], den=5)
     _table_for(spec, (0, 1), (40, 40))
-    _ray_q_values(spec, (0, 0), (0, 1), RationalCycle((1, 1)),
-                  RationalCycle((2, 1)), 20)
     entries = counting._STORE[spec]
     assert ("table", (0, 1)) in entries and ("_residue_group",) in entries
-    assert ("ray", (0, 0), (0, 1), (5, 5), (10, 5)) in entries
     ref = weakref.ref(spec)
     del spec, entries
     gc.collect()
@@ -572,10 +575,10 @@ def test_caches_hold_graphs_weakly(fresh_tables):
     spec = plain_zeta(graph)
     h = graph.group.elements()[3]
     sw_norm(graph, h)
-    base = graph.group.frac_rep(h)
-    fitted_qp_value(graph, spec, graph.residue(base), (0, 2), base)
+    x = 3 * graph.sum_duals
+    counting_q(spec, graph.residue(x), (0, 2), x)
     entries = counting._STORE[graph]
-    assert {("plain_zeta",), ("sw_norm", h), ("_ray_directions", (0, 2))} <= set(entries)
+    assert {("plain_zeta",), ("sw_norm", h)} <= set(entries)
     assert ("table", (0, 2)) in counting._STORE[spec]
     refs = [weakref.ref(graph), weakref.ref(spec)]
     del graph, spec, entries
@@ -658,204 +661,32 @@ def test_rounding_never_refuses_an_exact_box(monkeypatch, fresh_tables):
 
 
 # ---------------------------------------------------------------------------
-# ray values: memoised per ray, a shallower request is a prefix
-
-@st.composite
-def _rays(draw):
-    """A synthetic spec on up to three variables, maybe twisted, a ray on
-    some of its coordinates, depths to request in order, and a cell cap
-    that may refuse the ray's table."""
-    nvars = draw(st.integers(1, 3))
-    vec = st.lists(st.integers(1, 7), min_size=nvars, max_size=nvars)
-    den = draw(st.integers(1, 12))
-    num = [(1, [0] * nvars)]
-    if draw(st.booleans()):
-        num.append((draw(st.sampled_from([-1, 2])), draw(vec)))
-    spec = synthetic_spec(num, draw(st.lists(vec, max_size=3)), den=den)
-    if draw(st.booleans()):
-        spec = dataclasses.replace(spec, twist=tuple(draw(vec)))
-    positions = tuple(sorted(draw(st.sets(st.integers(0, nvars - 1), min_size=1))))
-    residue = tuple(draw(st.integers(0, den - 1)) for _ in range(nvars))
-    base = RationalCycle(tuple(draw(st.integers(-4, 12)) for _ in range(nvars)), den)
-    # off the kept coordinates the step is arbitrary and changes nothing
-    step = RationalCycle(tuple(draw(st.integers(1, 3)) if i in positions
-                               else draw(st.integers(-2, 2))
-                               for i in range(nvars)), den)
-    depths = draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))
-    cap = draw(st.sampled_from([8, 64, counting.TABLE_STATE_CAP]))
-    return spec, residue, positions, base, step, depths, cap
-
-
-@settings(max_examples=150, deadline=None)
-@given(_rays())
-def test_ray_values_are_exact_in_any_request_order(case):
-    spec, residue, positions, base, step, depths, cap = case
-    with pytest.MonkeyPatch.context() as mp:
-        _empty_caches(mp)
-        exact = [counting_q(spec, residue, positions, base + k * step)
-                 for k in range(1, max(depths) + 1)]
-        _empty_caches(mp)
-        # a fit holds the untwisted spec, so a twisted ray's values outlive a call
-        plain = spec.untwisted()
-        counting._STORE[plain] = {}
-        mp.setattr(counting, "TABLE_STATE_CAP", cap)
-        served = {}
-        for nk in depths:
-            try:
-                served[nk] = _ray_q_values(spec, residue, positions, base, step, nk)
-            except TableBudgetExceeded:
-                assert len(spec.dens) != 2  # two generators fall back instead
-                with pytest.raises(TableBudgetExceeded):  # and refuses again
-                    _ray_q_values(spec, residue, positions, base, step, nk)
-                continue
-            assert served[nk] == exact[:nk]
-        for nk, vals in served.items():  # cold: every cache emptied first
-            _empty_caches(mp)
-            assert _ray_q_values(spec, residue, positions, base, step, nk) == vals
-
-
-def test_two_generator_rays_fall_back_pointwise(monkeypatch, fresh_tables):
-    spec = synthetic_spec([(1, (0, 0)), (-1, (3, 2))], [(2, 3), (3, 1)], den=5)
-    twisted = dataclasses.replace(spec, twist=(4, 2))
-    positions, step = (0, 1), RationalCycle((2, 3), 5)
-    # the same ray twisted: residue and base shifted by the twist
-    residue, base = (1, 3), RationalCycle((3, 2), 5)
-    plain_res, plain_base = (2, 1), base - RationalCycle((4, 2), 5)
-    shallow = _ray_q_values(spec, plain_res, positions, plain_base, step, 12)
-    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 8)  # deeper tables refused
-    points = []
-    closed = counting._two_gen_count
-
-    def counted(*args, union):
-        assert not union
-        points.append(args[3])
-        return closed(*args, union=union)
-    monkeypatch.setattr(counting, "_two_gen_count", counted)
-    deep = _ray_q_values(twisted, residue, positions, base, step, 40)
-    # only the points beyond the known prefix are evaluated
-    assert points == [(plain_base + k * step).scaled(5) for k in range(13, 41)]
-    assert deep[:12] == shallow
-    assert deep == [closed(spec, plain_res, positions, (plain_base + k * step).scaled(5),
-                           union=False) for k in range(1, 41)]
-    assert deep == [counting_q(twisted, residue, positions, base + k * step)
-                    for k in range(1, 41)]
-    # more than two generators: the refusal reaches the caller, every time,
-    # and leaves no ray values behind
-    three = synthetic_spec([(1, (0, 0))], [(2, 3), (3, 1), (1, 1)], den=5)
-    for _ in range(2):
-        with pytest.raises(TableBudgetExceeded):
-            _ray_q_values(three, (0, 0), positions, base, step, 40)
-    assert ("ray", (0, 0), positions, (3, 2), (2, 3)) not in counting._STORE[three]
-
-
-def _count_scans(monkeypatch) -> list[int]:
-    """A ray is scanned once ``_table_for`` has returned its table; count
-    those returns.  A refusal scans nothing: its stored ``"refused"`` entry
-    repeats it."""
-    calls = [0]
-    lookup = counting._table_for
-
-    def counted(*args):
-        table = lookup(*args)
-        calls[0] += 1
-        return table
-    monkeypatch.setattr(counting, "_table_for", counted)
-    return calls
-
-
-def test_repeated_and_shallower_rays_scan_nothing(dihedral, monkeypatch, fresh_tables):
-    calls = _count_scans(monkeypatch)
-    spec = plain_zeta(dihedral)
-    grp = dihedral.group
-    h = grp.elements()[3]
-    base = grp.frac_rep(h)
-    residue = dihedral.residue(base)
-    first = fitted_qp_value(dihedral, spec, residue, (0, 2), base, modified=True)
-    assert calls[0] > 0
-    calls[0] = 0
-    assert fitted_qp_value(dihedral, spec, residue, (0, 2), base, modified=True) == first
-    assert calls[0] == 0
-    direction = RationalCycle((1, 1, 2, 1))
-    deep = _ray_q_values(spec, residue, (0, 1, 3), base, direction, 50)
-    assert calls[0] == 1
-    assert _ray_q_values(spec, residue, (0, 1, 3), base, direction, 18) == deep[:18]
-    assert calls[0] == 1
-    # the twisted spec's fit reads the plain spec's rays
-    tw = dihedral.dual(1)
-    twisted = build_zeta(dihedral, twist=tw)
-    shifted = tuple((a + b) % spec.den for a, b in zip(residue, tw.scaled(spec.den)))
-    assert _ray_q_values(twisted, shifted, (0, 1, 3), base + tw, direction, 50) == deep
-    assert calls[0] == 1
-
-
-def _lagrange_at(ks, vals, at):
-    total = Fraction(0)
-    for i, (ki, vi) in enumerate(zip(ks, vals)):
-        w = Fraction(1)
-        for j, kj in enumerate(ks):
-            if j != i:
-                w *= Fraction(at - kj, ki - kj)
-        total += vi * w
-    return total
-
-
-def _oracle_extrapolation(ks, vals, deg_cap):
-    """The fit in Fractions: at the first degree whose difference tail is
-    constant, the interpolant through the last deg + 1 samples must hit the
-    last ``check`` samples, and its value at zero must be an integer."""
-    row = list(vals)
-    for deg in range(deg_cap + 1):
-        if len(row) >= 3 and len(set(row[-3:])) == 1:
-            check = min(len(vals), max(2 * (deg + 2), 10))
-            pts, kpts = vals[-(deg + 1):], ks[-(deg + 1):]
-            if any(_lagrange_at(kpts, pts, k) != v
-                   for k, v in zip(ks[-check:], vals[-check:])):
-                return None
-            val = _lagrange_at(kpts, pts, 0)
-            return int(val) if val.denominator == 1 else None
-        row = [b - a for a, b in zip(row, row[1:])]
-    return None
-
-
-@st.composite
-def _ray_samples(draw):
-    """Samples at k = s, 2s, ..., m*s of a polynomial in k, optionally plus a
-    periodic part and a single blip."""
-    s = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 40))
-    coeffs = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=5))
-    period = draw(st.sampled_from([1, 2, 3, 5, 7, 19]))
-    wave = draw(st.lists(st.integers(-2, 2), min_size=period, max_size=period))
-    ks = [s * j for j in range(1, m + 1)]
-    vals = [sum(c * k ** i for i, c in enumerate(coeffs)) + wave[k % period]
-            for k in ks]
-    if draw(st.booleans()):
-        vals[draw(st.integers(0, m - 1))] += draw(st.integers(-3, 3))
-    return ks, vals, draw(st.integers(0, 5))
-
-
-@settings(max_examples=400, deadline=None)
-@given(_ray_samples())
-def test_integer_extrapolation_matches_fraction_oracle(sample):
-    ks, vals, deg_cap = sample
-    assert _stabilised_extrapolation(vals, deg_cap) == \
-        _oracle_extrapolation(ks, vals, deg_cap)
-
-
-def test_extrapolation_recovers_polynomials():
-    # degree 3 in k on the grid k = 3, 6, ..., 60: the value at zero is c0
-    vals = [7 - 2 * k + 5 * k ** 3 for k in range(3, 61, 3)]
-    assert _stabilised_extrapolation(vals, 4) == 7
-    assert _stabilised_extrapolation(vals, 2) is None  # degree cap too low
-
-
-# ---------------------------------------------------------------------------
 # one-variable periodic constants
+
+def sampled_constant(spec, residue, p, base) -> int:
+    """Oracle for the constant of a class part along coordinate p: its
+    counting function is a quasi-polynomial of degree <= r (r generators)
+    whose period divides Pi = lcm_i(o_i g_i[p] / den), exact past the largest
+    numerator shift; r + 1 counts at multiples of Pi there, interpolated to
+    0, give it."""
+    d = spec.den
+    bs = base.scaled(d)
+    orders = [d // math.gcd(d, *gen) for gen in spec.dens]
+    period = math.lcm(1, *(o * gen[p] // d for o, gen in zip(orders, spec.dens)))
+    shift = (max(b[p] for _, b in spec.num) - bs[p]) // d
+    ks = [(max(shift, 0) // period + 1 + j) * period for j in range(len(spec.dens) + 1)]
+    unit = RationalCycle(tuple(int(i == p) for i in range(spec.nvars)))
+    total = Fraction(0)
+    for i, k in enumerate(ks):
+        weight = math.prod(Fraction(-kj, k - kj) for j, kj in enumerate(ks) if j != i)
+        total += counting_q(spec, residue, (p,), base + k * unit) * weight
+    assert total.denominator == 1
+    return int(total)
+
 
 def one_var_pc(num, dens):
     spec = synthetic_spec(num=num, dens=dens, den=1)
-    return quasipoly_value(spec, (0,), (0,), RationalCycle((0,)),
-                           RationalCycle((1,)))
+    return fitted_qp_value(spec, (0,), 0, RationalCycle((0,)))
 
 
 def test_full_semigroup_has_zero_constant():
@@ -871,6 +702,83 @@ def test_gap_series_constant_counts_gaps():
 
 def test_polynomial_constant_is_coefficient_sum():
     assert one_var_pc([(1, (0,)), (2, (3,)), (-1, (5,))], []) == 2
+
+
+@st.composite
+def _one_variable_parts(draw):
+    """A synthetic spec on up to two variables with den <= 12, up to three
+    generators and 1-3 signed numerator terms, some below the base; a kept
+    coordinate p, a base, and a residue that agrees with the base on p."""
+    nvars = draw(st.integers(1, 2))
+    den = draw(st.integers(1, 12))
+    vec = st.lists(st.integers(1, 9), min_size=nvars, max_size=nvars)
+    num = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 3]),
+                                  st.lists(st.integers(-20, 30), min_size=nvars,
+                                           max_size=nvars)),
+                        min_size=1, max_size=3))
+    spec = synthetic_spec(num, draw(st.lists(vec, max_size=3)), den=den)
+    p = draw(st.integers(0, nvars - 1))
+    base = RationalCycle(tuple(draw(st.integers(-15, 25)) for _ in range(nvars)), den)
+    residue = tuple(a % den if i == p else draw(st.integers(0, den - 1))
+                    for i, a in enumerate(base.scaled(den)))
+    return spec, residue, p, base
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_variable_parts())
+def test_one_variable_division_matches_sampled_counts(case):
+    spec, residue, p, base = case
+    assert fitted_qp_value(spec, residue, p, base) == sampled_constant(spec, residue, p, base)
+
+
+def test_one_position_relative_constants_match_sampled_counts():
+    # relative series, twisted or not, in every class, on one position: the
+    # exact division against the sampled oracle; a draw is skipped only
+    # when a sampled table is over the budget
+    rng = random.Random(1616)
+    checked = 0
+    for _ in range(40):
+        graph = random_unit_arrows(rng, random_rational_graph(rng, max_vertices=6))
+        marked = [v for v, a in zip(graph.ids, graph.arrows) if a]
+        twist = random_antinef(rng, graph, max_coeff=1) if rng.random() < 0.5 else None
+        spec = build_zeta(graph, twist=twist, relative=marked)
+        h = random_class(rng, graph)
+        p = rng.randrange(graph.n)
+        value = periodic_constant_reduced(graph, spec, h, (p,))
+        g, base = _twist_data(graph, spec, h)
+        try:
+            oracle = sampled_constant(spec.untwisted(), graph.residue(graph.group.frac_rep(g)),
+                                      p, base)
+        except TableBudgetExceeded:
+            continue
+        assert value == oracle
+        checked += 1
+    assert checked >= 36
+
+
+def test_closed_constants_on_proper_subsets_match_sampled_counts():
+    # the surgery closed form the entry takes for a plain spec on one
+    # position of a larger tree, twisted or not, against the sampled oracle
+    rng = random.Random(1717)
+    checked = 0
+    for _ in range(60):
+        graph = random_rational_graph(rng, max_vertices=6)
+        if graph.n < 2:
+            continue
+        twist = random_antinef(rng, graph, max_coeff=1) if rng.random() < 0.5 else None
+        spec = build_zeta(graph, twist=twist)
+        h = random_class(rng, graph)
+        p = rng.randrange(graph.n)
+        value = periodic_constant_reduced(graph, spec, h, (p,))
+        g, base = _twist_data(graph, spec, h)
+        try:
+            oracle = sampled_constant(spec.untwisted(), graph.residue(graph.group.frac_rep(g)),
+                                      p, base)
+        except TableBudgetExceeded:
+            continue
+        assert value == oracle
+        checked += 1
+    assert checked >= 36
 
 
 # ---------------------------------------------------------------------------
@@ -895,13 +803,18 @@ def test_sw_brieskorn_regression(brieskorn):
 
 
 def test_reduced_constant_matches_full(a3, dihedral):
-    # the ray fit in all variables against the closed value the entry takes
+    # on every singleton, the one-variable division of the plain spec equals
+    # the surgery closed value the entry takes; in all variables the entry
+    # is the full constant
     for g in (a3, dihedral):
         spec = plain_zeta(g)
         for h in g.group.elements():
             base = g.group.frac_rep(h)
-            fit = fitted_qp_value(g, spec, g.residue(base), tuple(range(g.n)), base)
-            assert fit == periodic_constant_full(g, spec, h)
+            for p in range(g.n):
+                assert fitted_qp_value(spec, g.residue(base), p, base) == \
+                    periodic_constant_reduced(g, spec, h, (p,))
+            assert periodic_constant_reduced(g, spec, h, range(g.n)) == \
+                periodic_constant_full(g, spec, h)
 
 
 def test_relative_constant_in_all_variables_is_fitted(a3, dihedral):
@@ -909,33 +822,94 @@ def test_relative_constant_in_all_variables_is_fitted(a3, dihedral):
     # function: its closed value (0 on both graphs) does not apply
     for g in (a3, dihedral):
         spec = build_zeta(g, relative=g.ids)
-        fit = _relative_pc(g, g.ids, MAX_SUBSTRIDE)
+        fit = _relative_pc(g, g.ids)
         assert fit == 1
         assert periodic_constant_full(g, spec, g.group.zero) == fit
         assert periodic_constant_reduced(g, spec, g.group.zero, range(g.n)) == fit
 
 
-def test_only_proper_subsets_are_fitted(dihedral, monkeypatch):
-    fits = []
-    fit = counting.quasipoly_value
+def _count_routes(monkeypatch) -> dict:
+    """Calls of the two relative routes, by name."""
+    calls = {"quasipoly_value": 0, "fitted_qp_value": 0}
+    for name in calls:
+        route = getattr(counting, name)
 
-    def counted(*args, **kwargs):
-        fits.append(args)
-        return fit(*args, **kwargs)
-    monkeypatch.setattr(counting, "quasipoly_value", counted)
-    allpos = tuple(range(dihedral.n))
+        def counted(*args, _route=route, _name=name):
+            calls[_name] += 1
+            return _route(*args)
+        monkeypatch.setattr(counting, name, counted)
+    return calls
+
+
+def test_only_proper_subsets_are_fitted(dihedral, monkeypatch):
+    # a plain spec, twisted or not, takes the closed form on every subset;
+    # a relative series takes the division on one position and the
+    # polynomial count on its marked vertices
+    calls = _count_routes(monkeypatch)
     for tw in (None, dihedral.dual(1)):
         spec = build_zeta(dihedral, twist=tw)
         for h in dihedral.group.elements():
-            for modified in (False, True):
-                periodic_constant_reduced(dihedral, spec, h, allpos, modified=modified)
-    assert fits == []
-    spec = build_zeta(dihedral, twist=dihedral.dual(1))
-    for modified in (False, True):
-        periodic_constant_reduced(dihedral, spec, dihedral.group.zero, (0, 2),
-                                  modified=modified)
-        assert fits
-        fits.clear()
+            for r in range(1, dihedral.n + 1):
+                for pos in itertools.combinations(range(dihedral.n), r):
+                    for modified in (False, True):
+                        periodic_constant_reduced(dihedral, spec, h, pos, modified)
+    assert calls == {"quasipoly_value": 0, "fitted_qp_value": 0}
+    relative = build_zeta(dihedral, twist=dihedral.dual(1), relative=(1, 3))
+    periodic_constant_reduced(dihedral, relative, dihedral.group.zero, (2,))
+    assert calls == {"quasipoly_value": 0, "fitted_qp_value": 1}
+    periodic_constant_reduced(dihedral, relative, dihedral.group.zero, (0, 2))
+    assert calls == {"quasipoly_value": 1, "fitted_qp_value": 1}
+
+
+def test_relative_modified_constant_is_refused(dihedral):
+    spec = build_zeta(dihedral, relative=(1, 3))
+    for pos in ((0,), (0, 2)):
+        with pytest.raises(ValueError, match="no modified periodic constant"):
+            periodic_constant_reduced(dihedral, spec, dihedral.group.zero, pos,
+                                      modified=True)
+
+
+def test_relative_polynomial_count_needs_its_marked_vertices():
+    # one arrow reduced to two positions is no polynomial, yet the count past
+    # the degree bound is 2 here and does not move one step further; both
+    # one-variable constants are 0
+    g = parse_graph("v 1 -1\nv 2 -4\nv 3 -4\ne 1 3\ne 2 3\n")
+    tw = g.dual(2)
+    spec = build_zeta(g, twist=tw, relative=(2,))
+    h = (8,)
+    cls, base = _twist_data(g, spec, h)
+    assert cls == g.group.zero
+    assert counting.quasipoly_value(spec.untwisted(), g.residue(base), (0, 2), base) == 2
+    assert [periodic_constant_reduced(g, spec, h, (p,)) for p in (0, 2)] == [0, 0]
+    with pytest.raises(ValueError, match="marked vertices"):
+        periodic_constant_reduced(g, spec, h, (0, 2))
+
+
+def test_broken_polynomial_premise_is_an_internal_error(dihedral, monkeypatch):
+    # both relative routes check their premise with an explicit raise, so
+    # the checks hold under python -O as well
+    spec = build_zeta(dihedral, relative=(1, 3))
+    zero = dihedral.group.zero
+    count = counting.counting_Q
+    drift = itertools.count()
+    monkeypatch.setattr(counting, "counting_Q", lambda *args: count(*args) + next(drift))
+    with pytest.raises(InternalCheckError, match="not a polynomial"):
+        periodic_constant_reduced(dihedral, spec, zero, (0, 2))
+    monkeypatch.undo()
+    bound = counting._step_bound
+    monkeypatch.setattr(counting, "_step_bound",
+                        lambda *args: (bound(*args)[0] - 1, bound(*args)[1]))
+    with pytest.raises(InternalCheckError, match="past its degree bound"):
+        periodic_constant_reduced(dihedral, spec, zero, (0,))
+
+
+def test_premise_checks_hold_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_counting.py", "-k", "broken_polynomial_premise"],
+        capture_output=True, text=True, cwd=Path(__file__).resolve().parent.parent)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1 passed")
 
 
 def test_twisted_full_constant_matches_counting(dihedral):
@@ -954,6 +928,8 @@ def test_twisted_full_constant_matches_counting(dihedral):
 
 
 def test_fitter_agrees_with_closed_form():
+    # the one-variable division of the plain spec at a shifted base, on each
+    # position of a random subset, against the closed value at that shift
     rng = random.Random(77)
     checked = 0
     for _ in range(12):
@@ -964,16 +940,12 @@ def test_fitter_agrees_with_closed_form():
         size = rng.randint(1, g.n - 1) if g.n > 1 else 1
         pos = tuple(sorted(rng.sample(range(g.n), size)))
         lbar = RationalCycle(tuple(rng.randint(-2, 2) for _ in range(g.n)))
-        closed = counting_qp_closed(g, h, pos, lbar)
-        try:
-            fitted = quasipoly_value(spec, g.residue(grp.frac_rep(h)), pos,
-                                     grp.frac_rep(h) + lbar,
-                                     strict_interior_cycle(g))
-        except StabilizationError:
-            continue
-        assert fitted == closed
-        checked += 1
-    assert checked >= 8
+        base = grp.frac_rep(h) + lbar
+        for p in pos:
+            assert fitted_qp_value(spec, g.residue(base), p, base) == \
+                counting_qp_closed(g, h, (p,), lbar)
+            checked += 1
+    assert checked >= 12
 
 
 def test_qp_closed_matches_counting_deep(dihedral):
@@ -996,19 +968,18 @@ def test_qp_closed_matches_counting_deep(dihedral):
             counting_Q(spec, res, pos, r + lbar)
 
 
-def test_fit_skips_substrides_that_mix_quasi_period_constituents():
-    # period 19 shows along the ray; substride 5 once fitted 1 against the
-    # closed value 0, and the modified duality reported a wrong failure
+def test_singleton_constant_with_a_long_quasi_period():
+    # period 19 shows along e_1, where a ray fit at substride 5 once took 1
+    # for the constant 0 and the modified duality reported a wrong failure
     g = parse_graph("v 1 -3\nv 2 -4\nv 3 -5\ne 1 3\ne 2 3\n")
     tw = RationalCycle((23, 4, 16), 53)
     spec = build_zeta(g, twist=tw)
     cls, base = _twist_data(g, spec, (48,))
     residue = g.residue(g.group.frac_rep(cls))
-    direction = _ray_directions(g, (0,))[0]
-    assert direction == RationalCycle((2, 0, 0))
     closed = counting_qp_closed(g, cls, (0,), base - g.group.frac_rep(cls))
     assert closed == 0
-    assert quasipoly_value(spec.untwisted(), residue, (0,), base, direction) == closed
+    assert fitted_qp_value(spec.untwisted(), residue, 0, base) == closed
+    assert sampled_constant(spec.untwisted(), residue, 0, base) == closed
     rep = verify_twisted_duality(g, tw, (48,), (0, 2))
     assert (rep.lhs_modified, rep.rhs_modified) == (0, 0)
     assert (rep.status, rep.status_modified) == ("pass", "pass")
