@@ -2,9 +2,9 @@
 """Walk through three classical germs and print their invariant reports.
 
 Covers the order-four cyclic quotient chain, the binary dihedral quotient
-with its five curve classes, and the non-rational Brieskorn germ where the
-delta invariant is refused but the kappa invariants survive (including the
-blown-up resolution where the reduced kappa drops).
+with a curve in each of its eleven nonzero classes, and the non-rational
+Brieskorn germ where the delta invariant is refused but the kappa invariants
+survive (including the blown-up resolution where the reduced kappa drops).
 """
 
 from pathlib import Path

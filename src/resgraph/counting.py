@@ -587,8 +587,9 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
 
     The point is base + x with x_p two steps past the degree bound B_p of
     ``_step_bound``.  Polynomiality is the premise, so the count must not move
-    one step further along any kept coordinate; otherwise
-    ``InternalCheckError`` is raised.
+    one step further along any kept coordinate, and it must equal the division
+    ``fitted_qp_value`` on each (a polynomial keeps its coefficient sum when
+    variables are set to 1); otherwise ``InternalCheckError`` is raised.
     """
     pos = tuple(sorted(positions))
     bs = base.scaled(spec.den)
@@ -602,6 +603,10 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
             raise InternalCheckError(
                 f"reduced series is not a polynomial: the count moves past its "
                 f"degree bound on coordinate {p}")
+        if (constant := fitted_qp_value(spec, residue, p, base)) != value:
+            raise InternalCheckError(
+                f"reduced series is not a polynomial: its count {value} differs "
+                f"from the one-variable constant {constant} on coordinate {p}")
     return value
 
 

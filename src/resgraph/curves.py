@@ -32,15 +32,18 @@ indexed by the cells of the box [0, c + 1], c the conductor:
   the top layers l_i = c_i + 1 vanish for any table: the support is in [0, c].
 * Inversion.  H is the sum R over the nonempty branch subsets J of
   (-1)^(|J|-1) times the prefix sums of P_J (over the cells strictly below l
-  on the coordinates in J), broadcast over the other axes.  R is built once
-  per curve object; the delta sum is sum_i (c_i + 1) - R(c + 1).
+  on the coordinates in J), broadcast over the other axes; the delta sum is
+  sum_i (c_i + 1) - R(c + 1).  A curve object builds I (on [0, c]), H and R
+  once; the subcurve on J takes I reduced by ``any`` over the other axes, with
+  no closure re-check (the clamp of s + t projects to the clamp of the
+  projected sum, 0 and c to 0 and c_J) but with the path check on its table.
 
 The work grows with the box cells prod(c_i + 2) and, through the branch
 subsets, with 2^r.  A curve whose box holds more than ``BOX_CELL_CAP`` cells
 is refused with a ``CurveDataError`` before anything of that size is built,
 and the command line prints one ``error:`` line and exits 2.  The costliest
 accepted shape is eleven branches with conductor zero (2^11 cells, 2^11
-subsets): ``delta_total`` and ``verify_inversion`` together take about 1.2 s
+subsets): ``delta_total`` and ``verify_inversion`` together take about 1.0 s
 there on a 2-CPU Xeon.
 """
 
@@ -71,14 +74,6 @@ def _check_box(conductor: Iterable[int]) -> None:
             raise CurveDataError(
                 f"the box [0, conductor + 1] holds more than {BOX_CELL_CAP} "
                 "cells; refused")
-
-
-def _indicator(conductor: Sequence[int], values: Iterable[Sequence[int]]) -> np.ndarray:
-    """Boolean indicator of the values on the box [0, conductor]."""
-    ind = np.zeros(tuple(m + 1 for m in conductor), dtype=bool)
-    cells = np.array(list(values), dtype=np.int64).reshape(-1, len(conductor))
-    ind[tuple(cells.T)] = True
-    return ind
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -116,7 +111,7 @@ class MultibranchCurve:
         # the clamp of s + t to c must be a value for every value t (the
         # membership rule); the first failing t in lexicographic order is the
         # first missing sum
-        present = _indicator(c, self.values)
+        present = self._present
         # absence on [0, 2c], a cell past c read at its clamp
         absent = ~present[np.ix_(*(np.minimum(np.arange(2 * m + 1), m) for m in c))]
         for s in sorted(self.values):
@@ -196,11 +191,17 @@ class MultibranchCurve:
             conductor=tuple(self.conductor[j] for j in js),
             values=frozenset(tuple(v[j] for j in js) for v in self.values))
 
-    def gap_count(self) -> int:
-        """Number of nonmembers below the conductor (single branch only)."""
-        if self.branches != 1:
-            raise CurveDataError("gap count is a one-branch notion")
-        return self.conductor[0] - (len(self.values) - 1)
+    @cached_property
+    def _present(self) -> np.ndarray:
+        """Boolean membership array on the box [0, conductor]."""
+        present = np.zeros(tuple(m + 1 for m in self.conductor), dtype=bool)
+        present[tuple(zip(*self.values))] = True  # one index array per axis
+        return present
+
+    @cached_property
+    def _hilbert(self) -> "HilbertTable":
+        """The Hilbert table, built once per curve object."""
+        return hilbert_table(self)
 
     @cached_property
     def _reassembly(self) -> np.ndarray:
@@ -210,10 +211,12 @@ class MultibranchCurve:
         total = np.zeros(tuple(m + 2 for m in c), dtype=np.int64)
         for k in range(1, r + 1):
             for js in itertools.combinations(range(r), k):
-                ps = poincare_series(self, js if k < r else None)
+                outside = tuple(j for j in range(r) if j not in js)
+                table = (_hilbert_grid(self._present.any(axis=outside)) if outside
+                         else self._hilbert.grid)
                 # a leading zero makes the prefix sums run strictly below l
                 sums = np.zeros([c[j] + 2 for j in js], dtype=np.int64)
-                sums[(slice(1, None),) * k] = ps.grid
+                sums[(slice(1, None),) * k] = _poincare_grid(table)
                 for axis in range(k):
                     np.cumsum(sums, axis=axis, out=sums)
                 shape = [c[j] + 2 if j in js else 1 for j in range(r)]
@@ -289,12 +292,17 @@ class HilbertTable:
         differences keep, and each later axis, continued by a constant, gets
         a zero top layer of its own.
         """
-        out = self.grid
-        for axis in range(out.ndim):
-            edge = np.take(out, [-1], axis=axis)
-            out = np.diff(np.concatenate([out, edge + int(axis == 0)], axis=axis),
-                          axis=axis)
-        return out
+        return _differences(self.grid)
+
+
+def _differences(grid: np.ndarray) -> np.ndarray:
+    """``HilbertTable.differences`` of a bare table."""
+    out = grid
+    for axis in range(out.ndim):
+        edge = np.take(out, [-1], axis=axis)
+        out = np.diff(np.concatenate([out, edge + int(axis == 0)], axis=axis),
+                      axis=axis)
+    return out
 
 
 def hilbert_table(curve: MultibranchCurve) -> HilbertTable:
@@ -304,10 +312,14 @@ def hilbert_table(curve: MultibranchCurve) -> HilbertTable:
     holds.  Every coordinate path must give the same value; disagreement
     means the value set was not a valid semigroup of a curve.
     """
-    r, c = curve.branches, curve.conductor
+    return HilbertTable(curve=curve, grid=_hilbert_grid(curve._present))
+
+
+def _hilbert_grid(present: np.ndarray) -> np.ndarray:
+    """The grid of ``hilbert_table`` from the membership array on [0, c]."""
+    r, c = present.ndim, tuple(m - 1 for m in present.shape)
     # membership on [0, c + 1] by the clamp rule
-    present = _indicator(c, curve.values)[np.ix_(*(
-        np.minimum(np.arange(m + 2), m) for m in c))]
+    present = present[np.ix_(*(np.minimum(np.arange(m + 2), m) for m in c))]
     flip = (slice(None, None, -1),) * r  # reverse cumulative maxima as forward ones
     jumps = []
     for i in range(r):
@@ -337,7 +349,7 @@ def hilbert_table(curve: MultibranchCurve) -> HilbertTable:
         raise CurveDataError(
             f"Hilbert recursion is path dependent at {ell}: got {sorted(vals)}; "
             "the value set is not a valid curve semigroup")
-    return HilbertTable(curve=curve, grid=grid)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +388,23 @@ def poincare_series(curve: MultibranchCurve,
     Hilbert sum; for several branches the top layers dropped from the
     differences are zero for any table (see ``HilbertTable.differences``)."""
     sub = curve if branch_indices is None else curve.subcurve(branch_indices)
-    r = sub.branches
-    if r == 1:
-        grid = _indicator(sub.conductor, sub.values).astype(np.int64)
-    else:
-        grid = (-1) ** (r + 1) * hilbert_table(sub).differences()[
-            tuple(slice(0, m + 1) for m in sub.conductor)]
+    grid = _poincare_grid(sub._hilbert.grid)
     cells = np.argwhere(grid)
     terms = dict(zip(map(tuple, cells.tolist()), grid[tuple(cells.T)].tolist()))
     return CurvePoincare(curve=sub, terms=terms, grid=grid)
 
 
+def _poincare_grid(table: np.ndarray) -> np.ndarray:
+    """Poincare coefficients on [0, c] from a Hilbert table on [0, c + 1]."""
+    return (-1) ** (table.ndim + 1) * _differences(table)[(slice(0, -1),) * table.ndim]
+
+
 def delta_branch(curve: MultibranchCurve) -> int:
     """Delta of a single branch: the gap count of its numerical semigroup
     (minus the periodic constant of its one-variable series)."""
-    return curve.gap_count()
+    if curve.branches != 1:
+        raise CurveDataError("gap count is a one-branch notion")
+    return curve.conductor[0] - (len(curve.values) - 1)
 
 
 def delta_total(curve: MultibranchCurve) -> int:
@@ -403,8 +417,7 @@ def delta_total(curve: MultibranchCurve) -> int:
     """
     total = sum(curve.conductor) + curve.branches - int(
         curve._reassembly[(-1,) * curve.branches])
-    h = hilbert_table(curve)
-    stable = sum(curve.conductor) - h.value(curve.conductor)
+    stable = sum(curve.conductor) - curve._hilbert.value(curve.conductor)
     if total != stable:
         raise CurveDataError(
             f"delta cross-check failed: alternating sum gives {total}, the "
@@ -415,6 +428,5 @@ def delta_total(curve: MultibranchCurve) -> int:
 def verify_inversion(curve: MultibranchCurve) -> tuple[bool, tuple[int, ...] | None]:
     """Reassemble the Hilbert table from the Poincare data of all subcurves
     and compare on the box; returns the first mismatch as a witness."""
-    h = hilbert_table(curve)
-    ell = _first(curve._reassembly != h.grid)
+    ell = _first(curve._hilbert.grid != curve._reassembly)  # the table first
     return ell is None, ell

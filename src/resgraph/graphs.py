@@ -111,6 +111,30 @@ class IntersectionForm:
         return [sum(row[j] * scaled[j] for j in range(self.n)) for row in self.rows]
 
 
+def _components(ids: Sequence[int],
+                edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on ``ids`` with the edges that join
+    two of them, each sorted, in the order of their first vertex in ``ids``."""
+    adj: dict[int, list[int]] = {v: [] for v in ids}
+    for a, b in edges:
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
+    components: list[list[int]] = []
+    seen: set[int] = set()
+    for v in ids:
+        if v not in seen:
+            comp = [v]
+            seen.add(v)
+            for u in comp:  # the loop reaches every vertex appended as it runs
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            components.append(sorted(comp))
+    return components
+
+
 def _validate_negative_definite(rows: Sequence[Sequence[int]]) -> None:
     minors = leading_principal_minors([list(r) for r in rows])
     for k, m in enumerate(minors, start=1):
@@ -160,18 +184,7 @@ class ResolutionGraph:
             raise NotATreeError(
                 f"{len(self.ids)} vertices need {len(self.ids) - 1} edges to form a tree, "
                 f"got {len(self.edges)}")
-        # connectivity
-        adj: dict[int, list[int]] = {i: [] for i in self.ids}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        stack, reach = [self.ids[0]], {self.ids[0]}
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        if len(reach) != len(self.ids):
+        if len(_components(self.ids, self.edges)) != 1:
             raise NotATreeError("edge set is not connected")
         _validate_negative_definite(self._build_rows())
 
@@ -552,28 +565,8 @@ def subgraph_components(graph: ResolutionGraph,
     unknown = removed - set(graph.ids)
     if unknown:
         raise GraphError(f"unknown vertex id {min(unknown)}")
-    keep = [v for v in graph.ids if v not in removed]
-    adj: dict[int, list[int]] = {v: [] for v in keep}
-    for a, b in graph.edges:
-        if a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
-    components: list[list[int]] = []
-    seen: set[int] = set()
-    for v in keep:
-        if v in seen:
-            continue
-        stack, comp = [v], [v]
-        seen.add(v)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        components.append(sorted(comp))
     out = []
-    for comp in components:
+    for comp in _components([v for v in graph.ids if v not in removed], graph.edges):
         cset = set(comp)
         sub = ResolutionGraph.build(
             {v: graph.eulers[graph.index[v]] for v in comp},

@@ -307,7 +307,7 @@ def _campaign_counts(out: str) -> list[tuple[int, int]]:
             for line in out.splitlines()]
 
 
-def _run_campaign(*args: str) -> subprocess.CompletedProcess:
+def _run_script(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
@@ -318,7 +318,7 @@ def _run_campaign(*args: str) -> subprocess.CompletedProcess:
 def test_fuzz_campaign_default_run(flags):
     # seed 1, 50 trials, about 2 s: the same counts under -O, so no check
     # of the campaign rests on assert
-    proc = _run_campaign(*flags, str(CAMPAIGN))
+    proc = _run_script(*flags, str(CAMPAIGN))
     assert proc.returncode == 0, proc.stderr
     assert _campaign_counts(proc.stdout) == [(0, 0)] * 4
 
@@ -326,9 +326,25 @@ def test_fuzz_campaign_default_run(flags):
 def test_fuzz_campaign_at_200_trials():
     # about 5 s; with ray-fitted constants this run had one twisted-duality
     # failure and exited 1
-    proc = _run_campaign(str(CAMPAIGN), "--seed", "1", "--trials", "200")
+    proc = _run_script(str(CAMPAIGN), "--seed", "1", "--trials", "200")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert _campaign_counts(proc.stdout) == [(0, 0)] * 4
+
+
+def test_worked_examples_run():
+    # about 0.3 s: the walk-through the README points to
+    proc = _run_script(str(ROOT / "scripts" / "worked_examples.py"))
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    for line in ["quartic pair curve: cycle (3, 2, 1), delta = 6, correction = 0",
+                 "Z_K = (2, 1, 1, 1), Z_min = (6, 3, 2, 1), chi(Z_min) = 0, rational: False",
+                 "kappa = 2, reduced = 2",
+                 "after one blow-up: kappa = 2, reduced at the new vertex = 1"]:
+        assert line in lines
+    # delta, chi(-s) and the correction of each nonzero dihedral class
+    rows = [line.split()[-3:] for line in lines if line.startswith("(")]
+    assert [int(delta) for delta, _, _ in rows] == [1, 2, 1, 0, 0, 1, 1, 0, 1, 1, 0]
+    assert rows[1] == ["2", "2", "0"]
 
 
 def test_refusals_count_as_inconclusive(monkeypatch, capsys):
@@ -363,6 +379,29 @@ def test_curve_file(capsys):
     assert code == 0
     assert "delta = 2" in out
     assert "Poincare evaluation at one = 2" in out
+
+
+@pytest.mark.parametrize("text, delta", [
+    ((ROOT / "curves_data" / "tacnode.curve").read_text(), 2),
+    # the costliest accepted shape: 2^11 box cells and 2^11 branch subsets
+    ("branches 11\nconductor" + " 0" * 11 + "\ns" + " 0" * 11 + "\n", 0),
+], ids=["tacnode", "eleven-branches"])
+def test_curve_report_builds_one_hilbert_table(text, delta, tmp_path, monkeypatch,
+                                               capsys):
+    # the subset pass, the delta cross-check, the inversion check and the
+    # evaluation at one share the whole curve's table; the subcurves' tables
+    # come from projections of its membership array
+    build = curvemod.hilbert_table
+    calls = []
+    monkeypatch.setattr(curvemod, "hilbert_table",
+                        lambda curve: calls.append(curve) or build(curve))
+    path = tmp_path / "report.curve"
+    path.write_text(text)
+    code, out, _ = run_cli(["curve", path], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == [f"delta = {delta}", "Hilbert-Poincare inversion: pass",
+                                    f"Poincare evaluation at one = {delta}"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("args", [["--ordinary", "20"],

@@ -858,7 +858,8 @@ def test_only_proper_subsets_are_fitted(dihedral, monkeypatch):
     periodic_constant_reduced(dihedral, relative, dihedral.group.zero, (2,))
     assert calls == {"quasipoly_value": 0, "fitted_qp_value": 1}
     periodic_constant_reduced(dihedral, relative, dihedral.group.zero, (0, 2))
-    assert calls == {"quasipoly_value": 1, "fitted_qp_value": 1}
+    # the count checks itself against the division on both of its positions
+    assert calls == {"quasipoly_value": 1, "fitted_qp_value": 3}
 
 
 def test_relative_modified_constant_is_refused(dihedral):
@@ -872,14 +873,16 @@ def test_relative_modified_constant_is_refused(dihedral):
 def test_relative_polynomial_count_needs_its_marked_vertices():
     # one arrow reduced to two positions is no polynomial, yet the count past
     # the degree bound is 2 here and does not move one step further; both
-    # one-variable constants are 0
+    # one-variable constants are 0, and the route compares the count with them
     g = parse_graph("v 1 -1\nv 2 -4\nv 3 -4\ne 1 3\ne 2 3\n")
     tw = g.dual(2)
     spec = build_zeta(g, twist=tw, relative=(2,))
     h = (8,)
     cls, base = _twist_data(g, spec, h)
     assert cls == g.group.zero
-    assert counting.quasipoly_value(spec.untwisted(), g.residue(base), (0, 2), base) == 2
+    with pytest.raises(InternalCheckError, match="not a polynomial: its count 2 "
+                       "differs from the one-variable constant 0 on coordinate 0"):
+        counting.quasipoly_value(spec.untwisted(), g.residue(base), (0, 2), base)
     assert [periodic_constant_reduced(g, spec, h, (p,)) for p in (0, 2)] == [0, 0]
     with pytest.raises(ValueError, match="marked vertices"):
         periodic_constant_reduced(g, spec, h, (0, 2))

@@ -457,38 +457,50 @@ def test_failed_inversion_names_a_python_int_witness(monkeypatch):
 # ---------------------------------------------------------------------------
 # one reassembly per curve object
 
-def _counted(monkeypatch, name):
-    """Count the calls of ``curves.<name>`` by the branch count of the curve."""
+def _counted(monkeypatch, name, owner=curves):
+    """Count the calls of ``owner.<name>`` by the branch count of the curve."""
     calls = collections.Counter()
-    build = getattr(curves, name)
+    build = getattr(owner, name)
 
     def counted(curve, *args):
         calls[curve.branches] += 1
         return build(curve, *args)
-    monkeypatch.setattr(curves, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_delta_and_inversion_share_one_subset_pass(monkeypatch):
     tables = _counted(monkeypatch, "hilbert_table")
+    subcurves = _counted(monkeypatch, "subcurve", MultibranchCurve)
     curve = MultibranchCurve.ordinary(3)
     assert delta_total(curve) == 2
     assert verify_inversion(curve) == (True, None)
-    # each 2-branch subcurve once; the whole curve in the pass, for the
-    # delta cross-check and for the inversion check
-    assert tables == {2: 3, 3: 3}
+    # the whole curve once, shared by the pass, the delta cross-check and
+    # the inversion check; each subcurve is a projection of the membership
+    # array, never a curve object of its own
+    assert tables == {3: 1}
+    assert not subcurves
 
 
 def test_equal_curves_do_not_share_the_reassembly(monkeypatch):
-    series = _counted(monkeypatch, "poincare_series")
+    tables = _counted(monkeypatch, "hilbert_table")
     first, second = tacnode(), tacnode()
     assert first == second and first is not second
     assert type(delta_total(first)) is int
-    assert sum(series.values()) == 3
+    assert tables == {2: 1}
     delta_total(first)
-    assert sum(series.values()) == 3
+    verify_inversion(first)
+    assert tables == {2: 1}
     delta_total(second)
-    assert sum(series.values()) == 6
+    assert tables == {2: 2}
+
+
+def test_eleven_branches_with_conductor_zero():
+    # the costliest accepted shape: 2^11 box cells and 2^11 branch subsets
+    curve = MultibranchCurve.from_values([(0,) * 11], (0,) * 11)
+    assert delta_total(curve) == 0
+    assert verify_inversion(curve) == (True, None)
+    assert poincare_series(curve).value_at_one() == 0
 
 
 # ---------------------------------------------------------------------------
