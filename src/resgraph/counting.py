@@ -44,7 +44,19 @@ all variables, less the same closed form on each subtree of the complement
 relative series reduced to its two or more marked vertices is a polynomial,
 so its constant is one count past the polynomial's degree bound; reduced to
 one vertex, its class part N / D is divided exactly, N = P D + M, and the
-constant is P(1) (Laszlo-Nemethi, Geom. Topol. 2014).
+constant is P(1) (Laszlo-Nemethi, Geom. Topol. 2014).  That division reads
+the class part's coefficients along the vertex off one table, whose one box
+serves every class (closed counts per step for two generators), and runs
+over the at most 2^r nonzero terms of D = prod_i (1 - v^{e_i}), whose degree
+can reach thousands.
+
+The normalised SW invariant is the periodic constant of a class part in all
+variables, and it survives reduction to the node variables (same
+reference).  On a star-shaped tree, with exactly one node, it is therefore
+the one-variable division at the node.  Where the budget refuses that node
+table (asked once per graph), and on chains and trees with two or more
+nodes, it is read off two full-variable counts at two margins inside the
+canonically shifted cone, which must agree.
 """
 
 from __future__ import annotations
@@ -561,21 +573,36 @@ def counting_Q(spec: ZetaSpec, residue: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # exact periodic constants of relative series
 
-def _step_bound(spec: ZetaSpec, p: int, base: tuple[int, ...]) -> tuple[int, list[int]]:
-    """Degree data of a class part along coordinate p, in whole steps from
-    ``base`` (scaled by den).
+def _degree_data(spec: ZetaSpec, p: int) -> tuple[int, list[int]]:
+    """Degree data of every class part along coordinate p (scaled by den).
 
     With o_i = den / gcd(den, g_i) the order of generator i's residue, the
     class part is N_h / prod_i (1 - t^{o_i g_i}), and every monomial of N_h
     is a numerator shift b_j plus fewer than o_i copies of each g_i.  So N_h
-    has no term past B_p = max_j b_j[p] + sum_i (o_i - 1) g_i[p].  Returns
-    B_p in steps from the base and the denominator exponents o_i g_i[p] / den.
+    has no term past top_p = max_j b_j[p] + sum_i (o_i - 1) g_i[p].  Returns
+    top_p and the denominator exponents o_i g_i[p] / den.
     """
     d = spec.den
     orders = [d // reduce(gcd, gen, d) for gen in spec.dens]
     top = max(b[p] for _, b in spec.num) + sum((o - 1) * gen[p]
                                                for o, gen in zip(orders, spec.dens))
-    return (top - base[p]) // d, [o * gen[p] // d for o, gen in zip(orders, spec.dens)]
+    return top, [o * gen[p] // d for o, gen in zip(orders, spec.dens)]
+
+
+def _step_bound(spec: ZetaSpec, p: int, base: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The degree bound B_p of a class part along p in whole steps from
+    ``base`` (scaled by den), and the denominator exponents."""
+    top, degs = _degree_data(spec, p)
+    return (top - base[p]) // spec.den, degs
+
+
+def _row_box(spec: ZetaSpec, p: int) -> int:
+    """The one box along p whose table holds the coefficient row of every
+    class part: the row from a base reaches B_p + deg D steps, so it ends
+    below top_p + (deg D + 1) den, and a numerator shift b_j leaves the
+    generators less than that minus b_j[p]."""
+    top, degs = _degree_data(spec, p)
+    return top + (sum(degs) + 1) * spec.den - min(b[p] for _, b in spec.num)
 
 
 def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
@@ -610,36 +637,76 @@ def quasipoly_value(spec: ZetaSpec, residue: tuple[int, ...],
     return value
 
 
+def _class_row(spec: ZetaSpec, residue: tuple[int, ...], p: int, base: RationalCycle,
+               lo: int, top: int) -> list[int]:
+    """Coefficients a_m, m = lo .. top, of a class part along coordinate p:
+    the coefficient sums over its exponents whose coordinate p lies m whole
+    steps past the base's (an untwisted spec).
+
+    Two generators take closed per-step counts, as ``counting_q`` does, and
+    build no table.  Otherwise the one table of ``_row_box`` along p, shared
+    by every class, is read once: every cell of a numerator term's class
+    sits at a whole number of steps from the base, and its count, times the
+    term's coefficient, is added there in Python ints."""
+    if len(spec.dens) == 2:
+        unit = RationalCycle(tuple(int(i == p) for i in range(spec.nvars)))
+        below = [counting_q(spec, residue, (p,), base + k * unit)
+                 for k in range(lo, top + 2)]
+        return [y - x for x, y in zip(below, below[1:])]
+    d = spec.den
+    bs = base.scaled(d)
+    table = _table_for(spec, (p,), (_row_box(spec, p),))
+    row = [0] * (top + 1 - lo)
+    for coeff, b in spec.num:
+        entry = table.get(tuple((x - y) % d for x, y in zip(residue, b)))
+        if entry is None:
+            continue
+        ys, cs = entry
+        steps, off = _np.divmod(ys[:, 0] + (b[p] - bs[p]), d)
+        if off.any():
+            raise InternalCheckError(
+                f"class part along coordinate {p} has an exponent off the base's steps")
+        keep = steps <= top
+        for m, c in zip(steps[keep].tolist(), cs[keep].tolist()):
+            row[m - lo] += coeff * c
+    return row
+
+
 def fitted_qp_value(spec: ZetaSpec, residue: tuple[int, ...], p: int,
                     base: RationalCycle) -> int:
     """Periodic constant of a class part reduced to the one coordinate p.
 
     In v, one step along p from the base, the class part is
     S = sum_m a_m v^m = N / D with D = prod_i (1 - v^{o_i g_i[p] / den}) and N
-    a Laurent polynomial of degree at most B (``_step_bound``).  The a_m are
-    read off the counting function up to B + deg D, N = S D is formed there,
-    and N must vanish on (B, B + deg D], else ``InternalCheckError`` is
+    a Laurent polynomial of degree at most B (``_step_bound``).  The a_m up to
+    B + deg D come from one table along p (``_class_row``), N = S D is formed
+    there, and N must vanish on (B, B + deg D], else ``InternalCheckError`` is
     raised.  Dividing, N = P D + M with M's powers in [0, deg D); M / D has
     periodic constant zero, so the constant is P(1) (Laszlo-Nemethi, Geom.
     Topol. 2014).  P has negative powers where exponents lie below the base.
-    The work grows with B and deg D, not with the period of the counting
-    function.
+    D has at most 2^r nonzero terms for r generators while deg D can reach
+    thousands, so the product and both division loops run over D's nonzero
+    terms only.  The work grows with B and deg D, not with the period of the
+    counting function.  The table is fetched before D is built, so a table
+    refused by the budget raises ``TableBudgetExceeded`` at once.
     """
+    spec, residue, base = _untwist(spec, residue, base)
     d = spec.den
     bs = base.scaled(d)
     bound, degs = _step_bound(spec, p, bs)
-    dpoly = [1]
-    for e in degs:  # times (1 - v^e)
-        dpoly = [c - (dpoly[i - e] if i >= e else 0) for i, c in enumerate(dpoly + [0] * e)]
-    n = len(dpoly) - 1
+    n = sum(degs)  # deg D
     lo = (min(b[p] for _, b in spec.num) - bs[p]) // d  # no exponent below
-    unit = RationalCycle(tuple(int(i == p) for i in range(spec.nvars)))
-    below = [counting_q(spec, residue, (p,), base + k * unit)
-             for k in range(bound + n + 1, lo - 1, -1)][::-1]  # the largest box first
     s = min(lo, 0)  # the lists below start at power s
-    coeffs = [0] * (lo - s) + [y - x for x, y in zip(below, below[1:])]
-    num = [sum(dpoly[k] * coeffs[i - k] for k in range(min(i, n) + 1))
-           for i in range(len(coeffs))]
+    coeffs = [0] * (lo - s) + _class_row(spec, residue, p, base, lo, bound + n)
+    dpoly = {0: 1}
+    for e in degs:  # times (1 - v^e)
+        for k, c in list(dpoly.items()):
+            dpoly[k + e] = dpoly.get(k + e, 0) - c
+    dterms = [(k, c) for k, c in sorted(dpoly.items()) if c]
+    num = [0] * len(coeffs)
+    for k, dk in dterms:
+        for i in range(k, len(coeffs)):
+            num[i] += dk * coeffs[i - k]
     if any(num[bound + 1 - s:]):
         raise InternalCheckError(
             f"class part along coordinate {p} has a numerator term past its degree bound")
@@ -648,22 +715,56 @@ def fitted_qp_value(spec: ZetaSpec, residue: tuple[int, ...], p: int,
     for i in range(-s):  # negative powers, lowest first: D has constant term 1
         c = num[i]
         total += c
-        for k, dk in enumerate(dpoly):
+        for k, dk in dterms:
             num[i + k] -= c * dk
+    lead = dterms[-1][1]  # D's leading coefficient is +-1
     for i in range(len(num) - 1, n - s - 1, -1):  # powers >= deg D, highest first
-        c = num[i] * dpoly[n]  # D's leading coefficient is +-1
+        c = num[i] * lead
         total += c
-        for k, dk in enumerate(dpoly):
+        for k, dk in dterms:
             num[i - n + k] -= c * dk
     return total
+
+
+@_memo
+def _star_node(graph: ResolutionGraph) -> int | None:
+    """The node of a star-shaped tree (exactly one vertex of valence three
+    or more) if the budget admits its node table, the one box of
+    ``_row_box`` that every class reads; None otherwise.  Decided once per
+    graph, so a refused node table costs a class nothing."""
+    nodes = [i for i, val in enumerate(graph.valences) if val >= 3]
+    if len(nodes) != 1:
+        return None
+    spec = plain_zeta(graph)
+    try:
+        _table_for(spec, (nodes[0],), (_row_box(spec, nodes[0]),))
+    except TableBudgetExceeded:
+        return None
+    return nodes[0]
 
 
 @_memo
 def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
     """Normalised Seiberg-Witten invariant of the link for one class.
 
-    Probes the counting function at two depths inside the cone shifted by the
-    canonical cycle; the two stabilised values must agree.
+    It is the periodic constant of the class part of the zeta function, and
+    that constant survives reduction to the node variables (Laszlo-Nemethi,
+    Geom. Topol. 2014).  So on a star-shaped tree it is the one-variable
+    constant at the node, ``fitted_qp_value`` at r_h, read off the node
+    table.  Where that table is over the budget, and on every other tree, it
+    is the two-margin probe ``_sw_probe``.
+    """
+    node = _star_node(graph)
+    if node is None:
+        return _sw_probe(graph, h)
+    r = graph.group.frac_rep(h)
+    return fitted_qp_value(plain_zeta(graph), graph.residue(r), node, r)
+
+
+def _sw_probe(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
+    """The normalised SW invariant read off the counting function in all
+    variables: probes at two depths inside the cone shifted by the canonical
+    cycle, whose stabilised values must agree, else ``StabilizationError``.
     """
     group = graph.group
     r = group.frac_rep(h)

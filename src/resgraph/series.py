@@ -291,8 +291,9 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
                             offset, strides)
         nonzero = mult != 0
         rows, mult = rows[nonzero], mult[nonzero]
+    # the keys are built column by column, about twice as fast as a tuple per row
     return SparseSeries(ids=spec.ids, den=spec.den, bound=bscaled,
-                        terms=dict(zip(map(tuple, rows.tolist()), mult.tolist())))
+                        terms=dict(zip(zip(*rows.T.tolist()), mult.tolist())))
 
 
 def h_part(series: SparseSeries, residue: tuple[int, ...], d: int) -> SparseSeries:

@@ -22,13 +22,14 @@ from resgraph import counting
 from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
                                _build_sparse, _table_for, _twist_data, _wide,
                                counting_Q, counting_q, counting_qp_closed,
-                               fitted_qp_value, modified_qp_closed,
+                               _sw_probe, fitted_qp_value, modified_qp_closed,
                                periodic_constant_full,
                                periodic_constant_reduced, plain_zeta,
                                surgery_check, sw_norm)
 from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph.embedded import _relative_pc, verify_twisted_duality
-from resgraph.graphs import chi, min_antinef_rep, parse_graph
+from resgraph.graphs import (NotNegativeDefiniteError, ResolutionGraph, chi, is_rational,
+                             min_antinef_rep, parse_graph)
 from resgraph.randtrees import (random_antinef, random_class, random_positions,
                                 random_rational_graph, random_unit_arrows)
 from resgraph.series import ZetaSpec, build_zeta, synthetic_spec
@@ -731,6 +732,29 @@ def test_one_variable_division_matches_sampled_counts(case):
     assert fitted_qp_value(spec, residue, p, base) == sampled_constant(spec, residue, p, base)
 
 
+def test_sparse_division_matches_sampled_counts_on_a_long_denominator():
+    # deg D = 50 + 60 + 75 = 185 while D has 8 nonzero terms, and three
+    # generators read their coefficient row off one table; numerator terms
+    # in every class mod 3, some below the base
+    spec = synthetic_spec([(1, (0,)), (-2, (6,)), (1, (-9,)), (3, (21,)), (5, (4,))],
+                          [(150,), (180,), (225,)], den=3)
+    for k in (0, 1, -6, 11):
+        base = RationalCycle((k,), 3)
+        residue = (k % 3,)
+        _, degs = counting._step_bound(spec, 0, base.scaled(3))
+        assert sum(degs) >= 100
+        assert fitted_qp_value(spec, residue, 0, base) == \
+            sampled_constant(spec, residue, 0, base)
+
+
+def test_one_variable_row_off_the_base_steps_is_an_internal_error():
+    # a residue that disagrees with the base on p puts the class's
+    # exponents between the base's steps
+    spec = synthetic_spec([(1, (0,))], [(1,), (2,), (3,)], den=2)
+    with pytest.raises(InternalCheckError, match="off the base's steps"):
+        fitted_qp_value(spec, (1,), 0, RationalCycle((0,)))
+
+
 def test_one_position_relative_constants_match_sampled_counts():
     # relative series, twisted or not, in every class, on one position: the
     # exact division against the sampled oracle; a draw is skipped only
@@ -797,9 +821,81 @@ def test_sw_rational_identity(a3, dihedral):
 
 
 def test_sw_brieskorn_regression(brieskorn):
-    # stabilised double probe on the non-rational germ; frozen after
-    # validating both probes against the brute-force counting oracle
-    assert sw_norm(brieskorn, ()) == 1
+    # the non-rational germ, through its node and by the two-margin probe;
+    # frozen after validating both probes against the brute-force oracle
+    assert sw_norm(brieskorn, ()) == _sw_probe(brieskorn, ()) == 1
+
+
+def _random_star(rng: random.Random) -> ResolutionGraph:
+    """A negative definite tree with exactly one node: three or four legs
+    of one or two vertices, at most six vertices, determinant at most 40,
+    rational or not."""
+    while True:
+        eulers, edges = {1: rng.randint(-4, -1)}, []
+        for _ in range(rng.randint(3, 4)):
+            prev = 1
+            for _ in range(rng.randint(1, 2)):
+                v = len(eulers) + 1
+                eulers[v] = rng.randint(-4, -2)
+                edges.append((prev, v))
+                prev = v
+        try:
+            graph = ResolutionGraph.build(eulers, edges)
+        except NotNegativeDefiniteError:
+            continue
+        if graph.n <= 6 and graph.det_abs <= 40:
+            return graph
+
+
+def test_star_sw_through_the_node_matches_the_probe(fresh_tables):
+    # the one-variable constant at the node against the two-margin probe in
+    # all variables, on every class of seeded random stars
+    rng = random.Random(1818)
+    kinds = set()
+    classes = 0
+    for _ in range(16):
+        graph = _random_star(rng)
+        assert [v >= 3 for v in graph.valences].count(True) == 1
+        kinds.add(is_rational(graph))
+        for h in graph.group.elements():
+            assert sw_norm(graph, h) == _sw_probe(graph, h)
+            classes += 1
+    assert kinds == {True, False}
+    assert classes >= 100
+
+
+def test_star_sw_takes_no_full_count(dihedral, brieskorn, a3, fresh_tables, monkeypatch):
+    # a star's SW invariants come from one node table, with no counting_Q
+    # call; a chain still takes the probe
+    calls = []
+    count = counting.counting_Q
+    monkeypatch.setattr(counting, "counting_Q", lambda *args: calls.append(args) or count(*args))
+    for g in (dihedral, brieskorn):
+        for h in g.group.elements():
+            sw_norm(g, h)
+    assert calls == []
+    sw_norm(a3, a3.group.zero)
+    assert len(calls) == 2
+
+
+def test_star_sw_falls_back_to_the_probe(brieskorn, dihedral, fresh_tables, monkeypatch):
+    # a node table over the budget leaves the probe's value, and it is
+    # refused once per graph, not once per class
+    table_for = counting._table_for
+    for g in (brieskorn, dihedral):
+        node = g.valences.index(3)
+        refused = []
+
+        def refusing(spec, positions, bounds):
+            if positions == (node,) and bounds == (counting._row_box(spec, node),):
+                refused.append(bounds)
+                raise TableBudgetExceeded(bounds)
+            return table_for(spec, positions, bounds)
+        probes = [_sw_probe(g, h) for h in g.group.elements()]
+        with monkeypatch.context() as mp:
+            mp.setattr(counting, "_table_for", refusing)
+            assert [sw_norm(g, h) for h in g.group.elements()] == probes
+        assert len(refused) == 1
 
 
 def test_reduced_constant_matches_full(a3, dihedral):
