@@ -23,11 +23,11 @@ box.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
 keeps its tables, budget refusals, Smith normal form, residue group and
-two-generator lattice and cosets, a graph its plain spec, SW invariants and
-subgraph components.  Owners are held weakly and matched by equality, so an
-equal owner is served the entries of the first one stored, which live as
-long as that first owner does.  No entry refers back to its owner, so an
-owner and its entries are freed together.
+two-generator lattice and cosets, a graph its plain spec, SW invariants,
+subgraph components and surgery closed values.  Owners are held weakly and
+matched by equality, so an equal owner is served the entries of the first
+one stored, which live as long as that first owner does.  No entry refers
+back to its owner, so an owner and its entries are freed together.
 
 A table is built as residue -> (coordinates, counts) arrays, on the kept
 coordinates divided by their generator gcds and on the digits of the
@@ -93,7 +93,8 @@ def _integral(val: Fraction, what: str) -> int:
 # the cache store
 
 # owner -> {("table", positions): (bounds, buckets), ("refused", positions):
-# smallest refused box, (function name, *key): value of a memoised function}
+# smallest refused box, (function name, *key): value of a memoised function,
+# such as a graph's ("_counting_qp_closed", class, positions, lbar)}
 _STORE = weakref.WeakKeyDictionary()
 
 
@@ -799,14 +800,27 @@ def counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
     the normalised SW constant.  The tree-surgery identity transfers that to
     a variable subset: subtract the same closed form on each subtree of the
     complement, at the projected argument and its own class.
+
+    Each value is computed once: it is stored among the graph's entries
+    under the class, the sorted positions and lbar, so the subsets a
+    modified constant sums over, and the same subsets asked again by another
+    twist or subset, are read back.
     """
+    return _counting_qp_closed(graph, tuple(g), tuple(sorted(positions)), lbar)
+
+
+@_memo
+def _counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
+                        positions: tuple[int, ...], lbar: RationalCycle) -> int:
+    """The body of ``counting_qp_closed``, on a normalised key: the class a
+    tuple, the positions a sorted tuple."""
     if not lbar.is_integral:
         raise ValueError("quasi-polynomial argument must be a lattice cycle")
     group = graph.group
     rg = group.frac_rep(g)
     point = rg + lbar
     total = chi(graph, point) - chi(graph, rg) + sw_norm(graph, g)
-    keep_ids = tuple(graph.ids[p] for p in sorted(positions))
+    keep_ids = tuple(graph.ids[p] for p in positions)
     for piece in _components(graph, keep_ids):
         sub = piece.graph
         y = piece.project(point)

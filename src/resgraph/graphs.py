@@ -92,15 +92,6 @@ class IntersectionForm:
             raise InternalCheckError("invariant factors do not multiply to |det|")
         return tuple(diag), tuple(map(tuple, u)), tuple(map(tuple, v))
 
-    def pair(self, x: RationalCycle, y: RationalCycle) -> Fraction:
-        """(x, y) as an exact rational: an integer sum over the numerators,
-        divided once by both denominators."""
-        total = 0
-        for a, row in zip(x.num, self.rows):
-            if a:
-                total += a * sum(r * b for r, b in zip(row, y.num))
-        return Fraction(total, x.den * y.den)
-
     def pair_basis(self, x: RationalCycle, v: int) -> Fraction:
         """(x, E_v) for the v-th basis vector, as an exact rational."""
         row = self.rows[v]
@@ -375,8 +366,21 @@ def parse_graph(text: str) -> ResolutionGraph:
 # lattice operations
 
 def chi(graph: ResolutionGraph, x: RationalCycle) -> Fraction:
-    """Riemann-Roch quadratic: chi(x) = -(x, x - Z_K)/2."""
-    return -graph.form.pair(x, x - graph.canonical) / 2
+    """Riemann-Roch quadratic: chi(x) = -(x, x - Z_K)/2, as one integer sum.
+
+    x and Z_K are brought to one denominator L; sum_i x_i (A(x - Z_K))_i is
+    taken over the rows of the form in Python ints and divided once by 2 L^2.
+    """
+    zk = graph.canonical
+    den = math.lcm(x.den, zk.den)
+    fx, fk = den // x.den, den // zk.den
+    xs = [a * fx for a in x.num]
+    diff = [a - b * fk for a, b in zip(xs, zk.num, strict=True)]
+    total = 0
+    for a, row in zip(xs, graph.form.rows):
+        if a:
+            total += a * sum(r * d for r, d in zip(row, diff))
+    return Fraction(-total, 2 * den * den)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 surgery identity, all checked against brute-force oracles."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from conftest import DIHEDRAL_TEXT
 from resgraph import counting
-from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
+from resgraph.counting import (InternalCheckError, StabilizationError,
+                               TableBudgetExceeded,
                                _build_sparse, _table_for, _twist_data, _wide,
                                counting_Q, counting_q, counting_qp_closed,
                                _sw_probe, fitted_qp_value, modified_qp_closed,
@@ -593,10 +595,83 @@ def test_cached_components_free_their_graph(fresh_tables):
     h = graph.group.elements()[3]
     counting_qp_closed(graph, h, (0, 2), zero_cycle(graph.n))
     assert any(tag[0] == "_components" for tag in counting._STORE[graph])
+    assert ("_counting_qp_closed", h, (0, 2), zero_cycle(graph.n)) in counting._STORE[graph]
     ref = weakref.ref(graph)
     del graph
     gc.collect()
     assert ref() is None
+
+
+def _closed_tags(graph):
+    return [tag for tag in counting._STORE.get(graph, {})
+            if tag[0] == "_counting_qp_closed"]
+
+
+def test_each_closed_value_is_computed_once(fresh_tables, monkeypatch, a3, dihedral):
+    # the fixed duality sweep: every class x nonempty subset x {no twist,
+    # the suite's twist}; modified constants and repeated subsets read the
+    # stored values back
+    body = counting._counting_qp_closed.__wrapped__
+    evaluated = []
+
+    @functools.wraps(body)
+    def body_spy(*args):
+        evaluated.append(args)
+        return body(*args)
+    monkeypatch.setattr(counting, "_counting_qp_closed", counting._memo(body_spy))
+    calls = []
+    closed = counting.counting_qp_closed
+
+    def closed_spy(graph, g, positions, lbar):
+        calls.append((graph, tuple(g), tuple(sorted(positions)), lbar))
+        return closed(graph, g, positions, lbar)
+    monkeypatch.setattr(counting, "counting_qp_closed", closed_spy)
+    for graph, twist in ((a3, a3.duals[1]), (dihedral, dihedral.duals[2])):
+        for tw in (None, twist):
+            for h in graph.group.elements():
+                for r in range(1, graph.n + 1):
+                    for pos in itertools.combinations(range(graph.n), r):
+                        rep = verify_twisted_duality(graph, tw, h, pos)
+                        assert rep.status == rep.status_modified == "pass"
+    keys = set(calls)
+    assert len(evaluated) == len(keys) < len(calls)
+    assert set(evaluated) == keys
+    for graph, g, positions, lbar in keys:
+        stored = counting._STORE[graph]["_counting_qp_closed", g, positions, lbar]
+        assert stored == body(graph, g, positions, lbar)
+
+
+def test_closed_values_key_on_sorted_positions(fresh_tables):
+    graph = parse_graph(DIHEDRAL_TEXT)
+    h = graph.group.elements()[3]
+    lbar = RationalCycle((1, 0, 2, 0))
+    values = {counting_qp_closed(graph, g, pos, lbar)
+              for g in (h, list(h))
+              for pos in ([1, 2, 3], (1, 2, 3), range(1, 4), (3, 1, 2))}
+    assert len(values) == 1
+    assert _closed_tags(graph) == [("_counting_qp_closed", h, (1, 2, 3), lbar)]
+
+
+def test_refused_closed_values_store_nothing(fresh_tables, monkeypatch, a3):
+    h = a3.group.elements()[1]
+    half = RationalCycle((1, 0, 0), 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lattice cycle"):
+            counting_qp_closed(a3, h, (0, 2), half)
+    assert _closed_tags(a3) == []
+    lbar = RationalCycle((0, 1, 1))
+    expected = counting_qp_closed(a3, h, (0, 2), lbar)
+    counting._STORE.clear()
+
+    def unsettled(graph, g):
+        raise StabilizationError("probe patched to refuse")
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_sw_probe", unsettled)
+        with pytest.raises(StabilizationError):
+            counting_qp_closed(a3, h, (0, 2), lbar)
+    assert _closed_tags(a3) == []
+    assert counting_qp_closed(a3, h, (0, 2), lbar) == expected
+    assert _closed_tags(a3) == [("_counting_qp_closed", h, (0, 2), lbar)]
 
 
 def test_equal_graphs_share_their_entries(fresh_tables, monkeypatch):

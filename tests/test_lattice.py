@@ -128,6 +128,30 @@ def test_chi_basics(a3, dihedral):
     assert chi(dihedral, -s) == Fraction(2, 3)
 
 
+def _chi_by_definition(graph, x):
+    """-(x, x - Z_K)/2 summed coordinatewise in Fractions over the form."""
+    xs = x.fractions()
+    diff = [a - b for a, b in zip(xs, graph.canonical.fractions())]
+    pairing = sum(xs[i] * row[j] * diff[j]
+                  for i, row in enumerate(graph.form.rows) for j in range(graph.n))
+    return -pairing / 2
+
+
+def test_integer_chi_equals_its_definition():
+    rng = random.Random(377)
+    for _ in range(40):
+        graph = random_rational_graph(rng, max_vertices=6)
+        det = graph.det_abs
+        coprime = next(p for p in (7, 11, 13, 17, 19, 23) if det % p)
+        for den in (1, det, coprime, det * coprime):
+            for _ in range(3):
+                x = RationalCycle(tuple(rng.randint(-4 * den, 4 * den)
+                                        for _ in range(graph.n)), den)
+                assert chi(graph, x) == _chi_by_definition(graph, x)
+        for x in (graph.canonical, graph.sum_duals, *graph.duals):
+            assert chi(graph, x) == _chi_by_definition(graph, x)
+
+
 # ---------------------------------------------------------------------------
 # discriminant group
 
