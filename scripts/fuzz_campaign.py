@@ -7,7 +7,9 @@ Seiberg-Witten identity, the tree surgery identity, and the dual-route delta
 comparison.  Every periodic constant is exact.  Every instance is judged by
 the check and the tally that ``resgraph verify`` uses, so a partition table
 over the budget or an SW probe whose margins disagree counts as
-inconclusive.  Every trial is deterministic in the seed.
+inconclusive.  Every trial is deterministic in the seed.  ``--trials`` must be
+a positive integer, as for ``resgraph --trials``; anything else is a usage
+error and exits 2.
 """
 
 import argparse
@@ -15,7 +17,8 @@ import random
 import time
 from functools import partial
 
-from resgraph.cli import check_delta, check_duality, check_surgery, check_sw, tally
+from resgraph.cli import (_positive_int, check_delta, check_duality, check_surgery,
+                          check_sw, tally)
 from resgraph.randtrees import (random_antinef, random_class,
                                 random_positions, random_rational_graph,
                                 random_unit_arrows)
@@ -63,7 +66,7 @@ CAMPAIGNS = [
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--trials", type=int, default=50)
+    ap.add_argument("--trials", type=_positive_int, default=50)
     args = ap.parse_args()
     overall_fail = 0
     for name, cases in CAMPAIGNS:

@@ -316,17 +316,18 @@ def cmd_verify(args) -> int:
 # curves
 
 def cmd_curve(args) -> int:
+    if [args.file, args.ordinary, args.semigroup].count(None) != 2:
+        print("error: give exactly one of a curve file, --ordinary and --semigroup",
+              file=sys.stderr)
+        return 2
     if args.ordinary is not None:
         curve = curvemod.MultibranchCurve.ordinary(args.ordinary)
     elif args.semigroup is not None:
         gens = [int(t) for t in args.semigroup.split(",")]
         curve = curvemod.MultibranchCurve.from_semigroup(gens)
-    elif args.file is not None:
+    else:
         with open(args.file, "r", encoding="utf-8") as fh:
             curve = curvemod.parse_curve(fh.read())
-    else:
-        print("error: give a curve file, --ordinary or --semigroup", file=sys.stderr)
-        return 2
     delta = curvemod.delta_total(curve)
     ok, witness = curvemod.verify_inversion(curve)
     doc = {

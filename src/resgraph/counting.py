@@ -7,11 +7,8 @@ three or more generators both reduce, through inclusion-exclusion, to
 box-bounded sums, which are computed from a dynamic-programming table of
 denominator-exponent sums keyed by the projected coordinates and the residue
 class mod the integral lattice.  Tables are cached per spec and only grow.
-A first build covers exactly the box asked for; a box beyond the cached one
-rebuilds to the union of both with each bound rounded up to three
-significant bits, so a point-count base that creeps with the class does not
-rebuild at every step.  The rounded box falls back to the exact one wherever
-the budget would refuse it.
+A first build covers exactly the box asked for, and a box beyond the cached
+one grows the table to the exact union of both.
 
 A spec with exactly two generators (a chain) needs no table: the
 multiplicity pairs of the wanted residue are a coset of a rank-2 lattice
@@ -310,60 +307,32 @@ def _estimate_cells(spec: ZetaSpec, positions: tuple[int, ...],
     return min(grid, box // max(1, factorial(len(spec.dens))) + 1)
 
 
-def _rounded_up(b: int) -> int:
-    """``b`` rounded up to three significant bits: 288 and 298 become 320."""
-    step = 1 << max(0, b.bit_length() - 3)
-    return -(-b // step) * step
-
-
 def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
                bounds: tuple[int, ...]) -> dict:
     """Cached buckets covering the box.
 
-    A first build is exact.  A larger box rebuilds the table to the union of
-    both boxes with every bound rounded up to three significant bits, so
-    point-count bases that creep along with the class do not force one
-    rebuild per step: with exact union boxes, one in-process pass builds 82
-    tables instead of 57 on the ``sweep-fixed`` benchmark and 407 instead of
-    328 on ``fuzz-points``.  The rounded box is only tried where it cannot
-    be refused by the budget; otherwise, and if its build runs over the
-    budget, the exact box is built, so the rounding never refuses a table
-    the exact box gets.  Estimates refuse oversized tables before anything
-    is built."""
+    A first build covers exactly the box asked for, and a box beyond the
+    stored one rebuilds the table to exactly the union of both.  A box that
+    contains a refused one is refused with no build; otherwise an estimate
+    over the budget, or a build that runs over it, refuses the box and
+    records it."""
     entries = _entries(spec)
     entry = entries.get(("table", positions))
-    grown = bounds
     if entry is not None:
         stored_bounds, stored = entry
         if all(a <= b for a, b in zip(bounds, stored_bounds)):
             return stored
         bounds = tuple(max(a, b) for a, b in zip(bounds, stored_bounds))
-        grown = tuple(_rounded_up(b) for b in bounds)
     known_bad = entries.get(("refused", positions))
-
-    def covered(box: tuple[int, ...]) -> bool:  # a known refusal fits inside
-        return known_bad is not None and all(a >= b for a, b in zip(box, known_bad))
-
-    over = (5 * TABLE_STATE_CAP) // 4
-    if covered(bounds):
+    if known_bad is not None and all(a >= b for a, b in zip(bounds, known_bad)):
         raise TableBudgetExceeded(bounds)
-    if _estimate_cells(spec, positions, bounds) > over:
+    try:
+        if _estimate_cells(spec, positions, bounds) > (5 * TABLE_STATE_CAP) // 4:
+            raise TableBudgetExceeded(bounds)
+        table = _build_sparse(spec, positions, bounds)
+    except TableBudgetExceeded:
         entries["refused", positions] = bounds
-        raise TableBudgetExceeded(bounds)
-    table = None
-    if (grown != bounds and not covered(grown)
-            and _estimate_cells(spec, positions, grown) <= over):
-        try:
-            table = _build_sparse(spec, positions, grown)
-            bounds = grown
-        except TableBudgetExceeded:
-            entries["refused", positions] = grown  # the exact box may still fit
-    if table is None:
-        try:
-            table = _build_sparse(spec, positions, bounds)
-        except TableBudgetExceeded:
-            entries["refused", positions] = bounds
-            raise
+        raise
     entries["table", positions] = (bounds, table)
     return table
 
@@ -535,8 +504,7 @@ def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
     targets = []
     for coeff, base in spec.num:
         t = tuple(xs[p] - base[p] for p in pos)
-        base_res = tuple(a % d for a in base)
-        need = tuple((a - b) % d for a, b in zip(residue, base_res))
+        need = tuple((a - b) % d for a, b in zip(residue, base))
         targets.append((coeff, t, need))
     bounds = tuple(max(0, *(t[i] for _, t, _ in targets)) for i in range(len(pos)))
     if all(b <= 0 for b in bounds):

@@ -187,9 +187,8 @@ def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
     spec = build_zeta(graph, twist=None if tw.is_zero else tw)
     h0 = group.class_of(tw)
     zk = graph.canonical
-    rhs_class = group.add(group.sub(group.class_of(zk), h), h0)
     rhs_arg = zk - group.frac_rep(h) + tw
-    rres = graph.residue(group.frac_rep(rhs_class))
+    rres = graph.residue(rhs_arg)
     pspec = plain_zeta(graph)
     rhs = counting_Q(pspec, rres, pos, rhs_arg)
     rhs_mod = counting_q(pspec, rres, pos, rhs_arg)

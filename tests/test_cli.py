@@ -331,6 +331,14 @@ def test_fuzz_campaign_at_200_trials():
     assert _campaign_counts(proc.stdout) == [(0, 0)] * 4
 
 
+def test_fuzz_campaign_zero_trials_is_usage_error():
+    # --trials 0 once printed "0 trials, 0 failures" on every line and exited 0
+    proc = _run_script(str(CAMPAIGN), "--trials", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --trials: must be positive, got '0'" in proc.stderr
+
+
 def test_worked_examples_run():
     # about 0.3 s: the walk-through the README points to
     proc = _run_script(str(ROOT / "scripts" / "worked_examples.py"))
@@ -379,6 +387,19 @@ def test_curve_file(capsys):
     assert code == 0
     assert "delta = 2" in out
     assert "Poincare evaluation at one = 2" in out
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    # each once reported the --ordinary curve alone and exited 0
+    [ROOT / "curves_data" / "tacnode.curve", "--ordinary", "3"],
+    ["--semigroup", "2,3", "--ordinary", "2"],
+], ids=["none", "file-and-ordinary", "semigroup-and-ordinary"])
+def test_curve_needs_exactly_one_source(args, capsys):
+    code, out, err = run_cli(["curve", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: give exactly one of a curve file, --ordinary and --semigroup\n"
 
 
 @pytest.mark.parametrize("text, delta", [

@@ -702,7 +702,7 @@ def _restricted(buckets, box):
 
 
 @pytest.mark.parametrize("positions, first, second", [
-    ((0, 2), (200, 260), (290, 250)),        # two coordinates, grown to (320, 320)
+    ((0, 2), (200, 260), (290, 250)),        # two coordinates, grown to (290, 260)
     ((0, 1, 3), (9, 12, 10), (19, 17, 21)),  # sparse, three coordinates
 ])
 def test_grown_table_restricts_to_exact_build(dihedral, fresh_tables,
@@ -712,28 +712,41 @@ def test_grown_table_restricts_to_exact_build(dihedral, fresh_tables,
     assert counting._STORE[spec]["table", positions][0] == first  # first builds are exact
     grown = _table_for(spec, positions, second)
     union = tuple(max(a, b) for a, b in zip(first, second))
-    stored = counting._STORE[spec]["table", positions][0]
-    assert stored == tuple(counting._rounded_up(b) for b in union)
-    assert all(a >= b for a, b in zip(stored, union))
+    assert counting._STORE[spec]["table", positions][0] == union  # and so are grown ones
     for box in (second, union):
         exact = _build_sparse(spec, positions, box)
         assert _restricted(grown, box) == _table_cells(exact)
 
 
-def test_rounding_never_refuses_an_exact_box(monkeypatch, fresh_tables):
-    # one generator t: a box of b cells holds exactly b cells
+def test_refused_boxes_are_recorded_and_cover_larger_ones(monkeypatch, fresh_tables):
+    # one generator t: a box of b cells holds exactly b cells, and the
+    # estimate is b, so boxes up to 125 are built and boxes over 100 refused
     spec = synthetic_spec([(1, (0,))], [(1,)])
     monkeypatch.setattr(counting, "TABLE_STATE_CAP", 100)
+    built = []
+    build = counting._build_sparse
+    monkeypatch.setattr(counting, "_build_sparse",
+                        lambda spec, positions, bounds: built.append(bounds)
+                        or build(spec, positions, bounds))
+
+    def refused(box):
+        with pytest.raises(counting.TableBudgetExceeded):
+            _table_for(spec, (0,), box)
+        return counting._STORE[spec]["refused", (0,)]
+
+    assert refused((200,)) == (200,)  # the estimate refuses it: nothing is built
+    assert built == []
+    assert refused((110,)) == (110,)  # built, over the cap
+    assert built == [(110,)]
+    assert refused((120,)) == (110,)  # covers the record: nothing is built
+    assert built == [(110,)]
     _table_for(spec, (0,), (50,))
-    # 97 rounds up to 112: within the estimate margin, over the cap when built
-    _table_for(spec, (0,), (97,))
-    assert counting._STORE[spec]["table", (0,)][0] == (97,)
-    assert counting._STORE[spec]["refused", (0,)] == (112,)
-    # a known refusal covers the rounded box: the exact one is built directly
-    _table_for(spec, (0,), (99,))
+    _table_for(spec, (0,), (70,))  # grows to exactly the union
+    table = _table_for(spec, (0,), (99,))  # and still builds just under the record
+    assert built == [(110,), (50,), (70,), (99,)]
     assert counting._STORE[spec]["table", (0,)][0] == (99,)
-    with pytest.raises(counting.TableBudgetExceeded):
-        _table_for(spec, (0,), (101,))
+    assert _table_for(spec, (0,), (60,)) is table  # inside the union: served
+    assert built == [(110,), (50,), (70,), (99,)]
 
 
 # ---------------------------------------------------------------------------
