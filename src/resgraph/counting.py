@@ -20,11 +20,12 @@ box.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
 keeps its tables, budget refusals, Smith normal form, residue group and
-two-generator lattice and cosets, a graph its plain spec, SW invariants,
-subgraph components and surgery closed values.  Owners are held weakly and
-matched by equality, so an equal owner is served the entries of the first
-one stored, which live as long as that first owner does.  No entry refers
-back to its owner, so an owner and its entries are freed together.
+two-generator lattice and cosets, a graph its plain and twisted specs, SW
+invariants, subgraph components and surgery closed values.  Owners are
+held weakly and matched by equality, so an equal owner is served the
+entries of the first one stored, which live as long as that first owner
+does.  No entry refers back to its owner, so an owner and its entries are
+freed together.
 
 A table is built as residue -> (coordinates, counts) arrays, on the kept
 coordinates divided by their generator gcds and on the digits of the
@@ -39,21 +40,24 @@ one on any variable subset: chi quadratic plus normalised SW invariant in
 all variables, less the same closed form on each subtree of the complement
 (the surgery formula, Braun-Nemethi, J. reine angew. Math. 638, 2010).  A
 relative series reduced to its two or more marked vertices is a polynomial,
-so its constant is one count past the polynomial's degree bound; reduced to
-one vertex, its class part N / D is divided exactly, N = P D + M, and the
-constant is P(1) (Laszlo-Nemethi, Geom. Topol. 2014).  That division reads
-the class part's coefficients along the vertex off one table, whose one box
-serves every class (closed counts per step for two generators), and runs
-over the at most 2^r nonzero terms of D = prod_i (1 - v^{e_i}), whose degree
-can reach thousands.
+so its constant is one count past the polynomial's degree bound.  Reduced
+to one vertex, its class part N / D has the constant P(1) of N = P D + M
+(Laszlo-Nemethi, Geom. Topol. 2014).  With two generators that is the value
+at 0 of the quadratic through closed counts at three multiples of the
+period past the degree bound, and a fourth count must lie on it.  Otherwise
+N / D is divided exactly: the class part's coefficients along the vertex
+are read off one table, whose one box serves every class, and the division
+runs over the at most 2^r nonzero terms of D = prod_i (1 - v^{e_i}), whose
+degree can reach thousands.
 
 The normalised SW invariant is the periodic constant of a class part in all
 variables, and it survives reduction to the node variables (same
-reference).  On a star-shaped tree, with exactly one node, it is therefore
-the one-variable division at the node.  Where the budget refuses that node
-table (asked once per graph), and on chains and trees with two or more
-nodes, it is read off two full-variable counts at two margins inside the
-canonically shifted cone, which must agree.
+reference), or to any one vertex of a chain, which has no node.  On a chain
+it is therefore the two-generator constant at vertex 0, and on a
+star-shaped tree, with exactly one node, the one-variable division at the
+node.  Where the budget refuses that node table (asked once per graph), and
+on trees with two or more nodes, it is read off two full-variable counts at
+two margins inside the canonically shifted cone, which must agree.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, wraps
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Sequence
 
 import numpy as _np
@@ -126,6 +130,13 @@ def _memo(fn):
 @_memo
 def plain_zeta(graph: ResolutionGraph) -> ZetaSpec:
     return build_zeta(graph)
+
+
+@_memo
+def twisted_zeta(graph: ResolutionGraph, twist: RationalCycle) -> ZetaSpec:
+    """The zeta spec twisted by a nonzero ``twist``, built once per graph
+    and twist."""
+    return build_zeta(graph, twist=twist)
 
 
 @_memo
@@ -610,18 +621,12 @@ def _class_row(spec: ZetaSpec, residue: tuple[int, ...], p: int, base: RationalC
                lo: int, top: int) -> list[int]:
     """Coefficients a_m, m = lo .. top, of a class part along coordinate p:
     the coefficient sums over its exponents whose coordinate p lies m whole
-    steps past the base's (an untwisted spec).
+    steps past the base's (an untwisted spec without exactly two generators).
 
-    Two generators take closed per-step counts, as ``counting_q`` does, and
-    build no table.  Otherwise the one table of ``_row_box`` along p, shared
-    by every class, is read once: every cell of a numerator term's class
-    sits at a whole number of steps from the base, and its count, times the
-    term's coefficient, is added there in Python ints."""
-    if len(spec.dens) == 2:
-        unit = RationalCycle(tuple(int(i == p) for i in range(spec.nvars)))
-        below = [counting_q(spec, residue, (p,), base + k * unit)
-                 for k in range(lo, top + 2)]
-        return [y - x for x, y in zip(below, below[1:])]
+    The one table of ``_row_box`` along p, shared by every class, is read
+    once: every cell of a numerator term's class sits at a whole number of
+    steps from the base, and its count, times the term's coefficient, is
+    added there in Python ints."""
     d = spec.den
     bs = base.scaled(d)
     table = _table_for(spec, (p,), (_row_box(spec, p),))
@@ -647,22 +652,27 @@ def fitted_qp_value(spec: ZetaSpec, residue: tuple[int, ...], p: int,
 
     In v, one step along p from the base, the class part is
     S = sum_m a_m v^m = N / D with D = prod_i (1 - v^{o_i g_i[p] / den}) and N
-    a Laurent polynomial of degree at most B (``_step_bound``).  The a_m up to
-    B + deg D come from one table along p (``_class_row``), N = S D is formed
-    there, and N must vanish on (B, B + deg D], else ``InternalCheckError`` is
-    raised.  Dividing, N = P D + M with M's powers in [0, deg D); M / D has
-    periodic constant zero, so the constant is P(1) (Laszlo-Nemethi, Geom.
-    Topol. 2014).  P has negative powers where exponents lie below the base.
-    D has at most 2^r nonzero terms for r generators while deg D can reach
-    thousands, so the product and both division loops run over D's nonzero
-    terms only.  The work grows with B and deg D, not with the period of the
-    counting function.  The table is fetched before D is built, so a table
-    refused by the budget raises ``TableBudgetExceeded`` at once.
+    a Laurent polynomial of degree at most B (``_step_bound``).  Dividing,
+    N = P D + M with M's powers in [0, deg D); M / D has periodic constant
+    zero, so the constant is P(1) (Laszlo-Nemethi, Geom. Topol. 2014).
+
+    Two generators take four closed counts (``_two_gen_constant``) and build
+    no table.  Any other spec reads the a_m up to B + deg D off one table
+    along p (``_class_row``), forms N = S D there, and N must vanish on
+    (B, B + deg D], else ``InternalCheckError`` is raised; then P is divided
+    out.  P has negative powers where exponents lie below the base.  D has at
+    most 2^r nonzero terms for r generators while deg D can reach thousands,
+    so the product and both division loops run over D's nonzero terms only.
+    The work grows with B and deg D, not with the period of the counting
+    function.  The table is fetched before D is built, so a table refused by
+    the budget raises ``TableBudgetExceeded`` at once.
     """
     spec, residue, base = _untwist(spec, residue, base)
     d = spec.den
     bs = base.scaled(d)
     bound, degs = _step_bound(spec, p, bs)
+    if len(spec.dens) == 2:
+        return _two_gen_constant(spec, residue, p, bs, bound, lcm(*degs))
     n = sum(degs)  # deg D
     lo = (min(b[p] for _, b in spec.num) - bs[p]) // d  # no exponent below
     s = min(lo, 0)  # the lists below start at power s
@@ -695,16 +705,49 @@ def fitted_qp_value(spec: ZetaSpec, residue: tuple[int, ...], p: int,
     return total
 
 
+def _two_gen_constant(spec: ZetaSpec, residue: tuple[int, ...], p: int,
+                      bs: tuple[int, ...], bound: int, period: int) -> int:
+    """The constant of ``fitted_qp_value`` for two generators, from closed
+    counts at the base ``bs`` (scaled by den).
+
+    Past the degree bound B the counting function along p is a
+    quasi-polynomial of degree at most 2 whose period divides Pi, the lcm of
+    the two denominator exponents.  So at k = j Pi steps, for j >= j0 with
+    j0 >= 1 and j0 Pi > B, it is one quadratic in j, and its value at j = 0
+    is the constant P(1).  Three counts at j0, j0 + 1, j0 + 2 fix the
+    quadratic, and Newton's forward form extrapolates it to 0 with integer
+    weights; a fourth count at j0 + 3 must lie on it, else
+    ``InternalCheckError`` is raised.  Each count is one ``_two_gen_count``,
+    whose work does not grow with Pi."""
+    j0 = max(bound, 0) // period + 1
+    point = list(bs)
+    ys = []
+    for j in range(j0, j0 + 4):
+        point[p] = bs[p] + j * period * spec.den
+        ys.append(_two_gen_count(spec, residue, (p,), tuple(point), union=False))
+    y0, y1, y2, y3 = ys
+    if y3 - 3 * y2 + 3 * y1 - y0:
+        raise InternalCheckError(
+            f"two-generator counts along coordinate {p} are not quadratic in "
+            f"steps of {period} past the degree bound: {ys}")
+    return y0 - j0 * (y1 - y0) + j0 * (j0 + 1) // 2 * (y2 - 2 * y1 + y0)
+
+
 @_memo
-def _star_node(graph: ResolutionGraph) -> int | None:
-    """The node of a star-shaped tree (exactly one vertex of valence three
-    or more) if the budget admits its node table, the one box of
-    ``_row_box`` that every class reads; None otherwise.  Decided once per
-    graph, so a refused node table costs a class nothing."""
+def _sw_vertex(graph: ResolutionGraph) -> int | None:
+    """The vertex whose one-variable constant is the normalised SW invariant
+    of every class, or None where the probe reads it.  A chain (its plain
+    zeta function has two generators) takes vertex 0: its counts are closed
+    and build no table.  A star-shaped tree (exactly one vertex of valence
+    three or more) takes its node if the budget admits its node table, the
+    one box of ``_row_box`` that every class reads.  Decided once per graph,
+    so a refused node table costs a class nothing."""
+    spec = plain_zeta(graph)
+    if len(spec.dens) == 2:
+        return 0
     nodes = [i for i, val in enumerate(graph.valences) if val >= 3]
     if len(nodes) != 1:
         return None
-    spec = plain_zeta(graph)
     try:
         _table_for(spec, (nodes[0],), (_row_box(spec, nodes[0]),))
     except TableBudgetExceeded:
@@ -718,16 +761,18 @@ def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
 
     It is the periodic constant of the class part of the zeta function, and
     that constant survives reduction to the node variables (Laszlo-Nemethi,
-    Geom. Topol. 2014).  So on a star-shaped tree it is the one-variable
-    constant at the node, ``fitted_qp_value`` at r_h, read off the node
-    table.  Where that table is over the budget, and on every other tree, it
-    is the two-margin probe ``_sw_probe``.
+    Geom. Topol. 2014); a chain has no node, and it survives reduction to
+    any one vertex.  So on a chain it is the one-variable constant
+    ``fitted_qp_value`` at r_h at vertex 0, four closed counts, and on a
+    star-shaped tree the same constant at the node, read off the node table.
+    Where that table is over the budget, and on trees with two or more
+    nodes, it is the two-margin probe ``_sw_probe``.
     """
-    node = _star_node(graph)
-    if node is None:
+    vertex = _sw_vertex(graph)
+    if vertex is None:
         return _sw_probe(graph, h)
     r = graph.group.frac_rep(h)
-    return fitted_qp_value(plain_zeta(graph), graph.residue(r), node, r)
+    return fitted_qp_value(plain_zeta(graph), graph.residue(r), vertex, r)
 
 
 def _sw_probe(graph: ResolutionGraph, h: tuple[int, ...]) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import (InternalCheckError, counting_Q, counting_q,
-                       periodic_constant_reduced, plain_zeta)
+                       periodic_constant_reduced, plain_zeta, twisted_zeta)
 from .cycles import RationalCycle, zero_cycle
 from .graphs import (ResolutionGraph, artin_rationality, chi,
                      min_antinef_rep)
@@ -184,7 +184,7 @@ def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
     group = graph.group
     pos = tuple(sorted(positions))
     tw = twist if twist is not None else zero_cycle(graph.n)
-    spec = build_zeta(graph, twist=None if tw.is_zero else tw)
+    spec = plain_zeta(graph) if tw.is_zero else twisted_zeta(graph, tw)
     h0 = group.class_of(tw)
     zk = graph.canonical
     rhs_arg = zk - group.frac_rep(h) + tw

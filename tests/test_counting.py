@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import DIHEDRAL_TEXT
 from resgraph import counting
-from resgraph.counting import (InternalCheckError, StabilizationError,
-                               TableBudgetExceeded,
+from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
                                _build_sparse, _table_for, _twist_data, _wide,
                                counting_Q, counting_q, counting_qp_closed,
                                _sw_probe, fitted_qp_value, modified_qp_closed,
@@ -535,8 +534,8 @@ def test_two_generator_union_builds_no_table(fresh_tables):
 
 def test_chain_constants_build_no_table(a3, fresh_tables):
     # every count behind a chain's constants is closed: the plain ones (SW
-    # probes on the chain and its subchains) and the one-variable divisions
-    # of a relative series that keeps two generators
+    # invariants at one vertex of the chain and its subchains) and the
+    # one-variable constants of a relative series that keeps two generators
     spec, grp = plain_zeta(a3), a3.group
     relative = build_zeta(a3, relative=(2,))
     assert len(relative.dens) == 2
@@ -641,6 +640,27 @@ def test_each_closed_value_is_computed_once(fresh_tables, monkeypatch, a3, dihed
         assert stored == body(graph, g, positions, lbar)
 
 
+def test_duality_sweep_builds_each_spec_once(fresh_tables, monkeypatch, a3, dihedral):
+    # every class on one and on all positions, with no twist, a zero twist
+    # and the suite's twist, builds one plain and one twisted spec of each
+    # graph (the surgery builds its subtrees' plain specs besides)
+    built = []
+    build = counting.build_zeta
+
+    def spy(graph, **kw):
+        built.append(graph)
+        return build(graph, **kw)
+    monkeypatch.setattr(counting, "build_zeta", spy)
+    monkeypatch.setattr("resgraph.embedded.build_zeta", spy)
+    for graph, twist in ((a3, a3.duals[1]), (dihedral, dihedral.duals[2])):
+        for tw in (None, zero_cycle(graph.n), twist):
+            for h in graph.group.elements():
+                for pos in ((0,), tuple(range(graph.n))):
+                    verify_twisted_duality(graph, tw, h, pos)
+        assert counting.twisted_zeta(graph, twist) == build(graph, twist=twist)
+    assert [g for g in built if g in (a3, dihedral)] == [a3, a3, dihedral, dihedral]
+
+
 def test_closed_values_key_on_sorted_positions(fresh_tables):
     graph = parse_graph(DIHEDRAL_TEXT)
     h = graph.group.elements()[3]
@@ -663,11 +683,14 @@ def test_refused_closed_values_store_nothing(fresh_tables, monkeypatch, a3):
     expected = counting_qp_closed(a3, h, (0, 2), lbar)
     counting._STORE.clear()
 
-    def unsettled(graph, g):
-        raise StabilizationError("probe patched to refuse")
+    closed = counting._two_gen_count
+
+    def off_quadratic(spec, residue, positions, xs, union):
+        # a cubic in the sample point puts the fourth count off the quadratic
+        return closed(spec, residue, positions, xs, union) + xs[positions[0]] ** 3
     with monkeypatch.context() as mp:
-        mp.setattr(counting, "_sw_probe", unsettled)
-        with pytest.raises(StabilizationError):
+        mp.setattr(counting, "_two_gen_count", off_quadratic)
+        with pytest.raises(InternalCheckError, match="not quadratic"):
             counting_qp_closed(a3, h, (0, 2), lbar)
     assert _closed_tags(a3) == []
     assert counting_qp_closed(a3, h, (0, 2), lbar) == expected
@@ -752,25 +775,42 @@ def test_refused_boxes_are_recorded_and_cover_larger_ones(monkeypatch, fresh_tab
 # ---------------------------------------------------------------------------
 # one-variable periodic constants
 
-def sampled_constant(spec, residue, p, base) -> int:
+def sampled_constant(spec, residue, p, base, count=None) -> int:
     """Oracle for the constant of a class part along coordinate p: its
     counting function is a quasi-polynomial of degree <= r (r generators)
     whose period divides Pi = lcm_i(o_i g_i[p] / den), exact past the largest
     numerator shift; r + 1 counts at multiples of Pi there, interpolated to
-    0, give it."""
+    0, give it.  ``count(k)`` is the count k steps past the base,
+    ``counting_q`` unless given."""
     d = spec.den
     bs = base.scaled(d)
     orders = [d // math.gcd(d, *gen) for gen in spec.dens]
     period = math.lcm(1, *(o * gen[p] // d for o, gen in zip(orders, spec.dens)))
     shift = (max(b[p] for _, b in spec.num) - bs[p]) // d
     ks = [(max(shift, 0) // period + 1 + j) * period for j in range(len(spec.dens) + 1)]
-    unit = RationalCycle(tuple(int(i == p) for i in range(spec.nvars)))
+    if count is None:
+        unit = RationalCycle(tuple(int(i == p) for i in range(spec.nvars)))
+
+        def count(k):
+            return counting_q(spec, residue, (p,), base + k * unit)
     total = Fraction(0)
     for i, k in enumerate(ks):
         weight = math.prod(Fraction(-kj, k - kj) for j, kj in enumerate(ks) if j != i)
-        total += counting_q(spec, residue, (p,), base + k * unit) * weight
+        total += count(k) * weight
     assert total.denominator == 1
     return int(total)
+
+
+def _pair_constant(spec, residue, p, base) -> int:
+    """``sampled_constant`` of a two-generator spec with every count taken
+    by enumerating the multiplicity pairs (``_pair_count``), independently
+    of the closed counts the production route samples."""
+    bs = base.scaled(spec.den)
+
+    def count(k):
+        xs = tuple(x + k * spec.den if i == p else x for i, x in enumerate(bs))
+        return _pair_count(spec, residue, (p,), xs)
+    return sampled_constant(spec, residue, p, base, count)
 
 
 def one_var_pc(num, dens):
@@ -816,8 +856,11 @@ def _one_variable_parts(draw):
 @settings(max_examples=200, deadline=None)
 @given(_one_variable_parts())
 def test_one_variable_division_matches_sampled_counts(case):
+    # two generators sample closed counts in production, so their oracle
+    # enumerates pairs instead
     spec, residue, p, base = case
-    assert fitted_qp_value(spec, residue, p, base) == sampled_constant(spec, residue, p, base)
+    oracle = _pair_constant if len(spec.dens) == 2 else sampled_constant
+    assert fitted_qp_value(spec, residue, p, base) == oracle(spec, residue, p, base)
 
 
 def test_sparse_division_matches_sampled_counts_on_a_long_denominator():
@@ -953,17 +996,15 @@ def test_star_sw_through_the_node_matches_the_probe(fresh_tables):
 
 
 def test_star_sw_takes_no_full_count(dihedral, brieskorn, a3, fresh_tables, monkeypatch):
-    # a star's SW invariants come from one node table, with no counting_Q
-    # call; a chain still takes the probe
+    # a star's SW invariants come from one node table and a chain's from
+    # closed counts at one vertex, with no counting_Q call
     calls = []
     count = counting.counting_Q
     monkeypatch.setattr(counting, "counting_Q", lambda *args: calls.append(args) or count(*args))
-    for g in (dihedral, brieskorn):
+    for g in (dihedral, brieskorn, a3):
         for h in g.group.elements():
             sw_norm(g, h)
     assert calls == []
-    sw_norm(a3, a3.group.zero)
-    assert len(calls) == 2
 
 
 def test_star_sw_falls_back_to_the_probe(brieskorn, dihedral, fresh_tables, monkeypatch):
@@ -984,6 +1025,99 @@ def test_star_sw_falls_back_to_the_probe(brieskorn, dihedral, fresh_tables, monk
             mp.setattr(counting, "_table_for", refusing)
             assert [sw_norm(g, h) for h in g.group.elements()] == probes
         assert len(refused) == 1
+
+
+def _random_chain(rng: random.Random) -> ResolutionGraph:
+    """A negative definite chain of one to seven vertices with Euler
+    numbers from -9 to -1."""
+    while True:
+        n = rng.randint(1, 7)
+        eulers = {v: rng.randint(-9, -1) for v in range(1, n + 1)}
+        try:
+            return ResolutionGraph.build(eulers, [(v, v + 1) for v in range(1, n)])
+        except NotNegativeDefiniteError:
+            continue
+
+
+def _chain_period(graph: ResolutionGraph) -> int:
+    """The largest Pi, the lcm of the denominator exponents, over the
+    chain's vertices."""
+    spec = plain_zeta(graph)
+    return max(math.lcm(*counting._step_bound(spec, p, (0,) * graph.n)[1])
+               for p in range(graph.n))
+
+
+def _assert_chain_sw_matches_the_probe(graph, classes):
+    spec = plain_zeta(graph)
+    for h in classes:
+        probe = _sw_probe(graph, h)
+        assert sw_norm(graph, h) == probe
+        r = graph.group.frac_rep(h)
+        assert [fitted_qp_value(spec, graph.residue(r), p, r)
+                for p in range(graph.n)] == [probe] * graph.n
+
+
+def test_chain_sw_at_every_vertex_matches_the_probe(fresh_tables):
+    # a chain has no node, so its constant survives reduction to any one
+    # vertex: four closed counts there against the two-margin probe, on
+    # every class of seeded random chains with |H| <= 80
+    rng = random.Random(2121)
+    chains = classes = 0
+    while chains < 40:
+        graph = _random_chain(rng)
+        if graph.det_abs > 80:
+            continue
+        assert len(plain_zeta(graph).dens) == 2
+        _assert_chain_sw_matches_the_probe(graph, graph.group.elements())
+        chains += 1
+        classes += graph.det_abs
+    assert classes >= 800
+
+
+def test_chain_sw_with_a_long_period_matches_the_probe(fresh_tables):
+    # Pi >= 10,000 costs the closed counts nothing: ten seeded classes of
+    # each of the first three such chains, at every vertex
+    rng = random.Random(2121)
+    periods = []
+    while len(periods) < 3:
+        graph = _random_chain(rng)
+        if (period := _chain_period(graph)) >= 10_000:
+            periods.append(period)
+            _assert_chain_sw_matches_the_probe(
+                graph, [random_class(rng, graph) for _ in range(10)])
+    assert max(periods) >= 40_000
+    assert not any(tag[0] == "table" for entries in counting._STORE.values()
+                   for tag in entries)
+
+
+def test_two_generator_samples_off_the_quadratic_are_an_internal_error(a3, monkeypatch):
+    # the fourth closed count must lie on the quadratic through the first
+    # three; the check is an explicit raise, so it holds under python -O
+    r = a3.group.frac_rep(a3.group.elements()[1])
+    closed = counting._two_gen_count
+    calls = itertools.count()
+    monkeypatch.setattr(counting, "_two_gen_count",
+                        lambda *args, **kw: closed(*args, **kw) + (next(calls) % 4 == 3))
+    with pytest.raises(InternalCheckError, match="not quadratic"):
+        fitted_qp_value(plain_zeta(a3), a3.residue(r), 1, r)
+
+
+def test_two_generator_base_above_every_shift_samples_past_it(monkeypatch):
+    # the semigroup <2, 3> from base 100: the degree bound is negative, and
+    # the samples still sit at positive multiples of Pi = 6 past the base;
+    # 99 + k semigroup elements lie below 100 + k, so the constant is 99
+    spec = synthetic_spec([(1, (0,)), (-1, (6,))], [(2,), (3,)], den=1)
+    base = RationalCycle((100,))
+    assert counting._step_bound(spec, 0, (100,))[0] < 0
+    points = []
+    closed = counting._two_gen_count
+
+    def spy(spec, residue, positions, xs, union):
+        points.append(xs)
+        return closed(spec, residue, positions, xs, union)
+    monkeypatch.setattr(counting, "_two_gen_count", spy)
+    assert fitted_qp_value(spec, (0,), 0, base) == 99 == _pair_constant(spec, (0,), 0, base)
+    assert points == [(106,), (112,), (118,), (124,)]
 
 
 def test_reduced_constant_matches_full(a3, dihedral):
@@ -1093,10 +1227,11 @@ def test_broken_polynomial_premise_is_an_internal_error(dihedral, monkeypatch):
 def test_premise_checks_hold_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_counting.py", "-k", "broken_polynomial_premise"],
+         "tests/test_counting.py", "-k",
+         "broken_polynomial_premise or samples_off_the_quadratic"],
         capture_output=True, text=True, cwd=Path(__file__).resolve().parent.parent)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("1 passed")
+    assert proc.stdout.splitlines()[-1].startswith("2 passed")
 
 
 def test_twisted_full_constant_matches_counting(dihedral):
