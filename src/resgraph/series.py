@@ -8,9 +8,12 @@ entries.  A twist multiplies by the monomial ``t^{l0}`` for an anti-nef
 ``l0``; a relative vertex set multiplies by one extra ``(1 - t^{E*_v})``
 per chosen vertex (cancelling the denominator at a leaf).
 
-Expansions are sparse: a finite exact term map together with the region it
-is guaranteed to cover.  Reading a coefficient outside the region raises,
-never silently returns zero.
+Expansions are sparse: finitely many exact terms together with the region
+they are guaranteed to cover.  Reading a coefficient outside the region
+raises, never silently returns zero.  A series keeps its terms as two
+arrays, the exponent rows and their multiplicities; its term map is built
+on first read, and ``h_part`` and ``reduce_to`` work on the arrays, so a
+class part taken from an expansion never builds the expansion's map.
 
 ``expand`` enumerates on numpy arrays: rows of exponents with a column of
 multiplicities.  Each denominator generator repeats every row once per copy
@@ -29,8 +32,9 @@ so no sum wraps.  No step materialises more than ``TABLE_STATE_CAP`` rows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, comb, prod
 from typing import Iterable, Sequence
 
@@ -153,20 +157,30 @@ def build_zeta(graph: ResolutionGraph, twist: RationalCycle | None = None,
     return ZetaSpec(graph.ids, d, tuple(num), tuple(dens), tw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSeries:
-    """Finite exact term map with an explicit enumeration guarantee.
+    """Finite exact terms with an explicit enumeration guarantee.
 
     Every support point with some scaled coordinate strictly below ``bound``
-    is present with its exact coefficient.  ``projected`` marks series whose
-    variables were reduced; their terms no longer determine classes.
+    is present with its exact coefficient.  ``rows`` holds one scaled
+    exponent per row (int64, or object where an entry may pass 2**63) and
+    ``mult`` its nonzero coefficient; no row repeats.  ``terms`` is the same
+    data as a dict of Python ints in row order, built on first read.
+    ``projected`` marks series whose variables were reduced; their terms no
+    longer determine classes.  Compare two series by their ``terms``.
     """
 
     ids: tuple[int, ...]
     den: int
     bound: Fraction
-    terms: dict[tuple[int, ...], int] = field(hash=False)
+    rows: np.ndarray
+    mult: np.ndarray
     projected: bool = False
+
+    @cached_property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        # the keys are built column by column, about twice as fast as a tuple per row
+        return dict(zip(zip(*self.rows.T.tolist()), self.mult.tolist()))
 
     def in_region(self, scaled: Sequence[int]) -> bool:
         return any(x < self.bound for x in scaled)
@@ -190,7 +204,7 @@ class SparseSeries:
         return "\n".join(lines)
 
 
-def _merge(rows: np.ndarray, mult: np.ndarray, low: np.ndarray,
+def _merge(rows: np.ndarray, mult: np.ndarray, low: np.ndarray | None,
            strides: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Equal rows merged into one, their multiplicities summed, in
     lexicographic order: by the packed keys ``(rows - low) @ strides``, or
@@ -291,9 +305,7 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
                             offset, strides)
         nonzero = mult != 0
         rows, mult = rows[nonzero], mult[nonzero]
-    # the keys are built column by column, about twice as fast as a tuple per row
-    return SparseSeries(ids=spec.ids, den=spec.den, bound=bscaled,
-                        terms=dict(zip(zip(*rows.T.tolist()), mult.tolist())))
+    return SparseSeries(spec.ids, spec.den, bscaled, rows, mult)
 
 
 def h_part(series: SparseSeries, residue: tuple[int, ...], d: int) -> SparseSeries:
@@ -301,17 +313,22 @@ def h_part(series: SparseSeries, residue: tuple[int, ...], d: int) -> SparseSeri
 
     The class of an exponent is its residue mod the integral lattice, read
     off coordinatewise from the scaled entries mod d.  Refuses projected
-    series, whose exponents no longer determine classes.
+    series, whose exponents no longer determine classes.  A residue with
+    negative or unreduced entries, or of another length than the exponents,
+    names no class and selects nothing.
     """
     if series.projected:
         raise ValueError("class decomposition of a variable-reduced series is not defined")
     if d != series.den:
         raise ValueError("residue scale does not match the series")
     res = tuple(residue)
-    first = res[0]  # one coordinate rules out most terms before the tuple is built
-    keep = {k: v for k, v in series.terms.items()
-            if k[0] % d == first and tuple(x % d for x in k) == res}
-    return SparseSeries(series.ids, series.den, series.bound, keep)
+    rows = series.rows
+    if len(res) != len(series.ids):
+        sel = np.arange(0)
+    else:  # one column rules out most rows before the others are tested
+        sel = (rows[:, 0] % d == res[0]).nonzero()[0]
+        sel = sel[(rows[sel, 1:] % d == res[1:]).all(axis=1)]
+    return SparseSeries(series.ids, series.den, series.bound, rows[sel], series.mult[sel])
 
 
 def reduce_to(series: SparseSeries, keep_ids: Sequence[int]) -> SparseSeries:
@@ -333,11 +350,9 @@ def reduce_to(series: SparseSeries, keep_ids: Sequence[int]) -> SparseSeries:
         raise ValueError(f"duplicate variable id {repeated[0]}")
     if tuple(keep) == series.ids:
         return series
-    pos = [series.ids.index(v) for v in keep]
-    out: dict[tuple[int, ...], int] = {}
-    for k, v in series.terms.items():
-        q = tuple(k[p] for p in pos)
-        if any(x < series.bound for x in q):
-            out[q] = out.get(q, 0) + v
+    rows = series.rows[:, [series.ids.index(v) for v in keep]]
+    inside = (rows < ceil(series.bound)).any(axis=1)
+    rows, mult = _merge(rows[inside], series.mult[inside], None, None)
+    nonzero = mult != 0
     return SparseSeries(tuple(keep), series.den, series.bound,
-                        {k: v for k, v in out.items() if v}, projected=True)
+                        rows[nonzero], mult[nonzero], projected=True)

@@ -2,10 +2,10 @@
 expander that knows nothing about the production enumeration order."""
 
 import itertools
-import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,21 +277,59 @@ def test_h_part_prefilter_equals_the_plain_filter(data):
     terms = data.draw(st.dictionaries(
         st.tuples(*[st.integers(-30, 30)] * nvars),
         st.integers(-5, 5).filter(bool), max_size=60))
-    if terms and data.draw(st.booleans()):
-        residue = tuple(x % d for x in data.draw(st.sampled_from(sorted(terms))))
-    else:  # unreduced and negative residues match nothing
+    key = data.draw(st.sampled_from(sorted(terms))) if terms else (0,) * nvars
+    residue = tuple(x % d for x in key)
+    kind = data.draw(st.sampled_from(["class", "unreduced", "short", "long"]))
+    if kind == "unreduced":  # unreduced and negative residues match nothing
         residue = tuple(data.draw(st.integers(-d, 2 * d)) for _ in range(nvars))
-    series = SparseSeries(tuple(range(1, nvars + 1)), d, Fraction(10), terms)
+    elif kind == "short":  # nor does a residue of another length
+        residue = residue[:data.draw(st.integers(0, nvars - 1))]
+    elif kind == "long":
+        residue += residue[:1]
+    rows = np.array(list(terms), dtype=np.int64).reshape(-1, nvars)
+    mult = np.array(list(terms.values()), dtype=np.int64)
+    series = SparseSeries(tuple(range(1, nvars + 1)), d, Fraction(10), rows, mult)
     plain = {k: v for k, v in terms.items() if tuple(x % d for x in k) == residue}
     assert list(h_part(series, residue, d).terms.items()) == list(plain.items())
 
 
+def test_h_part_on_wide_coordinates_matches_brute_force():
+    # the spec of test_wide_coordinates_match_brute_force over den 3, so its
+    # rows are object arrays and fall into all nine classes
+    big = 2 ** 62 + 5
+    spec = synthetic_spec(num=[(1, (0, 0)), (-2, (big, 3))], dens=[(1, big), (big, 2)],
+                          den=3)
+    series = expand(spec, 6)
+    assert series.rows.dtype == object
+    brute = brute_terms(spec, 6)
+    for residue in itertools.product(range(3), repeat=2):
+        plain = {k: v for k, v in brute.items() if tuple(x % 3 for x in k) == residue}
+        assert h_part(series, residue, 3).terms == plain
+    # the row (0, 0) would match (0,) and (0, 0, 0) under broadcasting
+    assert (0, 0) in h_part(series, (0, 0), 3).terms
+    for residue in [(0,), (), (0, 0, 0), (3, 0)]:
+        assert not h_part(series, residue, 3).terms
+
+
+def test_h_part_leaves_the_expansion_term_map_unbuilt(dihedral):
+    spec = build_zeta(dihedral)
+    series = expand(spec, Fraction(5, 2))
+    residue = dihedral.residue(zero_cycle(4))
+    part = h_part(series, residue, 12)
+    assert "terms" not in series.__dict__
+    assert series.terms is series.terms
+    brute = brute_terms(spec, Fraction(5, 2))
+    assert list(series.terms.items()) == sorted(brute.items())
+    assert part.terms == {k: v for k, v in brute.items()
+                          if tuple(x % 12 for x in k) == residue}
+
+
 def test_h_part_on_a_shuffled_term_map(dihedral):
-    # the term order of an expansion is not part of its contract
+    # the row order of an expansion is not part of its contract
     series = expand(build_zeta(dihedral), 3)
-    items = list(series.terms.items())
-    random.Random(3).shuffle(items)
-    shuffled = SparseSeries(series.ids, series.den, series.bound, dict(items))
+    order = np.random.default_rng(3).permutation(len(series.mult))
+    shuffled = SparseSeries(series.ids, series.den, series.bound,
+                            series.rows[order], series.mult[order])
     residue = dihedral.residue(zero_cycle(4))
     assert h_part(shuffled, residue, 12).sorted_items() == \
         h_part(series, residue, 12).sorted_items()
