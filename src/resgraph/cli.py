@@ -361,14 +361,25 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int, rule: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text: str) -> int:
+    """A surgery probe depth.  At depth -2 or below every coefficient of the
+    probe sum((depth + randint(0, 2)) E*_v) is <= 0, so every count is 0 and
+    the suite would pass without checking anything."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("table", "doc"), default="table")
     ap.add_argument("--bound", type=_positive_rational, default="3",
                     help="expansion window bound (positive rational, e.g. 5/2)")
-    ap.add_argument("--depth", type=int, default=3, help="surgery probe depth")
+    ap.add_argument("--depth", type=_non_negative_int, default=3,
+                    help="surgery probe depth (non-negative integer)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trials", type=_positive_int, default=25)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -19,13 +19,14 @@ closed form by floor sums, with work bounded independently of den and of the
 box.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
-keeps its tables, budget refusals, Smith normal form, residue group and
-two-generator lattice and cosets, a graph its plain and twisted specs, SW
-invariants, subgraph components and surgery closed values.  Owners are
-held weakly and matched by equality, so an equal owner is served the
-entries of the first one stored, which live as long as that first owner
-does.  No entry refers back to its owner, so an owner and its entries are
-freed together.
+keeps its tables, budget refusals, Smith normal form, residue group,
+two-generator lattice and cosets and point counts (a twisted spec's go to
+its untwisted spec), a graph its plain and twisted specs, SW invariants,
+subgraph components, surgery closed values, twist data and the dual points
+of ``embedded.verify_twisted_duality``.  Owners are held weakly and matched
+by equality, so an equal owner is served the entries of the first one
+stored, which live as long as that first owner does.  No entry refers back
+to its owner, so an owner and its entries are freed together.
 
 A table is built as residue -> (coordinates, counts) arrays, on the kept
 coordinates divided by their generator gcds and on the digits of the
@@ -95,7 +96,8 @@ def _integral(val: Fraction, what: str) -> int:
 
 # owner -> {("table", positions): (bounds, buckets), ("refused", positions):
 # smallest refused box, (function name, *key): value of a memoised function,
-# such as a graph's ("_counting_qp_closed", class, positions, lbar)}
+# such as a graph's ("_counting_qp_closed", class, positions, lbar) or a
+# spec's ("_counting_q", residue, positions, scaled point)}
 _STORE = weakref.WeakKeyDictionary()
 
 
@@ -503,13 +505,26 @@ def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
                positions: Sequence[int], x: RationalCycle) -> int:
     """Modified counting function: coefficient sum over support exponents of
     the given class lying strictly below x on every chosen coordinate.  Two
-    generators are counted in closed form, any other spec off its table."""
+    generators are counted in closed form, any other spec off its table.
+
+    Each count is computed once: it is stored among the untwisted spec's
+    entries under the untwisted residue, the sorted positions and x scaled
+    by den.  A subset that ``counting_Q`` sums over again, and the same
+    count asked through a twisted spec, are read back.
+    """
     if not positions:
         raise ValueError("variable subset must be nonempty")
     spec, residue, x = _untwist(spec, residue, x)
-    pos = tuple(sorted(positions))
+    return _counting_q(spec, residue, tuple(sorted(positions)), x.scaled(spec.den))
+
+
+@_memo
+def _counting_q(spec: ZetaSpec, residue: tuple[int, ...], pos: tuple[int, ...],
+                xs: tuple[int, ...]) -> int:
+    """The body of ``counting_q``, on a normalised key: an untwisted spec,
+    the residue a tuple, the positions a sorted tuple, the point scaled by
+    den."""
     d = spec.den
-    xs = x.scaled(d)
     if len(spec.dens) == 2:
         return _two_gen_count(spec, residue, pos, xs, union=False)
     targets = []
@@ -851,13 +866,16 @@ def modified_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
                for sign, sub in _signed_subsets(sorted(positions)))
 
 
+@_memo
 def _twist_data(graph: ResolutionGraph, spec: ZetaSpec,
-                h: tuple[int, ...]) -> tuple[tuple[int, ...], RationalCycle]:
-    """Class and base point for periodic constants of a possibly twisted part.
+                h: tuple[int, ...]) -> tuple[tuple[int, ...], RationalCycle, RationalCycle]:
+    """Class, base point and lattice argument for periodic constants of a
+    possibly twisted part, computed once per graph, spec and class.
 
     For twist l0 of class h0, the h-part of the twisted series is the
     (h - h0)-part of the plain series shifted by l0; its quasi-polynomial is
-    the plain one evaluated with base r_h - l0.
+    the plain one evaluated with base r_h - l0, that is at the lattice
+    argument lbar = r_h - l0 - r_g of the class g = h - h0.
     """
     group = graph.group
     if spec.twist is None:
@@ -870,7 +888,7 @@ def _twist_data(graph: ResolutionGraph, spec: ZetaSpec,
     lbar = base - group.frac_rep(g)
     if not lbar.is_integral:
         raise InternalCheckError("twisted base does not differ from r_g by a lattice cycle")
-    return g, base
+    return g, base, lbar
 
 
 def periodic_constant_full(graph: ResolutionGraph, spec: ZetaSpec,
@@ -890,14 +908,14 @@ def periodic_constant_reduced(graph: ResolutionGraph, spec: ZetaSpec,
     and, on two or more, the coefficient sum of its polynomial
     (``quasipoly_value``), which needs the marked vertices to be exactly the
     kept ones.  A relative series has no modified route."""
-    g, base = _twist_data(graph, spec, h)
+    g, base, lbar = _twist_data(graph, spec, tuple(h))
     spec = spec.untwisted()
-    rg = graph.group.frac_rep(g)
     if spec == plain_zeta(graph):
         closed = modified_qp_closed if modified else counting_qp_closed
-        return closed(graph, g, positions, base - rg)
+        return closed(graph, g, positions, lbar)
     if modified:
         raise ValueError("a relative series has no modified periodic constant")
+    rg = graph.group.frac_rep(g)
     pos = sorted(positions)
     if len(pos) == 1:
         return fitted_qp_value(spec, graph.residue(rg), pos[0], base)

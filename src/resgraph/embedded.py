@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import (InternalCheckError, counting_Q, counting_q,
+from .counting import (InternalCheckError, _memo, counting_Q, counting_q,
                        periodic_constant_reduced, plain_zeta, twisted_zeta)
 from .cycles import RationalCycle, zero_cycle
 from .graphs import (ResolutionGraph, artin_rationality, chi,
@@ -172,6 +172,17 @@ class DualityReport:
         return self.status == "fail" or self.status_modified == "fail"
 
 
+@_memo
+def _dual_point(graph: ResolutionGraph, tw: RationalCycle,
+                h: tuple[int, ...]) -> tuple[RationalCycle, tuple[int, ...], RationalCycle]:
+    """The counting side's argument Z_K - r_h + l0 for the twist l0, its
+    residue, and the dual shift l0 + r_{h - h0}, computed once per graph,
+    twist and class."""
+    group = graph.group
+    arg = graph.canonical - group.frac_rep(h) + tw
+    return arg, graph.residue(arg), tw + group.frac_rep(group.sub(h, group.class_of(tw)))
+
+
 def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
                            h: tuple[int, ...], positions: Sequence[int]) -> DualityReport:
     """Compare the periodic constant of a twisted class part against the
@@ -181,18 +192,13 @@ def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
     Both constants come from ``periodic_constant_reduced``; a table refusal
     or an SW probe that does not settle reaches the caller.
     """
-    group = graph.group
     pos = tuple(sorted(positions))
     tw = twist if twist is not None else zero_cycle(graph.n)
     spec = plain_zeta(graph) if tw.is_zero else twisted_zeta(graph, tw)
-    h0 = group.class_of(tw)
-    zk = graph.canonical
-    rhs_arg = zk - group.frac_rep(h) + tw
-    rres = graph.residue(rhs_arg)
+    rhs_arg, rres, dual_shift = _dual_point(graph, tw, tuple(h))
     pspec = plain_zeta(graph)
     rhs = counting_Q(pspec, rres, pos, rhs_arg)
     rhs_mod = counting_q(pspec, rres, pos, rhs_arg)
-    dual_shift = tw + group.frac_rep(group.sub(h, h0))
     lhs, lhs_mod = (periodic_constant_reduced(graph, spec, h, pos, modified)
                     for modified in (False, True))
     return DualityReport(h=h, twist=tw, positions=pos, dual_shift=dual_shift,

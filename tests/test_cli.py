@@ -218,16 +218,19 @@ def test_bad_bound_is_usage_error(bound, capsys):
     assert "argument --bound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-2")])
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-2"),
+                                         ("--depth", "-1")])
 def test_non_positive_stride_or_trials_is_usage_error(flag, value, capsys):
-    # trials 0 once ran as an empty suite (the --stride flag is gone)
+    # trials 0 once ran as an empty suite (the --stride flag is gone), and a
+    # depth of -2 or below once passed surgery probes whose counts are all 0
+    rule = "non-negative" if flag == "--depth" else "positive"
     with pytest.raises(SystemExit) as exc:
         main([flag, value, "verify", str(GRAPHS / "cyclic4.graph"),
               "--suite", "surgery"])
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"argument {flag}: must be positive, got '{value}'" in out.err
+    assert f"argument {flag}: must be {rule}, got '{value}'" in out.err
 
 
 def test_verify_sw_suite(capsys):

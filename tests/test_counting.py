@@ -697,6 +697,87 @@ def test_refused_closed_values_store_nothing(fresh_tables, monkeypatch, a3):
     assert _closed_tags(a3) == [("_counting_qp_closed", h, (0, 2), lbar)]
 
 
+def _count_tags(spec):
+    return [tag for tag in counting._STORE.get(spec, {}) if tag[0] == "_counting_q"]
+
+
+def _spy_point_bodies(monkeypatch) -> list:
+    """Replace ``_counting_q`` by a memo over a spy on its body, under the
+    same name, so stored counts are shared; returns the evaluated keys."""
+    body = counting._counting_q.__wrapped__
+    evaluated = []
+
+    @functools.wraps(body)
+    def body_spy(*args):
+        evaluated.append(args)
+        return body(*args)
+    monkeypatch.setattr(counting, "_counting_q", counting._memo(body_spy))
+    return evaluated
+
+
+def test_each_point_count_is_computed_once(fresh_tables, monkeypatch, a3, dihedral):
+    # the fixed duality sweep: counting_Q's inclusion-exclusion subsets and
+    # the modified side ask the same counts again, and read them back
+    body = counting._counting_q.__wrapped__
+    evaluated = _spy_point_bodies(monkeypatch)
+    calls = []
+    count = counting.counting_q
+
+    def count_spy(spec, residue, positions, x):
+        calls.append((spec, tuple(residue), tuple(sorted(positions)), x.scaled(spec.den)))
+        return count(spec, residue, positions, x)
+    monkeypatch.setattr(counting, "counting_q", count_spy)
+    monkeypatch.setattr("resgraph.embedded.counting_q", count_spy)
+    for graph, twist in ((a3, a3.duals[1]), (dihedral, dihedral.duals[2])):
+        for tw in (None, twist):
+            for h in graph.group.elements():
+                for r in range(1, graph.n + 1):
+                    for pos in itertools.combinations(range(graph.n), r):
+                        rep = verify_twisted_duality(graph, tw, h, pos)
+                        assert rep.status == rep.status_modified == "pass"
+    keys = set(calls)
+    assert len(evaluated) == len(keys) < len(calls)
+    assert set(evaluated) == keys
+    for spec, residue, pos, xs in keys:
+        stored = counting._STORE[spec]["_counting_q", residue, pos, xs]
+        assert stored == body(spec, residue, pos, xs)
+
+
+def test_twisted_point_counts_land_in_the_plain_entries(fresh_tables, monkeypatch,
+                                                        dihedral):
+    # a twisted count is the plain count at the untwisted residue and point
+    plain = plain_zeta(dihedral)
+    twisted = counting.twisted_zeta(dihedral, dihedral.duals[2])
+    x = dihedral.canonical + 2 * dihedral.sum_duals
+    residue = dihedral.residue(x)
+    _, plain_res, plain_x = counting._untwist(twisted, residue, x)
+    expected = counting_q(plain, plain_res, (0, 2), plain_x)
+    evaluated = _spy_point_bodies(monkeypatch)
+    assert counting_q(twisted, list(residue), [2, 0], x) == expected
+    assert evaluated == []
+    assert _count_tags(twisted) == []
+    assert _count_tags(plain) == [("_counting_q", plain_res, (0, 2), plain_x.scaled(plain.den))]
+
+
+def test_refused_point_counts_store_nothing(fresh_tables, monkeypatch, dihedral):
+    spec = plain_zeta(dihedral)
+    x = dihedral.canonical + 2 * dihedral.sum_duals
+    residue = dihedral.residue(x)
+    pos = (0, 1, 2)
+    expected = counting_q(spec, residue, pos, x)
+    counting._STORE.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "TABLE_STATE_CAP", 10)
+        for _ in range(2):
+            with pytest.raises(TableBudgetExceeded):
+                counting_q(spec, residue, pos, x)
+    assert _count_tags(spec) == []
+    assert ("refused", pos) in counting._STORE[spec]  # the refusal is all that is kept
+    counting._STORE.clear()  # forget the refusal the small cap recorded
+    assert counting_q(spec, residue, pos, x) == expected
+    assert _count_tags(spec) == [("_counting_q", residue, pos, x.scaled(spec.den))]
+
+
 def test_equal_graphs_share_their_entries(fresh_tables, monkeypatch):
     # owners match by equality: a second parse of the same file reads the
     # first graph's entries and counts nothing again
@@ -900,7 +981,7 @@ def test_one_position_relative_constants_match_sampled_counts():
         h = random_class(rng, graph)
         p = rng.randrange(graph.n)
         value = periodic_constant_reduced(graph, spec, h, (p,))
-        g, base = _twist_data(graph, spec, h)
+        g, base, _ = _twist_data(graph, spec, h)
         try:
             oracle = sampled_constant(spec.untwisted(), graph.residue(graph.group.frac_rep(g)),
                                       p, base)
@@ -925,7 +1006,7 @@ def test_closed_constants_on_proper_subsets_match_sampled_counts():
         h = random_class(rng, graph)
         p = rng.randrange(graph.n)
         value = periodic_constant_reduced(graph, spec, h, (p,))
-        g, base = _twist_data(graph, spec, h)
+        g, base, _ = _twist_data(graph, spec, h)
         try:
             oracle = sampled_constant(spec.untwisted(), graph.residue(graph.group.frac_rep(g)),
                                       p, base)
@@ -1196,7 +1277,7 @@ def test_relative_polynomial_count_needs_its_marked_vertices():
     tw = g.dual(2)
     spec = build_zeta(g, twist=tw, relative=(2,))
     h = (8,)
-    cls, base = _twist_data(g, spec, h)
+    cls, base, _ = _twist_data(g, spec, h)
     assert cls == g.group.zero
     with pytest.raises(InternalCheckError, match="not a polynomial: its count 2 "
                        "differs from the one-variable constant 0 on coordinate 0"):
@@ -1296,9 +1377,9 @@ def test_singleton_constant_with_a_long_quasi_period():
     g = parse_graph("v 1 -3\nv 2 -4\nv 3 -5\ne 1 3\ne 2 3\n")
     tw = RationalCycle((23, 4, 16), 53)
     spec = build_zeta(g, twist=tw)
-    cls, base = _twist_data(g, spec, (48,))
+    cls, base, lbar = _twist_data(g, spec, (48,))
     residue = g.residue(g.group.frac_rep(cls))
-    closed = counting_qp_closed(g, cls, (0,), base - g.group.frac_rep(cls))
+    closed = counting_qp_closed(g, cls, (0,), lbar)
     assert closed == 0
     assert fitted_qp_value(spec.untwisted(), residue, 0, base) == closed
     assert sampled_constant(spec.untwisted(), residue, 0, base) == closed
