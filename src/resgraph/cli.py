@@ -323,8 +323,7 @@ def cmd_curve(args) -> int:
     if args.ordinary is not None:
         curve = curvemod.MultibranchCurve.ordinary(args.ordinary)
     elif args.semigroup is not None:
-        gens = [int(t) for t in args.semigroup.split(",")]
-        curve = curvemod.MultibranchCurve.from_semigroup(gens)
+        curve = curvemod.MultibranchCurve.from_semigroup(args.semigroup)
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             curve = curvemod.parse_curve(fh.read())
@@ -382,6 +381,16 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
+def _semigroup_generators(text: str) -> list[int]:
+    """``--semigroup`` generators; ``from_semigroup`` refuses one that is 0 or
+    negative with a message that names it."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="resgraph",
@@ -420,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.add_argument("--ordinary", type=int, default=None,
                    help="ordinary r-tuple with the given branch count")
-    p.add_argument("--semigroup", type=str, default=None,
+    p.add_argument("--semigroup", type=_semigroup_generators, default=None,
                    help="comma-separated numerical semigroup generators")
     p.set_defaults(func=cmd_curve)
     return ap

@@ -19,21 +19,21 @@ closed form by floor sums, with work bounded independently of den and of the
 box.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
-keeps its tables, budget refusals, Smith normal form, residue group,
-two-generator lattice and cosets and point counts (a twisted spec's go to
-its untwisted spec), a graph its plain and twisted specs, SW invariants,
-subgraph components, surgery closed values, twist data and the dual points
-of ``embedded.verify_twisted_duality``.  Owners are held weakly and matched
-by equality, so an equal owner is served the entries of the first one
-stored, which live as long as that first owner does.  No entry refers back
-to its owner, so an owner and its entries are freed together.
+keeps its tables, budget refusals, Smith normal form, two-generator lattice
+and cosets and point counts (a twisted spec's go to its untwisted spec), a
+graph its plain and twisted specs, SW invariants, subgraph components,
+surgery closed values, twist data and the dual points of
+``embedded.verify_twisted_duality``.  Owners are held weakly and matched by
+equality, so an equal owner is served the entries of the first one stored,
+which live as long as that first owner does.  No entry refers back to its
+owner, so an owner and its entries are freed together.
 
-A table is built as residue -> (coordinates, counts) arrays, on the kept
-coordinates divided by their generator gcds and on the digits of the
-residue class in the subgroup the generators span, read off a Smith normal
-form.  Only the reachable cells are kept, as sorted packed int64 keys, and
-each generator is added by binary doubling.  Counts are Python ints instead
-of int64 once a sum over the table could overflow.
+A table is built as residue -> (coordinates, counts) arrays.  Only the
+reachable cells are kept, each as one int64 row of its residue mod den and
+its kept coordinates divided by their generator gcds, and each generator is
+added by binary doubling, equal rows merged as ``series`` merges the rows
+of an expansion.  Counts are Python ints instead of int64 once a sum over
+the table could overflow.
 
 Every periodic constant goes through ``periodic_constant_reduced``, and
 every route is exact.  The plain zeta function (twisted or not) has a closed
@@ -69,7 +69,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, wraps
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 import numpy as _np
@@ -77,8 +77,9 @@ import numpy as _np
 from .cycles import RationalCycle
 from .graphs import (InternalCheckError, ResolutionGraph, SubgraphComponent, chi,
                      laufer_saturate, subgraph_components)
-from .series import TABLE_STATE_CAP, TableBudgetExceeded, ZetaSpec, build_zeta
-from .snf import smith_normal_form, unimodular_inverse
+from .series import (TABLE_STATE_CAP, TableBudgetExceeded, ZetaSpec, _runs, _strides,
+                     build_zeta)
+from .snf import smith_normal_form
 
 
 class StabilizationError(ArithmeticError):
@@ -149,35 +150,6 @@ def _generator_snf(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[lis
                               for i in range(spec.nvars)])
 
 
-@_memo
-def _residue_group(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """The residues mod den that sums of generators reach, as a product of
-    cyclic groups Z/e_j with every e_j > 1: the orders e_j, per generator its
-    digits in that product, and per digit the residue of its unit.
-
-    With ``U @ M @ V = diag(d_j)`` for the matrix M of generator columns mod
-    den, a multiset with multiplicities c has residue zero exactly when every
-    ``(V^-1 c)_j`` is a multiple of ``e_j = den / gcd(den, d_j)``, and digit
-    j's unit has residue ``M @ V[:, j] = d_j U^-1[:, j]``.  Nothing is
-    enumerated, so the cost does not grow with the group order."""
-    d = spec.den
-    orders: list[int] = []
-    digits: list[list[int]] = [[] for _ in spec.dens]
-    units: list[list[int]] = []
-    if spec.dens:
-        diag, _, v = _generator_snf(spec)
-        v_inv = unimodular_inverse(v)
-        for j, dj in enumerate(diag):
-            e = d // gcd(d, dj)
-            if e > 1:
-                orders.append(e)
-                for i, dig in enumerate(digits):
-                    dig.append(v_inv[j][i] % e)
-                units.append([sum(gen[i] * row[j] for gen, row in zip(spec.dens, v)) % d
-                              for i in range(spec.nvars)])
-    return orders, digits, units
-
-
 def _multiset_bound(spec: ZetaSpec, positions: tuple[int, ...],
                     bounds: tuple[int, ...]) -> int:
     """How many multisets of generators fit in the box if each generator is
@@ -212,91 +184,48 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
     it.  Every generator has strictly positive projected coordinates, so the
     table is finite.
 
-    The cells are kept as sorted arrays.  A cell packs the digits of its
-    class (as in ``_residue_group``) and its coordinates divided by the
-    generator gcds into one int64 key, class first, so sorted keys come
-    grouped by class.  Each generator is a binary-doubling knapsack:
-    multiplying by (1 + t^(h g)) for h = 1, 2, 4, ... shifts every cell with
-    room for h more copies, appends the shifted cells and merges equal keys.
-    Where the packed range would reach 2**63, every digit keeps its own
-    column and the merge sorts rows with ``lexsort``.  The cell count only
-    grows, so the budget is checked after each merge.
+    A cell is one int64 row: its residue mod den on every variable, then its
+    coordinates divided by the generator gcds.  Each generator is a
+    binary-doubling knapsack: multiplying by (1 + t^(h g)) for h = 1, 2, 4,
+    ... shifts every cell with room for h more copies, appends the shifted
+    cells and merges equal rows (``series._runs``), so the cells stay sorted,
+    residue first, and a bucket is a run of equal residues.  The cell count
+    only grows, so the budget is checked after each merge.
     """
     if any(b <= 0 for b in bounds):
         return {}
-    orders, gen_digits, units = _residue_group(spec)
+    d, n = spec.den, spec.nvars
     gs, shape = _reduced_shape(spec, positions, bounds)
-    r = len(orders)  # digits 0..r-1 are the class, r.. the coordinates
-    radices = tuple(orders) + shape
-    if prod(radices) < 2 ** 63:  # one column, digit i at stride prod(radices[i+1:])
-        column = [0] * len(radices)
-        stride = [prod(radices[i + 1:]) for i in range(len(radices))]
-    else:
-        column = list(range(len(radices)))
-        stride = [1] * len(radices)
-    cols = [_np.zeros(1, dtype=_np.int64) for _ in range(column[-1] + 1)]
+    strides = _strides((d,) * n + shape)
+    rows = _np.zeros((1, n + len(positions)), dtype=_np.int64)
     counts = _np.ones(1, dtype=_np.int64 if _multiset_bound(spec, positions, bounds)
                       < 2 ** 63 else object)
-
-    def digit(cols: list[_np.ndarray], i: int) -> _np.ndarray:
-        val = cols[column[i]] // stride[i]  # the top digit of a column is exact
-        return val if i == 0 or column[i] != column[i - 1] else val % radices[i]
-
-    for gen, dig in zip(spec.dens, gen_digits):
+    last = _np.array(shape, dtype=_np.int64) - 1
+    for gen in spec.dens:
         s = [gen[p] // g for p, g in zip(positions, gs)]
-        room = reduce(_np.minimum, ((n - 1 - digit(cols, r + i)) // a
-                                    for i, (a, n) in enumerate(zip(s, shape))))
-        step = [0] * len(cols)  # the key shift of one copy's coordinates, per column
-        for i, a in enumerate(s, r):
-            step[column[i]] += a * stride[i]
+        room = ((last - rows[:, n:]) // s).min(axis=1)
         h = 1
         top = int(room.max())
         while h <= top:
             fits = room >= h
-            moved = [c[fits] for c in cols]
-            shift = [h * x for x in step]
-            for j, (a, e) in enumerate(zip(dig, orders)):
-                sh = h * a % e
-                if sh:  # class digit j moves up by sh, less e where that passes e
-                    moved[column[j]] -= (digit(moved, j) >= e - sh) * (e * stride[j])
-                    shift[column[j]] += sh * stride[j]
-            for c, k in enumerate(shift):
-                moved[c] += k
-            cols = [_np.concatenate(pair) for pair in zip(cols, moved)]
-            if len(cols) == 1:
-                order = cols[0].argsort(kind="stable")
-            else:
-                order = _np.lexsort(cols[::-1])
-            cols = [c[order] for c in cols]
-            fresh = _np.empty(len(order), dtype=bool)
-            fresh[0] = True
-            _np.not_equal(cols[0][1:], cols[0][:-1], out=fresh[1:])
-            for c in cols[1:]:
-                fresh[1:] |= c[1:] != c[:-1]
-            first = fresh.nonzero()[0]
+            shift = [h * x % d for x in gen] + [h * a for a in s]
+            moved = rows.compress(fits, axis=0) + _np.array(shift, dtype=_np.int64)
+            moved[:, :n] %= d
+            rows = _np.concatenate((rows, moved))
+            order, first = _runs(rows, None, strides)
             if len(first) > TABLE_STATE_CAP:
                 raise TableBudgetExceeded(len(first))
             counts = _np.add.reduceat(_np.concatenate((counts, counts[fits]))[order], first)
-            room = _np.concatenate((room, room[fits] - h))[order[first]]
-            cols = [c[first] for c in cols]
+            keep = order[first]
+            room = _np.concatenate((room, room[fits] - h))[keep]
+            rows = rows.take(keep, axis=0)  # faster than rows[keep] on 2-D rows
             h *= 2
     dtype = object if _wide(spec, int(counts.sum())) else _np.int64
     counts = counts.astype(dtype, copy=False)
-    ys = _np.stack([digit(cols, i) for i in range(r, len(radices))], axis=1) \
-        * _np.asarray(gs, dtype=_np.int64)
-    cls = [digit(cols, j) for j in range(r)]
-    new_class = _np.zeros(len(counts) - 1, dtype=bool)
-    for c in cls:
-        new_class |= c[1:] != c[:-1]
-    cuts = (new_class.nonzero()[0] + 1).tolist()
-    starts = [0, *cuts]
-    residues = _np.zeros((len(starts), spec.nvars), dtype=object)
-    for c, unit in zip(cls, units):  # Python ints: den * order may pass int64
-        residues += _np.outer(c[starts].astype(object), _np.array(unit, dtype=object))
-    buckets = {}
-    for a, b, rho in zip(starts, [*cuts, len(counts)], (residues % spec.den).tolist()):
-        buckets[tuple(rho)] = (ys[a:b], counts[a:b])
-    return buckets
+    ys = rows[:, n:] * _np.asarray(gs, dtype=_np.int64)
+    cuts = ((rows[1:, :n] != rows[:-1, :n]).any(axis=1).nonzero()[0] + 1).tolist()
+    return {tuple(rows[a, :n].tolist()): (ys[a:b], counts[a:b])
+            for a, b in zip([0, *cuts], [*cuts, len(rows)])}
 
 
 def _estimate_cells(spec: ZetaSpec, positions: tuple[int, ...],

@@ -395,16 +395,14 @@ class CurvePoincare:
         return int(self.grid.sum())
 
 
-def poincare_series(curve: MultibranchCurve,
-                    branch_indices: Sequence[int] | None = None) -> CurvePoincare:
-    """Poincare coefficients of the chosen subcurve via the alternating
-    Hilbert sum; for several branches the top layers dropped from the
-    differences are zero for any table (see ``HilbertTable.differences``)."""
-    sub = curve if branch_indices is None else curve.subcurve(branch_indices)
-    grid = _poincare_grid(sub._hilbert.grid)
+def poincare_series(curve: MultibranchCurve) -> CurvePoincare:
+    """Poincare coefficients of the curve via the alternating Hilbert sum;
+    for several branches the top layers dropped from the differences are
+    zero for any table (see ``HilbertTable.differences``)."""
+    grid = _poincare_grid(curve._hilbert.grid)
     cells = np.argwhere(grid)
     terms = dict(zip(map(tuple, cells.tolist()), grid[tuple(cells.T)].tolist()))
-    return CurvePoincare(curve=sub, terms=terms, grid=grid)
+    return CurvePoincare(curve=curve, terms=terms, grid=grid)
 
 
 def _poincare_grid(table: np.ndarray) -> np.ndarray:

@@ -19,15 +19,15 @@ class part taken from an expansion never builds the expansion's map.
 multiplicities.  Each denominator generator repeats every row once per copy
 that keeps some coordinate below the bound (less any negative numerator
 entry there); the region is downward closed, so a row pruned there never
-returns.  Equal rows are merged by a stable sort
-of packed int64 keys (``lexsort`` where the packed range reaches 2**63) and
-``np.add.reduceat``.  Each numerator term shifts the rows and keeps those
-still in the region, and the terms are merged once.  Python-int bounds on
-every coordinate and on every multiplicity times coefficient come first;
-where one reaches 2**63 the same code runs on object arrays of Python ints,
-so no sum wraps.  No step materialises more than ``TABLE_STATE_CAP`` rows:
-``expand`` raises ``TableBudgetExceeded`` instead, as a partition table of
-``counting`` does.
+returns.  Equal rows are merged by a stable sort of packed int64 keys
+(``lexsort`` where the packed range reaches 2**63) and ``np.add.reduceat``;
+a partition table of ``counting`` merges its cells the same way.  Each
+numerator term shifts the rows and keeps those still in the region, and the
+terms are merged once.  Python-int bounds on every coordinate and on every
+multiplicity times coefficient come first; where one reaches 2**63 the same
+code runs on object arrays of Python ints, so no sum wraps.  No step
+materialises more than ``TABLE_STATE_CAP`` rows: ``expand`` raises
+``TableBudgetExceeded`` instead, as a partition table of ``counting`` does.
 """
 
 from __future__ import annotations
@@ -204,17 +204,24 @@ class SparseSeries:
         return "\n".join(lines)
 
 
-def _merge(rows: np.ndarray, mult: np.ndarray, low: np.ndarray | None,
-           strides: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Equal rows merged into one, their multiplicities summed, in
-    lexicographic order: by the packed keys ``(rows - low) @ strides``, or
-    column by column with ``lexsort`` where ``strides`` is None."""
-    if not len(rows):
-        return rows, mult
+def _strides(spans: Sequence[int]) -> np.ndarray | None:
+    """Strides that pack a row whose columns take ``spans`` values each into
+    one int64 key, last column fastest; None where the range reaches 2**63."""
+    return (np.array([prod(spans[j + 1:]) for j in range(len(spans))], dtype=np.int64)
+            if prod(spans) < 2 ** 63 else None)
+
+
+def _runs(rows: np.ndarray, low: np.ndarray | None,
+          strides: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts nonempty ``rows`` lexicographically, and the
+    places in that order where a run of equal rows starts: sorted by the
+    packed keys ``(rows - low) @ strides`` (``rows @ strides`` where
+    ``low`` is None), or column by column with ``lexsort`` where
+    ``strides`` is None."""
     fresh = np.empty(len(rows), dtype=bool)
     fresh[0] = True
     if strides is not None:
-        key = (rows - low).astype(np.int64) @ strides
+        key = (rows if low is None else rows - low).astype(np.int64, copy=False) @ strides
         order = key.argsort(kind="stable")
         key = key[order]
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
@@ -222,7 +229,16 @@ def _merge(rows: np.ndarray, mult: np.ndarray, low: np.ndarray | None,
         order = np.lexsort(rows.T[::-1])
         ranked = rows[order]
         fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = fresh.nonzero()[0]
+    return order, fresh.nonzero()[0]
+
+
+def _merge(rows: np.ndarray, mult: np.ndarray, low: np.ndarray | None,
+           strides: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows merged into one, their multiplicities summed, in
+    lexicographic order (``_runs``)."""
+    if not len(rows):
+        return rows, mult
+    order, first = _runs(rows, low, strides)
     return rows[order[first]], np.add.reduceat(mult[order], first)
 
 
@@ -265,9 +281,7 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
             for j, col in enumerate(columns)]
     weight = prod(copies) * sum(abs(c) for c, _ in spec.num)
     dtype = object if max(weight, *limit, *high) >= 2 ** 63 else np.int64
-    spans = [b - a + 1 for a, b in zip(low, high)]
-    strides = (np.array([prod(spans[j + 1:]) for j in range(spec.nvars)], dtype=np.int64)
-               if prod(spans) < 2 ** 63 else None)
+    strides = _strides([b - a + 1 for a, b in zip(low, high)])
     offset = np.array(low, dtype=dtype)
     gens = np.array(spec.dens, dtype=dtype).reshape(-1, spec.nvars)
     if len(gens):  # the first generator's copies are distinct rows

@@ -401,6 +401,18 @@ def test_curve_semigroup_refuses_generators_that_are_not_positive(gens, bad, cap
     assert err == f"error: semigroup generator {bad} is not positive\n"
 
 
+@pytest.mark.parametrize("gens", ["2,x", "2,,3", "", "2.5,3"])
+def test_curve_semigroup_that_is_not_integers_is_usage_error(gens, capsys):
+    # each once ended in Python's own "invalid literal for int()" message
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", f"--semigroup={gens}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert (f"argument --semigroup: expected comma-separated positive integers, "
+            f"got {gens!r}") in out.err
+
+
 @pytest.mark.parametrize("args", [
     [],
     # each once reported the --ordinary curve alone and exited 0

@@ -314,55 +314,30 @@ def test_sparse_table_matches_dictionary_dp(case):
 
 
 def test_sparse_table_beyond_the_packed_key_range():
-    # three coordinates of about 2**23 reduced cells each: class index and
-    # coordinates no longer pack into one int64, so rows are merged by lexsort
+    # three coordinates of about 2**23 reduced cells each: the residues mod
+    # den and the coordinates no longer pack into one int64, so rows are
+    # merged by lexsort
     big = 2 ** 21
     spec = synthetic_spec([(1, (0, 0, 0)), (-1, (5, 0, 7))],
                           [(big - 1, big + 1, big + 3), (big + 5, big - 3, big + 7),
                            (big + 11, big + 13, big - 5)], den=3)
     positions, bounds = (0, 1, 2), (4 * big, 4 * big, 4 * big)
-    orders, _, _ = counting._residue_group(spec)
     gs, shape = counting._reduced_shape(spec, positions, bounds)
     assert gs == [1, 1, 1]
-    assert math.prod(orders) * math.prod(shape) >= 2 ** 63
+    assert spec.den ** spec.nvars * math.prod(shape) >= 2 ** 63
     table = _build_sparse(spec, positions, bounds)
     _assert_same_table(table, _oracle_table(spec, positions, bounds))
     assert sum(len(cs) for _, cs in table.values()) == 20  # 3 copies at most in all
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(st.integers(0, 40), min_size=n, max_size=n), max_size=4),
-    st.integers(1, 12))))
-def test_residue_group_matches_the_reachable_residues(case):
-    gens, den = case
-    nvars = len(gens[0]) if gens else 1
-    spec = synthetic_spec([(1, [0] * nvars)], [[x + den for x in g] for g in gens],
-                          den=den)
-    reached = {(0,) * nvars}  # breadth-first walk over sums of generators
-    frontier = list(reached)
-    while frontier:
-        frontier = {tuple((a + b) % den for a, b in zip(rho, g))
-                    for rho in frontier for g in spec.dens} - reached
-        reached |= frontier
-    orders, digits, units = counting._residue_group(spec)
-
-    def residue(ks):
-        return tuple(sum(k * u[i] for k, u in zip(ks, units)) % den for i in range(nvars))
-
-    assert all(e > 1 for e in orders)
-    assert {residue(ks) for ks in itertools.product(*map(range, orders))} == reached
-    assert math.prod(orders) == len(reached)
-    for g, dig in zip(spec.dens, digits):
-        assert residue(dig) == tuple(x % den for x in g)
-
-
 def test_large_group_small_table_enumerates_nothing():
-    # |H| = 1,000,999: a table of one cell must not walk the whole group
+    # |H| = 1,000,999: the residue columns take den**2, about 10**12, values,
+    # and a table of one cell must not walk them
     g = parse_graph("v 1 -1000\nv 2 -1001\ne 1 2\n")
     spec = plain_zeta(g)
-    orders, _, _ = counting._residue_group(spec)
-    assert math.prod(orders) == 1000999
+    assert spec.den == g.group.order == 1000999
+    _, shape = counting._reduced_shape(spec, (0, 1), (50, 50))
+    assert spec.den ** spec.nvars * math.prod(shape) < 2 ** 63  # one packed key
     table = _build_sparse(spec, (0, 1), (50, 50))
     assert _table_cells(table) == {((0, 0), (0, 0)): (1, _np.dtype(_np.int64))}
 
@@ -565,7 +540,7 @@ def test_table_caches_hold_specs_weakly(fresh_tables):
     spec = synthetic_spec([(1, (0, 0))], [(2, 3), (3, 1)], den=5)
     _table_for(spec, (0, 1), (40, 40))
     entries = counting._STORE[spec]
-    assert ("table", (0, 1)) in entries and ("_residue_group",) in entries
+    assert ("table", (0, 1)) in entries
     ref = weakref.ref(spec)
     del spec, entries
     gc.collect()
@@ -1243,8 +1218,14 @@ def _count_routes(monkeypatch) -> dict:
 def test_only_proper_subsets_are_fitted(dihedral, monkeypatch):
     # a plain spec, twisted or not, takes the closed form on every subset;
     # a relative series takes the division on one position and the
-    # polynomial count on its marked vertices
+    # polynomial count on its marked vertices.  The closed forms are stubbed:
+    # the SW values they read may or may not be stored already, and
+    # computing one reaches fitted_qp_value at the node
     calls = _count_routes(monkeypatch)
+    closed = []
+    for name in ("counting_qp_closed", "modified_qp_closed"):
+        monkeypatch.setattr(counting, name,
+                            lambda *args, _name=name: closed.append(_name) or 0)
     for tw in (None, dihedral.dual(1)):
         spec = build_zeta(dihedral, twist=tw)
         for h in dihedral.group.elements():
@@ -1253,6 +1234,8 @@ def test_only_proper_subsets_are_fitted(dihedral, monkeypatch):
                     for modified in (False, True):
                         periodic_constant_reduced(dihedral, spec, h, pos, modified)
     assert calls == {"quasipoly_value": 0, "fitted_qp_value": 0}
+    each = 2 * len(dihedral.group.elements()) * (2 ** dihedral.n - 1)
+    assert closed.count("counting_qp_closed") == closed.count("modified_qp_closed") == each
     relative = build_zeta(dihedral, twist=dihedral.dual(1), relative=(1, 3))
     periodic_constant_reduced(dihedral, relative, dihedral.group.zero, (2,))
     assert calls == {"quasipoly_value": 0, "fitted_qp_value": 1}
