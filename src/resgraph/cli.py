@@ -159,9 +159,8 @@ def cmd_series(args) -> int:
     if args.class_zero:
         series = h_part(series, graph.residue(zero_cycle(graph.n)), graph.det_abs)
     if args.reduce:
-        keep = [int(t) for t in args.reduce.split(",")]
         if args.class_zero:
-            series = reduce_to(series, keep)
+            series = reduce_to(series, args.reduce)
         else:
             print("error: reduce a single class part, not the full series "
                   "(use --class-zero)", file=sys.stderr)
@@ -381,14 +380,17 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
-def _semigroup_generators(text: str) -> list[int]:
-    """``--semigroup`` generators; ``from_semigroup`` refuses one that is 0 or
-    negative with a message that names it."""
-    try:
-        return [int(t) for t in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated positive integers, got {text!r}") from None
+def _int_list(what: str):
+    """The type of a comma-separated integer list, called ``what`` in its
+    message; the command refuses an integer it cannot use by name (a
+    generator that is not positive, an unknown or repeated vertex id)."""
+    def parse(text: str) -> list[int]:
+        try:
+            return [int(t) for t in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--class-zero", action="store_true",
                    help="restrict to the trivial class part")
-    p.add_argument("--reduce", type=str, default=None,
+    p.add_argument("--reduce", type=_int_list("vertex ids"), default=None,
                    help="comma-separated vertex ids to keep")
     p.set_defaults(func=cmd_series)
 
@@ -429,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.add_argument("--ordinary", type=int, default=None,
                    help="ordinary r-tuple with the given branch count")
-    p.add_argument("--semigroup", type=_semigroup_generators, default=None,
+    p.add_argument("--semigroup", type=_int_list("positive integers"), default=None,
                    help="comma-separated numerical semigroup generators")
     p.set_defaults(func=cmd_curve)
     return ap

@@ -20,20 +20,20 @@ box.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
 keeps its tables, budget refusals, Smith normal form, two-generator lattice
-and cosets and point counts (a twisted spec's go to its untwisted spec), a
-graph its plain and twisted specs, SW invariants, subgraph components,
-surgery closed values, twist data and the dual points of
-``embedded.verify_twisted_duality``.  Owners are held weakly and matched by
-equality, so an equal owner is served the entries of the first one stored,
-which live as long as that first owner does.  No entry refers back to its
-owner, so an owner and its entries are freed together.
+and cosets and point counts, a graph its plain and twisted specs, each
+spec's twist, SW invariants, subgraph components, surgery closed values and
+twist data, which ``embedded.verify_twisted_duality`` reads too.  Owners are
+held weakly and matched by equality, so an equal owner is served the entries
+of the first one stored, which live as long as that first owner does.  No
+entry refers back to its owner, so an owner and its entries are freed
+together.
 
 A table is built as residue -> (coordinates, counts) arrays.  Only the
 reachable cells are kept, each as one int64 row of its residue mod den and
 its kept coordinates divided by their generator gcds, and each generator is
 added by binary doubling, equal rows merged as ``series`` merges the rows
-of an expansion.  Counts are Python ints instead of int64 once a sum over
-the table could overflow.
+of an expansion.  Counts are Python ints instead of int64 where the box
+holds 2^63 or more multisets of generators, which bounds any sum of them.
 
 Every periodic constant goes through ``periodic_constant_reduced``, and
 every route is exact.  The plain zeta function (twisted or not) has a closed
@@ -153,18 +153,11 @@ def _generator_snf(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[lis
 def _multiset_bound(spec: ZetaSpec, positions: tuple[int, ...],
                     bounds: tuple[int, ...]) -> int:
     """How many multisets of generators fit in the box if each generator is
-    capped separately; it bounds every count of the table."""
+    capped separately; it bounds every count of the table and their sum."""
     most = 1
     for gen in spec.dens:
         most *= 1 + min((b - 1) // gen[p] for p, b in zip(positions, bounds))
     return most
-
-
-def _wide(spec: ZetaSpec, total: int) -> bool:
-    """Whether a table holding ``total`` multisets keeps Python-int counts: a
-    count sums at most ``total`` of them, and ``sum |coeff| * total`` bounds
-    that sum weighted by the numerator, conservatively."""
-    return sum(abs(c) for c, _ in spec.num) * total >= 2 ** 63
 
 
 def _reduced_shape(spec: ZetaSpec, positions: tuple[int, ...],
@@ -220,8 +213,6 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
             room = _np.concatenate((room, room[fits] - h))[keep]
             rows = rows.take(keep, axis=0)  # faster than rows[keep] on 2-D rows
             h *= 2
-    dtype = object if _wide(spec, int(counts.sum())) else _np.int64
-    counts = counts.astype(dtype, copy=False)
     ys = rows[:, n:] * _np.asarray(gs, dtype=_np.int64)
     cuts = ((rows[1:, :n] != rows[:-1, :n]).any(axis=1).nonzero()[0] + 1).tolist()
     return {tuple(rows[a, :n].tolist()): (ys[a:b], counts[a:b])
@@ -277,16 +268,6 @@ def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
         raise
     entries["table", positions] = (bounds, table)
     return table
-
-
-def _untwist(spec: ZetaSpec, residue: tuple[int, ...],
-             x: RationalCycle) -> tuple[ZetaSpec, tuple[int, ...], RationalCycle]:
-    if spec.twist is None:
-        return spec, tuple(residue), x
-    d = spec.den
-    tw = RationalCycle(spec.twist, d)
-    res = tuple((a - b) % d for a, b in zip(residue, spec.twist))
-    return spec.untwisted(), res, x - tw
 
 
 # ---------------------------------------------------------------------------
@@ -436,23 +417,20 @@ def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
     the given class lying strictly below x on every chosen coordinate.  Two
     generators are counted in closed form, any other spec off its table.
 
-    Each count is computed once: it is stored among the untwisted spec's
-    entries under the untwisted residue, the sorted positions and x scaled
-    by den.  A subset that ``counting_Q`` sums over again, and the same
-    count asked through a twisted spec, are read back.
+    Each count is computed once: it is stored among the spec's entries under
+    the residue, the sorted positions and x scaled by den, so a subset that
+    ``counting_Q`` sums over again is read back.
     """
     if not positions:
         raise ValueError("variable subset must be nonempty")
-    spec, residue, x = _untwist(spec, residue, x)
-    return _counting_q(spec, residue, tuple(sorted(positions)), x.scaled(spec.den))
+    return _counting_q(spec, tuple(residue), tuple(sorted(positions)), x.scaled(spec.den))
 
 
 @_memo
 def _counting_q(spec: ZetaSpec, residue: tuple[int, ...], pos: tuple[int, ...],
                 xs: tuple[int, ...]) -> int:
-    """The body of ``counting_q``, on a normalised key: an untwisted spec,
-    the residue a tuple, the positions a sorted tuple, the point scaled by
-    den."""
+    """The body of ``counting_q``, on a normalised key: the residue a tuple,
+    the positions a sorted tuple, the point scaled by den."""
     d = spec.den
     if len(spec.dens) == 2:
         return _two_gen_count(spec, residue, pos, xs, union=False)
@@ -482,12 +460,11 @@ def counting_Q(spec: ZetaSpec, residue: tuple[int, ...],
     class not dominating x on the chosen coordinates, that is, strictly below
     x on some chosen coordinate.  For two generators (a chain) it is one
     closed count of the coset pairs under the upper envelope of the
-    positions' lines, untwisted as in ``counting_q``; for three or more it is
-    assembled from the modified counting function by inclusion-exclusion."""
+    positions' lines; for three or more it is assembled from the modified
+    counting function by inclusion-exclusion."""
     if not positions:
         raise ValueError("variable subset must be nonempty")
     if len(spec.dens) == 2:
-        spec, residue, x = _untwist(spec, residue, x)
         return _two_gen_count(spec, residue, tuple(sorted(positions)),
                               x.scaled(spec.den), union=True)
     return sum(sign * counting_q(spec, residue, sub, x)
@@ -565,7 +542,7 @@ def _class_row(spec: ZetaSpec, residue: tuple[int, ...], p: int, base: RationalC
                lo: int, top: int) -> list[int]:
     """Coefficients a_m, m = lo .. top, of a class part along coordinate p:
     the coefficient sums over its exponents whose coordinate p lies m whole
-    steps past the base's (an untwisted spec without exactly two generators).
+    steps past the base's (a spec without exactly two generators).
 
     The one table of ``_row_box`` along p, shared by every class, is read
     once: every cell of a numerator term's class sits at a whole number of
@@ -611,7 +588,6 @@ def fitted_qp_value(spec: ZetaSpec, residue: tuple[int, ...], p: int,
     function.  The table is fetched before D is built, so a table refused by
     the budget raises ``TableBudgetExceeded`` at once.
     """
-    spec, residue, base = _untwist(spec, residue, base)
     d = spec.den
     bs = base.scaled(d)
     bound, degs = _step_bound(spec, p, bs)
@@ -795,29 +771,39 @@ def modified_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
                for sign, sub in _signed_subsets(sorted(positions)))
 
 
-@_memo
-def _twist_data(graph: ResolutionGraph, spec: ZetaSpec,
-                h: tuple[int, ...]) -> tuple[tuple[int, ...], RationalCycle, RationalCycle]:
-    """Class, base point and lattice argument for periodic constants of a
-    possibly twisted part, computed once per graph, spec and class.
+def _monomial_shift(spec: ZetaSpec, ref: ZetaSpec) -> tuple[int, ...] | None:
+    """The scaled v with spec = t^v ref (ref's numerator terms each moved by
+    v, in order, over the same denominators), or None if there is none."""
+    v = tuple(a - b for a, b in zip(spec.num[0][1], ref.num[0][1]))
+    moved = tuple((c, tuple(a + b for a, b in zip(e, v))) for c, e in ref.num)
+    same = (spec.ids, spec.den, spec.dens, spec.num) == (ref.ids, ref.den, ref.dens, moved)
+    return v if same else None
 
-    For twist l0 of class h0, the h-part of the twisted series is the
-    (h - h0)-part of the plain series shifted by l0; its quasi-polynomial is
-    the plain one evaluated with base r_h - l0, that is at the lattice
-    argument lbar = r_h - l0 - r_g of the class g = h - h0.
-    """
+
+@_memo
+def _plain_shift(graph: ResolutionGraph, spec: ZetaSpec) -> tuple[int, ...] | None:
+    """The scaled twist l0 of a spec of t^{l0} times the plain zeta function,
+    or None for any other spec; worked out once per graph and spec."""
+    return _monomial_shift(spec, plain_zeta(graph))
+
+
+@_memo
+def _twist_data(graph: ResolutionGraph, twist: tuple[int, ...], h: tuple[int, ...]) -> tuple:
+    """For the twist l0 (scaled by |det|) and the class h, once per graph,
+    twist and class: the class g = h - h0 (h0 the class of l0) and the
+    lattice argument lbar = r_h - l0 - r_g at which the closed route
+    evaluates the h-part of t^{l0} Z, since that part is the g-part of Z
+    moved by l0; then the counting side of twisted duality, the argument
+    Z_K - r_h + l0, its residue and the dual shift l0 + r_g."""
     group = graph.group
-    if spec.twist is None:
-        g = h
-        base = group.frac_rep(h)
-    else:
-        tw = RationalCycle(spec.twist, spec.den)
-        g = group.sub(h, group.class_of(tw))
-        base = group.frac_rep(h) - tw
-    lbar = base - group.frac_rep(g)
+    tw = RationalCycle(twist, graph.det_abs)
+    g = group.sub(h, group.class_of(tw))
+    rg = group.frac_rep(g)
+    lbar = group.frac_rep(h) - tw - rg
     if not lbar.is_integral:
         raise InternalCheckError("twisted base does not differ from r_g by a lattice cycle")
-    return g, base, lbar
+    arg = graph.canonical - group.frac_rep(h) + tw
+    return g, lbar, arg, graph.residue(arg), tw + rg
 
 
 def periodic_constant_full(graph: ResolutionGraph, spec: ZetaSpec,
@@ -831,27 +817,29 @@ def periodic_constant_reduced(graph: ResolutionGraph, spec: ZetaSpec,
                               modified: bool = False) -> int:
     """Periodic constant of one class part reduced to a variable subset, and
     the one place its route is chosen.  Every route is exact: the plain zeta
-    function (twisted or not) takes the surgery closed form on any subset
-    (``modified_qp_closed`` for the modified constant); a relative series
-    takes the one-variable division on one position (``fitted_qp_value``)
-    and, on two or more, the coefficient sum of its polynomial
-    (``quasipoly_value``), which needs the marked vertices to be exactly the
-    kept ones.  A relative series has no modified route."""
-    g, base, lbar = _twist_data(graph, spec, tuple(h))
-    spec = spec.untwisted()
-    if spec == plain_zeta(graph):
+    function times a monomial t^{l0} (twisted or not) takes the surgery
+    closed form on any subset (``modified_qp_closed`` for the modified
+    constant).  Any other spec is a relative series, read at base r_h: the
+    one-variable division on one position (``fitted_qp_value``) and, on two
+    or more, the coefficient sum of its polynomial (``quasipoly_value``),
+    which needs the marked vertices to be exactly the kept ones.  A relative
+    series has no modified route."""
+    h = tuple(h)
+    shift = _plain_shift(graph, spec)
+    if shift is not None:
+        g, lbar = _twist_data(graph, shift, h)[:2]
         closed = modified_qp_closed if modified else counting_qp_closed
         return closed(graph, g, positions, lbar)
     if modified:
         raise ValueError("a relative series has no modified periodic constant")
-    rg = graph.group.frac_rep(g)
+    r = graph.group.frac_rep(h)
     pos = sorted(positions)
     if len(pos) == 1:
-        return fitted_qp_value(spec, graph.residue(rg), pos[0], base)
-    if spec != build_zeta(graph, relative=[graph.ids[p] for p in pos]):
+        return fitted_qp_value(spec, graph.residue(r), pos[0], r)
+    if _monomial_shift(spec, build_zeta(graph, relative=[graph.ids[p] for p in pos])) is None:
         raise ValueError("a relative series is a polynomial only in the variables "
                          "of its marked vertices")
-    return quasipoly_value(spec, graph.residue(rg), pos, base)
+    return quasipoly_value(spec, graph.residue(r), pos, r)
 
 
 # ---------------------------------------------------------------------------

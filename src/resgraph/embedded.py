@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import (InternalCheckError, _memo, counting_Q, counting_q,
+from .counting import (InternalCheckError, _twist_data, counting_Q, counting_q,
                        periodic_constant_reduced, plain_zeta, twisted_zeta)
 from .cycles import RationalCycle, zero_cycle
 from .graphs import (ResolutionGraph, artin_rationality, chi,
@@ -172,17 +172,6 @@ class DualityReport:
         return self.status == "fail" or self.status_modified == "fail"
 
 
-@_memo
-def _dual_point(graph: ResolutionGraph, tw: RationalCycle,
-                h: tuple[int, ...]) -> tuple[RationalCycle, tuple[int, ...], RationalCycle]:
-    """The counting side's argument Z_K - r_h + l0 for the twist l0, its
-    residue, and the dual shift l0 + r_{h - h0}, computed once per graph,
-    twist and class."""
-    group = graph.group
-    arg = graph.canonical - group.frac_rep(h) + tw
-    return arg, graph.residue(arg), tw + group.frac_rep(group.sub(h, group.class_of(tw)))
-
-
 def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
                            h: tuple[int, ...], positions: Sequence[int]) -> DualityReport:
     """Compare the periodic constant of a twisted class part against the
@@ -195,7 +184,7 @@ def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
     pos = tuple(sorted(positions))
     tw = twist if twist is not None else zero_cycle(graph.n)
     spec = plain_zeta(graph) if tw.is_zero else twisted_zeta(graph, tw)
-    rhs_arg, rres, dual_shift = _dual_point(graph, tw, tuple(h))
+    rhs_arg, rres, dual_shift = _twist_data(graph, tw.scaled(spec.den), tuple(h))[2:]
     pspec = plain_zeta(graph)
     rhs = counting_Q(pspec, rres, pos, rhs_arg)
     rhs_mod = counting_q(pspec, rres, pos, rhs_arg)

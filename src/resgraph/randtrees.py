@@ -18,6 +18,11 @@ from .graphs import (GraphError, NotNegativeDefiniteError, ResolutionGraph,
                      artin_rationality)
 
 
+EULER_RANGE = (-7, -1)  # Euler numbers of a drawn tree
+MAX_TRIES = 4000  # draws before random_rational_graph gives up
+MAX_ARROWS = 3  # most unit arrows random_unit_arrows places
+
+
 def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     if n == 1:
         return []
@@ -44,12 +49,10 @@ def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 
 def random_rational_graph(rng: random.Random, max_vertices: int = 6,
-                          euler_range: tuple[int, int] = (-7, -1),
-                          order_cap: int | None = 60,
-                          max_tries: int = 4000) -> ResolutionGraph:
+                          order_cap: int | None = 60) -> ResolutionGraph:
     """A random negative definite, Artin-rational tree."""
-    lo, hi = euler_range
-    for _ in range(max_tries):
+    lo, hi = EULER_RANGE
+    for _ in range(MAX_TRIES):
         n = rng.randint(1, max_vertices)
         edges = _random_tree_edges(rng, n)
         eulers = {v: rng.randint(lo, hi) for v in range(1, n + 1)}
@@ -82,10 +85,9 @@ def random_positions(rng: random.Random, graph: ResolutionGraph,
     return tuple(sorted(rng.sample(range(graph.n), size)))
 
 
-def random_unit_arrows(rng: random.Random, graph: ResolutionGraph,
-                       max_arrows: int = 3) -> ResolutionGraph:
-    """Copy of the graph with one to ``max_arrows`` unit arrows placed."""
-    k = rng.randint(1, min(max_arrows, graph.n))
+def random_unit_arrows(rng: random.Random, graph: ResolutionGraph) -> ResolutionGraph:
+    """Copy of the graph with one to ``MAX_ARROWS`` unit arrows placed."""
+    k = rng.randint(1, min(MAX_ARROWS, graph.n))
     chosen = rng.sample(list(graph.ids), k)
     return ResolutionGraph(
         ids=graph.ids, eulers=graph.eulers, edges=graph.edges,

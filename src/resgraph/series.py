@@ -74,29 +74,17 @@ class ZetaSpec:
     """Expanded numerator / geometric denominator presentation of a zeta
     function, with all exponents scaled by the common denominator ``den``.
 
-    ``num`` never includes the twist monomial; expansion and counting fold
-    the twist in where it matters, which keeps the twisted/untwisted
-    coefficient relation an exact shift.
+    A twist t^{l0} is part of ``num``: every numerator exponent moved by l0.
     """
 
     ids: tuple[int, ...]
     den: int
     num: tuple[tuple[int, tuple[int, ...]], ...]
     dens: tuple[tuple[int, ...], ...]
-    twist: tuple[int, ...] | None = None
 
     @property
     def nvars(self) -> int:
         return len(self.ids)
-
-    @property
-    def twist_or_zero(self) -> tuple[int, ...]:
-        return self.twist if self.twist is not None else (0,) * self.nvars
-
-    def untwisted(self) -> "ZetaSpec":
-        if self.twist is None:
-            return self
-        return ZetaSpec(self.ids, self.den, self.num, self.dens, None)
 
 
 def synthetic_spec(num: Sequence[tuple[int, Sequence[int]]],
@@ -121,19 +109,27 @@ def build_zeta(graph: ResolutionGraph, twist: RationalCycle | None = None,
     ``relative`` lists vertex ids receiving one extra ``(1 - t^{E*_v})``
     factor.  Powers are combined before splitting into numerator and
     denominator, so a relative factor at a leaf cancels instead of stacking.
+    A twist l0 starts the numerator at t^{l0} instead of 1.
     """
     d = graph.det_abs
     rel = set(relative)
     unknown = rel - set(graph.ids)
     if unknown:
         raise ValueError(f"relative set contains unknown vertex {min(unknown)}")
+    start = (0,) * graph.n
+    if twist is not None and not twist.is_zero:
+        if d % twist.den:
+            raise TwistError("twist does not lie in the dual lattice")
+        if not graph.in_lipman_cone(twist):
+            raise TwistError("twist must be anti-nef")
+        start = twist.scaled(d)
     powers = []
     for i in range(graph.n):
         p = graph.valences[i] - 2
         if graph.ids[i] in rel:
             p += 1
         powers.append(p)
-    num: list[tuple[int, tuple[int, ...]]] = [(1, (0,) * graph.n)]
+    num: list[tuple[int, tuple[int, ...]]] = [(1, start)]
     dens: list[tuple[int, ...]] = []
     for i, p in enumerate(powers):
         exp = graph.duals[i].scaled(d)
@@ -144,17 +140,10 @@ def build_zeta(graph: ResolutionGraph, twist: RationalCycle | None = None,
                       for j in range(p + 1)]
             num = [(c1 * c2, tuple(a + b for a, b in zip(e1, e2)))
                    for c1, e1 in num for c2, e2 in factor]
-    tw = None
-    if twist is not None and not twist.is_zero:
-        if d % twist.den:
-            raise TwistError("twist does not lie in the dual lattice")
-        if not graph.in_lipman_cone(twist):
-            raise TwistError("twist must be anti-nef")
-        tw = twist.scaled(d)
     for a in dens:
         if not all(x > 0 for x in a):
             raise InternalCheckError("denominator exponent with a nonpositive entry")
-    return ZetaSpec(graph.ids, d, tuple(num), tuple(dens), tw)
+    return ZetaSpec(graph.ids, d, tuple(num), tuple(dens))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,9 +256,8 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
     bscaled = bound * spec.den
     # exponents are integers, so x < bscaled exactly when x < its ceiling
     top = ceil(bscaled)
-    tw = spec.twist_or_zero
-    shifted = [(c, [a + b for a, b in zip(e, tw)]) for c, e in spec.num if c]
-    columns = list(zip(*(e for _, e in shifted))) or [()] * spec.nvars
+    terms = [(c, e) for c, e in spec.num if c]
+    columns = list(zip(*(e for _, e in terms))) or [()] * spec.nvars
     low = [min((0, *col)) for col in columns]
     # a sum of generators matters while some coordinate j stays below
     # limit_j, where a numerator term can still bring it below top; no such
@@ -303,7 +291,7 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
         rows, mult = _merge(np.repeat(rows, room, axis=0) + k[:, None] * gen,
                             np.repeat(mult, room), offset, strides)
     picked = []
-    for c, e in shifted:
+    for c, e in terms:
         if any(e) or any(low):
             moved = rows + np.array(e, dtype=dtype)
             keep = (moved < top).any(axis=1)

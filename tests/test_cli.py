@@ -154,6 +154,26 @@ def test_series_reduce_keeps_the_order_asked_for(ids, capsys):
     assert terms(ids) == want
 
 
+@pytest.mark.parametrize("ids", ["1,x", "1,,2"])
+def test_series_reduce_that_is_not_integers_is_usage_error(ids, capsys):
+    # each once ended in Python's own "invalid literal for int()" message
+    with pytest.raises(SystemExit) as exc:
+        main(["series", str(GRAPHS / "cyclic4.graph"), "--class-zero", f"--reduce={ids}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --reduce: expected comma-separated vertex ids, got {ids!r}" in out.err
+
+
+def test_series_reduce_needs_a_class_part(capsys):
+    code, out, err = run_cli(["--bound", "2", "series", GRAPHS / "cyclic4.graph",
+                              "--reduce", "1,2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: reduce a single class part, not the full series "
+                   "(use --class-zero)\n")
+
+
 def test_series_over_the_row_cap_is_refused(monkeypatch, capsys):
     from resgraph import series
     monkeypatch.setattr(series, "TABLE_STATE_CAP", 10)
@@ -483,6 +503,25 @@ def test_curve_not_closed_under_the_clamp_rule_is_refused(text, message, tmp_pat
     assert code == 2
     assert out == ""
     assert err == f"error: value set is not closed under addition: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("branches 1\nconductor 2\ns 0 x\n", "line 3: expected integers in 's 0 x'"),
+    ("branches 1\nbranches 1\n", "line 2: duplicate branches line"),
+    ("branches 1 2\n", "line 1: branches line needs one integer"),
+    ("branches 1\nconductor 2\nconductor 2\n", "line 3: duplicate conductor line"),
+    ("branches 1\nvalue 0\n", "line 2: unknown directive 'value'"),
+    ("# no branches\nconductor 2\ns 0\n",
+     "curve file needs 'branches' and 'conductor' lines"),
+], ids=["not-integers", "duplicate-branches", "branches-arity", "duplicate-conductor",
+        "unknown-directive", "missing-lines"])
+def test_curve_file_grammar_errors(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.curve"
+    path.write_text(text)
+    code, out, err = run_cli(["curve", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_curve_failed_inversion_reports(monkeypatch, capsys):

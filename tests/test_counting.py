@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import DIHEDRAL_TEXT
 from resgraph import counting
 from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
-                               _build_sparse, _table_for, _twist_data, _wide,
+                               _build_sparse, _table_for, _twist_data,
                                counting_Q, counting_q, counting_qp_closed,
                                _sw_probe, fitted_qp_value, modified_qp_closed,
                                periodic_constant_full,
@@ -42,9 +42,8 @@ def brute_count(spec, residue, positions, x, strict_all: bool) -> int:
     den = spec.den
     xs = x.scaled(den)
     gens = list(spec.dens)
-    tw = spec.twist_or_zero
     # a numerator entry below zero needs that many more copies to leave
-    low = min([0, *(b + t for _, base in spec.num for b, t in zip(base, tw))])
+    low = min([0, *(b for _, base in spec.num for b in base)])
     bound = max(max(xs) - low, 1)
     ranges = [int(Fraction(bound, min(g))) + 2 for g in gens]
     total = 0
@@ -54,7 +53,7 @@ def brute_count(spec, residue, positions, x, strict_all: bool) -> int:
             for i in range(spec.nvars):
                 vec[i] += c * g[i]
         for coeff, base in spec.num:
-            p = tuple(b + v + t for b, v, t in zip(base, vec, tw))
+            p = tuple(b + v for b, v in zip(base, vec))
             if tuple(a % den for a in p) != tuple(residue):
                 continue
             if strict_all:
@@ -198,14 +197,14 @@ def _build_table(spec: ZetaSpec, positions: tuple[int, ...],
     return states
 
 
-def _bucketise(spec: ZetaSpec, states: dict) -> dict:
+def _bucketise(states: dict, wide: bool) -> dict:
     """Group table states by residue: residue -> (projection matrix, counts),
     as integer arrays for vectorised box queries.  Counts are Python-int
-    object arrays when int64 scans could overflow."""
+    object arrays where ``wide``."""
     grouped: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for (y, rho), count in states.items():
         grouped.setdefault(rho, []).append((y, count))
-    dtype = object if _wide(spec, sum(states.values())) else _np.int64
+    dtype = object if wide else _np.int64
     buckets = {}
     for rho, items in grouped.items():
         ys = _np.array([y for y, _ in items], dtype=_np.int64).reshape(len(items), -1)
@@ -215,7 +214,12 @@ def _bucketise(spec: ZetaSpec, states: dict) -> dict:
 
 
 def _oracle_table(spec, positions, bounds):
-    return _bucketise(spec, _build_table(spec, positions, bounds))
+    """The dictionary DP's table, its counts Python ints where the box holds
+    2**63 or more multisets of generators, each capped separately: that
+    bounds every sum of counts."""
+    multisets = math.prod(1 + min((b - 1) // gen[p] for p, b in zip(positions, bounds))
+                          for gen in spec.dens)
+    return _bucketise(_build_table(spec, positions, bounds), multisets >= 2 ** 63)
 
 
 def _table_cells(buckets):
@@ -249,7 +253,7 @@ def test_dense_table_cyclic4_every_subset(a3):
 
 def test_dense_table_twisted_relative(dihedral):
     spec = build_zeta(dihedral, twist=dihedral.dual(2), relative=(1,))
-    _assert_matches_oracle(spec.untwisted(), (1, 3), (90, 70))
+    _assert_matches_oracle(spec, (1, 3), (90, 70))
 
 
 def test_dense_table_reduced_coordinates():
@@ -261,10 +265,17 @@ def test_dense_table_reduced_coordinates():
 
 
 def test_dense_table_wide_counts():
-    # a huge coefficient pushes ray sums past int64: counts are Python ints
+    # a huge coefficient leaves the counts int64, since the box holds fewer
+    # than 2**63 multisets; the count multiplies them by it in Python ints
     spec = synthetic_spec([(2 ** 50, (0,)), (-1, (1,))], [(1,), (2,), (3,)])
     table = _assert_matches_oracle(spec, (0,), (2000,))
-    assert all(cs.dtype == object for _, cs in table.values())
+    assert all(cs.dtype == _np.int64 for _, cs in table.values())
+
+    def below(m):  # multisets a*1 + b*2 + c*3 < m
+        return sum(m - 2 * b - 3 * c
+                   for c in range(-(-m // 3)) for b in range(-(-(m - 3 * c) // 2)))
+    value = counting_q(spec, (0,), (0,), RationalCycle((600,)))
+    assert value == 2 ** 50 * below(600) - below(599) > 2 ** 63
 
 
 def test_dense_table_edge_cases(dihedral, a3):
@@ -288,7 +299,7 @@ def _small_tables(draw):
     nvars = draw(st.integers(1, 3))
     vec = st.lists(st.integers(1, 7), min_size=nvars, max_size=nvars)
     num = [(1, [0] * nvars)]
-    if draw(st.booleans()):  # a huge coefficient makes the counts Python ints
+    if draw(st.booleans()):  # a numerator term, huge or not, leaves the table as it is
         num.append((draw(st.sampled_from([-1, 3, 2 ** 62])), draw(vec)))
     spec = synthetic_spec(num, draw(st.lists(vec, max_size=4)),
                           den=draw(st.integers(1, 12)))
@@ -412,12 +423,17 @@ def test_two_generator_count_matches_pairs_and_tables(case):
     assert closed == _table_count(spec, residue, positions, xs)
 
 
+def _moved(spec: ZetaSpec, twist) -> ZetaSpec:
+    """The spec times t^twist (scaled by den): its numerator moved."""
+    return dataclasses.replace(spec, num=tuple((c, tuple(a + b for a, b in zip(e, twist)))
+                                               for c, e in spec.num))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_two_generator_points(), st.data())
 def test_twisted_two_generator_count_matches_brute_force(case, data):
     spec, residue, positions, xs = case
-    twist = tuple(data.draw(st.integers(0, 9)) for _ in range(spec.nvars))
-    twisted = dataclasses.replace(spec, twist=twist)
+    twisted = _moved(spec, [data.draw(st.integers(0, 9)) for _ in range(spec.nvars)])
     x = RationalCycle(xs, spec.den)
     assert counting_q(twisted, residue, positions, x) == \
         brute_count(twisted, residue, positions, x, True)
@@ -457,8 +473,7 @@ def test_two_generator_union_count_matches_inclusion_exclusion(case):
 @given(_two_generator_points(max_vars=5), st.data())
 def test_twisted_two_generator_union_matches_brute_force(case, data):
     spec, residue, positions, xs = case
-    twist = tuple(data.draw(st.integers(0, 9)) for _ in range(spec.nvars))
-    twisted = dataclasses.replace(spec, twist=twist)
+    twisted = _moved(spec, [data.draw(st.integers(0, 9)) for _ in range(spec.nvars)])
     x = RationalCycle(xs, spec.den)
     assert counting_Q(twisted, residue, positions, x) == \
         brute_count(twisted, residue, positions, x, False)
@@ -718,22 +733,6 @@ def test_each_point_count_is_computed_once(fresh_tables, monkeypatch, a3, dihedr
         assert stored == body(spec, residue, pos, xs)
 
 
-def test_twisted_point_counts_land_in_the_plain_entries(fresh_tables, monkeypatch,
-                                                        dihedral):
-    # a twisted count is the plain count at the untwisted residue and point
-    plain = plain_zeta(dihedral)
-    twisted = counting.twisted_zeta(dihedral, dihedral.duals[2])
-    x = dihedral.canonical + 2 * dihedral.sum_duals
-    residue = dihedral.residue(x)
-    _, plain_res, plain_x = counting._untwist(twisted, residue, x)
-    expected = counting_q(plain, plain_res, (0, 2), plain_x)
-    evaluated = _spy_point_bodies(monkeypatch)
-    assert counting_q(twisted, list(residue), [2, 0], x) == expected
-    assert evaluated == []
-    assert _count_tags(twisted) == []
-    assert _count_tags(plain) == [("_counting_q", plain_res, (0, 2), plain_x.scaled(plain.den))]
-
-
 def test_refused_point_counts_store_nothing(fresh_tables, monkeypatch, dihedral):
     spec = plain_zeta(dihedral)
     x = dihedral.canonical + 2 * dihedral.sum_duals
@@ -956,10 +955,9 @@ def test_one_position_relative_constants_match_sampled_counts():
         h = random_class(rng, graph)
         p = rng.randrange(graph.n)
         value = periodic_constant_reduced(graph, spec, h, (p,))
-        g, base, _ = _twist_data(graph, spec, h)
+        r = graph.group.frac_rep(h)
         try:
-            oracle = sampled_constant(spec.untwisted(), graph.residue(graph.group.frac_rep(g)),
-                                      p, base)
+            oracle = sampled_constant(spec, graph.residue(r), p, r)
         except TableBudgetExceeded:
             continue
         assert value == oracle
@@ -981,10 +979,9 @@ def test_closed_constants_on_proper_subsets_match_sampled_counts():
         h = random_class(rng, graph)
         p = rng.randrange(graph.n)
         value = periodic_constant_reduced(graph, spec, h, (p,))
-        g, base, _ = _twist_data(graph, spec, h)
+        r = graph.group.frac_rep(h)
         try:
-            oracle = sampled_constant(spec.untwisted(), graph.residue(graph.group.frac_rep(g)),
-                                      p, base)
+            oracle = sampled_constant(spec, graph.residue(r), p, r)
         except TableBudgetExceeded:
             continue
         assert value == oracle
@@ -1011,6 +1008,24 @@ def test_sw_brieskorn_regression(brieskorn):
     # the non-rational germ, through its node and by the two-margin probe;
     # frozen after validating both probes against the brute-force oracle
     assert sw_norm(brieskorn, ()) == _sw_probe(brieskorn, ()) == 1
+
+
+def test_two_node_sw_takes_the_probe(fresh_tables, monkeypatch):
+    # a tree with two nodes has no one vertex to reduce to: every class takes
+    # the two-margin probe, which equals chi(r_h) - chi(s_h) on this rational
+    # tree with |H| = 16
+    graph = parse_graph("v 1 -2\nv 2 -2\nv 3 -2\nv 4 -3\nv 5 -2\nv 6 -2\n"
+                        "e 1 2\ne 1 3\ne 1 4\ne 4 5\ne 4 6\n")
+    assert is_rational(graph) and graph.det_abs == 16
+    probed = []
+    probe = counting._sw_probe
+    monkeypatch.setattr(counting, "_sw_probe", lambda g, h: probed.append(h) or probe(g, h))
+    assert counting._sw_vertex(graph) is None
+    grp = graph.group
+    for h in grp.elements():
+        assert sw_norm(graph, h) == chi(graph, grp.frac_rep(h)) - \
+            chi(graph, min_antinef_rep(graph, h))
+    assert probed == grp.elements()
 
 
 def _random_star(rng: random.Random) -> ResolutionGraph:
@@ -1260,14 +1275,33 @@ def test_relative_polynomial_count_needs_its_marked_vertices():
     tw = g.dual(2)
     spec = build_zeta(g, twist=tw, relative=(2,))
     h = (8,)
-    cls, base, _ = _twist_data(g, spec, h)
-    assert cls == g.group.zero
+    r = g.group.frac_rep(h)
     with pytest.raises(InternalCheckError, match="not a polynomial: its count 2 "
                        "differs from the one-variable constant 0 on coordinate 0"):
-        counting.quasipoly_value(spec.untwisted(), g.residue(base), (0, 2), base)
+        counting.quasipoly_value(spec, g.residue(r), (0, 2), r)
     assert [periodic_constant_reduced(g, spec, h, (p,)) for p in (0, 2)] == [0, 0]
     with pytest.raises(ValueError, match="marked vertices"):
         periodic_constant_reduced(g, spec, h, (0, 2))
+
+
+def test_twisted_relative_polynomial_count_reads_its_twist(dihedral):
+    # the count once took its degree bound from the numerator without the
+    # twist and stopped short of it: "the count moves past its degree bound
+    # on coordinate 0" for 6 of the 36 draws at k = 3, 6, 10, this one among
+    # them
+    spec = build_zeta(dihedral, twist=dihedral.dual_combination([3, 0, 3, 2]),
+                      relative=(1, 3))
+    zero = dihedral.group.zero
+    r = dihedral.group.frac_rep(zero)
+    assert counting.quasipoly_value(spec, dihedral.residue(r), (0, 2), r) == 1
+    assert periodic_constant_reduced(dihedral, spec, zero, (0, 2)) == 1
+    for k in (1, 3, 6, 10):
+        spec = build_zeta(dihedral, twist=dihedral.dual_combination([k, 0, k, 2]),
+                          relative=(1, 3))
+        for h in dihedral.group.elements():
+            r = dihedral.group.frac_rep(h)
+            assert counting.quasipoly_value(spec, dihedral.residue(r), (0, 2), r) == \
+                periodic_constant_reduced(dihedral, spec, h, (0, 2))
 
 
 def test_broken_polynomial_premise_is_an_internal_error(dihedral, monkeypatch):
@@ -1360,12 +1394,12 @@ def test_singleton_constant_with_a_long_quasi_period():
     g = parse_graph("v 1 -3\nv 2 -4\nv 3 -5\ne 1 3\ne 2 3\n")
     tw = RationalCycle((23, 4, 16), 53)
     spec = build_zeta(g, twist=tw)
-    cls, base, lbar = _twist_data(g, spec, (48,))
-    residue = g.residue(g.group.frac_rep(cls))
+    cls, lbar = _twist_data(g, tw.scaled(spec.den), (48,))[:2]
+    r = g.group.frac_rep((48,))
     closed = counting_qp_closed(g, cls, (0,), lbar)
     assert closed == 0
-    assert fitted_qp_value(spec.untwisted(), residue, 0, base) == closed
-    assert sampled_constant(spec.untwisted(), residue, 0, base) == closed
+    assert fitted_qp_value(spec, g.residue(r), 0, r) == closed
+    assert sampled_constant(spec, g.residue(r), 0, r) == closed
     rep = verify_twisted_duality(g, tw, (48,), (0, 2))
     assert (rep.lhs_modified, rep.rhs_modified) == (0, 0)
     assert (rep.status, rep.status_modified) == ("pass", "pass")

@@ -20,9 +20,8 @@ from resgraph.series import (RegionError, SparseSeries, TableBudgetExceeded,
 def brute_ranges(spec, bound: Fraction) -> list[int]:
     """Per generator, how many multiplicities ``brute_terms`` tries."""
     den = spec.den
-    tw = spec.twist_or_zero
     # a numerator entry below zero needs that many more copies to leave
-    low = min([0, *(b + t for _, e in spec.num for b, t in zip(e, tw))])
+    low = min([0, *(b for _, e in spec.num for b in e)])
     return [int(max((Fraction(bound) - Fraction(low, den)) / Fraction(c, den) for c in g)) + 2
             for g in spec.dens]
 
@@ -33,7 +32,6 @@ def brute_terms(spec, bound: Fraction) -> dict:
     bound = Fraction(bound)
     nvars, den = spec.nvars, spec.den
     gens = [tuple(Fraction(x, den) for x in g) for g in spec.dens]
-    tw = tuple(Fraction(x, den) for x in spec.twist_or_zero)
     num = [(c, tuple(Fraction(x, den) for x in e)) for c, e in spec.num]
     ranges = brute_ranges(spec, bound)
     out: dict = {}
@@ -43,7 +41,7 @@ def brute_terms(spec, bound: Fraction) -> dict:
             for i in range(nvars):
                 vec[i] += c * g[i]
         for coeff, base in num:
-            p = tuple(b + v + t for b, v, t in zip(base, vec, tw))
+            p = tuple(b + v for b, v in zip(base, vec))
             if any(x < bound for x in p):
                 key = tuple(int(x * den) for x in p)
                 out[key] = out.get(key, 0) + coeff
@@ -68,6 +66,16 @@ def test_brieskorn_zeta_shape(brieskorn):
 
 def test_zero_twist_same_as_untwisted(a3):
     assert build_zeta(a3, twist=zero_cycle(3)) == build_zeta(a3)
+
+
+def test_twist_moves_every_numerator_exponent(dihedral):
+    # the spec of t^{l0} Z is the plain spec with its numerator moved by l0
+    tw = dihedral.dual(1)
+    plain, twisted = build_zeta(dihedral), build_zeta(dihedral, twist=tw)
+    shift = tw.scaled(12)
+    assert (twisted.ids, twisted.den, twisted.dens) == (plain.ids, plain.den, plain.dens)
+    assert twisted.num == tuple((c, tuple(a + b for a, b in zip(e, shift)))
+                                for c, e in plain.num)
 
 
 def test_twist_outside_cone_rejected(a3):
@@ -192,8 +200,8 @@ def test_dump_format(a3):
 @st.composite
 def _specs_and_bounds(draw):
     """A spec on 1-3 variables with den <= 12, 0-4 generators and 1-3 signed
-    numerator terms, twisted or not, and a Fraction bound small enough for
-    the brute force."""
+    numerator terms, and a Fraction bound small enough for the brute
+    force."""
     nvars = draw(st.integers(1, 3))
 
     def vec(lo: int, hi: int):
@@ -203,8 +211,7 @@ def _specs_and_bounds(draw):
     dens = draw(st.lists(vec(1, 9), max_size=4))
     num = draw(st.lists(st.tuples(st.sampled_from([-3, -1, 1, 2]), vec(-3, 9)),
                         min_size=1, max_size=3))
-    twist = draw(st.none() | vec(0, 6))
-    spec = ZetaSpec(tuple(range(1, nvars + 1)), den, tuple(num), tuple(dens), twist)
+    spec = ZetaSpec(tuple(range(1, nvars + 1)), den, tuple(num), tuple(dens))
     scaled, q = draw(st.integers(1, 40)), draw(st.integers(1, 3))
     while scaled > 1 and prod(brute_ranges(spec, Fraction(scaled, q * den))) > 1500:
         scaled -= 1
