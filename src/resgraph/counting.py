@@ -16,11 +16,13 @@ read off a Smith normal form, and the pairs of that coset under the lower
 envelope of the positions' lines (the modified count) or under their upper
 envelope (the counting function, with no inclusion-exclusion) are counted in
 closed form by floor sums, with work bounded independently of den and of the
-box.
+box.  What every coset reads (the lattice's Hermite basis and, per row of
+the Smith form, its gcd with den and modular inverse) is one record per
+spec, so a coset is one dot product per row.
 
 Everything cached lives in one store, one dict of entries per owner: a spec
-keeps its tables, budget refusals, Smith normal form, two-generator lattice
-and cosets and point counts, a graph its plain and twisted specs, each
+keeps its tables, budget refusals, degree data, two-generator record and
+cosets and point counts, a graph its plain, twisted and relative specs, each
 spec's twist, SW invariants, subgraph components, surgery closed values and
 twist data, which ``embedded.verify_twisted_duality`` reads too.  Owners are
 held weakly and matched by equality, so an equal owner is served the entries
@@ -45,7 +47,8 @@ so its constant is one count past the polynomial's degree bound.  Reduced
 to one vertex, its class part N / D has the constant P(1) of N = P D + M
 (Laszlo-Nemethi, Geom. Topol. 2014).  With two generators that is the value
 at 0 of the quadratic through closed counts at three multiples of the
-period past the degree bound, and a fourth count must lie on it.  Otherwise
+period past the degree bound, and a fourth count must lie on it; each
+numerator term finds its coset once for all four.  Otherwise
 N / D is divided exactly: the class part's coefficients along the vertex
 are read off one table, whose one box serves every class, and the division
 runs over the at most 2^r nonzero terms of D = prod_i (1 - v^{e_i}), whose
@@ -143,11 +146,10 @@ def twisted_zeta(graph: ResolutionGraph, twist: RationalCycle) -> ZetaSpec:
 
 
 @_memo
-def _generator_snf(spec: ZetaSpec) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith normal form ``U @ M @ V = diag(d_j)`` of the matrix M of
-    generator columns mod den (spec with generators only)."""
-    return smith_normal_form([[gen[i] % spec.den for gen in spec.dens]
-                              for i in range(spec.nvars)])
+def relative_zeta(graph: ResolutionGraph, marked: tuple[int, ...]) -> ZetaSpec:
+    """The relative zeta spec with a factor at each of the ``marked`` vertex
+    ids (a sorted tuple), built once per graph and marked set."""
+    return build_zeta(graph, relative=marked)
 
 
 def _multiset_bound(spec: ZetaSpec, positions: tuple[int, ...],
@@ -300,19 +302,32 @@ def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
 
 
 @_memo
-def _two_gen_lattice(spec: ZetaSpec) -> tuple[int, int, int]:
-    """Hermite basis ``{(p, 0), (q, s)}``, with 0 <= q < p, of the lattice of
-    multiplicity pairs (c1, c2) whose combination c1 A + c2 B of the two
-    generators is zero mod den.  By the Smith normal form it is spanned by
-    the columns ``e_j V[:, j]``, with ``e_j = den / gcd(den, d_j)`` (1 for a
-    column beyond the diagonal); it contains den Z^2."""
+def _two_gen_data(spec: ZetaSpec) -> tuple[int, int, int, tuple, list[list[int]]]:
+    """What every coset of a two-generator spec reads, once per spec:
+    ``(p, q, s, rows, V)``.
+
+    ``{(p, 0), (q, s)}``, with 0 <= q < p, is the Hermite basis of the
+    lattice of multiplicity pairs (c1, c2) whose combination c1 A + c2 B of
+    the two generators is zero mod den.  By the Smith normal form
+    ``U @ M @ V = diag(d_j)`` of the matrix M of generator columns mod den,
+    it is spanned by the columns ``e_j V[:, j]``, with ``e_j = den / gcd(den,
+    d_j)`` (1 for a column beyond the diagonal); it contains den Z^2.  Each
+    row j of U comes with ``g_j = gcd(den, d_j)`` (d_j = 0 below the
+    diagonal) and, where g_j < den, the inverse of d_j / g_j mod den / g_j.
+    """
     d = spec.den
-    diag, _, v = _generator_snf(spec)
+    diag, u, v = smith_normal_form([[gen[i] % d for gen in spec.dens]
+                                    for i in range(spec.nvars)])
     es = [d // gcd(d, dj) for dj in diag] + [1] * (2 - len(diag))
     (x1, x2), (y1, y2) = [[e * v[i][j] for j, e in enumerate(es)] for i in range(2)]
     s, f1, f2 = _ext_gcd(y1, y2)
     p = abs(x1 * y2 - x2 * y1) // s
-    return p, (f1 * x1 + f2 * x2) % p, s
+    rows = []
+    for j, row in enumerate(u):
+        dj = diag[j] if j < len(diag) else 0
+        g = gcd(d, dj)
+        rows.append((row, g, pow(dj // g, -1, d // g) if g < d else 0))
+    return p, (f1 * x1 + f2 * x2) % p, s, tuple(rows), v
 
 
 @_memo
@@ -320,26 +335,60 @@ def _two_gen_coset(spec: ZetaSpec,
                    need: tuple[int, ...]) -> tuple[int, int, int, int, int] | None:
     """The pairs with c1 A + c2 B = need mod den, as ``(p, q, s, r, c)``:
     they are ``(r + q*j + p*n, c + s*j)`` over all integers j, n, with the
-    Hermite basis of ``_two_gen_lattice`` and ``0 <= c < s``; None if there
+    Hermite basis of ``_two_gen_data`` and ``0 <= c < s``; None if there
     are none.
 
     With z = V^-1 (c1, c2), the congruence reads ``d_j z_j = (U need)_j`` mod
-    den on the diagonal and ``(U need)_j = 0`` mod den on any row below it."""
+    den on the diagonal and ``(U need)_j = 0`` mod den on any row below it,
+    one dot product per row of U."""
     d = spec.den
-    diag, u, v = _generator_snf(spec)
-    p, q, s = _two_gen_lattice(spec)
+    p, q, s, rows, v = _two_gen_data(spec)
     z = [0, 0]
-    for j, row in enumerate(u):
+    for j, (row, g, inv) in enumerate(rows):
         rhs = sum(a * b for a, b in zip(row, need)) % d
-        dj = diag[j] if j < len(diag) else 0
-        g = gcd(d, dj)
         if rhs % g:
             return None
         if g < d:
-            z[j] = rhs // g * pow(dj // g, -1, d // g)
+            z[j] = rhs // g * inv
     c1, c2 = (v[i][0] * z[0] + v[i][1] * z[1] for i in range(2))
     shift = -(c2 // s)  # multiples of (q, s) that bring c2 into [0, s)
     return p, q, s, (c1 + shift * q) % p, c2 + shift * s
+
+
+def _coset_count(p: int, q: int, r: int, lines: list[tuple[int, int, int]],
+                 union: bool) -> int:
+    """The number of integer pairs (j, n) with j >= 0 and ``0 <= r + q*j +
+    p*n <= F(j)``, where ``F(j) = min_k floor((tt_k - bb_k j) / a_k)`` over
+    the ``lines`` (a_k, bb_k, tt_k), or the upper envelope ``max_k`` for the
+    union.  That minimum or maximum of lines splits the range of j into at
+    most one piece per line, at crossings found by cross-multiplication,
+    and on each piece the count is a floor sum, since ``floor(floor(x/a)/p)
+    = floor(x/(a p))``."""
+    envelope, sign = (max, -1) if union else (min, 1)
+    top = envelope(tt // bb for _, bb, tt in lines)  # F(j) >= 0 exactly for j <= top
+    if top < 0:
+        return 0
+    # per j: floor((F(j) - r - q j) / p) + floor((r + q j) / p) + 1 values
+    count = top + 1 + _floor_sum(top + 1, p, q, r)
+    for k, (a, bb, tt) in enumerate(lines):
+        lo, hi = 0, top  # the j where line k is the first smallest (largest)
+        for m, (a2, bb2, tt2) in enumerate(lines):
+            if m == k:
+                continue
+            # line k <= line m  <=>  j * dd <= nn (strictly below for m < k);
+            # for the largest, line k >= line m flips both signs
+            dd = sign * (bb2 * a - bb * a2)
+            nn = sign * (tt2 * a - tt * a2) - (m < k)
+            if dd > 0:
+                hi = min(hi, nn // dd)
+            elif dd < 0:
+                lo = max(lo, -(nn // -dd))
+            elif nn < 0:
+                hi = -1
+        if lo <= hi:
+            count += _floor_sum(hi - lo + 1, a * p, -(bb + a * q),
+                                tt - a * r - (bb + a * q) * lo)
+    return count
 
 
 def _two_gen_count(spec: ZetaSpec, residue: tuple[int, ...], positions: tuple[int, ...],
@@ -350,17 +399,13 @@ def _two_gen_count(spec: ZetaSpec, residue: tuple[int, ...], positions: tuple[in
     below the target on every position (on some position if ``union``) are a
     lattice coset cut by a box: with ``c2 = c + s*j``, c1 runs over a
     progression of step p whose offset is linear in j (``_two_gen_coset``)
-    and up to ``F(j) = min_k floor((T_k - B_k j) / a_k)``, or the upper
-    envelope ``max_k`` for the union.  That minimum or maximum of lines
-    splits the range of j into at most one piece per position, at crossings
-    found by cross-multiplication, and on each piece the count is a floor
-    sum, since ``floor(floor(x/a)/p) = floor(x/(a p))``.  The work is bounded
-    by the number of positions and logarithms of the entries; it grows
-    neither with den nor with the box.
+    and up to ``F_k(j) = floor((T_k - 1 - B_k (c + s j)) / A_k)`` on position
+    k, the lines that ``_coset_count`` counts under.  The work is bounded by
+    the number of positions and logarithms of the entries; it grows neither
+    with den nor with the box.
     """
     ga, gb = spec.dens
     d = spec.den
-    envelope, sign = (max, -1) if union else (min, 1)
     total = 0
     for coeff, base in spec.num:
         t = {k: xs[k] - base[k] for k in positions}
@@ -372,32 +417,8 @@ def _two_gen_count(spec: ZetaSpec, residue: tuple[int, ...], positions: tuple[in
         if coset is None:
             continue
         p, q, s, r, c = coset
-        # F_k(j) = floor((T_k - B_k j) / a_k), the largest c1 the position allows
         lines = [(ga[k], gb[k] * s, tk - 1 - gb[k] * c) for k, tk in t.items()]
-        top = envelope(tt // bb for _, bb, tt in lines)  # F(j) >= 0 exactly for j <= top
-        if top < 0:
-            continue
-        # per j: floor((F(j) - r - q j) / p) + floor((r + q j) / p) + 1 values of c1
-        count = top + 1 + _floor_sum(top + 1, p, q, r)
-        for k, (a, bb, tt) in enumerate(lines):
-            lo, hi = 0, top  # the j where line k is the first smallest (largest)
-            for m, (a2, bb2, tt2) in enumerate(lines):
-                if m == k:
-                    continue
-                # line k <= line m  <=>  j * dd <= nn (strictly below for m < k);
-                # for the largest, line k >= line m flips both signs
-                dd = sign * (bb2 * a - bb * a2)
-                nn = sign * (tt2 * a - tt * a2) - (m < k)
-                if dd > 0:
-                    hi = min(hi, nn // dd)
-                elif dd < 0:
-                    lo = max(lo, -(nn // -dd))
-                elif nn < 0:
-                    hi = -1
-            if lo <= hi:
-                count += _floor_sum(hi - lo + 1, a * p, -(bb + a * q),
-                                    tt - a * r - (bb + a * q) * lo)
-        total += coeff * count
+        total += coeff * _coset_count(p, q, r, lines, union)
     return total
 
 
@@ -474,7 +495,8 @@ def counting_Q(spec: ZetaSpec, residue: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # exact periodic constants of relative series
 
-def _degree_data(spec: ZetaSpec, p: int) -> tuple[int, list[int]]:
+@_memo
+def _degree_data(spec: ZetaSpec, p: int) -> tuple[int, tuple[int, ...]]:
     """Degree data of every class part along coordinate p (scaled by den).
 
     With o_i = den / gcd(den, g_i) the order of generator i's residue, the
@@ -487,10 +509,11 @@ def _degree_data(spec: ZetaSpec, p: int) -> tuple[int, list[int]]:
     orders = [d // reduce(gcd, gen, d) for gen in spec.dens]
     top = max(b[p] for _, b in spec.num) + sum((o - 1) * gen[p]
                                                for o, gen in zip(orders, spec.dens))
-    return top, [o * gen[p] // d for o, gen in zip(orders, spec.dens)]
+    return top, tuple(o * gen[p] // d for o, gen in zip(orders, spec.dens))
 
 
-def _step_bound(spec: ZetaSpec, p: int, base: tuple[int, ...]) -> tuple[int, list[int]]:
+def _step_bound(spec: ZetaSpec, p: int,
+                base: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The degree bound B_p of a class part along p in whole steps from
     ``base`` (scaled by den), and the denominator exponents."""
     top, degs = _degree_data(spec, p)
@@ -577,11 +600,11 @@ def fitted_qp_value(spec: ZetaSpec, residue: tuple[int, ...], p: int,
     N = P D + M with M's powers in [0, deg D); M / D has periodic constant
     zero, so the constant is P(1) (Laszlo-Nemethi, Geom. Topol. 2014).
 
-    Two generators take four closed counts (``_two_gen_constant``) and build
-    no table.  Any other spec reads the a_m up to B + deg D off one table
-    along p (``_class_row``), forms N = S D there, and N must vanish on
-    (B, B + deg D], else ``InternalCheckError`` is raised; then P is divided
-    out.  P has negative powers where exponents lie below the base.  D has at
+    Two generators take four closed counts (``_two_gen_constant``), one
+    coset per numerator term for all four, and build no table.  Any other
+    spec reads the a_m up to B + deg D off one table along p
+    (``_class_row``), forms N = S D there, and N must vanish on (B, B + deg
+    D], else ``InternalCheckError`` is raised; then P is divided out.  P has negative powers where exponents lie below the base.  D has at
     most 2^r nonzero terms for r generators while deg D can reach thousands,
     so the product and both division loops run over D's nonzero terms only.
     The work grows with B and deg D, not with the period of the counting
@@ -637,14 +660,26 @@ def _two_gen_constant(spec: ZetaSpec, residue: tuple[int, ...], p: int,
     is the constant P(1).  Three counts at j0, j0 + 1, j0 + 2 fix the
     quadratic, and Newton's forward form extrapolates it to 0 with integer
     weights; a fourth count at j0 + 3 must lie on it, else
-    ``InternalCheckError`` is raised.  Each count is one ``_two_gen_count``,
-    whose work does not grow with Pi."""
+    ``InternalCheckError`` is raised.
+
+    Each numerator term's coset and its one line along p are worked out
+    once; the four counts differ only in the line's top, which moves by
+    Pi den per sample, and each is two floor sums (``_coset_count``), whose
+    work does not grow with Pi."""
+    d = spec.den
+    a, b = spec.dens[0][p], spec.dens[1][p]
     j0 = max(bound, 0) // period + 1
-    point = list(bs)
-    ys = []
-    for j in range(j0, j0 + 4):
-        point[p] = bs[p] + j * period * spec.den
-        ys.append(_two_gen_count(spec, residue, (p,), tuple(point), union=False))
+    step = period * d
+    ys = [0, 0, 0, 0]
+    for coeff, base in spec.num:
+        coset = _two_gen_coset(spec, tuple((x - y) % d for x, y in zip(residue, base)))
+        if coset is None:
+            continue
+        pp, q, s, r, c = coset
+        # the line's top at j0, from T = bs[p] + j0 Pi den - base[p] > 0
+        tt = bs[p] + j0 * step - base[p] - 1 - b * c
+        for j in range(4):
+            ys[j] += coeff * _coset_count(pp, q, r, [(a, b * s, tt + j * step)], False)
     y0, y1, y2, y3 = ys
     if y3 - 3 * y2 + 3 * y1 - y0:
         raise InternalCheckError(
@@ -683,8 +718,9 @@ def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
     that constant survives reduction to the node variables (Laszlo-Nemethi,
     Geom. Topol. 2014); a chain has no node, and it survives reduction to
     any one vertex.  So on a chain it is the one-variable constant
-    ``fitted_qp_value`` at r_h at vertex 0, four closed counts, and on a
-    star-shaped tree the same constant at the node, read off the node table.
+    ``fitted_qp_value`` at r_h at vertex 0, four closed counts on one coset
+    per numerator term, and on a star-shaped tree the same constant at the
+    node, read off the node table.
     Where that table is over the budget, and on trees with two or more
     nodes, it is the two-margin probe ``_sw_probe``.
     """
@@ -836,7 +872,7 @@ def periodic_constant_reduced(graph: ResolutionGraph, spec: ZetaSpec,
     pos = sorted(positions)
     if len(pos) == 1:
         return fitted_qp_value(spec, graph.residue(r), pos[0], r)
-    if _monomial_shift(spec, build_zeta(graph, relative=[graph.ids[p] for p in pos])) is None:
+    if _monomial_shift(spec, relative_zeta(graph, tuple(graph.ids[p] for p in pos))) is None:
         raise ValueError("a relative series is a polynomial only in the variables "
                          "of its marked vertices")
     return quasipoly_value(spec, graph.residue(r), pos, r)

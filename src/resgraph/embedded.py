@@ -20,11 +20,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import (InternalCheckError, _twist_data, counting_Q, counting_q,
-                       periodic_constant_reduced, plain_zeta, twisted_zeta)
+                       periodic_constant_reduced, plain_zeta, relative_zeta,
+                       twisted_zeta)
 from .cycles import RationalCycle, zero_cycle
 from .graphs import (ResolutionGraph, artin_rationality, chi,
                      min_antinef_rep)
-from .series import build_zeta
 
 
 class RationalityError(ValueError):
@@ -219,8 +219,8 @@ def _relative_pc(graph: ResolutionGraph, arrow_ids: tuple[int, ...]) -> int:
     For a single marked vertex this is minus the branch delta; for two or
     more the series is a polynomial and the constant is its coefficient
     sum, the evaluation at one."""
-    return periodic_constant_reduced(graph, build_zeta(graph, relative=arrow_ids),
-                                     graph.group.zero,
+    marked = tuple(sorted(arrow_ids))
+    return periodic_constant_reduced(graph, relative_zeta(graph, marked), graph.group.zero,
                                      [graph.index[v] for v in arrow_ids])
 
 

@@ -205,6 +205,23 @@ class ResolutionGraph:
             rows[ia][ib] = rows[ib][ia] = 1
         return rows
 
+    # Every store lookup hashes its owner and compares it with the stored
+    # one: the hash is worked out once, and an owner equals itself at once.
+    def _fields(self) -> tuple:
+        return (self.ids, self.eulers, self.edges, self.arrows)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._fields())
+
     @property
     def n(self) -> int:
         return len(self.ids)

@@ -86,6 +86,23 @@ class ZetaSpec:
     def nvars(self) -> int:
         return len(self.ids)
 
+    # Every store lookup hashes its owner and compares it with the stored
+    # one: the hash is worked out once, and an owner equals itself at once.
+    def _fields(self) -> tuple:
+        return (self.ids, self.den, self.num, self.dens)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._fields())
+
 
 def synthetic_spec(num: Sequence[tuple[int, Sequence[int]]],
                    dens: Sequence[Sequence[int]], den: int = 1,
@@ -228,7 +245,8 @@ def _merge(rows: np.ndarray, mult: np.ndarray, low: np.ndarray | None,
     if not len(rows):
         return rows, mult
     order, first = _runs(rows, low, strides)
-    return rows[order[first]], np.add.reduceat(mult[order], first)
+    # take gathers faster than fancy indexing on 2-D rows
+    return rows.take(order.take(first), axis=0), np.add.reduceat(mult.take(order), first)
 
 
 def _refuse_over_cap(rows: int) -> None:

@@ -28,7 +28,8 @@ from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
                                periodic_constant_reduced, plain_zeta,
                                surgery_check, sw_norm)
 from resgraph.cycles import RationalCycle, zero_cycle
-from resgraph.embedded import _relative_pc, verify_twisted_duality
+from resgraph.embedded import (EmbeddedCurve, _relative_pc, delta_cross_check,
+                               verify_twisted_duality)
 from resgraph.graphs import (NotNegativeDefiniteError, ResolutionGraph, chi, is_rational,
                              min_antinef_rep, parse_graph)
 from resgraph.randtrees import (random_antinef, random_class, random_positions,
@@ -641,7 +642,6 @@ def test_duality_sweep_builds_each_spec_once(fresh_tables, monkeypatch, a3, dihe
         built.append(graph)
         return build(graph, **kw)
     monkeypatch.setattr(counting, "build_zeta", spy)
-    monkeypatch.setattr("resgraph.embedded.build_zeta", spy)
     for graph, twist in ((a3, a3.duals[1]), (dihedral, dihedral.duals[2])):
         for tw in (None, zero_cycle(graph.n), twist):
             for h in graph.group.elements():
@@ -649,6 +649,42 @@ def test_duality_sweep_builds_each_spec_once(fresh_tables, monkeypatch, a3, dihe
                     verify_twisted_duality(graph, tw, h, pos)
         assert counting.twisted_zeta(graph, twist) == build(graph, twist=twist)
     assert [g for g in built if g in (a3, dihedral)] == [a3, a3, dihedral, dihedral]
+
+
+def test_delta_cross_check_builds_each_relative_spec_once(fresh_tables, monkeypatch,
+                                                          dihedral):
+    # arrows at 1, 3 and 4: one relative spec per nonempty subset (three
+    # singletons and four of two or more arrows), which the polynomial
+    # route's premise check reads back, and the plain spec it compares with
+    built = []
+    build = counting.build_zeta
+
+    def spy(graph, **kw):
+        built.append(tuple(sorted(kw.get("relative", ()))))
+        return build(graph, **kw)
+    monkeypatch.setattr(counting, "build_zeta", spy)
+    probe = dataclasses.replace(dihedral, arrows=(1, 0, 1, 1))
+    assert delta_cross_check(probe, EmbeddedCurve.from_graph_arrows(probe)).passed
+    assert len(built) == 8
+    assert sorted(built) == sorted([(), (1,), (3,), (4,), (1, 3), (1, 4), (3, 4), (1, 3, 4)])
+
+
+def test_equal_owners_parsed_apart_hash_alike_and_share_entries(fresh_tables):
+    a, b = parse_graph(DIHEDRAL_TEXT), parse_graph(DIHEDRAL_TEXT)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.ids, a.eulers, a.edges, a.arrows))
+    other = dataclasses.replace(a, arrows=(1, 0, 0, 0))
+    assert other != a and a != "graph"
+    spec = plain_zeta(a)
+    assert plain_zeta(b) is spec
+    assert len(counting._STORE) == 1 and counting._STORE[b] is counting._STORE[a]
+    apart = build_zeta(b)
+    assert apart is not spec and apart == spec and hash(apart) == hash(spec)
+    assert hash(spec) == hash((spec.ids, spec.den, spec.num, spec.dens))
+    assert counting._degree_data(apart, 0) == counting._degree_data(spec, 0)
+    assert counting._STORE[apart] is counting._STORE[spec]
+    assert [tag for tag in counting._STORE[spec] if tag[0] == "_degree_data"] == \
+        [("_degree_data", 0)]
 
 
 def test_closed_values_key_on_sorted_positions(fresh_tables):
@@ -673,13 +709,14 @@ def test_refused_closed_values_store_nothing(fresh_tables, monkeypatch, a3):
     expected = counting_qp_closed(a3, h, (0, 2), lbar)
     counting._STORE.clear()
 
-    closed = counting._two_gen_count
+    closed = counting._coset_count
 
-    def off_quadratic(spec, residue, positions, xs, union):
-        # a cubic in the sample point puts the fourth count off the quadratic
-        return closed(spec, residue, positions, xs, union) + xs[positions[0]] ** 3
+    def off_quadratic(p, q, r, lines, union):
+        # a cubic in the line's top, which moves with the sample point, puts
+        # the fourth count off the quadratic
+        return closed(p, q, r, lines, union) + lines[0][2] ** 3
     with monkeypatch.context() as mp:
-        mp.setattr(counting, "_two_gen_count", off_quadratic)
+        mp.setattr(counting, "_coset_count", off_quadratic)
         with pytest.raises(InternalCheckError, match="not quadratic"):
             counting_qp_closed(a3, h, (0, 2), lbar)
     assert _closed_tags(a3) == []
@@ -1165,9 +1202,9 @@ def test_two_generator_samples_off_the_quadratic_are_an_internal_error(a3, monke
     # the fourth closed count must lie on the quadratic through the first
     # three; the check is an explicit raise, so it holds under python -O
     r = a3.group.frac_rep(a3.group.elements()[1])
-    closed = counting._two_gen_count
+    closed = counting._coset_count
     calls = itertools.count()
-    monkeypatch.setattr(counting, "_two_gen_count",
+    monkeypatch.setattr(counting, "_coset_count",
                         lambda *args, **kw: closed(*args, **kw) + (next(calls) % 4 == 3))
     with pytest.raises(InternalCheckError, match="not quadratic"):
         fitted_qp_value(plain_zeta(a3), a3.residue(r), 1, r)
@@ -1180,15 +1217,81 @@ def test_two_generator_base_above_every_shift_samples_past_it(monkeypatch):
     spec = synthetic_spec([(1, (0,)), (-1, (6,))], [(2,), (3,)], den=1)
     base = RationalCycle((100,))
     assert counting._step_bound(spec, 0, (100,))[0] < 0
-    points = []
-    closed = counting._two_gen_count
+    tops = []
+    closed = counting._coset_count
 
-    def spy(spec, residue, positions, xs, union):
-        points.append(xs)
-        return closed(spec, residue, positions, xs, union)
-    monkeypatch.setattr(counting, "_two_gen_count", spy)
+    def spy(p, q, r, lines, union):
+        tops.append(lines[0][2])
+        return closed(p, q, r, lines, union)
+    monkeypatch.setattr(counting, "_coset_count", spy)
     assert fitted_qp_value(spec, (0,), 0, base) == 99 == _pair_constant(spec, (0,), 0, base)
-    assert points == [(106,), (112,), (118,), (124,)]
+    # every pair is in the coset (p = s = 1, c = 0), so the term t^b counts
+    # at the sample point x under the line (2, 3, x - b - 1): four points per
+    # term, the term t^0 first
+    points = [(top + 1 + b,) for top, b in zip(tops, [0] * 4 + [6] * 4)]
+    assert points == [(106,), (112,), (118,), (124,)] * 2
+
+
+def _four_count_constant(spec, residue, p, bs, bound, period) -> int:
+    """The two-generator constant as four separate ``_two_gen_count`` calls,
+    each finding its own coset, at j0 .. j0 + 3 periods past the degree
+    bound, with the same check and Newton extrapolation as production."""
+    j0 = max(bound, 0) // period + 1
+    ys = []
+    for j in range(j0, j0 + 4):
+        xs = tuple(x + j * period * spec.den if i == p else x for i, x in enumerate(bs))
+        ys.append(counting._two_gen_count(spec, residue, (p,), xs, union=False))
+    y0, y1, y2, y3 = ys
+    if y3 - 3 * y2 + 3 * y1 - y0:
+        raise InternalCheckError(
+            f"two-generator counts along coordinate {p} are not quadratic in "
+            f"steps of {period} past the degree bound: {ys}")
+    return y0 - j0 * (y1 - y0) + j0 * (j0 + 1) // 2 * (y2 - 2 * y1 + y0)
+
+
+def _assert_constant_matches_four_counts(spec, residue, p, bs):
+    bound, degs = counting._step_bound(spec, p, bs)
+    outcomes = []
+    for constant in (counting._two_gen_constant, _four_count_constant):
+        try:
+            outcomes.append(constant(spec, residue, p, bs, bound, math.lcm(*degs)))
+        except InternalCheckError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1], (spec, residue, p, bs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_generator_points(), st.data())
+def test_two_generator_constant_matches_four_separate_counts(case, data):
+    # synthetic specs: up to three signed numerator terms, den up to 12, and
+    # bases below, among or above every numerator shift
+    spec, residue, positions, xs = case
+    lift = data.draw(st.sampled_from([0, 50]))
+    _assert_constant_matches_four_counts(spec, residue, positions[0],
+                                         tuple(x + lift for x in xs))
+
+
+def test_chain_constants_match_four_separate_counts():
+    # every class at every vertex of the stored chains and of seeded random
+    # rational chains
+    stored = sorted((Path(__file__).resolve().parent.parent / "graphs").glob("*.graph"))
+    chains = [g for g in (parse_graph(path.read_text()) for path in stored)
+              if len(plain_zeta(g).dens) == 2]
+    assert chains
+    rng = random.Random(2727)
+    drawn = 0
+    while drawn < 40:
+        graph = random_rational_graph(rng, max_vertices=6, order_cap=120)
+        if len(plain_zeta(graph).dens) == 2:
+            chains.append(graph)
+            drawn += 1
+    for graph in chains:
+        spec = plain_zeta(graph)
+        for h in graph.group.elements():
+            r = graph.group.frac_rep(h)
+            for p in range(graph.n):
+                _assert_constant_matches_four_counts(spec, graph.residue(r), p,
+                                                     r.scaled(spec.den))
 
 
 def test_reduced_constant_matches_full(a3, dihedral):
