@@ -27,8 +27,8 @@ spec's twist, SW invariants, subgraph components, surgery closed values and
 twist data, which ``embedded.verify_twisted_duality`` reads too.  Owners are
 held weakly and matched by equality, so an equal owner is served the entries
 of the first one stored, which live as long as that first owner does.  No
-entry refers back to its owner, so an owner and its entries are freed
-together.
+entry refers back to its owner, nor does a graph's discriminant group, so
+an owner and its entries are freed together as soon as it is dropped.
 
 A table is built as residue -> (coordinates, counts) arrays.  Only the
 reachable cells are kept, each as one int64 row of its residue mod den and
@@ -911,7 +911,7 @@ def surgery_check(graph: ResolutionGraph, keep_ids: Sequence[int],
     reduced = counting_Q(spec, res, pos, x)
     corrections = []
     removed = tuple(v for v in graph.ids if v not in set(keep))
-    for piece in subgraph_components(graph, keep):
+    for piece in _components(graph, tuple(keep)):
         xk = piece.project(x)
         sub = piece.graph
         corrections.append(counting_Q(plain_zeta(sub), sub.residue(xk),

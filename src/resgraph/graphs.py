@@ -414,7 +414,7 @@ class DiscriminantGroup:
 
     invariant_factors: tuple[int, ...]
     order: int
-    _graph: ResolutionGraph = field(repr=False)
+    _form: IntersectionForm = field(repr=False)
     _positions: tuple[int, ...] = field(repr=False)  # indices of nontrivial factors
     _reps: dict = field(default_factory=dict, compare=False, repr=False)  # class -> frac_rep
 
@@ -425,7 +425,7 @@ class DiscriminantGroup:
         grp = cls(
             invariant_factors=tuple(diag[i] for i in positions),
             order=graph.det_abs,
-            _graph=graph,
+            _form=graph.form,
             _positions=positions,
         )
         if grp.class_of(graph.unit_cycle) != grp.zero:
@@ -440,7 +440,7 @@ class DiscriminantGroup:
         """Coordinates of x in the dual-cycle basis: a_v = -(x, E_v), one
         integer product and one divmod per vertex."""
         out = []
-        for p in self._graph.form.apply_scaled(x.num):
+        for p in self._form.apply_scaled(x.num):
             a, rem = divmod(-p, x.den)
             if rem:
                 raise ValueError("cycle does not pair integrally with the lattice")
@@ -449,7 +449,7 @@ class DiscriminantGroup:
 
     def class_of(self, x: RationalCycle) -> tuple[int, ...]:
         a = self.dual_coordinates(x)
-        u = self._graph.form.smith[1]
+        u = self._form.smith[1]
         return tuple(sum(r * b for r, b in zip(u[p], a)) % m
                      for p, m in zip(self._positions, self.invariant_factors))
 
@@ -470,7 +470,7 @@ class DiscriminantGroup:
         the label h placed at the nontrivial factors, read off the Smith form
         U·A·V = diag(d_k) as one cycle over |det|.  It is the dual-basis
         combination with coefficients U^{-1}·coords."""
-        diag, _u, v = self._graph.form.smith
+        diag, _u, v = self._form.smith
         scaled = [(p, x * (self.order // diag[p]))
                   for x, p in zip(h, self._positions, strict=True)]
         return RationalCycle(tuple(-sum(vw[p] * x for p, x in scaled) for vw in v),

@@ -25,9 +25,10 @@ a partition table of ``counting`` merges its cells the same way.  Each
 numerator term shifts the rows and keeps those still in the region, and the
 terms are merged once.  Python-int bounds on every coordinate and on every
 multiplicity times coefficient come first; where one reaches 2**63 the same
-code runs on object arrays of Python ints, so no sum wraps.  No step
-materialises more than ``TABLE_STATE_CAP`` rows: ``expand`` raises
-``TableBudgetExceeded`` instead, as a partition table of ``counting`` does.
+code runs on object arrays of Python ints, so no sum wraps.  A generator's
+copies are counted before they are built and the numerator's rows after
+each term; where the count passes ``TABLE_STATE_CAP``, ``expand`` raises
+``TableBudgetExceeded``, as a partition table of ``counting`` does.
 """
 
 from __future__ import annotations
@@ -254,20 +255,12 @@ def _refuse_over_cap(rows: int) -> None:
         raise TableBudgetExceeded(rows, "series expansion")
 
 
-def expansion_cost(spec: ZetaSpec, bound: int | Fraction) -> int:
-    """Upper estimate of the enumeration work for ``expand`` at this bound."""
-    bscaled = Fraction(bound) * spec.den
-    total = len(spec.num)
-    for gen in spec.dens:
-        total *= int(max(bscaled / c for c in gen)) + 2
-    return total
-
-
 def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
     """Exact expansion covering all support with some coordinate < bound.
 
-    Raises ``TableBudgetExceeded`` instead of materialising more than
-    ``TABLE_STATE_CAP`` rows at once."""
+    Raises ``TableBudgetExceeded`` at the first step that would hold more
+    than ``TABLE_STATE_CAP`` rows, so the work follows the rows kept; it is
+    the only budget a series dump meets."""
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("expansion bound must be positive")
@@ -290,15 +283,10 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
     strides = _strides([b - a + 1 for a, b in zip(low, high)])
     offset = np.array(low, dtype=dtype)
     gens = np.array(spec.dens, dtype=dtype).reshape(-1, spec.nvars)
-    if len(gens):  # the first generator's copies are distinct rows
-        _refuse_over_cap(copies[0])
-        rows = np.arange(copies[0])[:, None] * gens[0]
-        mult = np.ones(copies[0], dtype=dtype)
-    else:
-        rows = np.zeros((1, spec.nvars), dtype=dtype)
-        mult = np.ones(1, dtype=dtype)
+    rows = np.zeros((1, spec.nvars), dtype=dtype)
+    mult = np.ones(1, dtype=dtype)
     limit = np.array(limit, dtype=dtype)
-    for gen in gens[1:]:
+    for gen in gens:
         # copies k >= 0 of gen keeping some coordinate below its limit; the
         # region is downward closed, so no later generator brings a row back
         room = (-((rows - limit) // gen)).max(axis=1)
@@ -309,6 +297,7 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
         rows, mult = _merge(np.repeat(rows, room, axis=0) + k[:, None] * gen,
                             np.repeat(mult, room), offset, strides)
     picked = []
+    held = 0
     for c, e in terms:
         if any(e) or any(low):
             moved = rows + np.array(e, dtype=dtype)
@@ -316,7 +305,8 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
             picked.append((moved[keep], c * mult[keep]))
         else:  # every row has a coordinate below top already
             picked.append((rows, c * mult))
-    _refuse_over_cap(sum(len(m) for m, _ in picked))
+        held += len(picked[-1][1])
+        _refuse_over_cap(held)
     if len(picked) == 1:  # coefficients are nonzero and multiplicities positive
         (rows, mult), = picked
     else:  # terms may cancel

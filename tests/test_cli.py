@@ -119,14 +119,26 @@ def test_series_doc_is_json(capsys):
     assert [1, ["1/1", "1/1", "1/1"]] in doc["terms"]
 
 
-def test_series_refuses_a_bound_beyond_the_cost_cap(capsys):
-    # bound 32 on dihedral12 once enumerated for about 18 s
-    code, out, err = run_cli(["--bound", "32", "series",
-                              GRAPHS / "dihedral12.graph"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: --bound 32 would enumerate about ")
-    assert err.endswith("choose a smaller bound\n")
+def test_series_refuses_a_bound_beyond_the_cell_budget(capsys):
+    # expand refuses at its first step over the budget, so a huge bound costs
+    # no more than the first refused one
+    for bound in ("40", "1000000000"):
+        code, out, err = run_cli(["--bound", bound, "series",
+                                  GRAPHS / "dihedral12.graph"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "refused: series expansion over the cell budget\n"
+
+
+def test_series_answers_a_star_with_many_legs(tmp_path, capsys):
+    # |H| = 256; a cost estimate, one factor per generator, once refused this
+    # dump of 174 terms as about 11.7 million
+    path = tmp_path / "star.graph"
+    path.write_text("v 1 -5\n" + "".join(f"v {v} -2\ne 1 {v}\n" for v in range(2, 10)))
+    code, out, err = run_cli(["--bound", "1", "series", path], capsys)
+    assert code == 0
+    assert err == ""
+    assert len(out.splitlines()) == 174
 
 
 @pytest.mark.parametrize("ids", ["1,1,1", "1,1", "2,3,2"])
@@ -519,6 +531,25 @@ def test_curve_file_grammar_errors(text, message, tmp_path, capsys):
     path = tmp_path / "bad.curve"
     path.write_text(text)
     code, out, err = run_cli(["curve", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v 1 x\n", "line 1: expected integer arguments in 'v 1 x'"),
+    ("v 1\n", "line 1: vertex line needs: v <id> <euler>"),
+    ("v 0 -2\n", "line 1: vertex ids must be positive"),
+    ("v 1 -2\ne 1\n", "line 2: edge line needs: e <id> <id>"),
+    ("v 1 -2\na\n", "line 2: arrow line needs: a <id> [mult]"),
+    ("v 1 -2\na 1 -1\n", "line 2: arrow multiplicity must be >= 0"),
+    ("# only a comment\n", "no vertices declared"),
+], ids=["not-integers", "vertex-arity", "vertex-id", "edge-arity", "arrow-arity",
+        "arrow-multiplicity", "no-vertices"])
+def test_graph_file_grammar_errors(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    code, out, err = run_cli(["basics", path], capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"

@@ -28,13 +28,13 @@ from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
                                periodic_constant_reduced, plain_zeta,
                                surgery_check, sw_norm)
 from resgraph.cycles import RationalCycle, zero_cycle
-from resgraph.embedded import (EmbeddedCurve, _relative_pc, delta_cross_check,
-                               verify_twisted_duality)
+from resgraph.embedded import (EmbeddedCurve, _relative_pc, blache_correction,
+                               delta_cross_check, verify_twisted_duality)
 from resgraph.graphs import (NotNegativeDefiniteError, ResolutionGraph, chi, is_rational,
                              min_antinef_rep, parse_graph)
 from resgraph.randtrees import (random_antinef, random_class, random_positions,
                                 random_rational_graph, random_unit_arrows)
-from resgraph.series import ZetaSpec, build_zeta, synthetic_spec
+from resgraph.series import ZetaSpec, build_zeta, expand, synthetic_spec
 
 
 def brute_count(spec, residue, positions, x, strict_all: bool) -> int:
@@ -592,6 +592,38 @@ def test_cached_components_free_their_graph(fresh_tables):
     assert ref() is None
 
 
+TWO_NODE_TEXT = ("v 1 -2\nv 2 -2\nv 3 -2\nv 4 -3\nv 5 -2\nv 6 -2\n"
+                 "e 1 2\ne 1 3\ne 1 4\ne 4 5\ne 4 6\n")
+
+
+def test_graphs_are_freed_without_the_cycle_collector(fresh_tables):
+    # the discriminant group once held its graph, and the graph caches its
+    # group: only the cycle collector freed such a graph and its store entries
+    refs = []
+    gc.collect()
+    gc.disable()
+    try:
+        for text in (DIHEDRAL_TEXT + "a 1\na 3\na 4\n", TWO_NODE_TEXT):
+            graph = parse_graph(text)
+            group = graph.group
+            for h in group.elements():
+                sw_norm(graph, h)
+            surgery_check(graph, [graph.ids[1]], 3 * graph.sum_duals)
+            verify_twisted_duality(graph, None, group.elements()[-1], (0, 2))
+            if any(graph.arrows):
+                curve = EmbeddedCurve.from_graph_arrows(graph)
+                delta_cross_check(graph, curve)
+                blache_correction(graph, curve)
+                del curve
+            expand(plain_zeta(graph), 2)
+            refs.append(weakref.ref(graph))
+            del graph, group
+        assert [ref() for ref in refs] == [None, None]
+        assert len(counting._STORE) == 0
+    finally:
+        gc.enable()
+
+
 def _closed_tags(graph):
     return [tag for tag in counting._STORE.get(graph, {})
             if tag[0] == "_counting_qp_closed"]
@@ -1051,8 +1083,7 @@ def test_two_node_sw_takes_the_probe(fresh_tables, monkeypatch):
     # a tree with two nodes has no one vertex to reduce to: every class takes
     # the two-margin probe, which equals chi(r_h) - chi(s_h) on this rational
     # tree with |H| = 16
-    graph = parse_graph("v 1 -2\nv 2 -2\nv 3 -2\nv 4 -3\nv 5 -2\nv 6 -2\n"
-                        "e 1 2\ne 1 3\ne 1 4\ne 4 5\ne 4 6\n")
+    graph = parse_graph(TWO_NODE_TEXT)
     assert is_rational(graph) and graph.det_abs == 16
     probed = []
     probe = counting._sw_probe

@@ -14,7 +14,7 @@ from resgraph.cycles import RationalCycle, basis_cycle, zero_cycle
 from resgraph import graphs as graphs_module
 from resgraph.graphs import (DiscriminantGroup, GraphError, GraphSyntaxError,
                              InternalCheckError, IntersectionForm, NotATreeError,
-                             NotNegativeDefiniteError,
+                             NotNegativeDefiniteError, ResolutionGraph,
                              artin_rationality, chi,
                              fundamental_cycle, is_rational, laufer_saturate,
                              min_antinef_rep, parse_graph,
@@ -78,6 +78,32 @@ def test_duplicate_edge_and_arrow_rejected():
         parse_graph("v 1 -2\nv 2 -2\ne 1 2\ne 2 1\n")
     with pytest.raises(GraphSyntaxError):
         parse_graph("v 1 -2\na 1\na 1 2\n")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ResolutionGraph(ids=(), eulers=(), edges=(), arrows=()),
+     "graph needs at least one vertex"),
+    (lambda: ResolutionGraph(ids=(1, 1), eulers=(-2, -2), edges=((1, 1),), arrows=(0, 0)),
+     "vertex ids must be distinct"),
+    (lambda: ResolutionGraph(ids=(0, 1), eulers=(-2, -2), edges=((0, 1),), arrows=(0, 0)),
+     "vertex ids must be positive integers"),
+    (lambda: ResolutionGraph(ids=(1,), eulers=(-2,), edges=(), arrows=(-1,)),
+     "arrow multiplicities must be >= 0"),
+    (lambda: ResolutionGraph.build({1: -2, 2: -2}, [(1, 1)]), "self-edge at vertex 1"),
+    (lambda: ResolutionGraph.build({1: -2}, [(1, 2)]),
+     "edge (1,2) touches an undeclared vertex"),
+    (lambda: ResolutionGraph.build({1: -2, 2: -2, 3: -2}, [(1, 2), (2, 1)]),
+     "duplicate edge (1,2)"),
+    (lambda: ResolutionGraph.build({1: -2, 2: -2, 3: -2, 4: -2}, [(1, 2), (2, 3), (1, 3)]),
+     "edge set is not connected"),
+    (lambda: ResolutionGraph.build({1: -2}, [], {2: 1}), "arrow on undeclared vertex 2"),
+], ids=["no-vertex", "repeated-id", "nonpositive-id", "negative-arrow", "self-edge",
+        "undeclared-edge-vertex", "duplicate-edge", "not-connected", "undeclared-arrow"])
+def test_graph_constructor_refusals(make, message):
+    # parse_graph refuses most of these itself, so they are built directly
+    with pytest.raises(GraphError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_arrow_multiplicities_recorded():

@@ -183,13 +183,6 @@ def test_reduce_fibers_complete(dihedral):
         assert coeff == direct
 
 
-def test_expansion_cost_estimate_monotone(dihedral):
-    from resgraph.series import expansion_cost
-    spec = build_zeta(dihedral)
-    small, big = expansion_cost(spec, 2), expansion_cost(spec, 4)
-    assert 0 < small < big
-
-
 def test_dump_format(a3):
     series = expand(build_zeta(a3), Fraction(3, 2))
     zero = h_part(series, a3.residue(zero_cycle(3)), 4)
