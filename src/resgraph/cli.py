@@ -156,10 +156,13 @@ def cmd_series(args) -> int:
             print("error: reduce a single class part, not the full series "
                   "(use --class-zero)", file=sys.stderr)
             return 2
+    if args.format == "table":  # the document is built only when it is printed
+        print(series.dump())
+        return 0
     doc = {"den": series.den,
            "terms": [[c, [_frac(Fraction(x, series.den)) for x in key]]
                      for key, c in series.sorted_items()]}
-    _emit(doc, args, [series.dump()])
+    _emit(doc, args, [])
     return 0
 
 

@@ -23,10 +23,13 @@ spec, so a coset is one dot product per row.
 Everything cached lives in one store, one dict of entries per owner: a spec
 keeps its tables, budget refusals, degree data, two-generator record and
 cosets and point counts, a graph its plain, twisted and relative specs, each
-spec's twist, SW invariants, subgraph components, surgery closed values and
-twist data, which ``embedded.verify_twisted_duality`` reads too.  Owners are
-held weakly and matched by equality, so an equal owner is served the entries
-of the first one stored, which live as long as that first owner does.  No
+spec's twist, SW invariants, subgraph components, full-variable closed
+terms, surgery closed values and twist data, which
+``embedded.verify_twisted_duality`` reads too.  Owners are held weakly and
+matched by equality on their first lookup, so an equal owner is served the
+entries of the first one stored; each owner served keeps its entries from
+then on and reads them straight off itself, so they live as long as any
+owner that was served them.  Rebinding the store forgets them all.  No
 entry refers back to its owner, nor does a graph's discriminant group, so
 an owner and its entries are freed together as soon as it is dropped.
 
@@ -100,16 +103,30 @@ def _integral(val: Fraction, what: str) -> int:
 
 # owner -> {("table", positions): (bounds, buckets), ("refused", positions):
 # smallest refused box, (function name, *key): value of a memoised function,
-# such as a graph's ("_counting_qp_closed", class, positions, lbar) or a
-# spec's ("_counting_q", residue, positions, scaled point)}
+# such as a graph's ("_full_term", y) and ("_counting_qp_closed", class,
+# positions, lbar) or a spec's ("_counting_q", residue, positions, scaled
+# point)}
 _STORE = weakref.WeakKeyDictionary()
+
+_MISSING = object()
 
 
 def _entries(owner) -> dict:
-    """The owner's entries, an empty dict stored on the first call."""
+    """The owner's entries.  The first lookup matches the owner by equality
+    in ``_STORE``, storing an empty dict if no equal owner is there, and
+    keeps ``(_STORE, entries)`` in the owner's ``__dict__``, where
+    ``cached_property`` keeps its hash; later lookups read the held dict
+    while the store it came from is still ``_STORE``."""
+    try:
+        store, entries = owner._held_entries
+        if store is _STORE:
+            return entries
+    except AttributeError:
+        pass
     entries = _STORE.get(owner)
     if entries is None:
         entries = _STORE[owner] = {}
+    owner.__dict__["_held_entries"] = (_STORE, entries)
     return entries
 
 
@@ -117,16 +134,18 @@ def _memo(fn):
     """Cache ``fn(owner, *key)`` among the owner's entries under the
     function's name; a call that raises stores nothing."""
     bind = inspect.signature(fn).bind
+    name = fn.__name__
 
     @wraps(fn)
     def cached(*args, **kwargs):
         if kwargs:  # a keyword call shares the entry of the positional one
             args = bind(*args, **kwargs).args
         entries = _entries(args[0])
-        tag = (fn.__name__, *args[1:])
-        if tag not in entries:
-            entries[tag] = fn(*args)
-        return entries[tag]
+        tag = (name, *args[1:])
+        value = entries.get(tag, _MISSING)
+        if value is _MISSING:
+            value = entries[tag] = fn(*args)
+        return value
     return cached
 
 
@@ -766,16 +785,29 @@ def counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
     lattice argument.
 
     In the full variable set the quasi-polynomial is the chi quadratic plus
-    the normalised SW constant.  The tree-surgery identity transfers that to
-    a variable subset: subtract the same closed form on each subtree of the
-    complement, at the projected argument and its own class.
+    the normalised SW constant: at y = r_g + lbar it is the full-variable
+    term ``_full_term`` chi(y) - chi(r_g) + sw_norm(g).  The tree-surgery
+    identity transfers that to a variable subset: subtract the same term on
+    each subtree of the complement, at the projected argument and its own
+    class.
 
     Each value is computed once: it is stored among the graph's entries
     under the class, the sorted positions and lbar, so the subsets a
     modified constant sums over, and the same subsets asked again by another
-    twist or subset, are read back.
+    twist or subset, are read back.  Each term is stored among its tree's
+    entries under its point, so the subsets and twists that meet one tree
+    and point, and equal subtrees of different complements, share it.
     """
     return _counting_qp_closed(graph, tuple(g), tuple(sorted(positions)), lbar)
+
+
+@_memo
+def _full_term(graph: ResolutionGraph, y: RationalCycle) -> Fraction:
+    """The full-variable closed term at y in L': chi(y) - chi(r_[y]) +
+    sw_norm([y]), with [y] the class of y and r_[y] its reduced
+    representative."""
+    g = graph.group.class_of(y)
+    return chi(graph, y) - chi(graph, graph.group.frac_rep(g)) + sw_norm(graph, g)
 
 
 @_memo
@@ -785,17 +817,10 @@ def _counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
     tuple, the positions a sorted tuple."""
     if not lbar.is_integral:
         raise ValueError("quasi-polynomial argument must be a lattice cycle")
-    group = graph.group
-    rg = group.frac_rep(g)
-    point = rg + lbar
-    total = chi(graph, point) - chi(graph, rg) + sw_norm(graph, g)
-    keep_ids = tuple(graph.ids[p] for p in positions)
-    for piece in _components(graph, keep_ids):
-        sub = piece.graph
-        y = piece.project(point)
-        gk = sub.group.class_of(y)
-        rk = sub.group.frac_rep(gk)
-        total -= chi(sub, y) - chi(sub, rk) + sw_norm(sub, gk)
+    point = graph.group.frac_rep(g) + lbar
+    total = _full_term(graph, point)
+    for piece in _components(graph, tuple(graph.ids[p] for p in positions)):
+        total -= _full_term(piece.graph, piece.project(point))
     return _integral(total, "closed quasi-polynomial value")
 
 

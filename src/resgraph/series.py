@@ -171,8 +171,11 @@ class SparseSeries:
     Every support point with some scaled coordinate strictly below ``bound``
     is present with its exact coefficient.  ``rows`` holds one scaled
     exponent per row (int64, or object where an entry may pass 2**63) and
-    ``mult`` its nonzero coefficient; no row repeats.  ``terms`` is the same
-    data as a dict of Python ints in row order, built on first read.
+    ``mult`` its nonzero coefficient; no row repeats, and the rows are in
+    increasing lexicographic order, as ``expand``, ``h_part`` and
+    ``reduce_to`` return them.  ``terms`` is the same data as a dict of
+    Python ints in row order, built on first read, and ``dump`` writes the
+    rows in that order.
     ``projected`` marks series whose variables were reduced; their terms no
     longer determine classes.  Compare two series by their ``terms``.
     """
@@ -204,11 +207,16 @@ class SparseSeries:
         return sorted(self.terms.items())
 
     def dump(self) -> str:
-        """One term per line: ``coeff n_1/d ... n_k/d``, lexicographic order."""
-        lines = []
-        for key, c in self.sorted_items():
-            lines.append(f"{c} " + " ".join(f"{x}/{self.den}" for x in key))
-        return "\n".join(lines)
+        """One term per line, ``coeff n_1/d ... n_k/d``, in row order.  The
+        lines are made a block of rows at a time, straight from the arrays,
+        so no Python copy of every row is held beside the text."""
+        line = "{} " + " ".join([f"{{}}/{self.den}"] * len(self.ids))
+        step = 1 << 16
+        return "\n".join(
+            "\n".join(line.format(c, *key) for c, key in
+                      zip(self.mult[a:a + step].tolist(),
+                          zip(*self.rows[a:a + step].T.tolist())))
+            for a in range(0, len(self.mult), step))
 
 
 def _strides(spans: Sequence[int]) -> np.ndarray | None:

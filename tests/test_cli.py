@@ -119,6 +119,28 @@ def test_series_doc_is_json(capsys):
     assert [1, ["1/1", "1/1", "1/1"]] in doc["terms"]
 
 
+def test_series_table_builds_no_document(monkeypatch, capsys):
+    # the document's rationals are made only when the document is printed,
+    # and the table is the dump of the sorted terms
+    from resgraph.series import build_zeta, expand, h_part, reduce_to
+    made = []
+    frac = cli._frac
+    monkeypatch.setattr(cli, "_frac", lambda x: made.append(x) or frac(x))
+    path = GRAPHS / "dihedral12.graph"
+    graph = cli._load_graph(path)
+    full = expand(build_zeta(graph), 5)
+    part = h_part(full, graph.residue(graph.unit_cycle), 12)
+    for extra, series in (([], full), (["--class-zero"], part),
+                          (["--class-zero", "--reduce", "4,2"], reduce_to(part, [4, 2]))):
+        code, out, err = run_cli(["--bound", "5", "series", path, *extra], capsys)
+        assert (code, err, made) == (0, "", [])
+        assert out == "".join(f"{c} " + " ".join(f"{x}/12" for x in key) + "\n"
+                              for key, c in sorted(series.terms.items()))
+    code, out, _ = run_cli(["--format", "doc", "--bound", "5", "series", path], capsys)
+    assert code == 0 and len(made) == 4 * len(full.terms)
+    assert json.loads(out)["terms"][0] == [1, ["0/1"] * 4]
+
+
 def test_series_refuses_a_bound_beyond_the_cell_budget(capsys):
     # expand refuses at its first step over the budget, so a huge bound costs
     # no more than the first refused one

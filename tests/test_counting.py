@@ -31,7 +31,7 @@ from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph.embedded import (EmbeddedCurve, _relative_pc, blache_correction,
                                delta_cross_check, verify_twisted_duality)
 from resgraph.graphs import (NotNegativeDefiniteError, ResolutionGraph, chi, is_rational,
-                             min_antinef_rep, parse_graph)
+                             min_antinef_rep, parse_graph, subgraph_components)
 from resgraph.randtrees import (random_antinef, random_class, random_positions,
                                 random_rational_graph, random_unit_arrows)
 from resgraph.series import ZetaSpec, build_zeta, expand, synthetic_spec
@@ -624,15 +624,26 @@ def test_graphs_are_freed_without_the_cycle_collector(fresh_tables):
         gc.enable()
 
 
+def _fixed_sweep(a3, dihedral):
+    """The fixed duality sweep: every class x nonempty subset x {no twist,
+    the suite's twist} of the cyclic and the dihedral tree."""
+    for graph, twist in ((a3, a3.duals[1]), (dihedral, dihedral.duals[2])):
+        for tw in (None, twist):
+            for h in graph.group.elements():
+                for r in range(1, graph.n + 1):
+                    for pos in itertools.combinations(range(graph.n), r):
+                        rep = verify_twisted_duality(graph, tw, h, pos)
+                        assert rep.status == rep.status_modified == "pass"
+
+
 def _closed_tags(graph):
     return [tag for tag in counting._STORE.get(graph, {})
             if tag[0] == "_counting_qp_closed"]
 
 
 def test_each_closed_value_is_computed_once(fresh_tables, monkeypatch, a3, dihedral):
-    # the fixed duality sweep: every class x nonempty subset x {no twist,
-    # the suite's twist}; modified constants and repeated subsets read the
-    # stored values back
+    # in the fixed duality sweep, modified constants and repeated subsets
+    # read the stored values back
     body = counting._counting_qp_closed.__wrapped__
     evaluated = []
 
@@ -648,13 +659,7 @@ def test_each_closed_value_is_computed_once(fresh_tables, monkeypatch, a3, dihed
         calls.append((graph, tuple(g), tuple(sorted(positions)), lbar))
         return closed(graph, g, positions, lbar)
     monkeypatch.setattr(counting, "counting_qp_closed", closed_spy)
-    for graph, twist in ((a3, a3.duals[1]), (dihedral, dihedral.duals[2])):
-        for tw in (None, twist):
-            for h in graph.group.elements():
-                for r in range(1, graph.n + 1):
-                    for pos in itertools.combinations(range(graph.n), r):
-                        rep = verify_twisted_duality(graph, tw, h, pos)
-                        assert rep.status == rep.status_modified == "pass"
+    _fixed_sweep(a3, dihedral)
     keys = set(calls)
     assert len(evaluated) == len(keys) < len(calls)
     assert set(evaluated) == keys
@@ -730,6 +735,125 @@ def test_closed_values_key_on_sorted_positions(fresh_tables):
     assert _closed_tags(graph) == [("_counting_qp_closed", h, (1, 2, 3), lbar)]
 
 
+def _inline_closed(graph, g, positions, lbar):
+    """The surgery closed form written out term by term: chi(y) - chi(r_[y])
+    + sw_norm([y]) on the tree at y = r_g + lbar, less the same on each
+    subtree of the complement at the projected point."""
+    rg = graph.group.frac_rep(g)
+    point = rg + lbar
+    total = chi(graph, point) - chi(graph, rg) + sw_norm(graph, g)
+    for piece in subgraph_components(graph, [graph.ids[p] for p in positions]):
+        sub, y = piece.graph, piece.project(point)
+        gk = sub.group.class_of(y)
+        total -= chi(sub, y) - chi(sub, sub.group.frac_rep(gk)) + sw_norm(sub, gk)
+    return total
+
+
+def test_closed_values_match_the_inline_surgery_formula(fresh_tables, a3, dihedral):
+    for graph, twist in ((a3, a3.duals[1]), (dihedral, dihedral.duals[2])):
+        for tw in (zero_cycle(graph.n), twist):
+            for h in graph.group.elements():
+                g, lbar = _twist_data(graph, tw.scaled(graph.det_abs), h)[:2]
+                for r in range(1, graph.n + 1):
+                    for pos in itertools.combinations(range(graph.n), r):
+                        assert counting_qp_closed(graph, g, pos, lbar) == \
+                            _inline_closed(graph, g, pos, lbar)
+    # stars whose SW invariants differ between classes, so a term read at
+    # the wrong class shows; then seeded random trees
+    stars = [parse_graph(f"v 1 {e0}\nv 2 -2\nv 3 {b}\nv 4 {c}\ne 1 2\ne 1 3\ne 1 4\n")
+             for e0, b, c in ((-1, -3, -11), (-1, -5, -7), (-2, -3, -7))]
+    rng = random.Random(29)
+    graphs = stars + [random_rational_graph(rng, max_vertices=5, order_cap=30)
+                      for _ in range(12)]
+    for graph in graphs:
+        for _ in range(4):
+            g, pos = random_class(rng, graph), random_positions(rng, graph)
+            lbar = RationalCycle(tuple(rng.randint(-2, 3) for _ in range(graph.n)))
+            assert counting_qp_closed(graph, g, pos, lbar) == \
+                _inline_closed(graph, g, pos, lbar)
+    assert all(len({sw_norm(star, h) for h in star.group.elements()}) == 2 for star in stars)
+
+
+def test_each_full_term_is_computed_once(fresh_tables, monkeypatch, a3, dihedral):
+    # the sweep's closed values ask the full-variable term 792 times, on the
+    # two trees and on the subtrees of each complement, at 103 distinct
+    # points; equal subtrees of different complements share their terms
+    body = counting._full_term.__wrapped__
+    evaluated, calls = [], []
+
+    @functools.wraps(body)
+    def body_spy(*args):
+        evaluated.append(args)
+        return body(*args)
+    memo = counting._memo(body_spy)
+
+    def term_spy(graph, y):
+        calls.append((graph, y))
+        return memo(graph, y)
+    monkeypatch.setattr(counting, "_full_term", term_spy)
+    _fixed_sweep(a3, dihedral)
+    keys = set(calls)
+    assert len(calls) == 792
+    assert len(evaluated) == len(set(evaluated)) == len(keys) == 103
+    assert any(graph not in (a3, dihedral) for graph, _ in keys)
+    for graph, y in keys:
+        assert counting._STORE[graph]["_full_term", y] == body(graph, y)
+
+
+class _ProbeCounter(weakref.WeakKeyDictionary):
+    """A store that counts the lookups made in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def test_a_served_owner_makes_no_store_probe(monkeypatch, a3, dihedral):
+    store = _ProbeCounter()
+    monkeypatch.setattr(counting, "_STORE", store)
+    _fixed_sweep(a3, dihedral)
+    first = store.probes
+    assert first > 0
+    _fixed_sweep(a3, dihedral)  # every memo call is a hit on a served owner
+    assert store.probes == first
+
+
+def test_rebinding_the_store_forgets_what_an_owner_was_served(fresh_tables, monkeypatch):
+    graph = parse_graph(DIHEDRAL_TEXT)
+    spec = plain_zeta(graph)
+    served = counting._entries(graph)
+    assert counting._entries(graph) is served and ("plain_zeta",) in served
+    _empty_caches(monkeypatch)
+    assert counting._entries(graph) == {}
+    rebuilt = plain_zeta(graph)
+    assert rebuilt == spec and rebuilt is not spec
+    # equal owners still share, and the entries outlive the first owner
+    twin = parse_graph(DIHEDRAL_TEXT)
+    assert plain_zeta(twin) is rebuilt
+    assert counting._entries(twin) is counting._entries(graph)
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None and len(counting._STORE) == 0  # the first owner's key is gone
+    assert plain_zeta(twin) is rebuilt  # and the twin still holds what it was served
+    # serving an owner leaves its equality, hash and repr as they were
+    fresh = parse_graph(DIHEDRAL_TEXT)
+    assert (twin == fresh, hash(twin), repr(twin)) == (True, hash(fresh), repr(fresh))
+    assert (rebuilt == spec, hash(rebuilt), repr(rebuilt)) == (True, hash(spec), repr(spec))
+
+
 def test_refused_closed_values_store_nothing(fresh_tables, monkeypatch, a3):
     h = a3.group.elements()[1]
     half = RationalCycle((1, 0, 0), 2)
@@ -739,7 +863,7 @@ def test_refused_closed_values_store_nothing(fresh_tables, monkeypatch, a3):
     assert _closed_tags(a3) == []
     lbar = RationalCycle((0, 1, 1))
     expected = counting_qp_closed(a3, h, (0, 2), lbar)
-    counting._STORE.clear()
+    _empty_caches(monkeypatch)  # a served owner keeps its entries until the store is rebound
 
     closed = counting._coset_count
 
@@ -787,13 +911,7 @@ def test_each_point_count_is_computed_once(fresh_tables, monkeypatch, a3, dihedr
         return count(spec, residue, positions, x)
     monkeypatch.setattr(counting, "counting_q", count_spy)
     monkeypatch.setattr("resgraph.embedded.counting_q", count_spy)
-    for graph, twist in ((a3, a3.duals[1]), (dihedral, dihedral.duals[2])):
-        for tw in (None, twist):
-            for h in graph.group.elements():
-                for r in range(1, graph.n + 1):
-                    for pos in itertools.combinations(range(graph.n), r):
-                        rep = verify_twisted_duality(graph, tw, h, pos)
-                        assert rep.status == rep.status_modified == "pass"
+    _fixed_sweep(a3, dihedral)
     keys = set(calls)
     assert len(evaluated) == len(keys) < len(calls)
     assert set(evaluated) == keys
@@ -808,7 +926,7 @@ def test_refused_point_counts_store_nothing(fresh_tables, monkeypatch, dihedral)
     residue = dihedral.residue(x)
     pos = (0, 1, 2)
     expected = counting_q(spec, residue, pos, x)
-    counting._STORE.clear()
+    _empty_caches(monkeypatch)
     with monkeypatch.context() as mp:
         mp.setattr(counting, "TABLE_STATE_CAP", 10)
         for _ in range(2):
@@ -816,7 +934,7 @@ def test_refused_point_counts_store_nothing(fresh_tables, monkeypatch, dihedral)
                 counting_q(spec, residue, pos, x)
     assert _count_tags(spec) == []
     assert ("refused", pos) in counting._STORE[spec]  # the refusal is all that is kept
-    counting._STORE.clear()  # forget the refusal the small cap recorded
+    _empty_caches(monkeypatch)  # forget the refusal the small cap recorded
     assert counting_q(spec, residue, pos, x) == expected
     assert _count_tags(spec) == [("_counting_q", residue, pos, x.scaled(spec.den))]
 

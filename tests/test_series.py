@@ -4,6 +4,7 @@ expander that knows nothing about the production enumeration order."""
 import itertools
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 
 from resgraph import series as seriesmod
 from resgraph.cycles import RationalCycle, zero_cycle
+from resgraph.graphs import parse_graph
 from resgraph.series import (RegionError, SparseSeries, TableBudgetExceeded,
                              TwistError, ZetaSpec, build_zeta, expand, h_part,
                              reduce_to, synthetic_spec)
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def brute_ranges(spec, bound: Fraction) -> list[int]:
@@ -325,7 +329,8 @@ def test_h_part_leaves_the_expansion_term_map_unbuilt(dihedral):
 
 
 def test_h_part_on_a_shuffled_term_map(dihedral):
-    # the row order of an expansion is not part of its contract
+    # h_part selects by residue and needs no row order; dump writes the rows
+    # in the order they are held, which every constructor keeps sorted
     series = expand(build_zeta(dihedral), 3)
     order = np.random.default_rng(3).permutation(len(series.mult))
     shuffled = SparseSeries(series.ids, series.den, series.bound,
@@ -333,7 +338,43 @@ def test_h_part_on_a_shuffled_term_map(dihedral):
     residue = dihedral.residue(zero_cycle(4))
     assert h_part(shuffled, residue, 12).sorted_items() == \
         h_part(series, residue, 12).sorted_items()
-    assert shuffled.dump() == series.dump()
+    lines = series.dump().split("\n")
+    assert shuffled.dump().split("\n") == [lines[i] for i in order]
+
+
+def _sorted_dump(series) -> str:
+    """The dump written from the sorted term map, one line per term."""
+    return "\n".join(f"{c} " + " ".join(f"{x}/{series.den}" for x in key)
+                     for key, c in sorted(series.terms.items()))
+
+
+@pytest.mark.parametrize("path", sorted(GRAPHS.glob("*.graph")), ids=lambda p: p.stem)
+def test_series_rows_stay_in_lexicographic_order(path):
+    # expand, h_part and reduce_to hand their rows over sorted, so the dump
+    # writes them as held and matches the dump of the sorted term map
+    graph = parse_graph(path.read_text())
+    zero = graph.residue(zero_cycle(graph.n))
+    for bound in (1, Fraction(5, 2), 4):
+        full = expand(build_zeta(graph), bound)
+        part = h_part(full, zero, graph.det_abs)
+        for series in (full, part, reduce_to(part, graph.ids[:0:-1])):
+            assert list(series.terms) == sorted(series.terms)
+            assert series.dump() == _sorted_dump(series)
+
+
+def test_dump_keeps_the_order_across_blocks_and_wide_rows(dihedral):
+    # 154,400 rows span three blocks of lines; the wide spec's rows are
+    # object arrays
+    series = expand(build_zeta(dihedral), 16)
+    assert len(series.mult) > 2 * 2 ** 16
+    assert series.dump() == _sorted_dump(series)
+    big = 2 ** 62 + 5
+    wide = expand(synthetic_spec(num=[(1, (0, 0)), (-2, (big, 3))],
+                                 dens=[(1, big), (big, 2)], den=3), 6)
+    assert wide.rows.dtype == object
+    assert wide.dump() == _sorted_dump(wide)
+    assert expand(build_zeta(dihedral), Fraction(1, 24)).dump() == "1 0/12 0/12 0/12 0/12"
+    assert h_part(series, (1,), 12).dump() == ""
 
 
 @pytest.mark.parametrize("keep, dup", [([1, 1, 1], 1), ([1, 1], 1), ([2, 3, 2], 2)])
