@@ -159,9 +159,10 @@ def cmd_series(args) -> int:
     if args.format == "table":  # the document is built only when it is printed
         print(series.dump())
         return 0
+    # each distinct coordinate is turned into its p/q text once, then looked up
+    text = {x: _frac(Fraction(x, series.den)) for x in set(series.rows.ravel().tolist())}
     doc = {"den": series.den,
-           "terms": [[c, [_frac(Fraction(x, series.den)) for x in key]]
-                     for key, c in series.sorted_items()]}
+           "terms": [[c, [text[x] for x in key]] for key, c in series.terms.items()]}
     _emit(doc, args, [])
     return 0
 

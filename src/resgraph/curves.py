@@ -217,8 +217,11 @@ class MultibranchCurve:
 
         A one-branch P_J is the projected membership on [0, c_j], since
         H(l + 1) - H(l) = I(l) there, so only subsets of two or more
-        branches build a table (and check it for path dependence)."""
+        branches build a table (and check it for path dependence).  A
+        subcurve's table is the face of the whole one where the other
+        coordinates are zero, so the whole is read first to name its cell."""
         r, c = self.branches, self.conductor
+        whole = self._hilbert.grid
         total = np.zeros(tuple(m + 2 for m in c), dtype=np.int64)
         for k in range(1, r + 1):
             for js in itertools.combinations(range(r), k):
@@ -227,8 +230,7 @@ class MultibranchCurve:
                 if k == 1:
                     series = present
                 else:
-                    series = _poincare_grid(_hilbert_grid(present) if outside
-                                            else self._hilbert.grid)
+                    series = _poincare_grid(_hilbert_grid(present) if outside else whole)
                 # a leading zero makes the prefix sums run strictly below l
                 sums = np.zeros([c[j] + 2 for j in js], dtype=np.int64)
                 sums[(slice(1, None),) * k] = series
@@ -292,24 +294,19 @@ class HilbertTable:
                        if x > c + 1)
         return int(self.grid[capped]) + overflow
 
-    def differences(self) -> np.ndarray:
-        """Delta_1 ... Delta_r of the function on [0, conductor + 2]: an array
-        on [0, conductor + 1].
-
-        Each axis is continued by one cell just before its difference is
-        taken.  By the extension rule a step past c + 1 adds one, but only
-        until the first difference: after it that ramp cancels, and the
-        continuation is constant.  So for r >= 2 every top layer of the
-        result is zero, whatever the table: the first difference makes the
-        layer l_0 = c_0 + 1 all ones, the second turns it to zeros that later
-        differences keep, and each later axis, continued by a constant, gets
-        a zero top layer of its own.
-        """
-        return _differences(self.grid)
-
 
 def _differences(grid: np.ndarray) -> np.ndarray:
-    """``HilbertTable.differences`` of a bare table."""
+    """Delta_1 ... Delta_r of a Hilbert table continued to [0, conductor + 2]:
+    an array on [0, conductor + 1].
+
+    Each axis is continued by one cell just before its difference is taken.
+    By the extension rule a step past c + 1 adds one, but only until the
+    first difference: after it that ramp cancels, and the continuation is
+    constant.  So for r >= 2 every top layer of the result is zero, whatever
+    the table: the first difference makes the layer l_0 = c_0 + 1 all ones,
+    the second turns it to zeros that later differences keep, and each later
+    axis, continued by a constant, gets a zero top layer of its own.
+    """
     out = grid
     for axis in range(out.ndim):
         edge = np.take(out, [-1], axis=axis)
@@ -398,7 +395,7 @@ class CurvePoincare:
 def poincare_series(curve: MultibranchCurve) -> CurvePoincare:
     """Poincare coefficients of the curve via the alternating Hilbert sum;
     for several branches the top layers dropped from the differences are
-    zero for any table (see ``HilbertTable.differences``)."""
+    zero for any table (see ``_differences``)."""
     grid = _poincare_grid(curve._hilbert.grid)
     cells = np.argwhere(grid)
     terms = dict(zip(map(tuple, cells.tolist()), grid[tuple(cells.T)].tolist()))

@@ -52,12 +52,6 @@ class RationalCycle:
             den = den * f.denominator // gcd(den, f.denominator)
         return cls(tuple(int(f * den) for f in fr), den)
 
-    def __len__(self) -> int:
-        return len(self.num)
-
-    def coeff(self, i: int) -> Fraction:
-        return Fraction(self.num[i], self.den)
-
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(a, self.den) for a in self.num)
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cycles import RationalCycle
 from .snf import int_det, leading_principal_minors, smith_normal_form
@@ -133,8 +133,28 @@ def _validate_negative_definite(rows: Sequence[Sequence[int]]) -> None:
             raise NotNegativeDefiniteError(k, m)
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class KeyedEquality:
+    """Equality and hash over ``_fields()``, the owner contract of
+    ``counting``'s store: every lookup hashes its owner and compares it with
+    the stored one, so the hash is worked out once and an owner equals itself
+    at once.  Inherit it with ``@dataclass(eq=False)``, or the ``__eq__``
+    that ``dataclass`` writes hides this one."""
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._fields())
+
+
+@dataclass(frozen=True, eq=False)
+class ResolutionGraph(KeyedEquality):
     """Decorated plumbing tree.
 
     ``ids`` are the sorted vertex identifiers; ``eulers`` and ``arrows`` are
@@ -205,22 +225,8 @@ class ResolutionGraph:
             rows[ia][ib] = rows[ib][ia] = 1
         return rows
 
-    # Every store lookup hashes its owner and compares it with the stored
-    # one: the hash is worked out once, and an owner equals itself at once.
     def _fields(self) -> tuple:
         return (self.ids, self.eulers, self.edges, self.arrows)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._fields())
 
     @property
     def n(self) -> int:
@@ -453,14 +459,8 @@ class DiscriminantGroup:
         return tuple(sum(r * b for r, b in zip(u[p], a)) % m
                      for p, m in zip(self._positions, self.invariant_factors))
 
-    def add(self, h1: tuple[int, ...], h2: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a + b) % m for a, b, m in zip(h1, h2, self.invariant_factors, strict=True))
-
-    def neg(self, h: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-a) % m for a, m in zip(h, self.invariant_factors, strict=True))
-
     def sub(self, h1: tuple[int, ...], h2: tuple[int, ...]) -> tuple[int, ...]:
-        return self.add(h1, self.neg(h2))
+        return tuple((a - b) % m for a, b, m in zip(h1, h2, self.invariant_factors, strict=True))
 
     def elements(self) -> list[tuple[int, ...]]:
         return [tuple(t) for t in itertools.product(*(range(m) for m in self.invariant_factors))]
@@ -489,14 +489,13 @@ class DiscriminantGroup:
         return r
 
 
-def laufer_saturate(graph: ResolutionGraph, x0: RationalCycle,
-                    choose: Callable[[list[int]], int] | None = None) -> RationalCycle:
+def laufer_saturate(graph: ResolutionGraph, x0: RationalCycle) -> RationalCycle:
     """Minimal anti-nef cycle dominating x0 within x0 + L_{>=0}.
 
     Incremental saturation: while some basis pairing is positive, add that
     basis vector.  The result is independent of the choice of violating
-    vertex; the default rule picks the smallest index for determinism.  The
-    iteration cap is a safety net against internal bugs, not a user error.
+    vertex; this walk picks the smallest index.  The iteration cap is a
+    safety net against internal bugs, not a user error.
     """
     d = graph.det_abs
     if d % x0.den:
@@ -513,7 +512,7 @@ def laufer_saturate(graph: ResolutionGraph, x0: RationalCycle,
         violators = [v for v in range(graph.n) if pair_scaled[v] > 0]
         if not violators:
             return RationalCycle(tuple(num), d)
-        v = violators[0] if choose is None else choose(violators)
+        v = violators[0]
         num[v] += d
         for w in range(graph.n):
             pair_scaled[w] += rows[w][v] * d

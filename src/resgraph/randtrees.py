@@ -26,9 +26,7 @@ MAX_ARROWS = 3  # most unit arrows random_unit_arrows places
 def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     if n == 1:
         return []
-    if n == 2:
-        return [(1, 2)]
-    # Pruefer sequence decode over ids 1..n
+    # Pruefer sequence decode over ids 1..n; at n = 2 it draws nothing
     seq = [rng.randint(1, n) for _ in range(n - 2)]
     degree = {v: 1 for v in range(1, n + 1)}
     for v in seq:

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cycles import RationalCycle
-from .graphs import InternalCheckError, ResolutionGraph
+from .graphs import InternalCheckError, KeyedEquality, ResolutionGraph
 
 
 TABLE_STATE_CAP = 1_800_000
@@ -70,8 +70,8 @@ class TwistError(ValueError):
     """Twist cycle outside the anti-nef cone (or outside the dual lattice)."""
 
 
-@dataclass(frozen=True)
-class ZetaSpec:
+@dataclass(frozen=True, eq=False)
+class ZetaSpec(KeyedEquality):
     """Expanded numerator / geometric denominator presentation of a zeta
     function, with all exponents scaled by the common denominator ``den``.
 
@@ -87,22 +87,8 @@ class ZetaSpec:
     def nvars(self) -> int:
         return len(self.ids)
 
-    # Every store lookup hashes its owner and compares it with the stored
-    # one: the hash is worked out once, and an owner equals itself at once.
     def _fields(self) -> tuple:
         return (self.ids, self.den, self.num, self.dens)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._fields())
 
 
 def synthetic_spec(num: Sequence[tuple[int, Sequence[int]]],
@@ -202,9 +188,6 @@ class SparseSeries:
                 f"exponent {exponent} lies outside the guaranteed region "
                 f"(every coordinate >= {self.bound}/{self.den})")
         return self.terms.get(key, 0)
-
-    def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
 
     def dump(self) -> str:
         """One term per line, ``coeff n_1/d ... n_k/d``, in row order.  The

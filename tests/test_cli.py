@@ -137,7 +137,9 @@ def test_series_table_builds_no_document(monkeypatch, capsys):
         assert out == "".join(f"{c} " + " ".join(f"{x}/12" for x in key) + "\n"
                               for key, c in sorted(series.terms.items()))
     code, out, _ = run_cli(["--format", "doc", "--bound", "5", "series", path], capsys)
-    assert code == 0 and len(made) == 4 * len(full.terms)
+    # a doc dump writes each distinct coordinate once
+    assert code == 0
+    assert sorted(made) == sorted({Fraction(x, 12) for key in full.terms for x in key})
     assert json.loads(out)["terms"][0] == [1, ["0/1"] * 4]
 
 
@@ -171,6 +173,12 @@ def test_series_reduce_refuses_duplicate_ids(ids, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: duplicate variable id {ids[0]}\n"
+
+
+def test_series_reduce_refuses_an_unknown_id(capsys):
+    code, out, err = run_cli(["--bound", "2", "series", GRAPHS / "cyclic4.graph",
+                              "--class-zero", "--reduce", "9"], capsys)
+    assert (code, out, err) == (2, "", "error: unknown variable id 9\n")
 
 
 @pytest.mark.parametrize("ids", ["3,2,1", "2,1,3", "3,1,2"])
@@ -272,6 +280,21 @@ def test_bad_bound_is_usage_error(bound, capsys):
     assert "argument --bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, last", [
+    (["--bound", "0", "series", "cyclic4.graph"],
+     "resgraph: error: argument --bound: must be positive, got '0'"),
+    (["--trials", "x", "verify", "cyclic4.graph", "--suite", "surgery"],
+     "resgraph: error: argument --trials: not an integer: 'x'"),
+], ids=["bound-zero", "trials-not-an-integer"])
+def test_usage_errors_name_the_argument(args, last, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(GRAPHS / a) if a.endswith(".graph") else a for a in args])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1] == last
+
+
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-2"),
                                          ("--depth", "-1")])
 def test_non_positive_stride_or_trials_is_usage_error(flag, value, capsys):
@@ -338,6 +361,14 @@ def test_verify_cdgz_suite_skips_non_rational(capsys):
     assert "skip: graph is not rational" in out
     assert "0 passed, 0 failed, 0 inconclusive" in out
     assert err == ""
+
+
+def test_verify_sw_suite_skips_non_rational(capsys):
+    code, out, err = run_cli(["verify", GRAPHS / "brieskorn237.graph",
+                              "--suite", "sw-rational"], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("  skip: graph is not rational\n"
+                   "sw-rational: 0 passed, 0 failed, 0 inconclusive\n")
 
 
 def test_verify_counts_budget_refusals_as_inconclusive(tmp_path, capsys):
@@ -547,8 +578,18 @@ def test_curve_not_closed_under_the_clamp_rule_is_refused(text, message, tmp_pat
     ("branches 1\nvalue 0\n", "line 2: unknown directive 'value'"),
     ("# no branches\nconductor 2\ns 0\n",
      "curve file needs 'branches' and 'conductor' lines"),
+    ("branches 2\nconductor -1 2\ns 0 0\n", "conductor entries must be nonnegative"),
+    ("branches 2\nconductor 1 1\ns 0 0\ns 1 1\ns 2 0\n",
+     "value (2, 0) outside the box [0, conductor]"),
+    # once named (1, 1), a cell of the subcurve on the first two branches
+    ("branches 3\nconductor 2 2 1\n" + "".join(
+        f"s {v}\n" for v in ("0 0 0", "1 1 0", "1 1 1", "2 0 0", "2 0 1", "2 1 0",
+                             "2 1 1", "2 2 0", "2 2 1")),
+     "Hilbert recursion is path dependent at (1, 0, 1): got [1, 2]; "
+     "the value set is not a valid curve semigroup"),
 ], ids=["not-integers", "duplicate-branches", "branches-arity", "duplicate-conductor",
-        "unknown-directive", "missing-lines"])
+        "unknown-directive", "missing-lines", "negative-conductor",
+        "value-outside-the-box", "path-dependent"])
 def test_curve_file_grammar_errors(text, message, tmp_path, capsys):
     path = tmp_path / "bad.curve"
     path.write_text(text)
