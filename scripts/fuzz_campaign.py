@@ -6,10 +6,9 @@ twisted duality (periodic constants against counting values), the rational
 Seiberg-Witten identity, the tree surgery identity, and the dual-route delta
 comparison.  Every periodic constant is exact.  Every instance is judged by
 the check and the tally that ``resgraph verify`` uses, so a partition table
-over the budget or an SW probe whose margins disagree counts as
-inconclusive.  Every trial is deterministic in the seed.  ``--trials`` must be
-a positive integer, as for ``resgraph --trials``; anything else is a usage
-error and exits 2.
+over the budget counts as inconclusive.  Every trial is deterministic in
+the seed.  ``--trials`` must be a positive integer, as for ``resgraph
+--trials``; anything else is a usage error and exits 2.
 """
 
 import argparse

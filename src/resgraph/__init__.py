@@ -1,7 +1,7 @@
 """Exact invariants of normal surface singularities from plumbing trees."""
 
-from .counting import (InternalCheckError, StabilizationError, counting_Q,
-                       counting_q, counting_qp_closed, modified_qp_closed,
+from .counting import (InternalCheckError, counting_Q, counting_q,
+                       counting_qp_closed, modified_qp_closed,
                        periodic_constant_full, periodic_constant_reduced,
                        plain_zeta, surgery_check, sw_norm)
 from .curves import (CurveDataError, MultibranchCurve, delta_branch,

@@ -20,8 +20,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import curves as curvemod
-from .counting import (InternalCheckError, StabilizationError, surgery_check,
-                       sw_norm)
+from .counting import InternalCheckError, surgery_check, sw_norm
 from .cycles import RationalCycle, zero_cycle
 from .embedded import (EmbeddedCurve, RationalityError, blache_correction,
                        delta_cross_check, delta_embedded, kappa_topological,
@@ -170,13 +169,8 @@ def cmd_series(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites: four checks, one tally
 
-# Instances that end in one of these are counted inconclusive, not failed.
-INCONCLUSIVE = (TableBudgetExceeded, StabilizationError)
-
-
-def _cause(exc: Exception) -> str:
-    return (f"{exc.what} over the cell budget"
-            if isinstance(exc, TableBudgetExceeded) else str(exc))
+def _cause(exc: TableBudgetExceeded) -> str:
+    return f"{exc.what} over the cell budget"
 
 
 def check_duality(graph: ResolutionGraph, twist: RationalCycle | None, h: tuple[int, ...],
@@ -214,14 +208,14 @@ def tally(cases, lines: list[str]) -> tuple[int, int, int]:
     """Run ``(label, check)`` pairs and count the passed, failed and
     inconclusive instances.  A check runs one instance and returns its
     verdict ("pass", "fail" or "inconclusive") and the text that follows the
-    label on its line; an ``INCONCLUSIVE`` exception is an inconclusive
-    verdict naming its cause.  Every instance that did not pass appends its
+    label on its line; ``TableBudgetExceeded`` is an inconclusive verdict
+    naming its cause.  Every instance that did not pass appends its
     line, ``FAIL <label><text>`` or ``inconclusive <label><text>``."""
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for label, check in cases:
         try:
             verdict, text = check()
-        except INCONCLUSIVE as exc:
+        except TableBudgetExceeded as exc:
             verdict, text = "inconclusive", f": {_cause(exc)}"
         counts[verdict] += 1
         if verdict != "pass":
@@ -440,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, curvemod.CurveDataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except INCONCLUSIVE as exc:
+    except TableBudgetExceeded as exc:
         print(f"refused: {_cause(exc)}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

@@ -62,9 +62,10 @@ variables, and it survives reduction to the node variables (same
 reference), or to any one vertex of a chain, which has no node.  On a chain
 it is therefore the two-generator constant at vertex 0, and on a
 star-shaped tree, with exactly one node, the one-variable division at the
-node.  Where the budget refuses that node table (asked once per graph), and
-on trees with two or more nodes, it is read off two full-variable counts at
-two margins inside the canonically shifted cone, which must agree.
+node.  Every other tree, and a star whose node table the budget refuses
+(asked once per graph), takes the surgery formula on one vertex: the
+one-variable constant at the vertex of smallest row box plus the
+full-variable closed term of each subtree of its complement.
 """
 
 from __future__ import annotations
@@ -82,14 +83,10 @@ import numpy as _np
 
 from .cycles import RationalCycle
 from .graphs import (InternalCheckError, ResolutionGraph, SubgraphComponent, chi,
-                     laufer_saturate, subgraph_components)
+                     subgraph_components)
 from .series import (TABLE_STATE_CAP, TableBudgetExceeded, ZetaSpec, _runs, _strides,
                      build_zeta)
 from .snf import smith_normal_form
-
-
-class StabilizationError(ArithmeticError):
-    """The two margins of an SW probe disagree."""
 
 
 def _integral(val: Fraction, what: str) -> int:
@@ -708,69 +705,46 @@ def _two_gen_constant(spec: ZetaSpec, residue: tuple[int, ...], p: int,
 
 
 @_memo
-def _sw_vertex(graph: ResolutionGraph) -> int | None:
-    """The vertex whose one-variable constant is the normalised SW invariant
-    of every class, or None where the probe reads it.  A chain (its plain
-    zeta function has two generators) takes vertex 0: its counts are closed
-    and build no table.  A star-shaped tree (exactly one vertex of valence
-    three or more) takes its node if the budget admits its node table, the
-    one box of ``_row_box`` that every class reads.  Decided once per graph,
-    so a refused node table costs a class nothing."""
+def _sw_route(graph: ResolutionGraph) -> tuple[int, list[SubgraphComponent]]:
+    """The vertex v of ``sw_norm`` and the subtrees of G - v it adds.  A
+    chain (its plain zeta function has two generators) takes vertex 0, whose
+    counts are closed, and a star-shaped tree (exactly one vertex of valence
+    three or more) its node if the budget admits the node table, the one
+    box of ``_row_box`` that every class reads; neither adds a subtree.
+    Every other tree, and a star whose node table is refused, takes the
+    vertex of smallest ``_row_box``.  Decided once per graph, so a refused
+    node table costs a class nothing."""
     spec = plain_zeta(graph)
     if len(spec.dens) == 2:
-        return 0
+        return 0, []
     nodes = [i for i, val in enumerate(graph.valences) if val >= 3]
-    if len(nodes) != 1:
-        return None
-    try:
-        _table_for(spec, (nodes[0],), (_row_box(spec, nodes[0]),))
-    except TableBudgetExceeded:
-        return None
-    return nodes[0]
+    if len(nodes) == 1:
+        try:
+            _table_for(spec, (nodes[0],), (_row_box(spec, nodes[0]),))
+            return nodes[0], []
+        except TableBudgetExceeded:
+            pass
+    vertex = min(range(graph.n), key=lambda p: _row_box(spec, p))
+    return vertex, _components(graph, (graph.ids[vertex],))
 
 
 @_memo
 def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
     """Normalised Seiberg-Witten invariant of the link for one class.
 
-    It is the periodic constant of the class part of the zeta function, and
-    that constant survives reduction to the node variables (Laszlo-Nemethi,
-    Geom. Topol. 2014); a chain has no node, and it survives reduction to
-    any one vertex.  So on a chain it is the one-variable constant
-    ``fitted_qp_value`` at r_h at vertex 0, four closed counts on one coset
-    per numerator term, and on a star-shaped tree the same constant at the
-    node, read off the node table.
-    Where that table is over the budget, and on trees with two or more
-    nodes, it is the two-margin probe ``_sw_probe``.
+    It is ``_full_term`` at r_h, so the surgery formula on the vertex v of
+    ``_sw_route`` gives it as the one-variable constant ``fitted_qp_value``
+    at r_h at v plus ``_full_term`` on each subtree of G - v at the
+    projected r_h, a smaller tree, so the recursion ends.  The subtree terms
+    vanish at a chain's vertex and at a star's node, where the constant
+    survives reduction (Laszlo-Nemethi, Geom. Topol. 2014).  A table over
+    the budget at v raises ``TableBudgetExceeded``.
     """
-    vertex = _sw_vertex(graph)
-    if vertex is None:
-        return _sw_probe(graph, h)
+    vertex, pieces = _sw_route(graph)
     r = graph.group.frac_rep(h)
-    return fitted_qp_value(plain_zeta(graph), graph.residue(r), vertex, r)
-
-
-def _sw_probe(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
-    """The normalised SW invariant read off the counting function in all
-    variables: probes at two depths inside the cone shifted by the canonical
-    cycle, whose stabilised values must agree, else ``StabilizationError``.
-    """
-    group = graph.group
-    r = group.frac_rep(h)
-    zk = graph.canonical
-    spec = plain_zeta(graph)
-    allpos = tuple(range(graph.n))
-    chi_r = chi(graph, r)
-    vals = []
-    for margin in (1, 2):
-        shift = zk + margin * graph.sum_duals
-        probe = laufer_saturate(graph, r - shift) + shift
-        q = counting_Q(spec, graph.residue(probe), allpos, probe)
-        vals.append(_integral(q - chi(graph, probe) + chi_r, "SW probe value"))
-    if vals[0] != vals[1]:
-        raise StabilizationError(
-            f"normalised SW probe did not stabilise: margins (1, 2) gave {vals}")
-    return vals[0]
+    total = fitted_qp_value(plain_zeta(graph), graph.residue(r), vertex, r) + \
+        sum(_full_term(piece.graph, piece.project(r)) for piece in pieces)
+    return _integral(total, "normalised SW invariant")
 
 
 @_memo

@@ -179,7 +179,7 @@ def verify_twisted_duality(graph: ResolutionGraph, twist: RationalCycle | None,
     plain and the modified form.
 
     Both constants come from ``periodic_constant_reduced``; a table refusal
-    or an SW probe that does not settle reaches the caller.
+    reaches the caller.
     """
     pos = tuple(sorted(positions))
     tw = twist if twist is not None else zero_cycle(graph.n)

@@ -14,8 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import dihedral_rows, sample_curves
-from resgraph.counting import (StabilizationError, plain_zeta,
-                               surgery_check, sw_norm)
+from resgraph.counting import plain_zeta, surgery_check, sw_norm
 from resgraph.curves import MultibranchCurve, delta_total, hilbert_table, verify_inversion
 from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph.embedded import (EmbeddedCurve, RationalityError,
@@ -133,18 +132,13 @@ def test_criterion_3_nonrational(brieskorn, brieskorn_blown):
 
 def test_criterion_4_twisted_duality(a3, dihedral):
     t0 = time.monotonic()
-    checked = failures = inconclusive = 0
-    mod_failures = 0
+    checked = failures = mod_failures = 0
     rng = random.Random(20260808)
 
     def check(graph, twist, h, positions):
-        nonlocal checked, failures, inconclusive, mod_failures
+        nonlocal checked, failures, mod_failures
         checked += 1
-        try:
-            rep = verify_twisted_duality(graph, twist, h, positions)
-        except StabilizationError:
-            inconclusive += 1
-            return
+        rep = verify_twisted_duality(graph, twist, h, positions)
         failures += rep.status == "fail"
         mod_failures += rep.status_modified == "fail"
 
@@ -162,11 +156,10 @@ def test_criterion_4_twisted_duality(a3, dihedral):
         twist = random_antinef(rng, graph, max_coeff=1) \
             if rng.random() < 0.7 else None
         check(graph, twist, h, positions)
-    ok = (failures == 0 and mod_failures == 0
-          and inconclusive <= 0.02 * checked)
+    ok = failures == 0 and mod_failures == 0
     report("criterion 4 (twisted duality)", ok, time.monotonic() - t0, 600.0,
            f"{checked} instances, {failures} failures, "
-           f"{mod_failures} modified failures, {inconclusive} inconclusive")
+           f"{mod_failures} modified failures")
 
 
 def test_criterion_5_sw_identity():
@@ -240,23 +233,18 @@ def test_criterion_7_curve_module():
 def test_criterion_8_dual_route_delta():
     t0 = time.monotonic()
     rng = random.Random(8080)
-    bad = inconclusive = 0
+    bad = 0
     trees = 0
     while trees < 50:
         base = random_rational_graph(rng, max_vertices=6)
         graph = random_unit_arrows(rng, base)
         trees += 1
-        try:
-            rep = delta_cross_check(graph,
-                                    EmbeddedCurve.from_graph_arrows(graph))
-        except StabilizationError:
-            inconclusive += 1
-            continue
+        rep = delta_cross_check(graph, EmbeddedCurve.from_graph_arrows(graph))
         if not rep.passed:
             bad += 1
-    ok = bad == 0 and inconclusive <= 1
+    ok = bad == 0
     report("criterion 8 (dual-route delta)", ok, time.monotonic() - t0, 600.0,
-           f"{trees} trees, {bad} mismatches, {inconclusive} inconclusive")
+           f"{trees} trees, {bad} mismatches")
 
 
 def test_acceptance_under_python_O():

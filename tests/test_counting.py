@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from conftest import DIHEDRAL_TEXT
 from resgraph import counting
+from resgraph.cli import check_sw, tally
 from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
                                _build_sparse, _table_for, _twist_data,
                                counting_Q, counting_q, counting_qp_closed,
-                               _sw_probe, fitted_qp_value, modified_qp_closed,
+                               fitted_qp_value, modified_qp_closed,
                                periodic_constant_full,
                                periodic_constant_reduced, plain_zeta,
                                surgery_check, sw_norm)
@@ -31,7 +32,8 @@ from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph.embedded import (EmbeddedCurve, _relative_pc, blache_correction,
                                delta_cross_check, verify_twisted_duality)
 from resgraph.graphs import (NotNegativeDefiniteError, ResolutionGraph, chi, is_rational,
-                             min_antinef_rep, parse_graph, subgraph_components)
+                             laufer_saturate, min_antinef_rep, parse_graph,
+                             subgraph_components)
 from resgraph.randtrees import (random_antinef, random_class, random_positions,
                                 random_rational_graph, random_unit_arrows)
 from resgraph.series import ZetaSpec, build_zeta, expand, synthetic_spec
@@ -1179,6 +1181,22 @@ def test_closed_constants_on_proper_subsets_match_sampled_counts():
 # ---------------------------------------------------------------------------
 # normalised SW and periodic constants on graphs
 
+def _sw_probe(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
+    """Oracle for the normalised SW invariant, read off the counting
+    function in all variables: probes at two depths inside the cone shifted
+    by the canonical cycle, whose stabilised values must agree."""
+    r = graph.group.frac_rep(h)
+    spec = plain_zeta(graph)
+    vals = []
+    for margin in (1, 2):
+        shift = graph.canonical + margin * graph.sum_duals
+        probe = laufer_saturate(graph, r - shift) + shift
+        q = counting_Q(spec, graph.residue(probe), tuple(range(graph.n)), probe)
+        vals.append(q - chi(graph, probe) + chi(graph, r))
+    assert vals[0] == vals[1] and vals[0].denominator == 1, vals
+    return int(vals[0])
+
+
 def test_sw_trivial_class_on_rational(a3):
     assert sw_norm(a3, a3.group.zero) == 0
 
@@ -1197,21 +1215,95 @@ def test_sw_brieskorn_regression(brieskorn):
     assert sw_norm(brieskorn, ()) == _sw_probe(brieskorn, ()) == 1
 
 
-def test_two_node_sw_takes_the_probe(fresh_tables, monkeypatch):
-    # a tree with two nodes has no one vertex to reduce to: every class takes
-    # the two-margin probe, which equals chi(r_h) - chi(s_h) on this rational
-    # tree with |H| = 16
+def test_two_node_sw_takes_subtree_terms(fresh_tables, monkeypatch):
+    # a tree with two nodes has no one vertex whose constant is the SW
+    # invariant: its route adds subtree terms to one vertex's constant and
+    # makes no full-variable count; on this rational tree with |H| = 16
+    # every class equals chi(r_h) - chi(s_h) and the two-margin probe
     graph = parse_graph(TWO_NODE_TEXT)
     assert is_rational(graph) and graph.det_abs == 16
-    probed = []
-    probe = counting._sw_probe
-    monkeypatch.setattr(counting, "_sw_probe", lambda g, h: probed.append(h) or probe(g, h))
-    assert counting._sw_vertex(graph) is None
     grp = graph.group
-    for h in grp.elements():
-        assert sw_norm(graph, h) == chi(graph, grp.frac_rep(h)) - \
-            chi(graph, min_antinef_rep(graph, h))
-    assert probed == grp.elements()
+    probes = [_sw_probe(graph, h) for h in grp.elements()]
+    calls = []
+    count = counting.counting_Q
+    monkeypatch.setattr(counting, "counting_Q", lambda *args: calls.append(args) or count(*args))
+    assert counting._sw_route(graph)[1]
+    assert [sw_norm(graph, h) for h in grp.elements()] == probes == \
+        [chi(graph, grp.frac_rep(h)) - chi(graph, min_antinef_rep(graph, h))
+         for h in grp.elements()]
+    assert calls == []
+
+
+def _random_two_node_tree(rng: random.Random) -> ResolutionGraph:
+    """A negative definite tree with exactly two nodes, adjacent or joined
+    through one vertex, each with two leaves: six or seven vertices with
+    Euler numbers from -4 to -1 and determinant at most 8, rational or
+    not."""
+    while True:
+        eulers, edges = {1: rng.randint(-4, -1)}, []
+        for _ in range(rng.randint(1, 2)):  # the path to the second node
+            edges.append((len(eulers), len(eulers) + 1))
+            eulers[len(eulers) + 1] = rng.randint(-4, -1)
+        for node in (1, len(eulers)):
+            for _ in range(2):
+                edges.append((node, len(eulers) + 1))
+                eulers[len(eulers) + 1] = rng.randint(-4, -1)
+        try:
+            graph = ResolutionGraph.build(eulers, edges)
+        except NotNegativeDefiniteError:
+            continue
+        if graph.det_abs <= 8:
+            return graph
+
+
+def test_two_node_sw_matches_the_probe(fresh_tables):
+    # the surgery formula on one vertex, its constant plus the subtree
+    # terms, against the two-margin probe in all variables, on every class
+    # of seeded random two-node trees
+    rng = random.Random(3131)
+    kinds = set()
+    classes = 0
+    for _ in range(8):
+        graph = _random_two_node_tree(rng)
+        assert [v >= 3 for v in graph.valences].count(True) == 2
+        assert counting._sw_route(graph)[1]
+        kinds.add(is_rational(graph))
+        for h in graph.group.elements():
+            assert sw_norm(graph, h) == _sw_probe(graph, h)
+            classes += 1
+    assert kinds == {True, False}
+    assert classes >= 40
+
+
+def test_two_node_sw_refused_at_its_vertex_is_inconclusive(fresh_tables, monkeypatch):
+    # a table over the budget at the route's vertex is the answer: no other
+    # vertex is tried, the route is decided once per graph, and the SW
+    # check counts every class inconclusive
+    vertex = counting._sw_route(parse_graph(TWO_NODE_TEXT))[0]
+    _empty_caches(monkeypatch)
+    graph = parse_graph(TWO_NODE_TEXT)
+    spec = plain_zeta(graph)
+    refused, removed = [], []
+    table_for, components = counting._table_for, counting._components
+
+    def refusing(spec_, positions, bounds):
+        if spec_ == spec and len(positions) == 1:
+            refused.append(positions)
+            raise TableBudgetExceeded(bounds)
+        return table_for(spec_, positions, bounds)
+    monkeypatch.setattr(counting, "_table_for", refusing)
+    monkeypatch.setattr(counting, "_components",
+                        lambda g, ids: removed.append(ids) or components(g, ids))
+    with pytest.raises(TableBudgetExceeded):
+        sw_norm(graph, graph.group.elements()[0])
+    lines = []
+    cases = [(f"h={h}", functools.partial(check_sw, graph, h))
+             for h in graph.group.elements()]
+    assert tally(cases, lines) == (0, 0, 16)
+    assert all(line.startswith("  inconclusive h=")
+               and line.endswith(": partition table over the cell budget") for line in lines)
+    assert refused == [(vertex,)] * 17
+    assert removed == [(graph.ids[vertex],)]
 
 
 def _random_star(rng: random.Random) -> ResolutionGraph:
@@ -1265,8 +1357,9 @@ def test_star_sw_takes_no_full_count(dihedral, brieskorn, a3, fresh_tables, monk
 
 
 def test_star_sw_falls_back_to_the_probe(brieskorn, dihedral, fresh_tables, monkeypatch):
-    # a node table over the budget leaves the probe's value, and it is
-    # refused once per graph, not once per class
+    # a node table over the budget sends the star to another vertex and its
+    # subtree terms, which keep the probe's value, and it is refused once
+    # per graph, not once per class
     table_for = counting._table_for
     for g in (brieskorn, dihedral):
         node = g.valences.index(3)
@@ -1282,6 +1375,7 @@ def test_star_sw_falls_back_to_the_probe(brieskorn, dihedral, fresh_tables, monk
             mp.setattr(counting, "_table_for", refusing)
             assert [sw_norm(g, h) for h in g.group.elements()] == probes
         assert len(refused) == 1
+        assert counting._sw_route(g)[1]
 
 
 def _random_chain(rng: random.Random) -> ResolutionGraph:
