@@ -391,19 +391,17 @@ def parse_graph(text: str) -> ResolutionGraph:
 def chi(graph: ResolutionGraph, x: RationalCycle) -> Fraction:
     """Riemann-Roch quadratic: chi(x) = -(x, x - Z_K)/2, as one integer sum.
 
-    x and Z_K are brought to one denominator L; sum_i x_i (A(x - Z_K))_i is
-    taken over the rows of the form in Python ints and divided once by 2 L^2.
+    With x = a / L, the adjunction relations (Z_K, E_v) = e_v + 2 give
+    (x, Z_K) = sum_v a_v (e_v + 2) / L, and the tree gives (x, x) =
+    (sum_v e_v a_v^2 + 2 sum_{edges uv} a_u a_v) / L^2, so Z_K is never formed:
+    chi(x) = (L sum_v a_v (e_v + 2) - (x, x) L^2) / 2 L^2, one pass over the
+    vertices and one over the edges.
     """
-    zk = graph.canonical
-    den = math.lcm(x.den, zk.den)
-    fx, fk = den // x.den, den // zk.den
-    xs = [a * fx for a in x.num]
-    diff = [a - b * fk for a, b in zip(xs, zk.num, strict=True)]
-    total = 0
-    for a, row in zip(xs, graph.form.rows):
-        if a:
-            total += a * sum(r * d for r, d in zip(row, diff))
-    return Fraction(-total, 2 * den * den)
+    a, den, index = x.num, x.den, graph.index
+    total = sum(av * ((e + 2) * den - e * av)
+                for av, e in zip(a, graph.eulers, strict=True))
+    total -= 2 * sum(a[index[u]] * a[index[v]] for u, v in graph.edges)
+    return Fraction(total, 2 * den * den)
 
 
 @dataclass(frozen=True)

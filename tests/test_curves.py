@@ -469,6 +469,82 @@ def test_differences_vanish_on_every_top_layer(table):
         assert not np.take(out, m + 1, axis=i).any()
 
 
+# ---------------------------------------------------------------------------
+# the slice kernels against the gather-and-diff ones they replaced
+
+def gathered_hilbert_grid(present):
+    """``_hilbert_grid`` by a fancy-index clamp padding, a flip per axis and
+    ``np.diff`` path checks."""
+    r, c = present.ndim, tuple(m - 1 for m in present.shape)
+    present = present[np.ix_(*(np.minimum(np.arange(m + 2), m) for m in c))]
+    flip = (slice(None, None, -1),) * r
+    jumps = []
+    for i in range(r):
+        d = present[flip][(slice(None),) * i + (slice(1, None),)]
+        for j in range(r):
+            if j != i:
+                d = np.logical_or.accumulate(d, axis=j)
+        jumps.append(d[flip])
+    grid = np.zeros(tuple(m + 2 for m in c), dtype=np.int64)
+    for i, d in enumerate(jumps):
+        at, zeros = (slice(None),) * i, (0,) * (r - i - 1)
+        steps = np.cumsum(d[at + (slice(None),) + zeros], axis=i)
+        grid[at + (slice(1, None),) + zeros] = grid[at + (slice(0, 1),) + zeros] + steps
+    bad = np.zeros(grid.shape, dtype=bool)
+    for i, d in enumerate(jumps):
+        bad[(slice(None),) * i + (slice(1, None),)] |= np.diff(grid, axis=i) != d
+    if bad.any():
+        ell = tuple(np.argwhere(bad)[0].tolist())
+        vals = set()
+        for i, d in enumerate(jumps):
+            if ell[i] > 0:
+                prev = tuple(x - (j == i) for j, x in enumerate(ell))
+                vals.add(int(grid[prev] + d[prev]))
+        raise CurveDataError(
+            f"Hilbert recursion is path dependent at {ell}: got {sorted(vals)}; "
+            "the value set is not a valid curve semigroup")
+    return grid
+
+
+def concatenated_differences(grid):
+    """``_differences`` by appending each axis's continuation and ``np.diff``."""
+    out = grid
+    for axis in range(out.ndim):
+        edge = np.take(out, [-1], axis=axis)
+        out = np.diff(np.concatenate([out, edge + int(axis == 0)], axis=axis),
+                      axis=axis)
+    return out
+
+
+@given(closed_value_sets())
+@example(MultibranchCurve.from_values(  # path dependent, first at (1, 0, 1)
+    [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
+     (2, 2, 0), (2, 2, 1)], (2, 2, 1)))
+@settings(max_examples=300, deadline=None)
+def test_slice_hilbert_grid_matches_the_gathered_one(curve):
+    # the whole membership array and each projection the subset pass builds
+    r = curve.branches
+    for k in range(1, r + 1):
+        for js in itertools.combinations(range(r), k):
+            outside = tuple(j for j in range(r) if j not in js)
+            present = curve._present.any(axis=outside) if outside else curve._present
+            new = _outcome(lambda: curves._hilbert_grid(present))
+            old = _outcome(lambda: gathered_hilbert_grid(present))
+            if new[0] == "value":
+                assert old[0] == "value" and new[1].dtype == np.int64
+                assert np.array_equal(new[1], old[1])
+            else:
+                assert new == old
+
+
+@given(integer_tables())
+@settings(max_examples=200, deadline=None)
+def test_slice_differences_match_the_concatenated_ones(table):
+    new = curves._differences(table.grid)
+    assert new.dtype == np.int64
+    assert np.array_equal(new, concatenated_differences(table.grid))
+
+
 def test_delta_cross_check_failure_is_reported(monkeypatch):
     def plus_one(grid):
         return grid + 1  # every difference, so every coefficient, stays

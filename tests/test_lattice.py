@@ -1,6 +1,7 @@
 """Lattice layer: parsing, dual cycles, canonical cycle, discriminant group,
 anti-nef saturation, rationality, subtree projections."""
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from resgraph.graphs import (DiscriminantGroup, GraphError, GraphSyntaxError,
                              fundamental_cycle, is_rational, laufer_saturate,
                              min_antinef_rep, parse_graph,
                              strict_interior_cycle, subgraph_components)
-from resgraph.randtrees import random_rational_graph
+from resgraph.randtrees import _random_tree_edges, random_rational_graph
 from resgraph.snf import fraction_inverse, smith_normal_form, unimodular_inverse
 
 
@@ -176,6 +177,45 @@ def test_integer_chi_equals_its_definition():
                 assert chi(graph, x) == _chi_by_definition(graph, x)
         for x in (graph.canonical, graph.sum_duals, *graph.duals):
             assert chi(graph, x) == _chi_by_definition(graph, x)
+
+
+def _chi_dense(graph, x):
+    """-(x, x - Z_K)/2 with x and Z_K on one denominator L: the dense row
+    product sum_i x_i (A(x - Z_K))_i over 2 L^2."""
+    zk = graph.canonical
+    den = math.lcm(x.den, zk.den)
+    fx, fk = den // x.den, den // zk.den
+    xs = [a * fx for a in x.num]
+    diff = [a - b * fk for a, b in zip(xs, zk.num, strict=True)]
+    total = sum(a * sum(r * d for r, d in zip(row, diff))
+                for a, row in zip(xs, graph.form.rows))
+    return Fraction(-total, 2 * den * den)
+
+
+def test_chi_without_the_canonical_cycle_equals_the_dense_formula():
+    # any negative definite tree, rational or not, with scattered vertex ids
+    # so that the edge pass reads positions through the index
+    rng = random.Random(3232)
+    graphs = []
+    while len(graphs) < 60:
+        n = rng.randint(1, 8)
+        ids = rng.sample(range(1, 40), n)
+        edges = [(ids[a - 1], ids[b - 1]) for a, b in _random_tree_edges(rng, n)]
+        try:
+            graphs.append(ResolutionGraph.build(
+                {v: rng.randint(-7, -1) for v in ids}, edges))
+        except GraphError:
+            continue
+    for graph in graphs:
+        det = graph.det_abs
+        other = next(p for p in (5, 7, 11, 13, 17, 19, 23) if det % p)
+        for den in (1, det, other):
+            for _ in range(10):
+                x = RationalCycle(tuple(rng.randint(-5 * den, 5 * den)
+                                        for _ in range(graph.n)), den)
+                assert chi(graph, x) == _chi_dense(graph, x)
+        for x in (graph.canonical, graph.sum_duals, *graph.duals):
+            assert chi(graph, x) == _chi_dense(graph, x)
 
 
 # ---------------------------------------------------------------------------
