@@ -84,7 +84,7 @@ import numpy as _np
 from .cycles import RationalCycle
 from .graphs import (InternalCheckError, ResolutionGraph, SubgraphComponent, chi,
                      subgraph_components)
-from .series import (TABLE_STATE_CAP, TableBudgetExceeded, ZetaSpec, _runs, _strides,
+from .series import (TABLE_STATE_CAP, TableBudgetExceeded, ZetaSpec, _Layout, _runs,
                      build_zeta)
 from .snf import smith_normal_form
 
@@ -199,15 +199,16 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
     coordinates divided by the generator gcds.  Each generator is a
     binary-doubling knapsack: multiplying by (1 + t^(h g)) for h = 1, 2, 4,
     ... shifts every cell with room for h more copies, appends the shifted
-    cells and merges equal rows (``series._runs``), so the cells stay sorted,
-    residue first, and a bucket is a run of equal residues.  The cell count
-    only grows, so the budget is checked after each merge.
+    cells and merges equal rows on their keys packed by ``series._Layout``
+    (``series._runs``), so the cells stay sorted, residue first, and a
+    bucket is a run of equal residues.  The cell count only grows, so the
+    budget is checked after each merge.
     """
     if any(b <= 0 for b in bounds):
         return {}
     d, n = spec.den, spec.nvars
     gs, shape = _reduced_shape(spec, positions, bounds)
-    strides = _strides((d,) * n + shape)
+    layout = _Layout([0] * (n + len(positions)), (d,) * n + shape)
     rows = _np.zeros((1, n + len(positions)), dtype=_np.int64)
     counts = _np.ones(1, dtype=_np.int64 if _multiset_bound(spec, positions, bounds)
                       < 2 ** 63 else object)
@@ -223,7 +224,7 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
             moved = rows.compress(fits, axis=0) + _np.array(shift, dtype=_np.int64)
             moved[:, :n] %= d
             rows = _np.concatenate((rows, moved))
-            order, first = _runs(rows, None, strides)
+            order, _, first = _runs(layout.pack(rows))
             if len(first) > TABLE_STATE_CAP:
                 raise TableBudgetExceeded(len(first))
             counts = _np.add.reduceat(_np.concatenate((counts, counts[fits]))[order], first)

@@ -15,20 +15,26 @@ arrays, the exponent rows and their multiplicities; its term map is built
 on first read, and ``h_part`` and ``reduce_to`` work on the arrays, so a
 class part taken from an expansion never builds the expansion's map.
 
-``expand`` enumerates on numpy arrays: rows of exponents with a column of
+``expand`` enumerates on packed keys: ``_Layout`` packs each row of
+exponents into as few int64 words as its column ranges need (one, unless
+the ranges multiply past 2**63), or into one object word of Python ints
+where a single column's range reaches 2**63, beside a column of
 multiplicities.  Each denominator generator repeats every row once per copy
 that keeps some coordinate below the bound (less any negative numerator
-entry there); the region is downward closed, so a row pruned there never
-returns.  Equal rows are merged by a stable sort of packed int64 keys
-(``lexsort`` where the packed range reaches 2**63) and ``np.add.reduceat``;
-a partition table of ``counting`` merges its cells the same way.  Each
-numerator term shifts the rows and keeps those still in the region, and the
-terms are merged once.  Python-int bounds on every coordinate and on every
-multiplicity times coefficient come first; where one reaches 2**63 the same
-code runs on object arrays of Python ints, so no sum wraps.  A generator's
-copies are counted before they are built and the numerator's rows after
-each term; where the count passes ``TABLE_STATE_CAP``, ``expand`` raises
-``TableBudgetExceeded``, as a partition table of ``counting`` does.
+entry there), counted from the columns decoded out of the words; the region
+is downward closed, so a row pruned there never returns.  The copies add
+multiples of the packed generator, and equal keys are merged by a stable
+``argsort`` (``lexsort`` over the words where the range passes 2**63) and
+``np.add.reduceat``; a partition table of ``counting`` and ``reduce_to``
+merge on the same layout.  Each numerator term keeps the rows still in the
+region and shifts their keys, the terms are merged once, and the rows are
+decoded into one (N, n) array at the end.  Python-int bounds on every
+coordinate and on every multiplicity times coefficient come first; where
+one reaches 2**63 the rows or the multiplicities are object arrays of
+Python ints, so no sum wraps.  A generator's copies are counted before they
+are built and the numerator's rows before they are moved; where the count
+passes ``TABLE_STATE_CAP``, ``expand`` raises ``TableBudgetExceeded``, as a
+partition table of ``counting`` does.
 """
 
 from __future__ import annotations
@@ -156,10 +162,10 @@ class SparseSeries:
 
     Every support point with some scaled coordinate strictly below ``bound``
     is present with its exact coefficient.  ``rows`` holds one scaled
-    exponent per row (int64, or object where an entry may pass 2**63) and
-    ``mult`` its nonzero coefficient; no row repeats, and the rows are in
-    increasing lexicographic order, as ``expand``, ``h_part`` and
-    ``reduce_to`` return them.  ``terms`` is the same data as a dict of
+    exponent per row and ``mult`` its nonzero coefficient, each int64, or
+    object where its own entries may pass 2**63; no row repeats, and the
+    rows are in increasing lexicographic order, as ``expand``, ``h_part``
+    and ``reduce_to`` return them.  ``terms`` is the same data as a dict of
     Python ints in row order, built on first read, and ``dump`` writes the
     rows in that order.
     ``projected`` marks series whose variables were reduced; their terms no
@@ -202,43 +208,98 @@ class SparseSeries:
             for a in range(0, len(self.mult), step))
 
 
-def _strides(spans: Sequence[int]) -> np.ndarray | None:
-    """Strides that pack a row whose columns take ``spans`` values each into
-    one int64 key, last column fastest; None where the range reaches 2**63."""
-    return (np.array([prod(spans[j + 1:]) for j in range(len(spans))], dtype=np.int64)
-            if prod(spans) < 2 ** 63 else None)
+class _Layout:
+    """Packs a row whose column j takes ``spans[j]`` values from ``low[j]``
+    up into integer keys.  The columns are cut greedily, last column fastest,
+    into as few int64 words as keep each word's range below 2**63; where one
+    column's span alone reaches 2**63, the whole row is one object word of
+    Python ints.  Comparing the words in turn compares the rows
+    lexicographically, and adding ``shift(v)`` to the words adds ``v`` to
+    every row whose sum stays in the spans."""
+
+    def __init__(self, low: Sequence[int], spans: Sequence[int]):
+        self.low, self.spans = list(low), list(spans)
+        self.dtype = object if max(spans, default=1) >= 2 ** 63 else np.int64
+        # per column its stride and its word counted from the last; a new
+        # word starts where the product of the spans after it would reach 2**63
+        n = len(spans)
+        self.stride, self.word, size, last = [1] * n, [0] * n, 1, 0
+        for j in range(n - 1, -1, -1):
+            if size * spans[j] >= 2 ** 63 and self.dtype is np.int64:
+                size, last = 1, last + 1
+            self.stride[j], self.word[j] = size, last
+            size *= spans[j]
+        self.word = [last - w for w in self.word]
+        # one product with rows packs every word: column j's stride sits in
+        # its word's row of the (words, columns) matrix
+        self.strides = np.zeros((last + 1, n), dtype=self.dtype)
+        for j, w in enumerate(self.word):
+            self.strides[w, j] = self.stride[j]
+
+    def shift(self, vec: Sequence[int]) -> np.ndarray:
+        """The (words, 1) key offset that adds ``vec`` to a row."""
+        out = [0] * len(self.strides)
+        for j, x in enumerate(vec):
+            out[self.word[j]] += x * self.stride[j]
+        return np.array(out, dtype=self.dtype).reshape(-1, 1)
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """The (words, N) keys of an (N, columns) row array."""
+        if self.dtype is object:
+            rows = rows.astype(object)
+        if any(self.low):
+            rows = rows - np.array(self.low, dtype=rows.dtype)
+        return self.strides @ rows.astype(self.dtype, copy=False).T
+
+    def column(self, words: np.ndarray, j: int, dtype) -> np.ndarray:
+        """Column j of the rows packed in ``words``, as a new array of ``dtype``."""
+        x = words[self.word[j]]
+        if self.stride[j] > 1:
+            x = x // self.stride[j]
+        if j and self.word[j - 1] == self.word[j]:  # not the top digit of its word
+            x = x % self.spans[j]
+        elif self.stride[j] == 1:  # a word of one column
+            x = x.copy()
+        if dtype is object:
+            x = x.astype(object)
+        if self.low[j]:
+            x += self.low[j]
+        return x.astype(dtype, copy=False)
+
+    def decode(self, words: np.ndarray, dtype) -> np.ndarray:
+        """The (N, columns) rows packed in ``words``."""
+        rows = np.empty((words.shape[1], len(self.spans)), dtype=dtype)
+        for j in range(len(self.spans)):
+            rows[:, j] = self.column(words, j, dtype)
+        return rows
 
 
-def _runs(rows: np.ndarray, low: np.ndarray | None,
-          strides: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts nonempty ``rows`` lexicographically, and the
-    places in that order where a run of equal rows starts: sorted by the
-    packed keys ``(rows - low) @ strides`` (``rows @ strides`` where
-    ``low`` is None), or column by column with ``lexsort`` where
-    ``strides`` is None."""
-    fresh = np.empty(len(rows), dtype=bool)
+def _runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For nonempty (words, N) keys: the order that sorts them, the sorted
+    keys, and the places in that order where a run of equal keys starts.
+    One word sorts by a stable ``argsort``, several by ``lexsort``."""
+    fresh = np.empty(words.shape[1], dtype=bool)
     fresh[0] = True
-    if strides is not None:
-        key = (rows if low is None else rows - low).astype(np.int64, copy=False) @ strides
+    if len(words) == 1:
+        key = words[0]
         order = key.argsort(kind="stable")
-        key = key[order]
+        key = key.take(order)
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        ranked = key[None]
     else:
-        order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
-        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return order, fresh.nonzero()[0]
+        order = np.lexsort(words[::-1])
+        ranked = words.take(order, axis=1)
+        np.not_equal(ranked[:, 1:], ranked[:, :-1]).any(axis=0, out=fresh[1:])
+    return order, ranked, fresh.nonzero()[0]
 
 
-def _merge(rows: np.ndarray, mult: np.ndarray, low: np.ndarray | None,
-           strides: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Equal rows merged into one, their multiplicities summed, in
-    lexicographic order (``_runs``)."""
-    if not len(rows):
-        return rows, mult
-    order, first = _runs(rows, low, strides)
-    # take gathers faster than fancy indexing on 2-D rows
-    return rows.take(order.take(first), axis=0), np.add.reduceat(mult.take(order), first)
+def _merge(words: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal keys merged into one, their multiplicities summed, in
+    increasing order."""
+    if not len(mult):
+        return words, mult
+    order, ranked, first = _runs(words)
+    return ranked.take(first, axis=1), np.add.reduceat(mult.take(order), first)
 
 
 def _refuse_over_cap(rows: int) -> None:
@@ -264,49 +325,76 @@ def expand(spec: ZetaSpec, bound: int | Fraction) -> SparseSeries:
     # a sum of generators matters while some coordinate j stays below
     # limit_j, where a numerator term can still bring it below top; no such
     # sum takes `copies` copies of a generator, so every coordinate stays in
-    # [low, high] and every multiplicity times |coeff| below `weight`
+    # [low, high] and every multiplicity times |coeff| below `weight`.  One
+    # copy of a generator with copies == 1 leaves the region, so it adds nothing
     limit = [top - x for x in low]
     copies = [max(-(-b // x) for b, x in zip(limit, gen)) for gen in spec.dens]
-    high = [max((0, *col)) + sum((k - 1) * gen[j] for k, gen in zip(copies, spec.dens))
+    gens = [(gen, k) for gen, k in zip(spec.dens, copies) if k > 1]
+    high = [max((0, *col)) + sum((k - 1) * gen[j] for gen, k in gens)
             for j, col in enumerate(columns)]
-    weight = prod(copies) * sum(abs(c) for c, _ in spec.num)
-    dtype = object if max(weight, *limit, *high) >= 2 ** 63 else np.int64
-    strides = _strides([b - a + 1 for a, b in zip(low, high)])
-    offset = np.array(low, dtype=dtype)
-    gens = np.array(spec.dens, dtype=dtype).reshape(-1, spec.nvars)
-    rows = np.zeros((1, spec.nvars), dtype=dtype)
-    mult = np.ones(1, dtype=dtype)
-    limit = np.array(limit, dtype=dtype)
-    for gen in gens:
+    weight = prod(k for _, k in gens) * sum(abs(c) for c, _ in terms)
+    rtype = object if max(*limit, *high) >= 2 ** 63 else np.int64
+    mtype = object if weight >= 2 ** 63 else np.int64
+    layout = _Layout(low, [b - a + 1 for a, b in zip(low, high)])
+    words, mult = layout.shift([-x for x in low]), np.ones(1, dtype=mtype)  # the row 0
+    if gens:  # the row 0 has room for every copy of the first generator
+        k = gens[0][1]
+        _refuse_over_cap(k)
+        words = words + np.arange(k) * layout.shift(gens[0][0])
+        mult = np.ones(k, dtype=mtype)
+    for gen, _ in gens[1:]:
         # copies k >= 0 of gen keeping some coordinate below its limit; the
         # region is downward closed, so no later generator brings a row back
-        room = (-((rows - limit) // gen)).max(axis=1)
+        room = None
+        for j, x in enumerate(gen):
+            col = layout.column(words, j, rtype)
+            col -= limit[j]
+            col //= x
+            room = col if room is None else np.minimum(room, col, out=room)
+        room = np.negative(room, out=room)
         n = int(room.sum())
         _refuse_over_cap(n)
-        room = room.astype(np.int64)
-        k = np.arange(n) - np.repeat(np.cumsum(room) - room, room)
-        rows, mult = _merge(np.repeat(rows, room, axis=0) + k[:, None] * gen,
-                            np.repeat(mult, room), offset, strides)
-    picked = []
-    held = 0
-    for c, e in terms:
-        if any(e) or any(low):
-            moved = rows + np.array(e, dtype=dtype)
-            keep = (moved < top).any(axis=1)
-            picked.append((moved[keep], c * mult[keep]))
-        else:  # every row has a coordinate below top already
-            picked.append((rows, c * mult))
-        held += len(picked[-1][1])
-        _refuse_over_cap(held)
-    if len(picked) == 1:  # coefficients are nonzero and multiplicities positive
-        (rows, mult), = picked
+        room = room.astype(np.int64, copy=False)
+        k = np.arange(n)
+        k -= np.repeat(np.cumsum(room) - room, room)
+        words = np.repeat(words, room, axis=1)
+        words += k.astype(layout.dtype, copy=False) * layout.shift(gen)
+        del k
+        words, mult = _merge(words, np.repeat(mult, room))
+    # the rows each numerator term keeps in the region, column by column;
+    # every row has some coordinate j below limit_j, so a term at low keeps all
+    if all(list(e) == low for _, e in terms):
+        keep = np.ones((len(terms), len(mult)), dtype=bool)
+    else:
+        keep = np.zeros((len(terms), len(mult)), dtype=bool)
+        for j in range(spec.nvars):
+            below = np.array([[top - e[j]] for _, e in terms], dtype=rtype)
+            keep |= layout.column(words, j, rtype) < below
+    sizes = keep.sum(axis=1).tolist()
+    _refuse_over_cap(sum(sizes))
+    if len(terms) == 1:  # a shift keeps distinct keys distinct and in order
+        (c, e), = terms
+        if list(e) != low:
+            words, mult = words.compress(keep[0], axis=1), mult.compress(keep[0])
+        if any(e):
+            words = words + layout.shift(e)
+        if c != 1:
+            mult = c * mult
     else:  # terms may cancel
-        rows, mult = _merge(np.concatenate([rows[:0], *(m for m, _ in picked)]),
-                            np.concatenate([mult[:0], *(p for _, p in picked)]),
-                            offset, strides)
+        moved = np.empty((len(words), sum(sizes)), dtype=layout.dtype)
+        summed = np.empty(sum(sizes), dtype=mtype)
+        at = 0
+        for (c, e), kept, size in zip(terms, keep, sizes):
+            part = moved[:, at:at + size]
+            words.compress(kept, axis=1, out=part)
+            part += layout.shift(e)
+            np.multiply(mult.compress(kept), c, out=summed[at:at + size])
+            at += size
+        del words, mult, keep
+        words, mult = _merge(moved, summed)
         nonzero = mult != 0
-        rows, mult = rows[nonzero], mult[nonzero]
-    return SparseSeries(spec.ids, spec.den, bscaled, rows, mult)
+        words, mult = words.compress(nonzero, axis=1), mult[nonzero]
+    return SparseSeries(spec.ids, spec.den, bscaled, layout.decode(words, rtype), mult)
 
 
 def h_part(series: SparseSeries, residue: tuple[int, ...], d: int) -> SparseSeries:
@@ -353,7 +441,14 @@ def reduce_to(series: SparseSeries, keep_ids: Sequence[int]) -> SparseSeries:
         return series
     rows = series.rows[:, [series.ids.index(v) for v in keep]]
     inside = (rows < ceil(series.bound)).any(axis=1)
-    rows, mult = _merge(rows[inside], series.mult[inside], None, None)
+    rows, mult = rows[inside], series.mult[inside]
+    if len(mult):  # merged on keys packed from each column's own range
+        low, high = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+        layout = _Layout(low, [b - a + 1 for a, b in zip(low, high)])
+        order, _, first = _runs(layout.pack(rows))
+        # take gathers faster than fancy indexing on 2-D rows
+        rows = rows.take(order.take(first), axis=0)
+        mult = np.add.reduceat(mult.take(order), first)
     nonzero = mult != 0
     return SparseSeries(tuple(keep), series.den, series.bound,
                         rows[nonzero], mult[nonzero], projected=True)

@@ -36,7 +36,7 @@ from resgraph.graphs import (NotNegativeDefiniteError, ResolutionGraph, chi, is_
                              subgraph_components)
 from resgraph.randtrees import (random_antinef, random_class, random_positions,
                                 random_rational_graph, random_unit_arrows)
-from resgraph.series import ZetaSpec, build_zeta, expand, synthetic_spec
+from resgraph.series import ZetaSpec, _Layout, build_zeta, expand, synthetic_spec
 
 
 def brute_count(spec, residue, positions, x, strict_all: bool) -> int:
@@ -330,7 +330,7 @@ def test_sparse_table_matches_dictionary_dp(case):
 def test_sparse_table_beyond_the_packed_key_range():
     # three coordinates of about 2**23 reduced cells each: the residues mod
     # den and the coordinates no longer pack into one int64, so rows are
-    # merged by lexsort
+    # merged on two packed words
     big = 2 ** 21
     spec = synthetic_spec([(1, (0, 0, 0)), (-1, (5, 0, 7))],
                           [(big - 1, big + 1, big + 3), (big + 5, big - 3, big + 7),
@@ -339,6 +339,7 @@ def test_sparse_table_beyond_the_packed_key_range():
     gs, shape = counting._reduced_shape(spec, positions, bounds)
     assert gs == [1, 1, 1]
     assert spec.den ** spec.nvars * math.prod(shape) >= 2 ** 63
+    assert _Layout([0] * 6, (3,) * 3 + shape).word[-1] == 1  # two words
     table = _build_sparse(spec, positions, bounds)
     _assert_same_table(table, _oracle_table(spec, positions, bounds))
     assert sum(len(cs) for _, cs in table.values()) == 20  # 3 copies at most in all

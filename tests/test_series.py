@@ -2,9 +2,11 @@
 expander that knows nothing about the production enumeration order."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
-from math import prod
+from math import ceil, prod
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +52,69 @@ def brute_terms(spec, bound: Fraction) -> dict:
                 key = tuple(int(x * den) for x in p)
                 out[key] = out.get(key, 0) + coeff
     return {k: v for k, v in out.items() if v}
+
+
+def _lexmerge(rows, mult):
+    """Equal rows merged, multiplicities summed, by ``lexsort`` over every
+    column."""
+    if not len(rows):
+        return rows, mult
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    fresh = np.empty(len(rows), dtype=bool)
+    fresh[0] = True
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = fresh.nonzero()[0]
+    return ranked[first], np.add.reduceat(mult[order], first)
+
+
+def rowwise_expand(spec, bound):
+    """The row-matrix kernel ``expand`` replaced, kept as its oracle: the
+    rows are an (N, n) matrix, shifted, filtered and merged by ``lexsort``
+    over every column.  As in ``expand``, the rows and the multiplicities
+    take their dtypes from their own bounds, and a generator one copy of
+    which leaves the region is skipped, so its entries never enter an
+    array."""
+    bound = Fraction(bound)
+    bscaled = bound * spec.den
+    top = ceil(bscaled)
+    terms = [(c, e) for c, e in spec.num if c]
+    columns = list(zip(*(e for _, e in terms))) or [()] * spec.nvars
+    low = [min((0, *col)) for col in columns]
+    limit = [top - x for x in low]
+    copies = [max(-(-b // x) for b, x in zip(limit, gen)) for gen in spec.dens]
+    high = [max((0, *col)) + sum((k - 1) * gen[j] for k, gen in zip(copies, spec.dens))
+            for j, col in enumerate(columns)]
+    weight = prod(copies) * sum(abs(c) for c, _ in terms)
+    rtype = object if max(*limit, *high) >= 2 ** 63 else np.int64
+    rows = np.zeros((1, spec.nvars), dtype=rtype)
+    mult = np.ones(1, dtype=object if weight >= 2 ** 63 else np.int64)
+    limit = np.array(limit, dtype=rtype)
+    for gen in (g for g, k in zip(spec.dens, copies) if k > 1):
+        gen = np.array(gen, dtype=rtype)
+        room = (-((rows - limit) // gen)).max(axis=1)
+        n = int(room.sum())
+        seriesmod._refuse_over_cap(n)
+        room = room.astype(np.int64)
+        k = np.arange(n) - np.repeat(np.cumsum(room) - room, room)
+        rows, mult = _lexmerge(np.repeat(rows, room, axis=0) + k[:, None] * gen,
+                               np.repeat(mult, room))
+    picked = []
+    held = 0
+    for c, e in terms:
+        moved = rows + np.array(e, dtype=rtype)
+        keep = (moved < top).any(axis=1)
+        picked.append((moved[keep], c * mult[keep]))
+        held += len(picked[-1][1])
+        seriesmod._refuse_over_cap(held)
+    if len(picked) == 1:
+        (rows, mult), = picked
+    else:
+        rows, mult = _lexmerge(np.concatenate([rows[:0], *(m for m, _ in picked)]),
+                               np.concatenate([mult[:0], *(p for _, p in picked)]))
+        nonzero = mult != 0
+        rows, mult = rows[nonzero], mult[nonzero]
+    return SparseSeries(spec.ids, spec.den, bscaled, rows, mult)
 
 
 def test_a3_zeta_shape(a3):
@@ -252,14 +317,17 @@ def test_wide_multiplicities_stay_exact():
     assert all(type(c) is int for c in series.terms.values())
 
 
-@pytest.mark.parametrize("num, dens, cap, refused", [
+REFUSAL_POINTS = [
     ([(1, (0,))], [(1,)], 9, True),  # the first generator's 10 copies
     ([(1, (0,))], [(1,)], 10, False),
     ([(1, (0,))], [(1,), (1,)], 54, True),  # 55 rows before the merge
     ([(1, (0,))], [(1,), (1,)], 55, False),
     ([(1, (0,)), (-1, (1,))], [(1,)], 18, True),  # 10 + 9 numerator rows
     ([(1, (0,)), (-1, (1,))], [(1,)], 19, False),
-])
+]
+
+
+@pytest.mark.parametrize("num, dens, cap, refused", REFUSAL_POINTS)
 def test_expand_refuses_rows_over_the_cap(monkeypatch, num, dens, cap, refused):
     from resgraph import counting
     monkeypatch.setattr(seriesmod, "TABLE_STATE_CAP", cap)
@@ -272,6 +340,111 @@ def test_expand_refuses_rows_over_the_cap(monkeypatch, num, dens, cap, refused):
         assert expand(spec, 10).terms == brute_terms(spec, 10)
     assert counting.TABLE_STATE_CAP == 1_800_000  # counting keeps its own binding
 
+
+@pytest.mark.parametrize("dens, bound, terms", [
+    ([(2 ** 64,)], 1, {(0,): 1}),
+    ([(1, 2 ** 64)], 1, {(0, 0): 1}),
+    ([(1, 2 ** 64)], 3, {(0, 0): 1, (1, 2 ** 64): 1, (2, 2 ** 65): 1}),
+])
+def test_generator_entries_past_int64(dens, bound, terms):
+    # a generator one copy of which leaves the region never enters an array
+    spec = synthetic_spec(num=[(1, (0,) * len(dens[0]))], dens=dens)
+    assert expand(spec, bound).terms == terms == brute_terms(spec, bound)
+
+
+W22, WIDE = 2 ** 22, 2 ** 62 + 5
+ORACLE_CASES = [
+    # two int64 words: each coordinate fits, the product of their ranges does not
+    (synthetic_spec(num=[(1, (0, 0, 0)), (-1, (1, 1, 1))],
+                    dens=[(1, W22, W22), (W22, 1, W22), (W22, W22, 1)]), 4, None),
+    # one object word: a single coordinate's range passes 2**63
+    (synthetic_spec(num=[(1, (0, 0)), (-2, (WIDE, 3))], dens=[(1, WIDE), (WIDE, 2)]), 6, None),
+    # multiplicities past int64 on int64 rows
+    (synthetic_spec(num=[(2 ** 70, (0,)), (1 - 2 ** 70, (1,)), (3, (2,))],
+                    dens=[(1,), (2,)]), 9, None),
+    *((synthetic_spec(num=num, dens=dens), 10, cap) for num, dens, cap, _ in REFUSAL_POINTS),
+]
+
+
+def _copies_product(spec, top: int) -> int:
+    """The bound ``expand`` puts on its generator rows at the scaled bound
+    ``top``."""
+    low = [min([0, *(e[j] for _, e in spec.num)]) for j in range(spec.nvars)]
+    return prod(max(-(-(top - lo) // x) for lo, x in zip(low, gen)) for gen in spec.dens)
+
+
+@st.composite
+def _scaled_specs(draw):
+    """A spec on 1-4 variables whose columns are scaled by up to 2**62, so
+    the keys take one int64 word, several, or one object word, with
+    coefficients up to 2**70; the bound keeps at most 5,000 generator rows."""
+    nvars = draw(st.integers(1, 4))
+    scale = draw(st.lists(st.sampled_from([1, 1, 2 ** 21, 2 ** 31, 2 ** 62]),
+                          min_size=nvars, max_size=nvars))
+
+    def vec(lo: int, hi: int):
+        return st.lists(st.integers(lo, hi), min_size=nvars, max_size=nvars).map(
+            lambda v: tuple(x * s for x, s in zip(v, scale)))
+
+    den = draw(st.integers(1, 12))
+    dens = draw(st.lists(vec(1, 12), max_size=4))
+    num = draw(st.lists(st.tuples(st.sampled_from([-3, -1, 1, 2, 2 ** 70, 1 - 2 ** 70]),
+                                  vec(-3, 12)), min_size=1, max_size=4))
+    spec = ZetaSpec(tuple(range(1, nvars + 1)), den, tuple(num), tuple(dens))
+    top = draw(st.integers(1, 60))
+    while top > 1 and _copies_product(spec, top) > 5000:
+        top -= 1
+    return spec, Fraction(top, den), None
+
+
+def _outcome(kernel, spec, bound):
+    """The rows, their dtype kind and order, and the multiplicities of an
+    expansion, or the refusal it meets."""
+    try:
+        series = kernel(spec, bound)
+    except TableBudgetExceeded as exc:
+        return "refused", exc.args, exc.what
+    return (series.rows.dtype.kind, series.rows.tolist(), series.mult.dtype.kind,
+            series.mult.tolist(), series.bound)
+
+
+def _assert_same_expansion(spec, bound, cap):
+    with mock.patch.object(seriesmod, "TABLE_STATE_CAP", cap or seriesmod.TABLE_STATE_CAP):
+        assert _outcome(expand, spec, bound) == _outcome(rowwise_expand, spec, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_specs())
+def test_expand_equals_the_rowwise_kernel(case):
+    _assert_same_expansion(*case)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_expand_equals_the_rowwise_kernel_at_fixed_cases(case):
+    _assert_same_expansion(*case)
+
+
+def test_layout_takes_as_few_words_as_the_spans_allow():
+    # 4 * 2**60 < 2**63 <= 8 * 2**60: the first three columns share a word
+    layout = seriesmod._Layout([0] * 4, [2, 2, 2 ** 60, 8])
+    assert layout.word == [0, 0, 0, 1] and layout.stride == [2 ** 61, 2 ** 60, 1, 1]
+    assert seriesmod._Layout([0] * 3, [2 ** 22] * 3).word == [0, 1, 1]
+    wide = seriesmod._Layout([0, 0], [2 ** 63, 2])
+    assert wide.dtype is object and wide.word == [0, 0] and wide.stride == [2, 1]
+
+
+def test_expand_peaks_below_three_times_its_result(dihedral):
+    # the rows stay packed keys until the end, so the enumeration holds
+    # about twice the series it returns
+    spec = build_zeta(dihedral)
+    tracemalloc.start()
+    try:
+        series = expand(spec, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series.mult) == 154_400
+    assert peak <= 3 * (series.rows.nbytes + series.mult.nbytes)
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
@@ -374,6 +547,37 @@ def test_dump_keeps_the_order_across_blocks_and_wide_rows(dihedral):
     assert wide.dump() == _sorted_dump(wide)
     assert expand(build_zeta(dihedral), Fraction(1, 24)).dump() == "1 0/12 0/12 0/12 0/12"
     assert h_part(series, (1,), 12).dump() == ""
+
+
+def _assert_reduction_sums_the_fibers(series, keep):
+    pos = [series.ids.index(v) for v in keep]
+    fibers: dict = {}
+    for key, c in series.terms.items():
+        image = tuple(key[p] for p in pos)
+        if min(image) < series.bound:
+            fibers[image] = fibers.get(image, 0) + c
+    red = reduce_to(series, keep)
+    assert red.rows.dtype == series.rows.dtype
+    assert list(red.terms.items()) == sorted((k, c) for k, c in fibers.items() if c)
+
+
+@pytest.mark.parametrize("spec, bound", [case[:2] for case in ORACLE_CASES[:2]])
+def test_reduce_on_wide_layouts_sums_the_fibers(spec, bound):
+    # rows that pack into two int64 words, and rows of one object word
+    series = expand(spec, bound)
+    for size in range(1, spec.nvars + 1):
+        for keep in itertools.permutations(spec.ids, size):
+            _assert_reduction_sums_the_fibers(series, keep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduce_sums_the_fibers_of_random_series(data):
+    # many rows on every layout, so keys packed on a span too short for
+    # their column would merge rows that differ
+    spec, bound, _ = data.draw(_scaled_specs())
+    keep = data.draw(st.permutations(spec.ids))[:data.draw(st.integers(1, spec.nvars))]
+    _assert_reduction_sums_the_fibers(expand(spec, bound), keep)
 
 
 @pytest.mark.parametrize("keep, dup", [([1, 1, 1], 1), ([1, 1], 1), ([2, 3, 2], 2)])
