@@ -156,7 +156,10 @@ def cmd_series(args) -> int:
                   "(use --class-zero)", file=sys.stderr)
             return 2
     if args.format == "table":  # the document is built only when it is printed
-        print(series.dump())
+        for block in series.dump_blocks():  # one block of lines at a time
+            print(block)
+        if not len(series.mult):
+            print()  # the empty dump's one empty line
         return 0
     # each distinct coordinate is turned into its p/q text once, then looked up
     text = {x: _frac(Fraction(x, series.den)) for x in set(series.rows.ravel().tolist())}

@@ -32,22 +32,23 @@ indexed by the cells of the box [0, c + 1], c the conductor:
   the top layers l_i = c_i + 1 vanish for any table: the support is in [0, c].
 * Inversion.  H is the sum R over the nonempty branch subsets J of
   (-1)^(|J|-1) times the prefix sums of P_J (over the cells strictly below l
-  on the coordinates in J), broadcast over the other axes; the delta sum is
-  sum_i (c_i + 1) - R(c + 1).  A curve object builds I (on [0, c]), H and R
-  once; the subcurve on J takes I reduced by ``any`` over the other axes, with
-  no closure re-check (the clamp of s + t projects to the clamp of the
-  projected sum, 0 and c to 0 and c_J).  One branch needs no table: its
+  on the coordinates in J), broadcast over the other axes: one sum, then one
+  prefix sum per axis.  The delta sum is sum_i (c_i + 1) - R(c + 1).  A curve
+  object builds I (on [0, c]), H (``hilbert_table`` returns it, read-only)
+  and R once; the subcurve on J takes I reduced by ``any`` over the other
+  axes, with no closure re-check (the clamp of s + t projects to the clamp of
+  the projected sum, 0 and c to 0 and c_J).  One branch needs no table: its
   series is its semigroup indicator, so P_J on [0, c_j] is the projected I
-  itself (H(l + 1) - H(l) = I(l), and a one-axis table has one path).  Two
-  or more branches build a table from the projection, with the path check.
+  itself (H(l + 1) - H(l) = I(l), and a one-axis table has one path).  Two or
+  more branches build a table from the projection, with the path check.
 
 The work grows with the box cells prod(c_i + 2) and, through the branch
 subsets, with 2^r.  A curve whose box holds more than ``BOX_CELL_CAP`` cells
 is refused with a ``CurveDataError`` before anything of that size is built,
 and the command line prints one ``error:`` line and exits 2.  The costliest
 accepted shape is eleven branches with conductor zero (2^11 cells, 2^11
-subsets): ``delta_total`` and ``verify_inversion`` together take about 0.4 s
-there on a 2-CPU Xeon.
+subsets): ``delta_total``, ``verify_inversion`` and the value at one together
+take about 0.31 s there on a 2-CPU machine.
 """
 
 from __future__ import annotations
@@ -207,13 +208,16 @@ class MultibranchCurve:
 
     @cached_property
     def _hilbert(self) -> "HilbertTable":
-        """The Hilbert table, built once per curve object."""
-        return hilbert_table(self)
+        """The Hilbert table, built once and read-only: ``hilbert_table`` shares it."""
+        grid = _hilbert_grid(self._present)
+        grid.flags.writeable = False
+        return HilbertTable(curve=self, grid=grid)
 
     @cached_property
     def _reassembly(self) -> np.ndarray:
         """R on [0, conductor + 1]: the signed sum over the branch subsets J,
-        by size with the whole curve last, of the prefix sums of P_J.
+        by size with the whole curve last, of the prefix sums of P_J: each P_J
+        at index 1.. on J and 0 elsewhere, then one prefix sum per axis.
 
         A one-branch P_J is the projected membership on [0, c_j], since
         H(l + 1) - H(l) = I(l) there, so only subsets of two or more
@@ -231,13 +235,10 @@ class MultibranchCurve:
                     series = present
                 else:
                     series = _poincare_grid(_hilbert_grid(present) if outside else whole)
-                # a leading zero makes the prefix sums run strictly below l
-                sums = np.zeros([c[j] + 2 for j in js], dtype=np.int64)
-                sums[(slice(1, None),) * k] = series
-                for axis in range(k):
-                    sums.cumsum(axis=axis, out=sums)
-                shape = [c[j] + 2 if j in js else 1 for j in range(r)]
-                total += (-1) ** (k - 1) * sums.reshape(shape)
+                at = tuple(slice(1, None) if j in js else 0 for j in range(r))
+                total[at] += series if k % 2 else -series
+        for axis in range(r):
+            total.cumsum(axis=axis, out=total)
         return total
 
 
@@ -321,13 +322,13 @@ def _differences(grid: np.ndarray) -> np.ndarray:
 
 
 def hilbert_table(curve: MultibranchCurve) -> HilbertTable:
-    """Sum the increments from h(0) = 0 along one coordinate path.
+    """The curve's table, the increments summed from h(0) = 0 along one path.
 
     The increment in direction i is one exactly when the jump criterion
     holds.  Every coordinate path must give the same value; disagreement
     means the value set was not a valid semigroup of a curve.
     """
-    return HilbertTable(curve=curve, grid=_hilbert_grid(curve._present))
+    return curve._hilbert
 
 
 def _hilbert_grid(present: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, comb, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,16 +196,20 @@ class SparseSeries:
         return self.terms.get(key, 0)
 
     def dump(self) -> str:
-        """One term per line, ``coeff n_1/d ... n_k/d``, in row order.  The
-        lines are made a block of rows at a time, straight from the arrays,
-        so no Python copy of every row is held beside the text."""
+        """One term per line, ``coeff n_1/d ... n_k/d``, in row order."""
+        return "\n".join(self.dump_blocks())
+
+    def dump_blocks(self) -> Iterator[str]:
+        """The lines of ``dump``, 65,536 to a string, joined by newlines
+        inside a block and none at its end.  Each block is made straight from
+        the arrays, so a writer holds one block of text and Python rows at a
+        time."""
         line = "{} " + " ".join([f"{{}}/{self.den}"] * len(self.ids))
         step = 1 << 16
-        return "\n".join(
-            "\n".join(line.format(c, *key) for c, key in
-                      zip(self.mult[a:a + step].tolist(),
-                          zip(*self.rows[a:a + step].T.tolist())))
-            for a in range(0, len(self.mult), step))
+        for a in range(0, len(self.mult), step):
+            yield "\n".join(line.format(c, *key) for c, key in
+                             zip(self.mult[a:a + step].tolist(),
+                                 zip(*self.rows[a:a + step].T.tolist())))
 
 
 class _Layout:

@@ -143,6 +143,24 @@ def test_series_table_builds_no_document(monkeypatch, capsys):
     assert json.loads(out)["terms"][0] == [1, ["0/1"] * 4]
 
 
+def test_series_table_is_written_a_block_at_a_time(monkeypatch, capsys):
+    # 154,400 rows make three blocks of lines, printed as they are made; the
+    # whole dump is never joined into one string
+    from resgraph.series import SparseSeries, build_zeta, expand
+    path = GRAPHS / "dihedral12.graph"
+    series = expand(build_zeta(cli._load_graph(path)), 16)
+    blocks = list(series.dump_blocks())
+    monkeypatch.setattr(SparseSeries, "dump", lambda self: pytest.fail("joined"))
+    code, out, _ = run_cli(["--bound", "16", "series", path], capsys)
+    assert code == 0
+    assert out == "".join(block + "\n" for block in blocks)
+    # a series with no terms prints one empty line, as its empty dump did
+    empty = SparseSeries(series.ids, series.den, series.bound,
+                         series.rows[:0], series.mult[:0])
+    monkeypatch.setattr(cli, "expand", lambda spec, bound: empty)
+    assert run_cli(["--bound", "16", "series", path], capsys)[:2] == (0, "\n")
+
+
 def test_series_refuses_a_bound_beyond_the_cell_budget(capsys):
     # expand refuses at its first step over the budget, so a huge bound costs
     # no more than the first refused one
@@ -511,27 +529,27 @@ def test_curve_needs_exactly_one_source(args, capsys):
     assert err == "error: give exactly one of a curve file, --ordinary and --semigroup\n"
 
 
-@pytest.mark.parametrize("text, delta", [
-    ((ROOT / "curves_data" / "tacnode.curve").read_text(), 2),
+@pytest.mark.parametrize("text, branches, delta", [
+    ((ROOT / "curves_data" / "tacnode.curve").read_text(), 2, 2),
     # the costliest accepted shape: 2^11 box cells and 2^11 branch subsets
-    ("branches 11\nconductor" + " 0" * 11 + "\ns" + " 0" * 11 + "\n", 0),
+    ("branches 11\nconductor" + " 0" * 11 + "\ns" + " 0" * 11 + "\n", 11, 0),
 ], ids=["tacnode", "eleven-branches"])
-def test_curve_report_builds_one_hilbert_table(text, delta, tmp_path, monkeypatch,
-                                               capsys):
+def test_curve_report_builds_one_hilbert_table(text, branches, delta, tmp_path,
+                                               monkeypatch, capsys):
     # the subset pass, the delta cross-check, the inversion check and the
     # evaluation at one share the whole curve's table; the subcurves' tables
     # come from projections of its membership array
-    build = curvemod.hilbert_table
+    build = curvemod._hilbert_grid
     calls = []
-    monkeypatch.setattr(curvemod, "hilbert_table",
-                        lambda curve: calls.append(curve) or build(curve))
+    monkeypatch.setattr(curvemod, "_hilbert_grid",
+                        lambda present: calls.append(present.ndim) or build(present))
     path = tmp_path / "report.curve"
     path.write_text(text)
     code, out, _ = run_cli(["curve", path], capsys)
     assert code == 0
     assert out.splitlines()[1:] == [f"delta = {delta}", "Hilbert-Poincare inversion: pass",
                                     f"Poincare evaluation at one = {delta}"]
-    assert len(calls) == 1
+    assert calls.count(branches) == 1
 
 
 @pytest.mark.parametrize("args", [["--ordinary", "20"],
@@ -620,16 +638,14 @@ def test_graph_file_grammar_errors(text, message, tmp_path, capsys):
 
 def test_curve_failed_inversion_reports(monkeypatch, capsys):
     # a Hilbert table off by one at a face cell breaks the inversion identity
-    build = curvemod.hilbert_table
+    build = curvemod._hilbert_grid
 
-    def bumped(curve):
-        h = build(curve)
-        if curve.branches == 1:
-            return h
-        grid = h.grid.copy()
-        grid[1, 0] += 1
-        return curvemod.HilbertTable(curve=h.curve, grid=grid)
-    monkeypatch.setattr(curvemod, "hilbert_table", bumped)
+    def bumped(present):
+        grid = build(present)
+        if present.ndim == 2:
+            grid[1, 0] += 1
+        return grid
+    monkeypatch.setattr(curvemod, "_hilbert_grid", bumped)
     tacnode = ROOT / "curves_data" / "tacnode.curve"
     code, out, _ = run_cli(["--format", "doc", "curve", tacnode], capsys)
     assert code == 1

@@ -27,6 +27,13 @@ def tacnode():
     return MultibranchCurve.from_values([(0, 0), (1, 1), (2, 2)], (2, 2))
 
 
+def path_dependent():
+    # closed under the clamp rule, but the Hilbert recursion is path dependent
+    return MultibranchCurve.from_values(
+        [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
+         (2, 2, 0), (2, 2, 1)], (2, 2, 1))
+
+
 def cusp_with_line():
     # cusp branch (t^2, t^3) with the transversal line x = 0; values derived
     # by hand from the orders of x, y combinations on both branches
@@ -371,9 +378,7 @@ def closed_value_sets(draw):
 
 
 @given(closed_value_sets())
-@example(MultibranchCurve.from_values(  # recursion disagrees at 12 cells, first (1, 0, 1)
-    [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
-     (2, 2, 0), (2, 2, 1)], (2, 2, 1)))
+@example(path_dependent())  # recursion disagrees at 12 cells, first (1, 0, 1)
 @settings(max_examples=300, deadline=None)
 def test_array_layer_matches_per_cell_oracle(curve):
     box = list(_boxes(tuple(x + 1 for x in curve.conductor)))
@@ -437,14 +442,12 @@ def test_closure_check_names_the_first_missing_sum(data):
 def _shifted_tables(monkeypatch, shift):
     """Make every Hilbert table of a two-branch (sub)curve come out as
     ``shift(grid)``."""
-    build = curves.hilbert_table
+    build = curves._hilbert_grid
 
-    def shifted(curve):
-        h = build(curve)
-        if curve.branches != 2:
-            return h
-        return HilbertTable(curve=h.curve, grid=shift(h.grid.copy()))
-    monkeypatch.setattr(curves, "hilbert_table", shifted)
+    def shifted(present):
+        grid = build(present)
+        return shift(grid) if present.ndim == 2 else grid
+    monkeypatch.setattr(curves, "_hilbert_grid", shifted)
 
 
 @st.composite
@@ -517,9 +520,7 @@ def concatenated_differences(grid):
 
 
 @given(closed_value_sets())
-@example(MultibranchCurve.from_values(  # path dependent, first at (1, 0, 1)
-    [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
-     (2, 2, 0), (2, 2, 1)], (2, 2, 1)))
+@example(path_dependent())
 @settings(max_examples=300, deadline=None)
 def test_slice_hilbert_grid_matches_the_gathered_one(curve):
     # the whole membership array and each projection the subset pass builds
@@ -535,6 +536,44 @@ def test_slice_hilbert_grid_matches_the_gathered_one(curve):
                 assert np.array_equal(new[1], old[1])
             else:
                 assert new == old
+
+
+def broadcast_reassembly(curve):
+    """``_reassembly`` by a prefix sum of each P_J on its own box, broadcast
+    over the other axes and added with its sign."""
+    r, c = curve.branches, curve.conductor
+    whole = curve._hilbert.grid
+    total = np.zeros(tuple(m + 2 for m in c), dtype=np.int64)
+    for k in range(1, r + 1):
+        for js in itertools.combinations(range(r), k):
+            outside = tuple(j for j in range(r) if j not in js)
+            present = curve._present.any(axis=outside) if outside else curve._present
+            if k == 1:
+                series = present
+            else:
+                series = curves._poincare_grid(
+                    curves._hilbert_grid(present) if outside else whole)
+            sums = np.zeros([c[j] + 2 for j in js], dtype=np.int64)
+            sums[(slice(1, None),) * k] = series
+            for axis in range(k):
+                sums.cumsum(axis=axis, out=sums)
+            shape = [c[j] + 2 if j in js else 1 for j in range(r)]
+            total += (-1) ** (k - 1) * sums.reshape(shape)
+    return total
+
+
+@given(closed_value_sets())
+@example(path_dependent())
+@example(MultibranchCurve.from_values([(0,) * 11], (0,) * 11))  # 2^11 subsets
+@settings(max_examples=300, deadline=None)
+def test_one_prefix_sum_per_axis_matches_the_broadcast_reassembly(curve):
+    new = _outcome(lambda: curve._reassembly)
+    old = _outcome(lambda: broadcast_reassembly(curve))
+    if new[0] == "value":
+        assert old[0] == "value" and new[1].dtype == np.int64
+        assert np.array_equal(new[1], old[1])
+    else:
+        assert new == old
 
 
 @given(integer_tables())
@@ -566,7 +605,19 @@ def test_failed_inversion_names_a_python_int_witness(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one reassembly per curve object
+# one table and one reassembly per curve object
+
+def _counted_grids(monkeypatch):
+    """Count the ``_hilbert_grid`` builds by the axis count of the table."""
+    calls = collections.Counter()
+    build = curves._hilbert_grid
+
+    def counted(present):
+        calls[present.ndim] += 1
+        return build(present)
+    monkeypatch.setattr(curves, "_hilbert_grid", counted)
+    return calls
+
 
 def _counted(monkeypatch, name, owner=curves):
     """Count the calls of ``owner.<name>`` by the branch count of the curve."""
@@ -581,7 +632,7 @@ def _counted(monkeypatch, name, owner=curves):
 
 
 def test_delta_and_inversion_share_one_subset_pass(monkeypatch):
-    tables = _counted(monkeypatch, "hilbert_table")
+    grids = _counted_grids(monkeypatch)
     subcurves = _counted(monkeypatch, "subcurve", MultibranchCurve)
     curve = MultibranchCurve.ordinary(3)
     assert delta_total(curve) == 2
@@ -589,7 +640,7 @@ def test_delta_and_inversion_share_one_subset_pass(monkeypatch):
     # the whole curve once, shared by the pass, the delta cross-check and
     # the inversion check; each subcurve is a projection of the membership
     # array, never a curve object of its own
-    assert tables == {3: 1}
+    assert grids[3] == 1
     assert not subcurves
 
 
@@ -601,13 +652,7 @@ def test_delta_and_inversion_share_one_subset_pass(monkeypatch):
 def test_one_branch_subsets_build_no_table(make, grids, monkeypatch):
     # a table per subset of two or more branches, plus the whole curve's own
     # (for one branch, the delta cross-check and the inversion check read it)
-    calls = collections.Counter()
-    build = curves._hilbert_grid
-
-    def counted(present):
-        calls[present.ndim] += 1
-        return build(present)
-    monkeypatch.setattr(curves, "_hilbert_grid", counted)
+    calls = _counted_grids(monkeypatch)
     curve = make()
     delta_total(curve)
     assert verify_inversion(curve) == (True, None)
@@ -615,7 +660,7 @@ def test_one_branch_subsets_build_no_table(make, grids, monkeypatch):
 
 
 def test_equal_curves_do_not_share_the_reassembly(monkeypatch):
-    tables = _counted(monkeypatch, "hilbert_table")
+    tables = _counted_grids(monkeypatch)  # a tacnode's only table is its own
     first, second = tacnode(), tacnode()
     assert first == second and first is not second
     assert type(delta_total(first)) is int
@@ -625,6 +670,33 @@ def test_equal_curves_do_not_share_the_reassembly(monkeypatch):
     assert tables == {2: 1}
     delta_total(second)
     assert tables == {2: 2}
+
+
+def test_hilbert_table_is_the_curves_own(monkeypatch):
+    curve = cusp_with_line()
+    assert hilbert_table(curve) is hilbert_table(curve)
+    assert delta_total(curve) == 3
+    grids = _counted_grids(monkeypatch)
+    assert hilbert_table(curve) is curve._hilbert
+    assert not grids  # served, not built again
+
+
+def test_path_dependent_table_raises_the_same_error_on_every_call():
+    curve = path_dependent()
+    message = ("Hilbert recursion is path dependent at (1, 0, 1): got [1, 2]; "
+               "the value set is not a valid curve semigroup")
+    for compute in (hilbert_table, hilbert_table, delta_total, hilbert_table):
+        assert _outcome(lambda: compute(curve)) == ("error", message)
+
+
+def test_shared_table_is_read_only():
+    curve = tacnode()
+    table = hilbert_table(curve)
+    with pytest.raises(ValueError):
+        table.grid[1, 0] += 1
+    assert delta_total(curve) == 2
+    assert verify_inversion(curve) == (True, None)
+    assert table.value((1, 0)) == 1
 
 
 def test_eleven_branches_with_conductor_zero():

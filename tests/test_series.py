@@ -540,6 +540,8 @@ def test_dump_keeps_the_order_across_blocks_and_wide_rows(dihedral):
     series = expand(build_zeta(dihedral), 16)
     assert len(series.mult) > 2 * 2 ** 16
     assert series.dump() == _sorted_dump(series)
+    lines = [block.count("\n") + 1 for block in series.dump_blocks()]
+    assert lines == [2 ** 16, 2 ** 16, len(series.mult) - 2 ** 17]
     big = 2 ** 62 + 5
     wide = expand(synthetic_spec(num=[(1, (0, 0)), (-2, (big, 3))],
                                  dens=[(1, big), (big, 2)], den=3), 6)
@@ -547,6 +549,7 @@ def test_dump_keeps_the_order_across_blocks_and_wide_rows(dihedral):
     assert wide.dump() == _sorted_dump(wide)
     assert expand(build_zeta(dihedral), Fraction(1, 24)).dump() == "1 0/12 0/12 0/12 0/12"
     assert h_part(series, (1,), 12).dump() == ""
+    assert list(h_part(series, (1,), 12).dump_blocks()) == []
 
 
 def _assert_reduction_sums_the_fibers(series, keep):
