@@ -8,7 +8,8 @@ box-bounded sums, which are computed from a dynamic-programming table of
 denominator-exponent sums keyed by the projected coordinates and the residue
 class mod the integral lattice.  Tables are cached per spec and only grow.
 A first build covers exactly the box asked for, and a box beyond the cached
-one grows the table to the exact union of both.
+one grows the table to the exact union of both.  One budget caps the cells
+of all of a spec's tables together.
 
 A spec with exactly two generators (a chain) needs no table: the
 multiplicity pairs of the wanted residue are a coset of a rank-2 lattice
@@ -76,7 +77,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, wraps
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as _np
@@ -98,11 +99,12 @@ def _integral(val: Fraction, what: str) -> int:
 # ---------------------------------------------------------------------------
 # the cache store
 
-# owner -> {("table", positions): (bounds, buckets), ("refused", positions):
-# smallest refused box, (function name, *key): value of a memoised function,
-# such as a graph's ("_full_term", y) and ("_counting_qp_closed", class,
-# positions, lbar) or a spec's ("_counting_q", residue, positions, scaled
-# point)}
+# owner -> {("table", positions): (bounds, buckets, cells), the cells of all
+# of a spec's tables together within TABLE_STATE_CAP (the budget holds per
+# spec), ("refused", positions): smallest refused box, (function name, *key):
+# value of a memoised function, such as a graph's ("_full_term", y) and
+# ("_counting_qp_closed", class, positions, lbar) or a spec's ("_counting_q",
+# residue, positions, scaled point)}
 _STORE = weakref.WeakKeyDictionary()
 
 _MISSING = object()
@@ -188,7 +190,7 @@ def _reduced_shape(spec: ZetaSpec, positions: tuple[int, ...],
 
 
 def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
-                  bounds: tuple[int, ...]) -> dict:
+                  bounds: tuple[int, ...], held: int = 0) -> dict:
     """Buckets ``residue -> (coordinates, counts)`` of the table of
     denominator-exponent sums: per residue class mod den and projected point
     strictly inside the box, the number of multisets of generators realising
@@ -202,7 +204,8 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
     cells and merges equal rows on their keys packed by ``series._Layout``
     (``series._runs``), so the cells stay sorted, residue first, and a
     bucket is a run of equal residues.  The cell count only grows, so the
-    budget is checked after each merge.
+    budget is checked after each merge: with the ``held`` cells of the
+    spec's other tables, the cells may not pass ``TABLE_STATE_CAP``.
     """
     if any(b <= 0 for b in bounds):
         return {}
@@ -225,8 +228,8 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
             moved[:, :n] %= d
             rows = _np.concatenate((rows, moved))
             order, _, first = _runs(layout.pack(rows))
-            if len(first) > TABLE_STATE_CAP:
-                raise TableBudgetExceeded(len(first))
+            if held + len(first) > TABLE_STATE_CAP:
+                raise TableBudgetExceeded(held + len(first))
             counts = _np.add.reduceat(_np.concatenate((counts, counts[fits]))[order], first)
             keep = order[first]
             room = _np.concatenate((room, room[fits] - h))[keep]
@@ -238,54 +241,35 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
             for a, b in zip([0, *cuts], [*cuts, len(rows)])}
 
 
-def _estimate_cells(spec: ZetaSpec, positions: tuple[int, ...],
-                    bounds: tuple[int, ...]) -> int:
-    """Cheap upper-estimate of the state count: the residue-weighted grid
-    bound against the multiset bound with a simplex correction."""
-    grid = spec.den
-    for i, b in enumerate(bounds):
-        g = 0
-        for gen in spec.dens:
-            g = gcd(g, gen[positions[i]])
-        grid *= max(1, b // max(1, g))
-        if grid > 64 * TABLE_STATE_CAP:
-            break
-    box = 1
-    for gen in spec.dens:
-        ranges = [(b + gen[p] - 1) // gen[p] for p, b in zip(positions, bounds)]
-        box *= max(1, min(ranges))
-        if box > 5000 * TABLE_STATE_CAP:
-            break
-    return min(grid, box // max(1, factorial(len(spec.dens))) + 1)
-
-
 def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
                bounds: tuple[int, ...]) -> dict:
     """Cached buckets covering the box.
 
     A first build covers exactly the box asked for, and a box beyond the
-    stored one rebuilds the table to exactly the union of both.  A box that
-    contains a refused one is refused with no build; otherwise an estimate
-    over the budget, or a build that runs over it, refuses the box and
-    records it."""
+    stored one rebuilds the table to exactly the union of both.  The budget
+    holds per spec: the cells of all of its tables together may not pass
+    ``TABLE_STATE_CAP``, so a build is charged the cells of the spec's other
+    tables (a grown table replaces its old cells).  A build that runs over
+    refuses the box and records it, and a box that contains a refused one is
+    refused with no build: the cells held by the other tables only grow."""
     entries = _entries(spec)
     entry = entries.get(("table", positions))
     if entry is not None:
-        stored_bounds, stored = entry
+        stored_bounds, stored, _ = entry
         if all(a <= b for a, b in zip(bounds, stored_bounds)):
             return stored
         bounds = tuple(max(a, b) for a, b in zip(bounds, stored_bounds))
     known_bad = entries.get(("refused", positions))
     if known_bad is not None and all(a >= b for a, b in zip(bounds, known_bad)):
         raise TableBudgetExceeded(bounds)
+    held = sum(value[2] for tag, value in entries.items()
+               if tag[0] == "table" and tag[1] != positions)
     try:
-        if _estimate_cells(spec, positions, bounds) > (5 * TABLE_STATE_CAP) // 4:
-            raise TableBudgetExceeded(bounds)
-        table = _build_sparse(spec, positions, bounds)
+        table = _build_sparse(spec, positions, bounds, held)
     except TableBudgetExceeded:
         entries["refused", positions] = bounds
         raise
-    entries["table", positions] = (bounds, table)
+    entries["table", positions] = (bounds, table, sum(len(cs) for _, cs in table.values()))
     return table
 
 

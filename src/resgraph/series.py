@@ -55,8 +55,10 @@ TABLE_STATE_CAP = 1_800_000
 
 
 class TableBudgetExceeded(Exception):
-    """An enumeration would hold more than ``TABLE_STATE_CAP`` rows: a
-    partition table of ``counting`` or the rows of an ``expand``.
+    """An enumeration would hold more than ``TABLE_STATE_CAP`` rows: the
+    rows of an ``expand``, or a partition table of ``counting`` together
+    with its spec's other tables (the budget holds per spec and caps the
+    cells of all of its tables together).
 
     It reaches the caller.  Two-generator specs build no partition table,
     so they never meet it there.  The verify suites and the fuzz campaign

@@ -244,15 +244,22 @@ def test_series_over_the_row_cap_is_refused(monkeypatch, capsys):
 
 
 def _star(tmp_path, arrow: str = ""):
-    # rational, |H| = 16767, and every partition table is over the cell budget
+    # rational, |H| = 16767; its node table holds 1,225,449 cells, inside the budget
     path = tmp_path / "star.graph"
     path.write_text("v 1 -3\n" + "".join(f"v {v} -9\ne 1 {v}\n" for v in range(2, 6))
                     + arrow)
     return path
 
 
-def test_invariants_over_the_cell_budget_is_refused(tmp_path, capsys):
+def test_invariants_of_the_large_star_answer(tmp_path, capsys):
+    code, out, err = run_cli(["invariants", _star(tmp_path, "a 2\n")], capsys)
+    assert (code, err) == (0, "")
+    assert "Riemann-Roch correction = 37/69\n" in out
+
+
+def test_invariants_over_the_cell_budget_is_refused(tmp_path, capsys, monkeypatch):
     # used to end in a TableBudgetExceeded traceback with exit status 1
+    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 10_000)
     code, out, err = run_cli(["invariants", _star(tmp_path, "a 2\n")], capsys)
     assert code == 2
     assert out == ""
@@ -389,9 +396,10 @@ def test_verify_sw_suite_skips_non_rational(capsys):
                    "sw-rational: 0 passed, 0 failed, 0 inconclusive\n")
 
 
-def test_verify_counts_budget_refusals_as_inconclusive(tmp_path, capsys):
+def test_verify_counts_budget_refusals_as_inconclusive(tmp_path, capsys, monkeypatch):
     # every class needs a partition table over the cell budget, which used
     # to end in a traceback with exit status 1
+    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 10_000)
     code, out, err = run_cli(["verify", _star(tmp_path), "--suite", "sw-rational"],
                              capsys)
     assert code == 0

@@ -986,27 +986,31 @@ def test_grown_table_restricts_to_exact_build(dihedral, fresh_tables,
         assert _restricted(grown, box) == _table_cells(exact)
 
 
-def test_refused_boxes_are_recorded_and_cover_larger_ones(monkeypatch, fresh_tables):
-    # one generator t: a box of b cells holds exactly b cells, and the
-    # estimate is b, so boxes up to 125 are built and boxes over 100 refused
-    spec = synthetic_spec([(1, (0,))], [(1,)])
-    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 100)
+def _spy_builds(monkeypatch) -> list:
+    """The boxes ``_table_for`` hands to ``_build_sparse`` from now on."""
     built = []
     build = counting._build_sparse
     monkeypatch.setattr(counting, "_build_sparse",
-                        lambda spec, positions, bounds: built.append(bounds)
-                        or build(spec, positions, bounds))
+                        lambda spec, positions, bounds, held: built.append(bounds)
+                        or build(spec, positions, bounds, held))
+    return built
 
-    def refused(box):
-        with pytest.raises(counting.TableBudgetExceeded):
-            _table_for(spec, (0,), box)
-        return counting._STORE[spec]["refused", (0,)]
 
-    assert refused((200,)) == (200,)  # the estimate refuses it: nothing is built
-    assert built == []
-    assert refused((110,)) == (110,)  # built, over the cap
+def _refused(spec, positions, box):
+    with pytest.raises(counting.TableBudgetExceeded):
+        _table_for(spec, positions, box)
+    return counting._STORE[spec]["refused", positions]
+
+
+def test_refused_boxes_are_recorded_and_cover_larger_ones(monkeypatch, fresh_tables):
+    # one generator t: a box of b cells holds exactly b cells, so boxes over
+    # 100 are refused once their build passes the cap
+    spec = synthetic_spec([(1, (0,))], [(1,)])
+    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 100)
+    built = _spy_builds(monkeypatch)
+    assert _refused(spec, (0,), (110,)) == (110,)  # built, over the cap
     assert built == [(110,)]
-    assert refused((120,)) == (110,)  # covers the record: nothing is built
+    assert _refused(spec, (0,), (120,)) == (110,)  # covers the record: nothing is built
     assert built == [(110,)]
     _table_for(spec, (0,), (50,))
     _table_for(spec, (0,), (70,))  # grows to exactly the union
@@ -1015,6 +1019,31 @@ def test_refused_boxes_are_recorded_and_cover_larger_ones(monkeypatch, fresh_tab
     assert counting._STORE[spec]["table", (0,)][0] == (99,)
     assert _table_for(spec, (0,), (60,)) is table  # inside the union: served
     assert built == [(110,), (50,), (70,), (99,)]
+
+
+def test_table_budget_holds_per_spec(monkeypatch, fresh_tables):
+    # one generator (1, 1) on two variables: a box of b along either one
+    # holds exactly b cells, and the two tables share one budget of 100
+    spec = synthetic_spec([(1, (0, 0))], [(1, 1)])
+    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 100)
+    built = _spy_builds(monkeypatch)
+
+    def held():
+        return sum(len(cs) for tag, entry in counting._STORE[spec].items()
+                   if tag[0] == "table" for _, cs in entry[1].values())
+
+    _table_for(spec, (0,), (60,))
+    _table_for(spec, (0,), (90,))  # grown, not charged for its own 60 cells
+    assert held() == 90
+    assert _refused(spec, (1,), (20,)) == (20,)  # 90 + 20 cells are over the cap
+    assert held() == 90
+    _table_for(spec, (1,), (10,))  # 90 + 10 cells fit exactly
+    assert held() == 100
+    assert _refused(spec, (1,), (30,)) == (20,)  # covers the record: nothing is built
+    assert _refused(spec, (0,), (95,)) == (95,)  # 95 + 10 cells are over the cap
+    assert built == [(60,), (90,), (20,), (10,), (95,)]
+    assert held() == 100
+    assert [counting._STORE[spec]["table", pos][0] for pos in [(0,), (1,)]] == [(90,), (10,)]
 
 
 # ---------------------------------------------------------------------------
