@@ -7,14 +7,14 @@ from .counting import (InternalCheckError, counting_Q, counting_q,
 from .curves import (CurveDataError, MultibranchCurve, delta_branch,
                      delta_total, hilbert_table, parse_curve, poincare_series,
                      verify_inversion)
-from .cycles import RationalCycle, basis_cycle, zero_cycle
+from .cycles import RationalCycle, zero_cycle
 from .embedded import (EmbeddedCurve, RationalityError, blache_correction,
                        delta_cross_check, delta_embedded, kappa_topological,
                        verify_twisted_duality)
 from .graphs import (DiscriminantGroup, GraphError, GraphSyntaxError,
                      IntersectionForm, NotATreeError, NotNegativeDefiniteError,
                      ResolutionGraph, artin_rationality, chi,
-                     fundamental_cycle, is_rational, laufer_saturate,
+                     fundamental_cycle, laufer_saturate,
                      min_antinef_rep, parse_graph, strict_interior_cycle,
                      subgraph_components)
 from .randtrees import random_rational_graph

@@ -734,8 +734,8 @@ def sw_norm(graph: ResolutionGraph, h: tuple[int, ...]) -> int:
 
 @_memo
 def _components(graph: ResolutionGraph,
-                removed_ids: tuple[int, ...]) -> list[SubgraphComponent]:
-    return subgraph_components(graph, removed_ids)
+                removed: tuple[int, ...]) -> list[SubgraphComponent]:
+    return subgraph_components(graph, removed)
 
 
 def counting_qp_closed(graph: ResolutionGraph, g: tuple[int, ...],
@@ -870,7 +870,6 @@ class SurgeryReport:
     """Both sides of the tree-surgery identity for counting functions."""
 
     x: RationalCycle
-    removed_ids: tuple[int, ...]
     full: int
     reduced: int
     corrections: tuple[int, ...]
@@ -894,12 +893,11 @@ def surgery_check(graph: ResolutionGraph, keep_ids: Sequence[int],
     full = counting_Q(spec, res, allpos, x)
     reduced = counting_Q(spec, res, pos, x)
     corrections = []
-    removed = tuple(v for v in graph.ids if v not in set(keep))
     for piece in _components(graph, tuple(keep)):
         xk = piece.project(x)
         sub = piece.graph
         corrections.append(counting_Q(plain_zeta(sub), sub.residue(xk),
                                       tuple(range(sub.n)), xk))
     residual = full - reduced - sum(corrections)
-    return SurgeryReport(x=x, removed_ids=removed, full=full, reduced=reduced,
+    return SurgeryReport(x=x, full=full, reduced=reduced,
                          corrections=tuple(corrections), residual=residual)

@@ -133,13 +133,6 @@ class MultibranchCurve:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_values(cls, values: Iterable[Sequence[int]],
-                    conductor: Sequence[int]) -> "MultibranchCurve":
-        c = tuple(int(x) for x in conductor)
-        return cls(branches=len(c), conductor=c,
-                   values=frozenset(tuple(int(x) for x in v) for v in values))
-
-    @classmethod
     def from_semigroup(cls, generators: Sequence[int]) -> "MultibranchCurve":
         """Single monomial branch from numerical semigroup generators."""
         gens = [int(g) for g in generators]
@@ -184,20 +177,6 @@ class MultibranchCurve:
             return False
         clamp = tuple(min(x, m) for x, m in zip(v, self.conductor))
         return clamp in self.values
-
-    def subcurve(self, branch_indices: Sequence[int]) -> "MultibranchCurve":
-        """Union of a subset of branches: coordinate projection of the values.
-
-        The projection of the value set is taken as the value set of the
-        subcurve; the inversion identity exercises this modelling choice.
-        """
-        js = tuple(sorted(branch_indices))
-        if not js or any(j < 0 or j >= self.branches for j in js):
-            raise CurveDataError("branch subset out of range")
-        return MultibranchCurve(
-            branches=len(js),
-            conductor=tuple(self.conductor[j] for j in js),
-            values=frozenset(tuple(v[j] for j in js) for v in self.values))
 
     @cached_property
     def _present(self) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -44,14 +43,6 @@ class RationalCycle:
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_fractions(cls, fracs: Iterable[Fraction | int]) -> "RationalCycle":
-        fr = [Fraction(f) for f in fracs]
-        den = 1
-        for f in fr:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls(tuple(int(f * den) for f in fr), den)
-
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(a, self.den) for a in self.num)
 
@@ -80,17 +71,6 @@ class RationalCycle:
 
     __rmul__ = __mul__
 
-    def leq(self, other: "RationalCycle") -> bool:
-        """Coefficientwise partial order ``self <= other``."""
-        d = other - self
-        return all(a >= 0 for a in d.num)
-
-    def geq(self, other: "RationalCycle") -> bool:
-        return other.leq(self)
-
-    def floor_part(self) -> "RationalCycle":
-        return RationalCycle(tuple(a // self.den for a in self.num), 1)
-
     def frac_part(self) -> "RationalCycle":
         """Coordinatewise fractional part, each coordinate in [0, 1)."""
         return RationalCycle(tuple(a % self.den for a in self.num), self.den)
@@ -98,10 +78,6 @@ class RationalCycle:
     @property
     def is_integral(self) -> bool:
         return self.den == 1
-
-    @property
-    def is_effective(self) -> bool:
-        return all(a >= 0 for a in self.num)
 
     @property
     def is_zero(self) -> bool:
@@ -114,6 +90,3 @@ class RationalCycle:
 def zero_cycle(n: int) -> RationalCycle:
     return RationalCycle((0,) * n, 1)
 
-
-def basis_cycle(n: int, i: int) -> RationalCycle:
-    return RationalCycle(tuple(1 if j == i else 0 for j in range(n)), 1)

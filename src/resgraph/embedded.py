@@ -81,11 +81,6 @@ class EmbeddedCurve:
         return self.graph.group.class_of(self.cycle)
 
 
-def dual_support_positions(graph: ResolutionGraph, x: RationalCycle) -> tuple[int, ...]:
-    """Vertices pairing nontrivially with x (support in the dual basis)."""
-    return tuple(v for v, p in enumerate(graph.form.apply_scaled(x.num)) if p)
-
-
 def kappa_topological(graph: ResolutionGraph, x: RationalCycle,
                       positions: Sequence[int] | None = None) -> int:
     """Counting function of the zeta expansion at the canonical shift of x,

@@ -127,8 +127,7 @@ def _components(ids: Sequence[int],
 
 
 def _validate_negative_definite(rows: Sequence[Sequence[int]]) -> None:
-    minors = leading_principal_minors([list(r) for r in rows])
-    for k, m in enumerate(minors, start=1):
+    for k, m in enumerate(leading_principal_minors(rows), start=1):
         if m == 0 or (m > 0) != (k % 2 == 0):
             raise NotNegativeDefiniteError(k, m)
 
@@ -316,9 +315,6 @@ class ResolutionGraph(KeyedEquality):
         L' lie in the same discriminant class iff their residues agree."""
         d = self.det_abs
         return tuple(a % d for a in x.scaled(d))
-
-    def antinef_defect(self, x: RationalCycle) -> list[Fraction]:
-        return [self.form.pair_basis(x, v) for v in range(self.n)]
 
     def in_lipman_cone(self, x: RationalCycle) -> bool:
         return all(p <= 0 for p in self.form.apply_scaled(x.num))
@@ -532,10 +528,6 @@ def artin_rationality(graph: ResolutionGraph) -> tuple[RationalCycle, bool]:
     return zmin, chi(graph, zmin) == 1
 
 
-def is_rational(graph: ResolutionGraph) -> bool:
-    return artin_rationality(graph)[1]
-
-
 def strict_interior_cycle(graph: ResolutionGraph) -> RationalCycle:
     """A small integral cycle pairing at most -1 with every basis vector,
     so it lies strictly inside the Lipman cone.  Public API; no periodic
@@ -577,9 +569,9 @@ class SubgraphComponent:
 
 
 def subgraph_components(graph: ResolutionGraph,
-                        removed_ids: Iterable[int]) -> list[SubgraphComponent]:
-    """Connected full subtrees on the complement of ``removed_ids``."""
-    removed = set(removed_ids)
+                        removed: Iterable[int]) -> list[SubgraphComponent]:
+    """Connected full subtrees on the complement of ``removed``."""
+    removed = set(removed)
     unknown = removed - set(graph.ids)
     if unknown:
         raise GraphError(f"unknown vertex id {min(unknown)}")

@@ -35,8 +35,22 @@ def int_det(rows: list[list[int]]) -> int:
 
 
 def leading_principal_minors(rows: list[list[int]]) -> list[int]:
-    """Determinants of the top-left k-by-k blocks, k = 1..n."""
-    return [int_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+    """Determinants of the top-left k-by-k blocks, k = 1, 2, ..., up to and
+    including the first zero one, by one Bareiss pass without row swaps:
+    while the earlier pivots are nonzero, the k-th pivot is the k-th minor."""
+    m = rows
+    minors: list[int] = []
+    prev = 1
+    while m:
+        head, *rest = m
+        pivot = head[0]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        m = [[(a * pivot - row[0] * b) // prev for a, b in zip(row[1:], head[1:])]
+             for row in rest]
+        prev = pivot
+    return minors
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -124,35 +138,6 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[list[int], list[list[int]]
     return diag, u, v
 
 
-def unimodular_inverse(rows: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix, by integer row operations:
-    Euclid's algorithm down each column leaves one pivot, which must be +-1."""
-    n = len(rows)
-    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        while True:
-            live = [i for i in range(k, n) if aug[i][k]]
-            if not live:
-                raise ValueError("matrix is singular")
-            p = min(live, key=lambda i: abs(aug[i][k]))
-            aug[k], aug[p] = aug[p], aug[k]
-            if len(live) == 1:
-                break
-            for i in range(k + 1, n):
-                q = aug[i][k] // aug[k][k]
-                if q:
-                    aug[i] = [x - q * y for x, y in zip(aug[i], aug[k])]
-        if abs(aug[k][k]) != 1:
-            raise ValueError("matrix is not unimodular")
-        if aug[k][k] < 0:
-            aug[k] = [-x for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                q = aug[i][k]
-                aug[i] = [x - q * y for x, y in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
-
-
 def fraction_inverse(rows: list[list[int | Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a nonsingular matrix of ints or Fractions."""
     n = len(rows)
@@ -170,3 +155,12 @@ def fraction_inverse(rows: list[list[int | Fraction]]) -> list[list[Fraction]]:
                 f = aug[i][k]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
     return [[aug[i][n + j] for j in range(n)] for i in range(n)]
+
+
+def unimodular_inverse(rows: list[list[int]]) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix: the fraction inverse,
+    which is integral exactly when det = +-1."""
+    inv = fraction_inverse(rows)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]

@@ -31,11 +31,12 @@ from resgraph.counting import (InternalCheckError, TableBudgetExceeded,
 from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph.embedded import (EmbeddedCurve, _relative_pc, blache_correction,
                                delta_cross_check, verify_twisted_duality)
-from resgraph.graphs import (NotNegativeDefiniteError, ResolutionGraph, chi, is_rational,
-                             laufer_saturate, min_antinef_rep, parse_graph,
-                             subgraph_components)
-from resgraph.randtrees import (random_antinef, random_class, random_positions,
-                                random_rational_graph, random_unit_arrows)
+from resgraph.graphs import (NotNegativeDefiniteError, ResolutionGraph,
+                             artin_rationality, chi, laufer_saturate,
+                             min_antinef_rep, parse_graph, subgraph_components)
+from resgraph.randtrees import (_random_tree_edges, random_antinef, random_class,
+                                random_positions, random_rational_graph,
+                                random_unit_arrows)
 from resgraph.series import ZetaSpec, _Layout, build_zeta, expand, synthetic_spec
 
 
@@ -1251,7 +1252,7 @@ def test_two_node_sw_takes_subtree_terms(fresh_tables, monkeypatch):
     # makes no full-variable count; on this rational tree with |H| = 16
     # every class equals chi(r_h) - chi(s_h) and the two-margin probe
     graph = parse_graph(TWO_NODE_TEXT)
-    assert is_rational(graph) and graph.det_abs == 16
+    assert artin_rationality(graph)[1] and graph.det_abs == 16
     grp = graph.group
     probes = [_sw_probe(graph, h) for h in grp.elements()]
     calls = []
@@ -1297,12 +1298,59 @@ def test_two_node_sw_matches_the_probe(fresh_tables):
         graph = _random_two_node_tree(rng)
         assert [v >= 3 for v in graph.valences].count(True) == 2
         assert counting._sw_route(graph)[1]
-        kinds.add(is_rational(graph))
+        kinds.add(artin_rationality(graph)[1])
         for h in graph.group.elements():
             assert sw_norm(graph, h) == _sw_probe(graph, h)
             classes += 1
     assert kinds == {True, False}
     assert classes >= 40
+
+
+NON_RATIONAL_TWO_NODE_TEXT = ("v 1 -2\nv 2 -2\nv 3 -5\nv 4 -2\nv 5 -3\nv 6 -2\n"
+                              "e 1 4\ne 2 4\ne 2 5\ne 2 6\ne 3 4\n")
+NON_RATIONAL_STAR_TEXT = ("v 1 -1\nv 2 -2\nv 3 -3\nv 4 -5\nv 5 -5\nv 6 -5\n"
+                          "e 1 2\ne 1 4\ne 1 5\ne 2 6\ne 3 4\n")
+
+
+def _non_rational_trees():
+    """The two trees above and six seeded draws kept only when not rational:
+    six to nine vertices, Euler numbers from (-1, -2, -2, -2, -3, -5) and
+    2 <= |H| <= 60."""
+    graphs = [parse_graph(NON_RATIONAL_TWO_NODE_TEXT), parse_graph(NON_RATIONAL_STAR_TEXT)]
+    rng = random.Random(7)
+    while len(graphs) < 8:
+        n = rng.randint(6, 9)
+        edges = _random_tree_edges(rng, n)
+        eulers = {v: rng.choice((-1, -2, -2, -2, -3, -5)) for v in range(1, n + 1)}
+        try:
+            graph = ResolutionGraph.build(eulers, edges)
+        except NotNegativeDefiniteError:
+            continue
+        if 2 <= graph.det_abs <= 60 and not artin_rationality(graph)[1]:
+            graphs.append(graph)
+    return graphs
+
+
+def test_sw_value_is_the_same_at_every_vertex(fresh_tables):
+    # the surgery formula with I = {v} holds at every vertex v: the
+    # one-variable constant at v plus the full terms of the subtrees of
+    # G - v give sw_norm, which reads one vertex, on every class
+    graphs = _non_rational_trees()
+    assert [g.det_abs for g in graphs[:2]] == [31, 19]
+    assert not any(artin_rationality(g)[1] for g in graphs)
+    assert any([v >= 3 for v in g.valences].count(True) == 2 for g in graphs)
+    classes = 0
+    for graph in graphs:
+        spec = plain_zeta(graph)
+        for h in graph.group.elements():
+            r = graph.group.frac_rep(h)
+            for v in range(graph.n):
+                pieces = counting._components(graph, (graph.ids[v],))
+                value = fitted_qp_value(spec, graph.residue(r), v, r) + \
+                    sum(counting._full_term(p.graph, p.project(r)) for p in pieces)
+                assert value == sw_norm(graph, h), (graph, h, v)
+            classes += 1
+    assert classes >= 100
 
 
 def test_two_node_sw_refused_at_its_vertex_is_inconclusive(fresh_tables, monkeypatch):
@@ -1366,7 +1414,7 @@ def test_star_sw_through_the_node_matches_the_probe(fresh_tables):
     for _ in range(16):
         graph = _random_star(rng)
         assert [v >= 3 for v in graph.valences].count(True) == 1
-        kinds.add(is_rational(graph))
+        kinds.add(artin_rationality(graph)[1])
         for h in graph.group.elements():
             assert sw_norm(graph, h) == _sw_probe(graph, h)
             classes += 1
@@ -1755,7 +1803,8 @@ def test_qp_closed_matches_counting_deep(dihedral):
         deep = zero_cycle(4)
         for i in range(4):
             deep = deep + rng.randint(4, 5) * dihedral.duals[i]
-        lbar = deep.floor_part()  # nearby lattice point, still deep
+        # nearby lattice point, still deep
+        lbar = RationalCycle(tuple(a // deep.den for a in deep.num))
         pos = tuple(sorted(rng.sample(range(4), rng.randint(1, 3))))
         res = dihedral.residue(r)
         assert modified_qp_closed(dihedral, h, pos, lbar) == \

@@ -19,17 +19,30 @@ from resgraph.curves import (BOX_CELL_CAP, CurveDataError, HilbertTable,
                              verify_inversion)
 
 
+def from_values(values, conductor):
+    c = tuple(int(x) for x in conductor)
+    return MultibranchCurve(branches=len(c), conductor=c,
+                            values=frozenset(tuple(int(x) for x in v) for v in values))
+
+
+def subcurve(curve, js):
+    """The union of the branches in ``js``: the value set projected to them,
+    the curve object the projected subset pass stands for."""
+    return MultibranchCurve(branches=len(js), conductor=tuple(curve.conductor[j] for j in js),
+                            values=frozenset(tuple(v[j] for j in js) for v in curve.values))
+
+
 def cusp23():
     return MultibranchCurve.from_semigroup([2, 3])
 
 
 def tacnode():
-    return MultibranchCurve.from_values([(0, 0), (1, 1), (2, 2)], (2, 2))
+    return from_values([(0, 0), (1, 1), (2, 2)], (2, 2))
 
 
 def path_dependent():
     # closed under the clamp rule, but the Hilbert recursion is path dependent
-    return MultibranchCurve.from_values(
+    return from_values(
         [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
          (2, 2, 0), (2, 2, 1)], (2, 2, 1))
 
@@ -37,7 +50,7 @@ def path_dependent():
 def cusp_with_line():
     # cusp branch (t^2, t^3) with the transversal line x = 0; values derived
     # by hand from the orders of x, y combinations on both branches
-    return MultibranchCurve.from_values(
+    return from_values(
         [(0, 0), (2, 1), (3, 1), (2, 2), (4, 2)], (4, 2))
 
 
@@ -71,17 +84,17 @@ def test_ordinary_tuple_shape():
 
 def test_missing_zero_rejected():
     with pytest.raises(CurveDataError):
-        MultibranchCurve.from_values([(1, 1)], (1, 1))
+        from_values([(1, 1)], (1, 1))
 
 
 def test_closure_violation_rejected():
     with pytest.raises(CurveDataError):
-        MultibranchCurve.from_values([(0,), (2,), (3,), (5,)], (5,))
+        from_values([(0,), (2,), (3,), (5,)], (5,))
 
 
 def test_missing_conductor_value_rejected():
     with pytest.raises(CurveDataError):
-        MultibranchCurve.from_values([(0, 0), (1, 1)], (2, 2))
+        from_values([(0, 0), (1, 1)], (2, 2))
 
 
 def test_parse_curve_grammar():
@@ -192,12 +205,6 @@ def test_plane_curve_delta_decomposition():
     assert delta_total(cusp_with_line()) == 3
 
 
-def test_subcurve_projection():
-    sub = cusp_with_line().subcurve((0,))
-    assert delta_branch(sub) == 1
-    assert sub.conductor == (4,)
-
-
 # ---------------------------------------------------------------------------
 # inversion round trip
 
@@ -214,7 +221,7 @@ def test_inversion_fails_on_perturbed_data():
     # yet the Hilbert recursion becomes path dependent or inversion breaks
     bad = None
     try:
-        bad = MultibranchCurve.from_values([(0, 0), (2, 2)], (2, 2))
+        bad = from_values([(0, 0), (2, 2)], (2, 2))
     except CurveDataError:
         pass
     if bad is not None:
@@ -292,7 +299,7 @@ def oracle_value(curve, table, ell):
 
 def oracle_terms(curve, js=None):
     """Poincare coefficients by the alternating sum of 2^r Hilbert values."""
-    sub = curve if js is None else curve.subcurve(js)
+    sub = curve if js is None else subcurve(curve, js)
     r = sub.branches
     table = oracle_table(sub)
     if r == 1:
@@ -316,7 +323,7 @@ def oracle_terms(curve, js=None):
 def oracle_delta(curve):
     r = curve.branches
     table = oracle_table(curve)  # the table first, as the reassembly reads it
-    total = sum(delta_branch(curve.subcurve((i,))) for i in range(r))
+    total = sum(delta_branch(subcurve(curve, (i,))) for i in range(r))
     for k in range(2, r + 1):
         for js in itertools.combinations(range(r), k):
             total += (-1) ** k * sum(oracle_terms(curve, js).values())
@@ -331,7 +338,7 @@ def oracle_delta(curve):
 def oracle_inversion(curve):
     r = curve.branches
     table = oracle_table(curve)
-    series = {js: (curve.subcurve(js), oracle_terms(curve, js))
+    series = {js: (subcurve(curve, js), oracle_terms(curve, js))
               for k in range(1, r + 1) for js in itertools.combinations(range(r), k)}
     for ell in _boxes(tuple(x + 1 for x in curve.conductor)):
         total = 0
@@ -374,7 +381,7 @@ def closed_value_sets(draw):
         if with_minima:
             values |= {tuple(map(min, s, t)) for s in old for t in old}
         grown = values != old
-    return MultibranchCurve.from_values(values, c)
+    return from_values(values, c)
 
 
 @given(closed_value_sets())
@@ -432,7 +439,7 @@ def test_closure_check_names_the_first_missing_sum(data):
     values, c = data
 
     def build():
-        MultibranchCurve.from_values(values, c)
+        from_values(values, c)
     assert _outcome(build) == oracle_closure_error(values, c)
 
 
@@ -454,7 +461,7 @@ def _shifted_tables(monkeypatch, shift):
 def integer_tables(draw):
     """A table of arbitrary integers on the box of a curve with 2..4 branches."""
     c = tuple(draw(st.lists(st.integers(0, 3), min_size=2, max_size=4)))
-    curve = MultibranchCurve.from_values([(0,) * len(c), c], c)
+    curve = from_values([(0,) * len(c), c], c)
     grid = draw(arrays(np.int64, tuple(m + 2 for m in c),
                        elements=st.integers(-10 ** 6, 10 ** 6)))
     return HilbertTable(curve=curve, grid=grid)
@@ -564,7 +571,7 @@ def broadcast_reassembly(curve):
 
 @given(closed_value_sets())
 @example(path_dependent())
-@example(MultibranchCurve.from_values([(0,) * 11], (0,) * 11))  # 2^11 subsets
+@example(from_values([(0,) * 11], (0,) * 11))  # 2^11 subsets
 @settings(max_examples=300, deadline=None)
 def test_one_prefix_sum_per_axis_matches_the_broadcast_reassembly(curve):
     new = _outcome(lambda: curve._reassembly)
@@ -619,29 +626,14 @@ def _counted_grids(monkeypatch):
     return calls
 
 
-def _counted(monkeypatch, name, owner=curves):
-    """Count the calls of ``owner.<name>`` by the branch count of the curve."""
-    calls = collections.Counter()
-    build = getattr(owner, name)
-
-    def counted(curve, *args):
-        calls[curve.branches] += 1
-        return build(curve, *args)
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def test_delta_and_inversion_share_one_subset_pass(monkeypatch):
     grids = _counted_grids(monkeypatch)
-    subcurves = _counted(monkeypatch, "subcurve", MultibranchCurve)
     curve = MultibranchCurve.ordinary(3)
     assert delta_total(curve) == 2
     assert verify_inversion(curve) == (True, None)
     # the whole curve once, shared by the pass, the delta cross-check and
-    # the inversion check; each subcurve is a projection of the membership
-    # array, never a curve object of its own
+    # the inversion check
     assert grids[3] == 1
-    assert not subcurves
 
 
 @pytest.mark.parametrize("make, grids", [
@@ -701,7 +693,7 @@ def test_shared_table_is_read_only():
 
 def test_eleven_branches_with_conductor_zero():
     # the costliest accepted shape: 2^11 box cells and 2^11 branch subsets
-    curve = MultibranchCurve.from_values([(0,) * 11], (0,) * 11)
+    curve = from_values([(0,) * 11], (0,) * 11)
     assert delta_total(curve) == 0
     assert verify_inversion(curve) == (True, None)
     assert poincare_series(curve).value_at_one() == 0
@@ -715,7 +707,7 @@ def test_box_cap_refuses_before_building():
                  lambda: MultibranchCurve.ordinary(10 ** 9),
                  lambda: MultibranchCurve.from_semigroup([1000, 1001]),
                  lambda: MultibranchCurve.from_semigroup([100000007, 100000009]),
-                 lambda: MultibranchCurve.from_values([(0, 0), (50, 50)], (50, 50))):
+                 lambda: from_values([(0, 0), (50, 50)], (50, 50))):
         with pytest.raises(CurveDataError, match=f"more than {BOX_CELL_CAP} cells"):
             make()
 

@@ -10,8 +10,8 @@ from conftest import dihedral_rows
 from resgraph.cycles import RationalCycle
 from resgraph.embedded import (EmbeddedCurve, RationalityError,
                                blache_correction, delta_cross_check,
-                               delta_embedded, dual_support_positions,
-                               kappa_topological, verify_twisted_duality)
+                               delta_embedded, kappa_topological,
+                               verify_twisted_duality)
 from resgraph.graphs import ResolutionGraph, chi, min_antinef_rep
 from resgraph.randtrees import (random_antinef, random_rational_graph,
                                 random_unit_arrows)
@@ -118,6 +118,11 @@ def test_blown_up_brieskorn_reduced_kappa_differs(brieskorn_blown):
 # ---------------------------------------------------------------------------
 # kappa equalities on rational germs
 
+def _dual_support(graph, x):
+    """Vertices pairing nontrivially with x (support in the dual basis)."""
+    return tuple(v for v, p in enumerate(graph.form.apply_scaled(x.num)) if p)
+
+
 def test_full_equals_support_reduced_kappa():
     rng = random.Random(2718)
     for _ in range(25):
@@ -125,7 +130,7 @@ def test_full_equals_support_reduced_kappa():
         ell = random_antinef(rng, g, max_coeff=2)
         if ell.is_zero:
             continue
-        support = dual_support_positions(g, ell)
+        support = _dual_support(g, ell)
         assert kappa_topological(g, ell) == kappa_topological(g, ell, support)
 
 
@@ -139,7 +144,7 @@ def test_canonical_shift_reduction_identity():
         ell = random_antinef(rng, g, max_coeff=2)
         if ell.is_zero:
             continue
-        support = [g.ids[p] for p in dual_support_positions(g, ell)]
+        support = [g.ids[p] for p in _dual_support(g, ell)]
         rep = surgery_check(g, support, g.canonical + ell)
         assert rep.passed
         assert all(c == 0 for c in rep.corrections)
