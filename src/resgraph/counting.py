@@ -392,6 +392,19 @@ def _coset_count(p: int, q: int, r: int, lines: list[tuple[int, int, int]],
     return count
 
 
+def _line_count(p: int, q: int, r: int, line: tuple[int, int, int, int],
+                tt: int) -> int:
+    """``_coset_count(p, q, r, [(a, bb, tt)], False)`` for one line, read as
+    its constants ``(bb, a*p, -(bb + a*q), a*r)``: one line is the whole
+    envelope, so the count is ``top + 1`` and two floor sums over j in [0,
+    top]."""
+    bb, ap, slope, ar = line
+    top = tt // bb
+    if top < 0:
+        return 0
+    return top + 1 + _floor_sum(top + 1, p, q, r) + _floor_sum(top + 1, ap, slope, tt - ar)
+
+
 def _two_gen_count(spec: ZetaSpec, residue: tuple[int, ...], positions: tuple[int, ...],
                    xs: tuple[int, ...], union: bool) -> int:
     """Exact closed count for two geometric generators A and B.
@@ -663,10 +676,11 @@ def _two_gen_constant(spec: ZetaSpec, residue: tuple[int, ...], p: int,
     weights; a fourth count at j0 + 3 must lie on it, else
     ``InternalCheckError`` is raised.
 
-    Each numerator term's coset and its one line along p are worked out
-    once; the four counts differ only in the line's top, which moves by
-    Pi den per sample, and each is two floor sums (``_coset_count``), whose
-    work does not grow with Pi."""
+    Each numerator term's coset, its one line along p and the line's
+    constants are worked out once; the four counts differ only in the
+    line's top, which moves by Pi den per sample.  Each count is the line's
+    ``top + 1`` and two floor sums (``_line_count``), whose work does not
+    grow with Pi."""
     d = spec.den
     a, b = spec.dens[0][p], spec.dens[1][p]
     j0 = max(bound, 0) // period + 1
@@ -677,10 +691,11 @@ def _two_gen_constant(spec: ZetaSpec, residue: tuple[int, ...], p: int,
         if coset is None:
             continue
         pp, q, s, r, c = coset
+        line = (b * s, a * pp, -(b * s + a * q), a * r)
         # the line's top at j0, from T = bs[p] + j0 Pi den - base[p] > 0
         tt = bs[p] + j0 * step - base[p] - 1 - b * c
         for j in range(4):
-            ys[j] += coeff * _coset_count(pp, q, r, [(a, b * s, tt + j * step)], False)
+            ys[j] += coeff * _line_count(pp, q, r, line, tt + j * step)
     y0, y1, y2, y3 = ys
     if y3 - 3 * y2 + 3 * y1 - y0:
         raise InternalCheckError(

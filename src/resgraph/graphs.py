@@ -8,12 +8,17 @@ dual cycles, the canonical cycle, the Riemann-Roch quadratic chi, the
 discriminant group L'/L, anti-nef saturation, the Artin rationality test and
 full-subtree projections.
 
-The form A is factored once, in integers, as a Smith form U·A·V = diag(d_k)
-(``IntersectionForm.smith``).  Everything else reads that one factorisation:
-|det|·E*_v is the v-th column of -V·diag(|det|/d_k)·U, a class of L'/L is
-U·a mod diag for the dual-basis coordinates a, and the representative of a
-class is -V·diag^{-1}·coords.  A dual-basis sum is one integer product over
-|det| (``ResolutionGraph.dual_combination``).
+Products with the form A run on the tree's edges: ``IntersectionForm.stars``
+keeps each vertex's Euler number and neighbours, so a product, a pairing
+and a saturation step cost O(edges), not O(n^2).  |det| is the last leading
+minor of the one Bareiss pass that checks negative definiteness.  The dual
+cycles come from the tree as well: |det|·E*_c is a product of subtree
+determinants, worked out by one rooted recursion per column in O(n)
+(``ResolutionGraph._scaled_duals``).  A dual-basis sum is one integer
+product over |det| (``ResolutionGraph.dual_combination``).  The Smith form
+U·A·V = diag(d_k) (``IntersectionForm.smith``) serves the group only: a
+class of L'/L is U·a mod diag for the dual-basis coordinates a, and the
+representative of a class is -V·diag^{-1}·coords.
 
 Vertex genera are implicitly zero throughout; the link of any graph accepted
 here is a rational homology sphere, and nothing else is representable.
@@ -29,7 +34,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .cycles import RationalCycle
-from .snf import int_det, leading_principal_minors, smith_normal_form
+from .snf import leading_principal_minors, smith_normal_form
 
 
 class GraphError(ValueError):
@@ -64,18 +69,34 @@ class NotNegativeDefiniteError(GraphError):
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric integer matrix (E_u, E_v): Euler numbers on the diagonal,
-    one for each tree edge, zero elsewhere."""
+    """Symmetric integer matrix (E_u, E_v) of a negative definite tree: Euler
+    numbers on the diagonal, one for each tree edge, zero elsewhere.  The
+    dense ``rows`` feed the Bareiss pass and the Smith form; every product
+    reads ``stars`` instead, in O(edges)."""
 
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def stars(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per vertex, its Euler number and the indices of its neighbours."""
+        return tuple((row[v], tuple(w for w, a in enumerate(row) if a and w != v))
+                     for v, row in enumerate(self.rows))
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once, as the index pair (v, w) with v < w."""
+        return tuple((v, w) for v, (_, nbrs) in enumerate(self.stars) for w in nbrs if v < w)
 
     @cached_property
     def det(self) -> int:
-        return int_det([list(r) for r in self.rows])
+        """The last leading principal minor of the one Bareiss pass that
+        checks every minor of order k has sign (-1)^k; a form that is not
+        negative definite raises ``NotNegativeDefiniteError``."""
+        minors = leading_principal_minors(self.rows)
+        for k, m in enumerate(minors, start=1):
+            if m == 0 or (m > 0) != (k % 2 == 0):
+                raise NotNegativeDefiniteError(k, m)
+        return minors[-1]
 
     @property
     def det_abs(self) -> int:
@@ -84,9 +105,9 @@ class IntersectionForm:
     @cached_property
     def smith(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
                              tuple[tuple[int, ...], ...]]:
-        """``(diag, U, V)`` with U·A·V = diag(d_k): the one factorisation the
-        duals, the discriminant group and its representatives are read from.
-        The invariant factors are checked to multiply to the Bareiss |det|."""
+        """``(diag, U, V)`` with U·A·V = diag(d_k): the factorisation the
+        discriminant group and its representatives are read from.  The
+        invariant factors are checked to multiply to |det|."""
         diag, u, v = smith_normal_form([list(r) for r in self.rows])
         if math.prod(diag) != self.det_abs:
             raise InternalCheckError("invariant factors do not multiply to |det|")
@@ -94,12 +115,52 @@ class IntersectionForm:
 
     def pair_basis(self, x: RationalCycle, v: int) -> Fraction:
         """(x, E_v) for the v-th basis vector, as an exact rational."""
-        row = self.rows[v]
-        return Fraction(sum(row[j] * x.num[j] for j in range(self.n)), x.den)
+        e, nbrs = self.stars[v]
+        num = x.num
+        return Fraction(e * num[v] + sum(num[w] for w in nbrs), x.den)
 
     def apply_scaled(self, scaled: Sequence[int]) -> list[int]:
-        """Matrix-vector product on a scaled integer vector."""
-        return [sum(row[j] * scaled[j] for j in range(self.n)) for row in self.rows]
+        """Matrix-vector product on a scaled integer vector, over the edges."""
+        out = [e * a for (e, _), a in zip(self.stars, scaled)]
+        for v, w in self._edges:
+            out[v] += scaled[w]
+            out[w] += scaled[v]
+        return out
+
+
+def _dual_column(stars: Sequence[tuple[int, tuple[int, ...]]], c: int) -> list[int]:
+    """|det|·E*_c on the tree of ``stars``, in O(n).
+
+    The entry at u is the product of det(-A) over the components of the tree
+    less the path from u to c.  Root the tree at c and let P_u be det(-A) on
+    the subtree at u, positive by definiteness, and Q_u the product of P
+    over u's children.  Expanding along u's row, P_u = -e_u Q_u - sum_w Q_w
+    prod_{w' != w} P_w' over u's children w.  Then the entry at c is Q_c,
+    and the entry at u is its parent's times Q_u / P_u: the path grows by u,
+    whose subtree component gives way to its children's.  The division is
+    exact, since P_u divides the parent's entry.
+    """
+    parent = [-1] * len(stars)
+    order = [c]  # each vertex after its parent
+    for u in order:  # the loop reaches every vertex appended as it runs
+        for w in stars[u][1]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    pdet, below = [0] * len(stars), [1] * len(stars)
+    for u in reversed(order):
+        e, nbrs = stars[u]
+        prod, cross = 1, 0
+        for w in nbrs:
+            if w != parent[u]:
+                cross = cross * pdet[w] + below[w] * prod
+                prod *= pdet[w]
+        below[u], pdet[u] = prod, -e * prod - cross
+    col = [0] * len(stars)
+    col[c] = below[c]
+    for u in order[1:]:
+        col[u] = col[parent[u]] * below[u] // pdet[u]
+    return col
 
 
 def _components(ids: Sequence[int],
@@ -124,12 +185,6 @@ def _components(ids: Sequence[int],
                         comp.append(w)
             components.append(sorted(comp))
     return components
-
-
-def _validate_negative_definite(rows: Sequence[Sequence[int]]) -> None:
-    for k, m in enumerate(leading_principal_minors(rows), start=1):
-        if m == 0 or (m > 0) != (k % 2 == 0):
-            raise NotNegativeDefiniteError(k, m)
 
 
 class KeyedEquality:
@@ -196,7 +251,7 @@ class ResolutionGraph(KeyedEquality):
                 f"got {len(self.edges)}")
         if len(_components(self.ids, self.edges)) != 1:
             raise NotATreeError("edge set is not connected")
-        _validate_negative_definite(self._build_rows())
+        self.form.det  # the Bareiss pass behind it checks negative definiteness
 
     @classmethod
     def build(cls, eulers: dict[int, int], edges: Iterable[tuple[int, int]],
@@ -253,18 +308,15 @@ class ResolutionGraph(KeyedEquality):
 
     @cached_property
     def _scaled_duals(self) -> tuple[tuple[int, ...], ...]:
-        """|det|·E*_v for every v: the columns of -V·diag(|det|/d_k)·U, read
-        off the Smith form U·A·V = diag(d_k), since A^{-1} = V·diag^{-1}·U.
+        """|det|·E*_v for every v, one rooted recursion over the tree per
+        column (``_dual_column``), O(n) each.
 
         Negative definiteness of a connected tree forces every entry to be
         strictly positive, and A·(|det|·E*_v) must be -|det|·e_v; both are
-        checked.
+        checked, on the edges.
         """
-        d = self.det_abs
-        diag, u, v = self.form.smith
-        su = [[(d // x) * a for a in row] for x, row in zip(diag, u)]
-        cols = tuple(tuple(-sum(vw[k] * su[k][c] for k in range(self.n)) for vw in v)
-                     for c in range(self.n))
+        d, stars = self.det_abs, self.form.stars
+        cols = tuple(tuple(_dual_column(stars, c)) for c in range(self.n))
         for c, col in enumerate(cols):
             if not all(a > 0 for a in col):
                 raise InternalCheckError("dual cycle with a nonpositive entry")
@@ -275,8 +327,8 @@ class ResolutionGraph(KeyedEquality):
     @cached_property
     def duals(self) -> tuple[RationalCycle, ...]:
         """E*_v for every vertex: the unique cycles with (E*_u, E_v) = -delta_uv,
-        each one column of the integer matrix |det|·(-A^{-1}) read off the
-        form's Smith form (see ``_scaled_duals``), over |det|."""
+        each one column of the integer matrix |det|·(-A^{-1}) worked out on
+        the tree (see ``_scaled_duals``), over |det|."""
         return tuple(RationalCycle(col, self.det_abs) for col in self._scaled_duals)
 
     def dual_combination(self, coeffs: Sequence[int]) -> RationalCycle:
@@ -488,28 +540,37 @@ def laufer_saturate(graph: ResolutionGraph, x0: RationalCycle) -> RationalCycle:
 
     Incremental saturation: while some basis pairing is positive, add that
     basis vector.  The result is independent of the choice of violating
-    vertex; this walk picks the smallest index.  The iteration cap is a
-    safety net against internal bugs, not a user error.
+    vertex; this walk picks the smallest index.  Adding E_v moves the
+    pairings at v and its neighbours only, so a step updates those and the
+    next scan starts at the smallest of them: every pairing before it is
+    still nonpositive.  The iteration cap is a safety net against internal
+    bugs, not a user error.
     """
     d = graph.det_abs
     if d % x0.den:
         raise ValueError("saturation input must lie in the dual lattice")
     num = list(x0.scaled(d))
-    rows = graph.form.rows
+    n, stars = graph.n, graph.form.stars
     pair_scaled = graph.form.apply_scaled(num)
     # no a-priori step bound is known; allow the lattice distance the walk
-    # must climb plus a definiteness-scaled margin before declaring a bug
-    displacement = sum(max(0, -a) for a in num) // d
-    cap = (d * sum(abs(e) for e in graph.eulers) * graph.n * graph.n
-           + 2 * displacement + graph.n + 64)
+    # must climb plus a definiteness-scaled margin before declaring a bug:
+    # the displacement is the sum of max(0, -a) over num, over d, and the
+    # Euler numbers are all negative
+    displacement = (sum(map(abs, num)) - sum(num)) // 2 // d
+    cap = -d * sum(graph.eulers) * n * n + 2 * displacement + n + 64
+    start = 0
     for _ in range(cap):
-        violators = [v for v in range(graph.n) if pair_scaled[v] > 0]
-        if not violators:
+        for v in range(start, n):
+            if pair_scaled[v] > 0:
+                break
+        else:
             return RationalCycle(tuple(num), d)
-        v = violators[0]
+        e, nbrs = stars[v]
         num[v] += d
-        for w in range(graph.n):
-            pair_scaled[w] += rows[w][v] * d
+        pair_scaled[v] += e * d
+        for w in nbrs:
+            pair_scaled[w] += d
+        start = min((v, *nbrs))
     raise InternalCheckError("anti-nef saturation exceeded its iteration cap")
 
 
@@ -550,18 +611,19 @@ class SubgraphComponent:
     keeps only the coordinates of the component, re-expanded in the
     component's own dual basis.  It sends the ambient canonical cycle to the
     component's canonical cycle (checked at construction).  Of the ambient
-    tree it keeps only the intersection rows of the component's vertices,
-    so a cached component does not keep the ambient graph alive.
+    tree it keeps only the component's vertices, each with its ambient
+    index, Euler number and neighbours, so a cached component does not keep
+    the ambient graph alive and a projection pairs on the edges.
     """
 
     graph: ResolutionGraph
     vertex_ids: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]  # ambient (E_v, E_u) for v in vertex_ids
+    stars: tuple[tuple[int, int, tuple[int, ...]], ...]  # ambient (v, e_v, neighbours)
 
     def project(self, x: RationalCycle) -> RationalCycle:
-        coeffs = []
-        for row in self.rows:
-            a, rem = divmod(-sum(r * c for r, c in zip(row, x.num)), x.den)
+        coeffs, num = [], x.num
+        for v, e, nbrs in self.stars:
+            a, rem = divmod(-e * num[v] - sum(num[w] for w in nbrs), x.den)
             if rem:
                 raise ValueError("projection input must lie in the dual lattice")
             coeffs.append(a)
@@ -582,8 +644,8 @@ def subgraph_components(graph: ResolutionGraph,
             {v: graph.eulers[graph.index[v]] for v in comp},
             [e for e in graph.edges if e[0] in cset and e[1] in cset],
         )
-        piece = SubgraphComponent(graph=sub, vertex_ids=tuple(comp),
-                                  rows=tuple(graph.form.rows[graph.index[v]] for v in comp))
+        stars = tuple((graph.index[v], *graph.form.stars[graph.index[v]]) for v in comp)
+        piece = SubgraphComponent(graph=sub, vertex_ids=tuple(comp), stars=stars)
         if piece.project(graph.canonical) != sub.canonical:
             raise InternalCheckError(
                 "canonical cycle does not project to the subtree canonical cycle")

@@ -368,6 +368,18 @@ def test_floor_sum_matches_the_direct_sum(n, m, a, b):
     assert counting._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.data(), st.integers(1, 12), st.integers(1, 60),
+       st.integers(-300, 3000))
+def test_one_line_count_matches_the_envelope_count(p, data, a, bb, tt):
+    # the one-line sample count of the two-generator constant against the
+    # envelope count it stands for; tt < 0 gives a negative top and no pairs
+    q, r = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    line = (bb, a * p, -(bb + a * q), a * r)
+    assert counting._line_count(p, q, r, line, tt) == \
+        counting._coset_count(p, q, r, [(a, bb, tt)], False)
+
+
 def _pair_count(spec, residue, positions, xs) -> int:
     """Direct definition for two generators: every multiplicity pair."""
     ga, gb = spec.dens
@@ -869,14 +881,14 @@ def test_refused_closed_values_store_nothing(fresh_tables, monkeypatch, a3):
     expected = counting_qp_closed(a3, h, (0, 2), lbar)
     _empty_caches(monkeypatch)  # a served owner keeps its entries until the store is rebound
 
-    closed = counting._coset_count
+    closed = counting._line_count
 
-    def off_quadratic(p, q, r, lines, union):
+    def off_quadratic(p, q, r, line, tt):
         # a cubic in the line's top, which moves with the sample point, puts
         # the fourth count off the quadratic
-        return closed(p, q, r, lines, union) + lines[0][2] ** 3
+        return closed(p, q, r, line, tt) + tt ** 3
     with monkeypatch.context() as mp:
-        mp.setattr(counting, "_coset_count", off_quadratic)
+        mp.setattr(counting, "_line_count", off_quadratic)
         with pytest.raises(InternalCheckError, match="not quadratic"):
             counting_qp_closed(a3, h, (0, 2), lbar)
     assert _closed_tags(a3) == []
@@ -1523,10 +1535,10 @@ def test_two_generator_samples_off_the_quadratic_are_an_internal_error(a3, monke
     # the fourth closed count must lie on the quadratic through the first
     # three; the check is an explicit raise, so it holds under python -O
     r = a3.group.frac_rep(a3.group.elements()[1])
-    closed = counting._coset_count
+    closed = counting._line_count
     calls = itertools.count()
-    monkeypatch.setattr(counting, "_coset_count",
-                        lambda *args, **kw: closed(*args, **kw) + (next(calls) % 4 == 3))
+    monkeypatch.setattr(counting, "_line_count",
+                        lambda *args: closed(*args) + (next(calls) % 4 == 3))
     with pytest.raises(InternalCheckError, match="not quadratic"):
         fitted_qp_value(plain_zeta(a3), a3.residue(r), 1, r)
 
@@ -1539,12 +1551,12 @@ def test_two_generator_base_above_every_shift_samples_past_it(monkeypatch):
     base = RationalCycle((100,))
     assert counting._step_bound(spec, 0, (100,))[0] < 0
     tops = []
-    closed = counting._coset_count
+    closed = counting._line_count
 
-    def spy(p, q, r, lines, union):
-        tops.append(lines[0][2])
-        return closed(p, q, r, lines, union)
-    monkeypatch.setattr(counting, "_coset_count", spy)
+    def spy(p, q, r, line, tt):
+        tops.append(tt)
+        return closed(p, q, r, line, tt)
+    monkeypatch.setattr(counting, "_line_count", spy)
     assert fitted_qp_value(spec, (0,), 0, base) == 99 == _pair_constant(spec, (0,), 0, base)
     # every pair is in the coset (p = s = 1, c = 0), so the term t^b counts
     # at the sample point x under the line (2, 3, x - b - 1): four points per

@@ -14,7 +14,7 @@ from conftest import DIHEDRAL_TEXT, dihedral_rows
 from resgraph.cycles import RationalCycle, zero_cycle
 from resgraph import graphs as graphs_module
 from resgraph.graphs import (DiscriminantGroup, GraphError, GraphSyntaxError,
-                             InternalCheckError, IntersectionForm, NotATreeError,
+                             InternalCheckError, NotATreeError,
                              NotNegativeDefiniteError, ResolutionGraph,
                              artin_rationality, chi,
                              fundamental_cycle, laufer_saturate,
@@ -357,6 +357,7 @@ def test_one_pass_minors_match_the_block_determinants(lattice_draws):
                 want = want[:want.index(0) + 1]
                 zeros += 1
             assert leading_principal_minors(m) == want
+        assert g.form.det == int_det(rows)  # the last minor of the pass
     assert zeros
 
 
@@ -404,14 +405,91 @@ def test_dual_combination_matches_the_sum_loop(lattice_draws):
         assert g.sum_duals == _dual_sum(g, [1] * g.n)
 
 
-def test_a_wrong_smith_form_makes_duals_raise(monkeypatch):
-    # an explicit raise, so the check also runs under python -O
-    graph = parse_graph(DIHEDRAL_TEXT)
-    diag, u, v = graph.form.smith
-    wrong = (diag, (u[1], u[0]) + u[2:], v)
-    monkeypatch.setattr(IntersectionForm, "smith", property(lambda self: wrong))
-    with pytest.raises(InternalCheckError, match="dual cycle"):
-        parse_graph(DIHEDRAL_TEXT).duals
+def test_a_wrong_dual_column_makes_duals_raise(monkeypatch):
+    # an explicit raise, so the check also runs under python -O; the duals
+    # come from the tree recursion, so a column it gets wrong must raise,
+    # whether the entries are in the wrong places or not positive
+    column = graphs_module._dual_column
+    for wrong in (lambda col: col[1:] + col[:1], lambda col: [-a for a in col]):
+        monkeypatch.setattr(graphs_module, "_dual_column",
+                            lambda stars, c: wrong(column(stars, c)))
+        with pytest.raises(InternalCheckError, match="dual cycle"):
+            parse_graph(DIHEDRAL_TEXT).duals
+
+
+def _smith_duals(g):
+    """|det|·E*_v for every v, the columns of -V·diag(|det|/d_k)·U read off
+    the Smith form U·A·V = diag(d_k), since A^{-1} = V·diag^{-1}·U."""
+    d = g.det_abs
+    diag, u, v = g.form.smith
+    su = [[(d // x) * a for a in row] for x, row in zip(diag, u)]
+    return tuple(tuple(-sum(vw[k] * su[k][c] for k in range(g.n)) for vw in v)
+                 for c in range(g.n))
+
+
+def _scattered(rng, g):
+    """The same tree with its vertex ids drawn far apart and out of order, so
+    the sorted ids index the vertices in another order."""
+    new = dict(zip(g.ids, rng.sample(range(1, 10 * g.n + 50), g.n)))
+    return ResolutionGraph.build({new[v]: e for v, e in zip(g.ids, g.eulers)},
+                                 [(new[a], new[b]) for a, b in g.edges],
+                                 {new[v]: m for v, m in zip(g.ids, g.arrows) if m})
+
+
+def test_tree_duals_match_the_smith_product(lattice_draws):
+    # every tree of 1-9 vertices drawn here, and the lattice draws with
+    # their ids scattered, column for column
+    rng = random.Random(37)
+    trees = [random_rational_graph(rng, max_vertices=9, order_cap=None) for _ in range(120)]
+    trees += [_scattered(rng, g) for g in lattice_draws]
+    assert {g.n for g in trees} >= set(range(1, 10))
+    for g in trees:
+        assert g._scaled_duals == _smith_duals(g)
+
+
+def test_edge_products_match_the_dense_rows(lattice_draws):
+    # products, pairings and projections read the edges; the dense rows are
+    # the oracle, on draws whose ids are scattered
+    rng = random.Random(38)
+    for g in [_scattered(rng, g) for g in lattice_draws]:
+        rows = g.form.rows
+        for _ in range(4):
+            vec = [rng.randint(-50, 50) for _ in range(g.n)]
+            dense = [sum(a * b for a, b in zip(row, vec)) for row in rows]
+            assert g.form.apply_scaled(vec) == dense
+            den = rng.randint(1, 6)
+            x = RationalCycle(tuple(vec), den)
+            assert [g.form.pair_basis(x, v) for v in range(g.n)] == \
+                [Fraction(p, den) for p in dense]
+        y = random_dual_lattice_cycle(rng, g)
+        for vid in rng.sample(g.ids, min(2, g.n)):
+            for piece in subgraph_components(g, [vid]):
+                coeffs = [-sum(a * b for a, b in zip(rows[g.index[v]], y.scaled(g.det_abs)))
+                          // g.det_abs for v in piece.vertex_ids]
+                assert piece.project(y) == piece.graph.dual_combination(coeffs)
+
+
+def _dense_saturate(g, x0):
+    """Laufer's walk on the dense rows: list every violator, add the first,
+    and update every pairing."""
+    d, rows = g.det_abs, g.form.rows
+    num = list(x0.scaled(d))
+    pairs = [sum(a * b for a, b in zip(row, num)) for row in rows]
+    while True:
+        violators = [v for v in range(g.n) if pairs[v] > 0]
+        if not violators:
+            return RationalCycle(tuple(num), d)
+        v = violators[0]
+        num[v] += d
+        pairs = [p + row[v] * d for p, row in zip(pairs, rows)]
+
+
+def test_saturation_walk_matches_the_dense_walk(lattice_draws):
+    rng = random.Random(39)
+    for g in [_scattered(rng, g) for g in lattice_draws]:
+        for x in [g.unit_cycle, g.unit_cycle - g.sum_duals] + \
+                 [random_dual_lattice_cycle(rng, g) for _ in range(4)]:
+            assert laufer_saturate(g, x) == _dense_saturate(g, x)
 
 
 def test_invariant_factors_are_checked_against_the_determinant(monkeypatch):
