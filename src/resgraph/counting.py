@@ -3,13 +3,16 @@
 Two sums over the support of a class part are needed: the counting function
 (exponents not dominating the test cycle on a variable subset) and the
 modified one (exponents strictly below it on every chosen coordinate).  With
-three or more generators both reduce, through inclusion-exclusion, to
-box-bounded sums, which are computed from a dynamic-programming table of
-denominator-exponent sums keyed by the projected coordinates and the residue
-class mod the integral lattice.  Tables are cached per spec and only grow.
-A first build covers exactly the box asked for, and a box beyond the cached
-one grows the table to the exact union of both.  One budget caps the cells
-of all of a spec's tables together.
+three or more generators both are read in one pass, with no
+inclusion-exclusion, off the spec's one count table: a dynamic-programming
+table of the denominator-exponent sums with some coordinate below its
+bound, keyed by the residue class mod the integral lattice and the
+coordinates on every position, each coordinate that reaches its bound
+saturated there.  Below its bound a coordinate is exact, so both sums at a
+point within the bounds are exact.  Tables are cached per spec and only
+grow.  A first build covers exactly the bounds asked for, and bounds beyond
+the cached ones grow the table to their coordinatewise maximum.  One budget
+caps the cells of all of a spec's tables together.
 
 A spec with exactly two generators (a chain) needs no table: the
 multiplicity pairs of the wanted residue are a coset of a rank-2 lattice
@@ -36,10 +39,13 @@ an owner and its entries are freed together as soon as it is dropped.
 
 A table is built as residue -> (coordinates, counts) arrays.  Only the
 reachable cells are kept, each as one int64 row of its residue mod den and
-its kept coordinates divided by their generator gcds, and each generator is
-added by binary doubling, equal rows merged as ``series`` merges the rows
-of an expansion.  Counts are Python ints instead of int64 where the box
-holds 2^63 or more multisets of generators, which bounds any sum of them.
+its kept coordinates divided by their generator gcds, a saturated one held
+at ceil(b / g), and each generator is added by binary doubling as far as
+some coordinate stays below its bound, equal rows merged as ``series``
+merges the rows of an expansion.  On one position the region is the box,
+as for the one-variable row tables.  Counts are Python ints instead of
+int64 where the region holds 2^63 or more multisets of generators, which
+bounds any sum of them.
 
 Every periodic constant goes through ``periodic_constant_reduced``, and
 every route is exact.  The plain zeta function (twisted or not) has a closed
@@ -99,12 +105,12 @@ def _integral(val: Fraction, what: str) -> int:
 # ---------------------------------------------------------------------------
 # the cache store
 
-# owner -> {("table", positions): (bounds, buckets, cells), the cells of all
-# of a spec's tables together within TABLE_STATE_CAP (the budget holds per
-# spec), ("refused", positions): smallest refused box, (function name, *key):
-# value of a memoised function, such as a graph's ("_full_term", y) and
-# ("_counting_qp_closed", class, positions, lbar) or a spec's ("_counting_q",
-# residue, positions, scaled point)}
+# owner -> {("table", positions): (bounds, buckets, cells), ("held",): the
+# cells of all of a spec's tables together, within TABLE_STATE_CAP (the
+# budget holds per spec), ("refused", positions): smallest refused bounds,
+# (function name, *key): value of a memoised function, such as a graph's
+# ("_full_term", y) and ("_counting_qp_closed", class, positions, lbar) or a
+# spec's ("_point_counts", residue, positions, scaled point)}
 _STORE = weakref.WeakKeyDictionary()
 
 _MISSING = object()
@@ -172,11 +178,13 @@ def relative_zeta(graph: ResolutionGraph, marked: tuple[int, ...]) -> ZetaSpec:
 
 def _multiset_bound(spec: ZetaSpec, positions: tuple[int, ...],
                     bounds: tuple[int, ...]) -> int:
-    """How many multisets of generators fit in the box if each generator is
-    capped separately; it bounds every count of the table and their sum."""
+    """How many multisets of generators the table's region holds if each
+    generator is capped separately, at the most copies that keep some kept
+    coordinate below its bound; it bounds every count of the table and their
+    sum."""
     most = 1
     for gen in spec.dens:
-        most *= 1 + min((b - 1) // gen[p] for p, b in zip(positions, bounds))
+        most *= 1 + max((b - 1) // gen[p] for p, b in zip(positions, bounds))
     return most
 
 
@@ -184,41 +192,52 @@ def _reduced_shape(spec: ZetaSpec, positions: tuple[int, ...],
                    bounds: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
     """Per kept coordinate, the gcd g_p of the generator entries there (every
     reachable y_p is a multiple of it; 1 without generators) and the count
-    ceil(b_p / g_p) of those multiples below the bound."""
+    ceil(b_p / g_p) of those multiples in [0, b_p), the reduced value at which
+    the coordinate is saturated."""
     gs = [reduce(gcd, (gen[p] for gen in spec.dens), 0) or 1 for p in positions]
-    return gs, tuple(-(-b // g) for b, g in zip(bounds, gs))
+    return gs, tuple(max(0, -(-b // g)) for b, g in zip(bounds, gs))
 
 
 def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
                   bounds: tuple[int, ...], held: int = 0) -> dict:
     """Buckets ``residue -> (coordinates, counts)`` of the table of
-    denominator-exponent sums: per residue class mod den and projected point
-    strictly inside the box, the number of multisets of generators realising
-    it.  Every generator has strictly positive projected coordinates, so the
-    table is finite.
+    denominator-exponent sums over the union region: per residue class mod
+    den and projected point with some kept coordinate y_p strictly below its
+    bound b_p, the number of multisets of generators realising it.  A
+    coordinate that reaches its bound is saturated, held at ceil(b_p / g_p)
+    g_p for the gcd g_p of the generator entries there, so a point below b_p
+    on p is exact there.  Every generator has strictly positive projected
+    coordinates, so the table is finite.  On one position the region is the
+    box.  Dropping the saturated coordinates maps the cells whose
+    unsaturated set is U one-to-one into the box table on U at the same
+    bounds, so the table holds no more cells than the box tables of every
+    nonempty U together.
 
     A cell is one int64 row: its residue mod den on every variable, then its
     coordinates divided by the generator gcds.  Each generator is a
     binary-doubling knapsack: multiplying by (1 + t^(h g)) for h = 1, 2, 4,
-    ... shifts every cell with room for h more copies, appends the shifted
-    cells and merges equal rows on their keys packed by ``series._Layout``
+    ... shifts every cell with room for h more copies (the most copies that
+    keep some kept coordinate below its bound, a function of the row, so
+    merged rows agree on it), saturates the shifted cells, appends them and
+    merges equal rows on their keys packed by ``series._Layout``
     (``series._runs``), so the cells stay sorted, residue first, and a
     bucket is a run of equal residues.  The cell count only grows, so the
     budget is checked after each merge: with the ``held`` cells of the
     spec's other tables, the cells may not pass ``TABLE_STATE_CAP``.
     """
-    if any(b <= 0 for b in bounds):
+    if all(b <= 0 for b in bounds):
         return {}
     d, n = spec.den, spec.nvars
     gs, shape = _reduced_shape(spec, positions, bounds)
-    layout = _Layout([0] * (n + len(positions)), (d,) * n + shape)
+    layout = _Layout([0] * (n + len(positions)), (d,) * n + tuple(a + 1 for a in shape))
     rows = _np.zeros((1, n + len(positions)), dtype=_np.int64)
     counts = _np.ones(1, dtype=_np.int64 if _multiset_bound(spec, positions, bounds)
                       < 2 ** 63 else object)
-    last = _np.array(shape, dtype=_np.int64) - 1
+    full = _np.array(shape, dtype=_np.int64)
+    last = full - 1
     for gen in spec.dens:
         s = [gen[p] // g for p, g in zip(positions, gs)]
-        room = ((last - rows[:, n:]) // s).min(axis=1)
+        room = ((last - rows[:, n:]) // s).max(axis=1)
         h = 1
         top = int(room.max())
         while h <= top:
@@ -226,6 +245,7 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
             shift = [h * x % d for x in gen] + [h * a for a in s]
             moved = rows.compress(fits, axis=0) + _np.array(shift, dtype=_np.int64)
             moved[:, :n] %= d
+            _np.minimum(moved[:, n:], full, out=moved[:, n:])
             rows = _np.concatenate((rows, moved))
             order, _, first = _runs(layout.pack(rows))
             if held + len(first) > TABLE_STATE_CAP:
@@ -243,33 +263,36 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
 
 def _table_for(spec: ZetaSpec, positions: tuple[int, ...],
                bounds: tuple[int, ...]) -> dict:
-    """Cached buckets covering the box.
+    """Cached buckets covering the bounds.
 
-    A first build covers exactly the box asked for, and a box beyond the
-    stored one rebuilds the table to exactly the union of both.  The budget
-    holds per spec: the cells of all of its tables together may not pass
-    ``TABLE_STATE_CAP``, so a build is charged the cells of the spec's other
-    tables (a grown table replaces its old cells).  A build that runs over
-    refuses the box and records it, and a box that contains a refused one is
-    refused with no build: the cells held by the other tables only grow."""
+    A first build covers exactly the bounds asked for, and bounds beyond the
+    stored ones rebuild the table at the coordinatewise maximum of both.  The
+    budget holds per spec: the cells of all of its tables together may not
+    pass ``TABLE_STATE_CAP``, so a build is charged the cells of the spec's
+    other tables, the running total ``("held",)`` less the cells of the
+    table it replaces.  A build that runs over refuses the bounds and
+    records them, and bounds that contain refused ones are refused with no
+    build: the cells held by the other tables only grow."""
     entries = _entries(spec)
     entry = entries.get(("table", positions))
+    held = entries.get(("held",), 0)
     if entry is not None:
-        stored_bounds, stored, _ = entry
+        stored_bounds, stored, cells = entry
         if all(a <= b for a, b in zip(bounds, stored_bounds)):
             return stored
         bounds = tuple(max(a, b) for a, b in zip(bounds, stored_bounds))
+        held -= cells
     known_bad = entries.get(("refused", positions))
     if known_bad is not None and all(a >= b for a, b in zip(bounds, known_bad)):
         raise TableBudgetExceeded(bounds)
-    held = sum(value[2] for tag, value in entries.items()
-               if tag[0] == "table" and tag[1] != positions)
     try:
         table = _build_sparse(spec, positions, bounds, held)
     except TableBudgetExceeded:
         entries["refused", positions] = bounds
         raise
-    entries["table", positions] = (bounds, table, sum(len(cs) for _, cs in table.values()))
+    cells = sum(len(cs) for _, cs in table.values())
+    entries["table", positions] = (bounds, table, cells)
+    entries["held",] = held + cells
     return table
 
 
@@ -405,6 +428,7 @@ def _line_count(p: int, q: int, r: int, line: tuple[int, int, int, int],
     return top + 1 + _floor_sum(top + 1, p, q, r) + _floor_sum(top + 1, ap, slope, tt - ar)
 
 
+@_memo
 def _two_gen_count(spec: ZetaSpec, residue: tuple[int, ...], positions: tuple[int, ...],
                    xs: tuple[int, ...], union: bool) -> int:
     """Exact closed count for two geometric generators A and B.
@@ -438,55 +462,34 @@ def _two_gen_count(spec: ZetaSpec, residue: tuple[int, ...], positions: tuple[in
 
 def _signed_subsets(positions: Sequence[int]):
     """Nonempty subsets with their inclusion-exclusion signs, sizes ascending,
-    then ``itertools.combinations`` order.  Tables grow monotonically, so the
-    order also fixes which tables get built and rebuilt."""
+    then ``itertools.combinations`` order (``modified_qp_closed``)."""
     for r in range(1, len(positions) + 1):
         sign = (-1) ** (r + 1)
         for sub in itertools.combinations(positions, r):
             yield sign, sub
 
 
+def _count(spec: ZetaSpec, residue: tuple[int, ...], positions: Sequence[int],
+           x: RationalCycle, union: bool) -> int:
+    """``counting_Q`` if ``union``, else ``counting_q``, on a normalised key:
+    the residue a tuple, the positions a sorted tuple, x scaled by den."""
+    if not positions:
+        raise ValueError("variable subset must be nonempty")
+    key = (tuple(residue), tuple(sorted(positions)), x.scaled(spec.den))
+    if len(spec.dens) == 2:
+        return _two_gen_count(spec, *key, union)  # positional: the memo binds keywords
+    return _point_counts(spec, *key)[union]
+
+
 def counting_q(spec: ZetaSpec, residue: tuple[int, ...],
                positions: Sequence[int], x: RationalCycle) -> int:
     """Modified counting function: coefficient sum over support exponents of
     the given class lying strictly below x on every chosen coordinate.  Two
-    generators are counted in closed form, any other spec off its table.
-
-    Each count is computed once: it is stored among the spec's entries under
-    the residue, the sorted positions and x scaled by den, so a subset that
-    ``counting_Q`` sums over again is read back.
-    """
-    if not positions:
-        raise ValueError("variable subset must be nonempty")
-    return _counting_q(spec, tuple(residue), tuple(sorted(positions)), x.scaled(spec.den))
-
-
-@_memo
-def _counting_q(spec: ZetaSpec, residue: tuple[int, ...], pos: tuple[int, ...],
-                xs: tuple[int, ...]) -> int:
-    """The body of ``counting_q``, on a normalised key: the residue a tuple,
-    the positions a sorted tuple, the point scaled by den."""
-    d = spec.den
-    if len(spec.dens) == 2:
-        return _two_gen_count(spec, residue, pos, xs, union=False)
-    targets = []
-    for coeff, base in spec.num:
-        t = tuple(xs[p] - base[p] for p in pos)
-        need = tuple((a - b) % d for a, b in zip(residue, base))
-        targets.append((coeff, t, need))
-    bounds = tuple(max(0, *(t[i] for _, t, _ in targets)) for i in range(len(pos)))
-    if all(b <= 0 for b in bounds):
-        return 0
-    table = _table_for(spec, pos, bounds)
-    total = 0
-    for coeff, t, need in targets:
-        entry = table.get(need)
-        if entry is None or any(b <= 0 for b in t):
-            continue
-        ys, cs = entry
-        mask = (ys < _np.asarray(t, dtype=_np.int64)).all(axis=1)
-        total += coeff * int(cs[mask].sum())
-    return total
+    generators are counted in closed form, any other spec off its table
+    (``_point_counts``, which counts ``counting_Q`` at the same point in the
+    same read).  Each count is computed once, stored among the spec's
+    entries under the residue, the sorted positions and x scaled by den."""
+    return _count(spec, residue, positions, x, False)
 
 
 def counting_Q(spec: ZetaSpec, residue: tuple[int, ...],
@@ -495,15 +498,43 @@ def counting_Q(spec: ZetaSpec, residue: tuple[int, ...],
     class not dominating x on the chosen coordinates, that is, strictly below
     x on some chosen coordinate.  For two generators (a chain) it is one
     closed count of the coset pairs under the upper envelope of the
-    positions' lines; for three or more it is assembled from the modified
-    counting function by inclusion-exclusion."""
-    if not positions:
-        raise ValueError("variable subset must be nonempty")
-    if len(spec.dens) == 2:
-        return _two_gen_count(spec, residue, tuple(sorted(positions)),
-                              x.scaled(spec.den), union=True)
-    return sum(sign * counting_q(spec, residue, sub, x)
-               for sign, sub in _signed_subsets(sorted(positions)))
+    positions' lines; for three or more it is read off the spec's one count
+    table with ``counting_q`` at the same point (``_point_counts``), with no
+    inclusion-exclusion.  Each count is computed once, as ``counting_q``'s."""
+    return _count(spec, residue, positions, x, True)
+
+
+@_memo
+def _point_counts(spec: ZetaSpec, residue: tuple[int, ...], pos: tuple[int, ...],
+                  xs: tuple[int, ...]) -> tuple[int, int]:
+    """``(counting_q, counting_Q)`` at one normalised key of a spec without
+    exactly two generators, from one read of its one count table.  The table
+    is keyed on every position; a position's bound is the largest target
+    asked there so far, 0 if never asked.  Each target t_p is at most b_p,
+    so a cell below t_p on p is not saturated there and both sums are exact."""
+    d = spec.den
+    targets = []
+    bounds = [0] * spec.nvars
+    for coeff, base in spec.num:
+        t = [xs[p] - base[p] for p in pos]
+        if max(t) > 0:
+            targets.append((coeff, t, tuple((a - b) % d for a, b in zip(residue, base))))
+            for p, tp in zip(pos, t):
+                bounds[p] = max(bounds[p], tp)
+    if not targets:
+        return 0, 0
+    table = _table_for(spec, tuple(range(spec.nvars)), tuple(bounds))
+    cols = list(pos)
+    every = some = 0
+    for coeff, t, need in targets:
+        entry = table.get(need)
+        if entry is None:
+            continue
+        ys, cs = entry
+        below = ys[:, cols] < _np.asarray(t, dtype=_np.int64)
+        every += coeff * int(cs[below.all(axis=1)].sum())
+        some += coeff * int(cs[below.any(axis=1)].sum())
+    return every, some
 
 
 # ---------------------------------------------------------------------------

@@ -445,10 +445,10 @@ def chi(graph: ResolutionGraph, x: RationalCycle) -> Fraction:
     chi(x) = (L sum_v a_v (e_v + 2) - (x, x) L^2) / 2 L^2, one pass over the
     vertices and one over the edges.
     """
-    a, den, index = x.num, x.den, graph.index
+    a, den = x.num, x.den
     total = sum(av * ((e + 2) * den - e * av)
                 for av, e in zip(a, graph.eulers, strict=True))
-    total -= 2 * sum(a[index[u]] * a[index[v]] for u, v in graph.edges)
+    total -= 2 * sum(a[v] * a[w] for v, w in graph.form._edges)
     return Fraction(total, 2 * den * den)
 
 

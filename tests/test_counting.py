@@ -158,17 +158,25 @@ def test_counts_beyond_int64_stay_exact():
 # partition tables: the builder against a dictionary DP
 
 def _build_table(spec: ZetaSpec, positions: tuple[int, ...],
-                 bounds: tuple[int, ...]) -> dict:
+                 bounds: tuple[int, ...], union: bool = False) -> dict:
     """Sparse table of denominator-exponent sums.
 
     Keys are ``(projected coordinates, full residue mod den)``; values count
     the multisets of denominator exponents realising them.  Only sums whose
     projection lies strictly inside the box are kept; every generator has
     strictly positive projected coordinates, so the table is finite.
+
+    With ``union``, the sums kept are those with some projected coordinate
+    below its bound, and a coordinate that reaches its bound is saturated:
+    held at the least multiple of its generator gcd at or above the bound.
+    Each sum pushes its count along the copies of the next generator that
+    stay in that region.
     """
     d = spec.den
     zero = ((0,) * len(positions), (0,) * spec.nvars)
     states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {zero: 1}
+    if union:
+        return _build_union_table(spec, positions, bounds, states)
     if any(b <= 0 for b in bounds):
         return {}
     for gen in spec.dens:
@@ -201,6 +209,30 @@ def _build_table(spec: ZetaSpec, positions: tuple[int, ...],
     return states
 
 
+def _build_union_table(spec, positions, bounds, states) -> dict:
+    """The union-region mode of ``_build_table``, from the one zero sum."""
+    if all(b <= 0 for b in bounds):
+        return {}
+    d = spec.den
+    gcds = [math.gcd(*(gen[p] for gen in spec.dens)) or 1 for p in positions]
+    held = tuple(max(0, -(-b // g)) * g for b, g in zip(bounds, gcds))
+    for gen in spec.dens:
+        step_y = tuple(gen[p] for p in positions)
+        step_r = tuple(x % d for x in gen)
+        out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (y, rho), count in states.items():
+            while True:
+                out[y, rho] = out.get((y, rho), 0) + count
+                if len(out) > counting.TABLE_STATE_CAP:
+                    raise TableBudgetExceeded(len(out))
+                y = tuple(min(a + s, h) for a, s, h in zip(y, step_y, held))
+                if not any(a < b for a, b in zip(y, bounds)):
+                    break
+                rho = tuple((a + s) % d for a, s in zip(rho, step_r))
+        states = out
+    return states
+
+
 def _bucketise(states: dict, wide: bool) -> dict:
     """Group table states by residue: residue -> (projection matrix, counts),
     as integer arrays for vectorised box queries.  Counts are Python-int
@@ -217,13 +249,16 @@ def _bucketise(states: dict, wide: bool) -> dict:
     return buckets
 
 
-def _oracle_table(spec, positions, bounds):
-    """The dictionary DP's table, its counts Python ints where the box holds
-    2**63 or more multisets of generators, each capped separately: that
-    bounds every sum of counts."""
-    multisets = math.prod(1 + min((b - 1) // gen[p] for p, b in zip(positions, bounds))
+def _oracle_table(spec, positions, bounds, union=False):
+    """The dictionary DP's table, its counts Python ints where its region
+    holds 2**63 or more multisets of generators, each capped separately:
+    that bounds every sum of counts.  A generator is capped at the most
+    copies below the bound on every kept coordinate in the box, on some in
+    the union region."""
+    most = max if union else min
+    multisets = math.prod(1 + most((b - 1) // gen[p] for p, b in zip(positions, bounds))
                           for gen in spec.dens)
-    return _bucketise(_build_table(spec, positions, bounds), multisets >= 2 ** 63)
+    return _bucketise(_build_table(spec, positions, bounds, union), multisets >= 2 ** 63)
 
 
 def _table_cells(buckets):
@@ -237,9 +272,23 @@ def _assert_same_table(buckets, oracle):
     assert all(ys.dtype == oracle[rho][0].dtype for rho, (ys, _) in buckets.items())
 
 
+def _restricted(buckets, box):
+    return {cell: v for cell, v in _table_cells(buckets).items()
+            if all(a < b for a, b in zip(cell[0], box))}
+
+
+def _box_counts(buckets, box):
+    """The counts of the cells below ``box`` on every coordinate."""
+    return {cell: c for cell, (c, _) in _restricted(buckets, box).items()}
+
+
 def _assert_matches_oracle(spec, positions, bounds):
+    """The builder's table is the dictionary DP's in the union region, and
+    its cells below every bound are the box table's."""
     table = _build_sparse(spec, positions, bounds)
-    _assert_same_table(table, _oracle_table(spec, positions, bounds))
+    _assert_same_table(table, _oracle_table(spec, positions, bounds, union=True))
+    assert _box_counts(table, bounds) == _box_counts(_oracle_table(spec, positions, bounds),
+                                                     bounds)
     return table
 
 
@@ -284,8 +333,12 @@ def test_dense_table_wide_counts():
 
 def test_dense_table_edge_cases(dihedral, a3):
     spec = plain_zeta(dihedral)
-    assert _build_sparse(spec, (0, 2), (0, 10)) == {}
+    # a zero bound empties the box but not the union region: the cells of
+    # the box are none, and every bound zero empties the region too
     assert _build_table(spec, (0, 2), (0, 10)) == {}
+    assert _box_counts(_assert_matches_oracle(spec, (0, 2), (0, 10)), (0, 10)) == {}
+    assert _build_sparse(spec, (0, 2), (0, 0)) == {}
+    assert _build_table(spec, (0, 2), (0, 0), union=True) == {}
     # a relative factor at both leaves of the chain cancels every generator
     bare = build_zeta(a3, relative=(1, 3))
     assert bare.dens == ()
@@ -320,18 +373,22 @@ def test_sparse_table_matches_dictionary_dp(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "TABLE_STATE_CAP", cap)
         try:
-            oracle = _oracle_table(spec, positions, bounds)
+            oracle = _oracle_table(spec, positions, bounds, union=True)
         except TableBudgetExceeded:
             with pytest.raises(TableBudgetExceeded):
                 _build_sparse(spec, positions, bounds)
             return
-        _assert_same_table(_build_sparse(spec, positions, bounds), oracle)
+        table = _build_sparse(spec, positions, bounds)
+        _assert_same_table(table, oracle)
+        # the box has no more cells than the region, so its oracle fits the cap
+        assert _box_counts(table, bounds) == \
+            _box_counts(_oracle_table(spec, positions, bounds), bounds)
 
 
 def test_sparse_table_beyond_the_packed_key_range():
-    # three coordinates of about 2**23 reduced cells each: the residues mod
-    # den and the coordinates no longer pack into one int64, so rows are
-    # merged on two packed words
+    # three coordinates of about 2**23 reduced cells each, one more value
+    # each for the saturated one: the residues mod den and the coordinates
+    # no longer pack into one int64, so rows are merged on two packed words
     big = 2 ** 21
     spec = synthetic_spec([(1, (0, 0, 0)), (-1, (5, 0, 7))],
                           [(big - 1, big + 1, big + 3), (big + 5, big - 3, big + 7),
@@ -339,23 +396,124 @@ def test_sparse_table_beyond_the_packed_key_range():
     positions, bounds = (0, 1, 2), (4 * big, 4 * big, 4 * big)
     gs, shape = counting._reduced_shape(spec, positions, bounds)
     assert gs == [1, 1, 1]
-    assert spec.den ** spec.nvars * math.prod(shape) >= 2 ** 63
-    assert _Layout([0] * 6, (3,) * 3 + shape).word[-1] == 1  # two words
-    table = _build_sparse(spec, positions, bounds)
-    _assert_same_table(table, _oracle_table(spec, positions, bounds))
-    assert sum(len(cs) for _, cs in table.values()) == 20  # 3 copies at most in all
+    spans = tuple(a + 1 for a in shape)
+    assert spec.den ** spec.nvars * math.prod(spans) >= 2 ** 63
+    assert _Layout([0] * 6, (3,) * 3 + spans).word[-1] == 1  # two words
+    table = _assert_matches_oracle(spec, positions, bounds)
+    assert len(_box_counts(table, bounds)) == 20  # 3 copies at most in all
+    # four copies fall below the bound on the coordinates where they sum low
+    assert sum(len(cs) for _, cs in table.values()) > 20
 
 
 def test_large_group_small_table_enumerates_nothing():
     # |H| = 1,000,999: the residue columns take den**2, about 10**12, values,
-    # and a table of one cell must not walk them
+    # and a table whose box holds one cell must not walk them; its region
+    # adds the 49 copies of each generator that stay below 50 on one
+    # coordinate, the other saturated
     g = parse_graph("v 1 -1000\nv 2 -1001\ne 1 2\n")
     spec = plain_zeta(g)
     assert spec.den == g.group.order == 1000999
     _, shape = counting._reduced_shape(spec, (0, 1), (50, 50))
-    assert spec.den ** spec.nvars * math.prod(shape) < 2 ** 63  # one packed key
-    table = _build_sparse(spec, (0, 1), (50, 50))
-    assert _table_cells(table) == {((0, 0), (0, 0)): (1, _np.dtype(_np.int64))}
+    assert spec.den ** spec.nvars * math.prod(a + 1 for a in shape) < 2 ** 63  # one key
+    table = _assert_matches_oracle(spec, (0, 1), (50, 50))
+    assert _restricted(table, (50, 50)) == {((0, 0), (0, 0)): (1, _np.dtype(_np.int64))}
+    assert sum(len(cs) for _, cs in table.values()) == 99
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_tables())
+def test_table_holds_no_more_cells_than_the_box_tables_of_its_subsets(case):
+    # a cell below its bound on the coordinates U only is one of the box
+    # table on U at the same bounds, and no two cells are the same one
+    spec, positions, bounds, _ = case
+    cells = _table_cells(_build_sparse(spec, positions, bounds))
+    boxes = {}
+    for r in range(1, len(positions) + 1):
+        for u in itertools.combinations(range(len(positions)), r):
+            boxes[u] = _build_table(spec, tuple(positions[i] for i in u),
+                                    tuple(bounds[i] for i in u))
+    images = set()
+    for y, rho in cells:
+        u = tuple(i for i, (a, b) in enumerate(zip(y, bounds)) if a < b)
+        image = (tuple(y[i] for i in u), rho)
+        assert image in boxes[u]
+        images.add((u, image))
+    assert len(images) == len(cells) <= sum(len(box) for box in boxes.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_tables())
+def test_one_position_tables_are_box_tables(case):
+    spec, positions, bounds, _ = case
+    for p, b in zip(positions, bounds):
+        _assert_same_table(_build_sparse(spec, (p,), (b,)), _oracle_table(spec, (p,), (b,)))
+
+
+def test_row_tables_are_box_tables(dihedral, brieskorn):
+    # the one-variable row tables and a star's node table, as built before
+    # tables held the union region
+    for spec in (plain_zeta(dihedral), plain_zeta(brieskorn),
+                 build_zeta(dihedral, twist=dihedral.dual(2), relative=(1,))):
+        for p in range(spec.nvars):
+            box = (counting._row_box(spec, p),)
+            _assert_same_table(_build_sparse(spec, (p,), box), _oracle_table(spec, (p,), box))
+
+
+def _box_count(spec, residue, positions, xs) -> int:
+    """``counting_q`` read off the dictionary DP's box table at each
+    numerator term's own target."""
+    total = 0
+    for coeff, base in spec.num:
+        t = tuple(xs[k] - base[k] for k in positions)
+        need = tuple((a - b) % spec.den for a, b in zip(residue, base))
+        total += coeff * sum(c for (_, rho), c in _build_table(spec, positions, t).items()
+                             if rho == need)
+    return total
+
+
+@st.composite
+def _table_points(draw):
+    """A synthetic spec of zero, one or three generators on up to three
+    variables with den <= 12 and 1-3 signed numerator terms, and two points
+    on it, each the residue of a support exponent, a variable subset and a
+    target."""
+    nvars = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(1, 6), min_size=nvars, max_size=nvars)
+    den = draw(st.integers(1, 12))
+    num = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 3]),
+                                  st.lists(st.integers(-3, 6), min_size=nvars,
+                                           max_size=nvars)),
+                        min_size=1, max_size=3))
+    gens = draw(st.sampled_from([0, 1, 3]))
+    spec = synthetic_spec(num, draw(st.lists(vec, min_size=gens, max_size=gens)), den=den)
+
+    def residue():  # of a support exponent: a numerator term plus a few generators
+        _, base = draw(st.sampled_from(spec.num))
+        copies = draw(st.lists(st.integers(0, 3), min_size=gens, max_size=gens))
+        return tuple((b + sum(c * gen[i] for c, gen in zip(copies, spec.dens))) % den
+                     for i, b in enumerate(base))
+    points = [(residue(), tuple(sorted(draw(st.sets(st.integers(0, nvars - 1), min_size=1)))),
+               tuple(draw(st.integers(-4, 16)) for _ in range(nvars)))
+              for _ in range(2)]
+    return spec, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_points())
+def test_one_table_counts_match_brute_force_and_box_tables(case):
+    # both counting functions off the spec's one count table, the second
+    # point growing it, against the definition and against inclusion-
+    # exclusion over box tables the dictionary DP builds on every subset
+    spec, points = case
+    for residue, positions, xs in points:
+        x = RationalCycle(xs, spec.den)
+        q, big_q = counting_q(spec, residue, positions, x), counting_Q(spec, residue, positions, x)
+        assert q == brute_count(spec, residue, positions, x, True) == \
+            _box_count(spec, residue, positions, xs)
+        assert big_q == brute_count(spec, residue, positions, x, False) == \
+            _inclusion_exclusion(lambda sub: _box_count(spec, residue, sub, xs), positions)
+    assert [tag[1] for tag in counting._STORE[spec] if tag[0] == "table"] in \
+        ([], [tuple(range(spec.nvars))])
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +670,10 @@ def test_chain_counting_Q_makes_no_modified_count(monkeypatch, a3):
         raise AssertionError("modified count on a chain")
     closed = counting._two_gen_count
 
-    def union_only(*args, union):
-        if not union:
+    def union_only(*args):  # the last argument is ``union``
+        if not args[-1]:
             refuse()
-        return closed(*args, union=union)
+        return closed(*args)
     spec, twisted = plain_zeta(a3), build_zeta(a3, twist=a3.dual(1))
     x = RationalCycle((3, 2, 1))
     res = a3.residue(x)
@@ -588,7 +746,7 @@ def test_caches_hold_graphs_weakly(fresh_tables):
     counting_q(spec, graph.residue(x), (0, 2), x)
     entries = counting._STORE[graph]
     assert {("plain_zeta",), ("sw_norm", h)} <= set(entries)
-    assert ("table", (0, 2)) in counting._STORE[spec]
+    assert ("table", (0, 1, 2, 3)) in counting._STORE[spec]  # one count table per spec
     refs = [weakref.ref(graph), weakref.ref(spec)]
     del graph, spec, entries
     gc.collect()
@@ -897,42 +1055,44 @@ def test_refused_closed_values_store_nothing(fresh_tables, monkeypatch, a3):
 
 
 def _count_tags(spec):
-    return [tag for tag in counting._STORE.get(spec, {}) if tag[0] == "_counting_q"]
+    return [tag for tag in counting._STORE.get(spec, {}) if tag[0] == "_point_counts"]
 
 
 def _spy_point_bodies(monkeypatch) -> list:
-    """Replace ``_counting_q`` by a memo over a spy on its body, under the
+    """Replace ``_point_counts`` by a memo over a spy on its body, under the
     same name, so stored counts are shared; returns the evaluated keys."""
-    body = counting._counting_q.__wrapped__
+    body = counting._point_counts.__wrapped__
     evaluated = []
 
     @functools.wraps(body)
     def body_spy(*args):
         evaluated.append(args)
         return body(*args)
-    monkeypatch.setattr(counting, "_counting_q", counting._memo(body_spy))
+    monkeypatch.setattr(counting, "_point_counts", counting._memo(body_spy))
     return evaluated
 
 
 def test_each_point_count_is_computed_once(fresh_tables, monkeypatch, a3, dihedral):
-    # the fixed duality sweep: counting_Q's inclusion-exclusion subsets and
-    # the modified side ask the same counts again, and read them back
-    body = counting._counting_q.__wrapped__
+    # the fixed duality sweep: counting_Q and counting_q at one point, and
+    # the modified side, ask the same counts again, and read them back from
+    # one read of the count table (a chain's counts are closed)
+    body = counting._point_counts.__wrapped__
     evaluated = _spy_point_bodies(monkeypatch)
     calls = []
-    count = counting.counting_q
-
-    def count_spy(spec, residue, positions, x):
-        calls.append((spec, tuple(residue), tuple(sorted(positions)), x.scaled(spec.den)))
-        return count(spec, residue, positions, x)
-    monkeypatch.setattr(counting, "counting_q", count_spy)
-    monkeypatch.setattr("resgraph.embedded.counting_q", count_spy)
+    for name in ("counting_q", "counting_Q"):
+        def count_spy(spec, residue, positions, x, count=getattr(counting, name)):
+            if len(spec.dens) != 2:
+                calls.append((spec, tuple(residue), tuple(sorted(positions)),
+                              x.scaled(spec.den)))
+            return count(spec, residue, positions, x)
+        monkeypatch.setattr(counting, name, count_spy)
+        monkeypatch.setattr(f"resgraph.embedded.{name}", count_spy)
     _fixed_sweep(a3, dihedral)
     keys = set(calls)
     assert len(evaluated) == len(keys) < len(calls)
     assert set(evaluated) == keys
     for spec, residue, pos, xs in keys:
-        stored = counting._STORE[spec]["_counting_q", residue, pos, xs]
+        stored = counting._STORE[spec]["_point_counts", residue, pos, xs]
         assert stored == body(spec, residue, pos, xs)
 
 
@@ -949,10 +1109,11 @@ def test_refused_point_counts_store_nothing(fresh_tables, monkeypatch, dihedral)
             with pytest.raises(TableBudgetExceeded):
                 counting_q(spec, residue, pos, x)
     assert _count_tags(spec) == []
-    assert ("refused", pos) in counting._STORE[spec]  # the refusal is all that is kept
+    # the refusal of the one count table, on every position, is all that is kept
+    assert ("refused", (0, 1, 2, 3)) in counting._STORE[spec]
     _empty_caches(monkeypatch)  # forget the refusal the small cap recorded
     assert counting_q(spec, residue, pos, x) == expected
-    assert _count_tags(spec) == [("_counting_q", residue, pos, x.scaled(spec.den))]
+    assert _count_tags(spec) == [("_point_counts", residue, pos, x.scaled(spec.den))]
 
 
 def test_equal_graphs_share_their_entries(fresh_tables, monkeypatch):
@@ -977,11 +1138,6 @@ def test_equal_graphs_share_their_entries(fresh_tables, monkeypatch):
     assert len(counting._STORE) == 2  # the first graph and its plain spec
 
 
-def _restricted(buckets, box):
-    return {cell: v for cell, v in _table_cells(buckets).items()
-            if all(a < b for a, b in zip(cell[0], box))}
-
-
 @pytest.mark.parametrize("positions, first, second", [
     ((0, 2), (200, 260), (290, 250)),        # two coordinates, grown to (290, 260)
     ((0, 1, 3), (9, 12, 10), (19, 17, 21)),  # sparse, three coordinates
@@ -994,9 +1150,11 @@ def test_grown_table_restricts_to_exact_build(dihedral, fresh_tables,
     grown = _table_for(spec, positions, second)
     union = tuple(max(a, b) for a, b in zip(first, second))
     assert counting._STORE[spec]["table", positions][0] == union  # and so are grown ones
+    assert _table_cells(grown) == _table_cells(_build_sparse(spec, positions, union))
     for box in (second, union):
         exact = _build_sparse(spec, positions, box)
-        assert _restricted(grown, box) == _table_cells(exact)
+        assert _restricted(grown, box) == _restricted(exact, box) == \
+            _table_cells(_oracle_table(spec, positions, box))
 
 
 def _spy_builds(monkeypatch) -> list:
