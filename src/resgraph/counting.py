@@ -211,7 +211,10 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
     box.  Dropping the saturated coordinates maps the cells whose
     unsaturated set is U one-to-one into the box table on U at the same
     bounds, so the table holds no more cells than the box tables of every
-    nonempty U together.
+    nonempty U together.  That bound is per set of bounds: a spec's count
+    table grows to the coordinatewise maximum over its queries, so queries
+    on {0} and then on {1} leave the region on {0, 1}, which can pass the
+    budget where box tables on {0} and on {1} would not.
 
     A cell is one int64 row: its residue mod den on every variable, then its
     coordinates divided by the generator gcds.  Each generator is a

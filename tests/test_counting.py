@@ -1058,32 +1058,37 @@ def _count_tags(spec):
     return [tag for tag in counting._STORE.get(spec, {}) if tag[0] == "_point_counts"]
 
 
-def _spy_point_bodies(monkeypatch) -> list:
-    """Replace ``_point_counts`` by a memo over a spy on its body, under the
-    same name, so stored counts are shared; returns the evaluated keys."""
-    body = counting._point_counts.__wrapped__
+def _spy_point_bodies(monkeypatch, names) -> list:
+    """Replace each named memoised count by a memo over a spy on its body,
+    under the same name, so stored counts are shared; returns the evaluated
+    ``(name, *key)`` tags."""
     evaluated = []
+    for name in names:
+        body = getattr(counting, name).__wrapped__
 
-    @functools.wraps(body)
-    def body_spy(*args):
-        evaluated.append(args)
-        return body(*args)
-    monkeypatch.setattr(counting, "_point_counts", counting._memo(body_spy))
+        @functools.wraps(body)
+        def body_spy(*args, name=name, body=body):
+            evaluated.append((name, *args))
+            return body(*args)
+        monkeypatch.setattr(counting, name, counting._memo(body_spy))
     return evaluated
 
 
 def test_each_point_count_is_computed_once(fresh_tables, monkeypatch, a3, dihedral):
     # the fixed duality sweep: counting_Q and counting_q at one point, and
-    # the modified side, ask the same counts again, and read them back from
-    # one read of the count table (a chain's counts are closed)
-    body = counting._point_counts.__wrapped__
-    evaluated = _spy_point_bodies(monkeypatch)
+    # the modified side, ask the same counts again, and read them back: a
+    # table's spec from one read of its count table, the chain from one
+    # closed count per union
+    names = ("_point_counts", "_two_gen_count")
+    bodies = {name: getattr(counting, name).__wrapped__ for name in names}
+    evaluated = _spy_point_bodies(monkeypatch, names)
     calls = []
-    for name in ("counting_q", "counting_Q"):
-        def count_spy(spec, residue, positions, x, count=getattr(counting, name)):
-            if len(spec.dens) != 2:
-                calls.append((spec, tuple(residue), tuple(sorted(positions)),
-                              x.scaled(spec.den)))
+    for name, union in (("counting_q", False), ("counting_Q", True)):
+        def count_spy(spec, residue, positions, x, count=getattr(counting, name),
+                      union=union):
+            key = (spec, tuple(residue), tuple(sorted(positions)), x.scaled(spec.den))
+            calls.append(("_two_gen_count", *key, union) if len(spec.dens) == 2
+                         else ("_point_counts", *key))
             return count(spec, residue, positions, x)
         monkeypatch.setattr(counting, name, count_spy)
         monkeypatch.setattr(f"resgraph.embedded.{name}", count_spy)
@@ -1091,9 +1096,11 @@ def test_each_point_count_is_computed_once(fresh_tables, monkeypatch, a3, dihedr
     keys = set(calls)
     assert len(evaluated) == len(keys) < len(calls)
     assert set(evaluated) == keys
-    for spec, residue, pos, xs in keys:
-        stored = counting._STORE[spec]["_point_counts", residue, pos, xs]
-        assert stored == body(spec, residue, pos, xs)
+    # the chain's counts of both unions and the table counts are all asked
+    assert {tag[-1] for tag in keys if tag[0] == "_two_gen_count"} == {False, True}
+    assert any(tag[0] == "_point_counts" for tag in keys)
+    for name, spec, *key in keys:
+        assert counting._STORE[spec][(name, *key)] == bodies[name](spec, *key)
 
 
 def test_refused_point_counts_store_nothing(fresh_tables, monkeypatch, dihedral):
@@ -1114,6 +1121,34 @@ def test_refused_point_counts_store_nothing(fresh_tables, monkeypatch, dihedral)
     _empty_caches(monkeypatch)  # forget the refusal the small cap recorded
     assert counting_q(spec, residue, pos, x) == expected
     assert _count_tags(spec) == [("_point_counts", residue, pos, x.scaled(spec.den))]
+
+
+def test_disjoint_singleton_queries_grow_one_table(fresh_tables, monkeypatch):
+    # the count table's bound on a position is the largest target asked
+    # there, whatever the other positions were: after a query on {0} and one
+    # on {1}, each at 20, the table is the region with y0 < 20 or y1 < 20,
+    # 184 cells here, where the box tables on {0} and on {1} hold 20 each.
+    # So the cell bound holds per query, not across queries: under a cap
+    # between the two, the second query is refused, and answers on its own
+    spec = synthetic_spec([(1, (0, 0))], [(2, 3), (3, 1), (1, 2)])
+    zero = (0, 0)
+    first, second = ((0,), RationalCycle((20, 0))), ((1,), RationalCycle((0, 20)))
+    values = [counting_Q(spec, zero, pos, x) for pos, x in (first, second)]
+    assert values == [brute_count(spec, zero, pos, x, strict_all=False)
+                      for pos, x in (first, second)]
+    assert counting._STORE[spec]["held",] == 184
+    for pos, x in (first, second):
+        _empty_caches(monkeypatch)
+        counting_Q(spec, zero, pos, x)
+        assert counting._STORE[spec]["held",] == 20
+    _empty_caches(monkeypatch)
+    monkeypatch.setattr(counting, "TABLE_STATE_CAP", 100)
+    assert counting_Q(spec, zero, *first) == values[0]
+    with pytest.raises(TableBudgetExceeded):
+        counting_Q(spec, zero, *second)
+    assert counting._STORE[spec]["refused", (0, 1)] == (20, 20)
+    _empty_caches(monkeypatch)
+    assert counting_Q(spec, zero, *second) == values[1]
 
 
 def test_equal_graphs_share_their_entries(fresh_tables, monkeypatch):
