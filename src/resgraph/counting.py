@@ -38,14 +38,14 @@ entry refers back to its owner, nor does a graph's discriminant group, so
 an owner and its entries are freed together as soon as it is dropped.
 
 A table is built as residue -> (coordinates, counts) arrays.  Only the
-reachable cells are kept, each as one int64 row of its residue mod den and
-its kept coordinates divided by their generator gcds, a saturated one held
-at ceil(b / g), and each generator is added by binary doubling as far as
-some coordinate stays below its bound, equal rows merged as ``series``
-merges the rows of an expansion.  On one position the region is the box,
-as for the one-variable row tables.  Counts are Python ints instead of
-int64 where the region holds 2^63 or more multisets of generators, which
-bounds any sum of them.
+reachable cells are kept, each as one int64 row (Python ints once den or a
+coordinate reaches 2^62) of its residue mod den and its kept coordinates
+divided by their generator gcds, a saturated one held at ceil(b / g), and
+each generator is added by binary doubling as far as some coordinate stays
+below its bound, equal rows merged as ``series`` merges the rows of an
+expansion.  On one position the region is the box, as for the one-variable
+row tables.  Counts are Python ints instead of int64 where the region holds
+2^63 or more multisets of generators, which bounds any sum of them.
 
 Every periodic constant goes through ``periodic_constant_reduced``, and
 every route is exact.  The plain zeta function (twisted or not) has a closed
@@ -217,7 +217,10 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
     budget where box tables on {0} and on {1} would not.
 
     A cell is one int64 row: its residue mod den on every variable, then its
-    coordinates divided by the generator gcds.  Each generator is a
+    coordinates divided by the generator gcds, in Python ints once den or a
+    saturated coordinate reaches 2**62, so no sum of two wraps.  Each
+    generator's shifts are clamped at the saturated values, which leaves
+    every sum's saturation as it is.  Each generator is a
     binary-doubling knapsack: multiplying by (1 + t^(h g)) for h = 1, 2, 4,
     ... shifts every cell with room for h more copies (the most copies that
     keep some kept coordinate below its bound, a function of the row, so
@@ -226,27 +229,36 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
     (``series._runs``), so the cells stay sorted, residue first, and a
     bucket is a run of equal residues.  The cell count only grows, so the
     budget is checked after each merge: with the ``held`` cells of the
-    spec's other tables, the cells may not pass ``TABLE_STATE_CAP``.
+    spec's other tables, the cells may not pass ``TABLE_STATE_CAP``.  The
+    k copies of one generator with k·gen[p] < b_p are ceil(b_p / gen[p])
+    distinct cells of the region, so bounds where they pass the budget are
+    refused before the build, exactly: no such table fits.
     """
     if all(b <= 0 for b in bounds):
         return {}
+    most = max((-(-b // gen[p]) for gen in spec.dens for p, b in zip(positions, bounds)),
+               default=0)
+    if held + most > TABLE_STATE_CAP:
+        raise TableBudgetExceeded(held + most)
     d, n = spec.den, spec.nvars
     gs, shape = _reduced_shape(spec, positions, bounds)
+    dtype = _np.int64 if max(d, *(a * g for a, g in zip(shape, gs))) < 2 ** 62 else object
     layout = _Layout([0] * (n + len(positions)), (d,) * n + tuple(a + 1 for a in shape))
-    rows = _np.zeros((1, n + len(positions)), dtype=_np.int64)
+    rows = _np.zeros((1, n + len(positions)), dtype=dtype)
     counts = _np.ones(1, dtype=_np.int64 if _multiset_bound(spec, positions, bounds)
                       < 2 ** 63 else object)
-    full = _np.array(shape, dtype=_np.int64)
+    full = _np.array(shape, dtype=dtype)
     last = full - 1
     for gen in spec.dens:
-        s = [gen[p] // g for p, g in zip(positions, gs)]
-        room = ((last - rows[:, n:]) // s).max(axis=1)
+        # a step longer than a + 1 gives the same room and, clamped, the same shift
+        s = [min(gen[p] // g, a + 1) for p, g, a in zip(positions, gs, shape)]
+        room = ((last - rows[:, n:]) // _np.array(s, dtype=dtype)).max(axis=1)
         h = 1
         top = int(room.max())
         while h <= top:
             fits = room >= h
-            shift = [h * x % d for x in gen] + [h * a for a in s]
-            moved = rows.compress(fits, axis=0) + _np.array(shift, dtype=_np.int64)
+            shift = [h * x % d for x in gen] + [min(h * a, b) for a, b in zip(s, shape)]
+            moved = rows.compress(fits, axis=0) + _np.array(shift, dtype=dtype)
             moved[:, :n] %= d
             _np.minimum(moved[:, n:], full, out=moved[:, n:])
             rows = _np.concatenate((rows, moved))
@@ -258,7 +270,7 @@ def _build_sparse(spec: ZetaSpec, positions: tuple[int, ...],
             room = _np.concatenate((room, room[fits] - h))[keep]
             rows = rows.take(keep, axis=0)  # faster than rows[keep] on 2-D rows
             h *= 2
-    ys = rows[:, n:] * _np.asarray(gs, dtype=_np.int64)
+    ys = rows[:, n:] * _np.asarray(gs, dtype=dtype)
     cuts = ((rows[1:, :n] != rows[:-1, :n]).any(axis=1).nonzero()[0] + 1).tolist()
     return {tuple(rows[a, :n].tolist()): (ys[a:b], counts[a:b])
             for a, b in zip([0, *cuts], [*cuts, len(rows)])}
@@ -534,7 +546,7 @@ def _point_counts(spec: ZetaSpec, residue: tuple[int, ...], pos: tuple[int, ...]
         if entry is None:
             continue
         ys, cs = entry
-        below = ys[:, cols] < _np.asarray(t, dtype=_np.int64)
+        below = ys[:, cols] < _np.asarray([max(a, 0) for a in t], dtype=ys.dtype)
         every += coeff * int(cs[below.all(axis=1)].sum())
         some += coeff * int(cs[below.any(axis=1)].sum())
     return every, some
@@ -628,7 +640,8 @@ def _class_row(spec: ZetaSpec, residue: tuple[int, ...], p: int, base: RationalC
         if entry is None:
             continue
         ys, cs = entry
-        steps, off = _np.divmod(ys[:, 0] + (b[p] - bs[p]), d)
+        steps = ys[:, 0] + (b[p] - bs[p])  # np.divmod has no loop for Python ints
+        steps, off = steps // d, steps % d
         if off.any():
             raise InternalCheckError(
                 f"class part along coordinate {p} has an exponent off the base's steps")

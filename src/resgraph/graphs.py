@@ -8,17 +8,18 @@ dual cycles, the canonical cycle, the Riemann-Roch quadratic chi, the
 discriminant group L'/L, anti-nef saturation, the Artin rationality test and
 full-subtree projections.
 
-Products with the form A run on the tree's edges: ``IntersectionForm.stars``
-keeps each vertex's Euler number and neighbours, so a product, a pairing
-and a saturation step cost O(edges), not O(n^2).  |det| is the last leading
-minor of the one Bareiss pass that checks negative definiteness.  The dual
-cycles come from the tree as well: |det|·E*_c is a product of subtree
-determinants, worked out by one rooted recursion per column in O(n)
-(``ResolutionGraph._scaled_duals``).  A dual-basis sum is one integer
-product over |det| (``ResolutionGraph.dual_combination``).  The Smith form
-U·A·V = diag(d_k) (``IntersectionForm.smith``) serves the group only: a
-class of L'/L is U·a mod diag for the dual-basis coordinates a, and the
-representative of a class is -V·diag^{-1}·coords.
+The form A is its stars: ``IntersectionForm.stars`` keeps each vertex's
+Euler number and neighbours, built once from the edges, so a product, a
+pairing, a saturation step and a component walk cost O(edges), not O(n^2).
+Dense rows are built from the stars only for the one Bareiss pass, which
+checks negative definiteness and whose last leading minor is |det|, and for
+the Smith form.  The dual cycles come from the tree as well: |det|·E*_c is a
+product of subtree determinants, worked out by one rooted recursion per
+column in O(n) (``ResolutionGraph._scaled_duals``).  A dual-basis sum is one
+integer product over |det| (``ResolutionGraph.dual_combination``).  The
+Smith form U·A·V = diag(d_k) (``IntersectionForm.smith``) serves the group
+only: a class of L'/L is U·a mod diag for the dual-basis coordinates a, and
+the representative of a class is -V·diag^{-1}·coords.
 
 Vertex genera are implicitly zero throughout; the link of any graph accepted
 here is a rational homology sphere, and nothing else is representable.
@@ -71,16 +72,19 @@ class NotNegativeDefiniteError(GraphError):
 class IntersectionForm:
     """Symmetric integer matrix (E_u, E_v) of a negative definite tree: Euler
     numbers on the diagonal, one for each tree edge, zero elsewhere.  The
-    dense ``rows`` feed the Bareiss pass and the Smith form; every product
-    reads ``stars`` instead, in O(edges)."""
+    form is its ``stars``, per vertex its Euler number and the indices of
+    its neighbours in increasing order, so every product reads O(edges)
+    entries.  The dense ``rows`` are built from them only for the Bareiss
+    pass and the Smith form."""
 
-    rows: tuple[tuple[int, ...], ...]
+    stars: tuple[tuple[int, tuple[int, ...]], ...]
 
     @cached_property
-    def stars(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per vertex, its Euler number and the indices of its neighbours."""
-        return tuple((row[v], tuple(w for w, a in enumerate(row) if a and w != v))
-                     for v, row in enumerate(self.rows))
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense n x n matrix, for ``det`` and ``smith`` alone."""
+        n = len(self.stars)
+        return tuple(tuple(e if w == v else int(w in nbrs) for w in range(n))
+                     for v, (e, nbrs) in enumerate(self.stars))
 
     @cached_property
     def _edges(self) -> tuple[tuple[int, int], ...]:
@@ -163,25 +167,21 @@ def _dual_column(stars: Sequence[tuple[int, tuple[int, ...]]], c: int) -> list[i
     return col
 
 
-def _components(ids: Sequence[int],
-                edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of the graph on ``ids`` with the edges that join
-    two of them, each sorted, in the order of their first vertex in ``ids``."""
-    adj: dict[int, list[int]] = {v: [] for v in ids}
-    for a, b in edges:
-        if a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
+def _components(stars: Sequence[tuple[int, tuple[int, ...]]],
+                keep: Sequence[int]) -> list[list[int]]:
+    """Connected components of the tree of ``stars`` restricted to the
+    vertex indices ``keep`` (increasing), each sorted, in the order of their
+    first vertex."""
+    left = set(keep)
     components: list[list[int]] = []
-    seen: set[int] = set()
-    for v in ids:
-        if v not in seen:
+    for v in keep:
+        if v in left:
+            left.remove(v)
             comp = [v]
-            seen.add(v)
             for u in comp:  # the loop reaches every vertex appended as it runs
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
+                for w in stars[u][1]:
+                    if w in left:
+                        left.remove(w)
                         comp.append(w)
             components.append(sorted(comp))
     return components
@@ -249,7 +249,7 @@ class ResolutionGraph(KeyedEquality):
             raise NotATreeError(
                 f"{len(self.ids)} vertices need {len(self.ids) - 1} edges to form a tree, "
                 f"got {len(self.edges)}")
-        if len(_components(self.ids, self.edges)) != 1:
+        if len(_components(self.form.stars, range(self.n))) != 1:
             raise NotATreeError("edge set is not connected")
         self.form.det  # the Bareiss pass behind it checks negative definiteness
 
@@ -268,17 +268,6 @@ class ResolutionGraph(KeyedEquality):
             arrows=tuple(arr.get(i, 0) for i in ids),
         )
 
-    def _build_rows(self) -> list[list[int]]:
-        n = len(self.ids)
-        pos = {v: i for i, v in enumerate(self.ids)}
-        rows = [[0] * n for _ in range(n)]
-        for i, e in enumerate(self.eulers):
-            rows[i][i] = e
-        for a, b in self.edges:
-            ia, ib = pos[a], pos[b]
-            rows[ia][ib] = rows[ib][ia] = 1
-        return rows
-
     def _fields(self) -> tuple:
         return (self.ids, self.eulers, self.edges, self.arrows)
 
@@ -292,15 +281,18 @@ class ResolutionGraph(KeyedEquality):
 
     @cached_property
     def valences(self) -> tuple[int, ...]:
-        val = [0] * self.n
-        for a, b in self.edges:
-            val[self.index[a]] += 1
-            val[self.index[b]] += 1
-        return tuple(val)
+        return tuple(len(nbrs) for _, nbrs in self.form.stars)
 
     @cached_property
     def form(self) -> IntersectionForm:
-        return IntersectionForm(tuple(tuple(r) for r in self._build_rows()))
+        """The form's stars, built once from the edges, each vertex's
+        neighbours in increasing index order."""
+        nbrs: list[list[int]] = [[] for _ in self.ids]
+        for a, b in self.edges:
+            nbrs[self.index[a]].append(self.index[b])
+            nbrs[self.index[b]].append(self.index[a])
+        return IntersectionForm(tuple((e, tuple(sorted(ws)))
+                                      for e, ws in zip(self.eulers, nbrs)))
 
     @property
     def det_abs(self) -> int:
@@ -617,7 +609,6 @@ class SubgraphComponent:
     """
 
     graph: ResolutionGraph
-    vertex_ids: tuple[int, ...]
     stars: tuple[tuple[int, int, tuple[int, ...]], ...]  # ambient (v, e_v, neighbours)
 
     def project(self, x: RationalCycle) -> RationalCycle:
@@ -632,20 +623,21 @@ class SubgraphComponent:
 
 def subgraph_components(graph: ResolutionGraph,
                         removed: Iterable[int]) -> list[SubgraphComponent]:
-    """Connected full subtrees on the complement of ``removed``."""
+    """Connected full subtrees on the complement of ``removed``, in the
+    order of their first vertex."""
     removed = set(removed)
     unknown = removed - set(graph.ids)
     if unknown:
         raise GraphError(f"unknown vertex id {min(unknown)}")
+    ids, stars = graph.ids, graph.form.stars
     out = []
-    for comp in _components([v for v in graph.ids if v not in removed], graph.edges):
-        cset = set(comp)
+    for comp in _components(stars, [i for i, v in enumerate(ids) if v not in removed]):
         sub = ResolutionGraph.build(
-            {v: graph.eulers[graph.index[v]] for v in comp},
-            [e for e in graph.edges if e[0] in cset and e[1] in cset],
+            {ids[v]: stars[v][0] for v in comp},
+            [(ids[v], ids[w]) for v in comp for w in stars[v][1]
+             if v < w and ids[w] not in removed],  # a kept neighbour is in comp
         )
-        stars = tuple((graph.index[v], *graph.form.stars[graph.index[v]]) for v in comp)
-        piece = SubgraphComponent(graph=sub, vertex_ids=tuple(comp), stars=stars)
+        piece = SubgraphComponent(graph=sub, stars=tuple((v, *stars[v]) for v in comp))
         if piece.project(graph.canonical) != sub.canonical:
             raise InternalCheckError(
                 "canonical cycle does not project to the subtree canonical cycle")

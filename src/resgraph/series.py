@@ -266,7 +266,7 @@ class _Layout:
             x = x % self.spans[j]
         elif self.stride[j] == 1:  # a word of one column
             x = x.copy()
-        if dtype is object:
+        if dtype == object:  # ``object`` or the dtype of Python-int rows
             x = x.astype(object)
         if self.low[j]:
             x += self.low[j]
@@ -451,10 +451,8 @@ def reduce_to(series: SparseSeries, keep_ids: Sequence[int]) -> SparseSeries:
     if len(mult):  # merged on keys packed from each column's own range
         low, high = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
         layout = _Layout(low, [b - a + 1 for a, b in zip(low, high)])
-        order, _, first = _runs(layout.pack(rows))
-        # take gathers faster than fancy indexing on 2-D rows
-        rows = rows.take(order.take(first), axis=0)
-        mult = np.add.reduceat(mult.take(order), first)
+        words, mult = _merge(layout.pack(rows), mult)
+        rows = layout.decode(words, rows.dtype)
     nonzero = mult != 0
     return SparseSeries(tuple(keep), series.den, series.bound,
                         rows[nonzero], mult[nonzero], projected=True)

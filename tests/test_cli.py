@@ -266,6 +266,35 @@ def test_invariants_over_the_cell_budget_is_refused(tmp_path, capsys, monkeypatc
     assert err == "refused: partition table over the cell budget\n"
 
 
+_HUGE_ARROW = "v 1 -2\nv 2 -3\nv 3 -2\nv 4 -2\ne 1 2\ne 2 3\ne 2 4\na 1 100000000000000000000\n"
+_HUGE_LEG = "v 1 -2\nv 2 -2\nv 3 -2\nv 4 -10000000000000000000\ne 1 2\ne 1 3\ne 1 4\na 2\n"
+
+
+@pytest.mark.parametrize("text, args, code, last", [
+    (_HUGE_ARROW, ["invariants", "GRAPH"], 2, "refused: partition table over the cell budget"),
+    (None, ["--depth", "5000000000000000000", "--trials", "2", "verify", "GRAPH",
+            "--suite", "surgery"], 0, "surgery: 0 passed, 0 failed, 2 inconclusive"),
+    (_HUGE_LEG, ["invariants", "GRAPH"], 2, "refused: partition table over the cell budget"),
+    (_HUGE_LEG, ["--trials", "2", "verify", "GRAPH", "--suite", "duality"],
+     0, "duality: 0 passed, 0 failed, 2 inconclusive"),
+], ids=["arrow-1e20", "surgery-depth-5e18", "leg-1e19", "leg-1e19-duality"])
+def test_tables_past_int64_are_refused_before_the_build(text, args, code, last, tmp_path,
+                                                        capsys):
+    # each used to end in an OverflowError traceback with exit status 1, at
+    # the table's int64 shape or shift: a bound of 2**63 or more needs more
+    # cells than the budget holds, so it is refused before any build
+    path = GRAPHS / "dihedral12.graph"
+    if text is not None:
+        path = tmp_path / "huge.graph"
+        path.write_text(text)
+    got, out, err = run_cli([path if a == "GRAPH" else a for a in args], capsys)
+    assert got == code
+    assert (out + err).splitlines()[-1] == last
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+
+
 def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
     def broken(graph):
         raise cli.InternalCheckError("check x failed")

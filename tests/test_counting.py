@@ -516,6 +516,120 @@ def test_one_table_counts_match_brute_force_and_box_tables(case):
         ([], [tuple(range(spec.nvars))])
 
 
+@settings(max_examples=200, deadline=None)
+@given(_small_tables(), st.sampled_from([0, 5]))
+def test_a_table_that_fits_the_budget_is_never_refused_before_its_build(case, held):
+    # the check before the build counts cells every table at these bounds
+    # holds, so at a cap of exactly its cells and the held ones it is built,
+    # and one cell less refuses it
+    spec, positions, bounds, _ = case
+    table = _build_sparse(spec, positions, bounds)
+    cells = sum(len(cs) for _, cs in table.values())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "TABLE_STATE_CAP", held + cells)
+        assert _table_cells(_build_sparse(spec, positions, bounds, held)) == _table_cells(table)
+        if cells > 1:
+            mp.setattr(counting, "TABLE_STATE_CAP", held + cells - 1)
+            with pytest.raises(TableBudgetExceeded):
+                _build_sparse(spec, positions, bounds, held)
+
+
+def test_a_bound_past_int64_is_refused_before_any_merge(fresh_tables, monkeypatch):
+    # k copies of a generator below the bound on one coordinate are k cells
+    # of the region, so a bound of 2**63 is refused before the build; it
+    # used to raise OverflowError at the table's int64 shape.  ``counting``
+    # merges through its own name for ``series._runs``
+    merges = []
+    runs = counting._runs
+
+    def spy(words):
+        merges.append(words.shape)
+        return runs(words)
+    monkeypatch.setattr(counting, "_runs", spy)
+    spec = synthetic_spec([(1, (0, 0, 0))], [(1, 2, 3), (2, 1, 1), (3, 1, 2)])
+    with pytest.raises(TableBudgetExceeded):
+        _build_sparse(spec, (0, 1, 2), (2 ** 63, 0, 0))
+    for count in (counting_q, counting_Q):
+        with pytest.raises(TableBudgetExceeded):
+            count(spec, (0, 0, 0), (0, 2), RationalCycle((2 ** 63, 5, 1)))
+    assert merges == []
+    assert counting_q(spec, (0, 0, 0), (0,), RationalCycle((6, 0, 0))) == \
+        brute_count(spec, (0, 0, 0), (0,), RationalCycle((6, 0, 0)), True)
+    assert merges
+
+
+def test_a_generator_entry_past_int64_keeps_int64_rows(fresh_tables):
+    # an entry of 2**70 where the bound is small moves a cell straight to
+    # its saturated value: its step and its shifts are clamped there, so
+    # the rows stay int64; the step and the shift once raised OverflowError
+    spec = synthetic_spec([(1, (0, 0, 0)), (-1, (1, 0, 2))],
+                          [(1, 2 ** 70, 3), (2, 1, 1), (1, 3, 2 ** 66)])
+    for xs in [(5, 4, 6), (7, 2, 3)]:
+        x = RationalCycle(xs)
+        for pos in [(0,), (0, 1), (0, 1, 2)]:
+            for count in (counting_q, counting_Q):
+                assert count(spec, (0, 0, 0), pos, x) == \
+                    brute_count(spec, (0, 0, 0), pos, x, count is counting_q)
+    # h copies of (1, 2**55), h up to 8191 below 10000 on the first
+    # position, shift the second coordinate by h (2**50 + 1) unclamped
+    spec = synthetic_spec([(1, (0, 0))], [(1, 2 ** 55), (3, 2 ** 49 + 1), (5, 2 ** 51)])
+    x = RationalCycle((10000, 2 ** 50))
+    assert counting_q(spec, (0, 0), (0, 1), x) == 2  # (2**49 + 1) k, k = 0, 1
+    # the triples with k1 + 3 k2 + 5 k3 < 10000, by the sum over k2 per k3
+    assert counting_Q(spec, (0, 0), (0, 1), x) == \
+        sum((m + 1) * r - 3 * m * (m + 1) // 2 for r in range(10000, 0, -5)
+            for m in [(r - 1) // 3])
+    assert _table_dtypes(spec) == {_np.dtype(_np.int64)}
+
+
+def _scaled(spec: ZetaSpec, factor: int, den: int) -> ZetaSpec:
+    """The spec with every exponent times ``factor``, over ``den``."""
+    return synthetic_spec([(c, [a * factor for a in b]) for c, b in spec.num],
+                          [[a * factor for a in gen] for gen in spec.dens], den=den)
+
+
+def _table_dtypes(spec) -> set:
+    return {ys.dtype for tag, entry in counting._STORE[spec].items() if tag[0] == "table"
+            for ys, _ in entry[1].values()}
+
+
+def test_tables_past_int64_hold_python_ints(fresh_tables):
+    # a den of 2**63 or more with a small region, and coordinates whose
+    # saturated value reaches 2**63, count as the int64 tables they scale:
+    # every exponent and den times F leaves the counts and the constants,
+    # and every exponent times F = 1 mod den leaves the counts
+    spec = synthetic_spec([(1, (0, 0, 0)), (-2, (1, 2, 1)), (3, (2, 0, 5))],
+                          [(1, 2, 3), (2, 1, 1), (3, 1, 2)], den=3)
+    f = 2 ** 63
+    wide_den, wide_ys = _scaled(spec, f, 3 * f), _scaled(spec, 3 * f + 1, 3)
+    for xs in [(5, 6, 7), (9, 3, 4), (2, 8, 8)]:
+        for residue in [(0, 0, 0), (1, 2, 1), (2, 1, 0)]:
+            for pos in [(0,), (1, 2), (0, 1, 2)]:
+                for count in (counting_q, counting_Q):
+                    want = count(spec, residue, pos, RationalCycle(xs, 3))
+                    assert want == brute_count(spec, residue, pos, RationalCycle(xs, 3),
+                                               count is counting_q)
+                    assert count(wide_den, tuple(r * f for r in residue), pos,
+                                 RationalCycle(xs, 3)) == want
+                    assert count(wide_ys, residue, pos,
+                                 RationalCycle(tuple(x * (3 * f + 1) for x in xs), 3)) == want
+    # a target far below 0 on one position reads no cell there
+    far = RationalCycle((5, -2 ** 70, 3), 3)
+    for count in (counting_q, counting_Q):
+        assert count(spec, (2, 1, 0), (0, 1), far) == \
+            brute_count(spec, (2, 1, 0), (0, 1), far, count is counting_q)
+    assert _table_dtypes(spec) == {_np.dtype(_np.int64)}
+    assert _table_dtypes(wide_den) == _table_dtypes(wide_ys) == {_np.dtype(object)}
+    # a one-variable constant reads its coefficient row off a Python-int table
+    line = synthetic_spec([(1, (0,)), (-2, (6,)), (1, (-9,)), (3, (21,)), (5, (4,))],
+                          [(150,), (180,), (225,)], den=3)
+    wide = _scaled(line, f, 3 * f)
+    for k in (0, 1, -6, 11):
+        assert fitted_qp_value(wide, (k % 3 * f,), 0, RationalCycle((k,), 3)) == \
+            fitted_qp_value(line, (k % 3,), 0, RationalCycle((k,), 3))
+    assert _table_dtypes(wide) == {_np.dtype(object)}
+
+
 # ---------------------------------------------------------------------------
 # two generators: closed counts by floor sums
 

@@ -465,7 +465,7 @@ def test_edge_products_match_the_dense_rows(lattice_draws):
         for vid in rng.sample(g.ids, min(2, g.n)):
             for piece in subgraph_components(g, [vid]):
                 coeffs = [-sum(a * b for a, b in zip(rows[g.index[v]], y.scaled(g.det_abs)))
-                          // g.det_abs for v in piece.vertex_ids]
+                          // g.det_abs for v in piece.graph.ids]
                 assert piece.project(y) == piece.graph.dual_combination(coeffs)
 
 
@@ -663,19 +663,19 @@ def test_remove_all_gives_nothing(a3):
 def test_remove_none_gives_whole_graph(a3):
     pieces = subgraph_components(a3, [])
     assert len(pieces) == 1
-    assert pieces[0].vertex_ids == a3.ids
+    assert pieces[0].graph.ids == a3.ids
 
 
 def test_brieskorn_minus_end_is_connected(brieskorn):
     pieces = subgraph_components(brieskorn, [4])
-    assert [p.vertex_ids for p in pieces] == [(1, 2, 3)]
+    assert [p.graph.ids for p in pieces] == [(1, 2, 3)]
 
 
 def test_projection_sends_basis_to_basis(dihedral):
     pieces = subgraph_components(dihedral, [2])  # remove the centre: three legs
     assert len(pieces) == 3
     for piece in pieces:
-        vid = piece.vertex_ids[0]
+        vid = piece.graph.ids[0]
         img = piece.project(basis_cycle(dihedral.n, dihedral.index[vid]))
         assert img == basis_cycle(piece.graph.n, piece.graph.index[vid])
 
@@ -715,3 +715,79 @@ def test_random_graphs_have_consistent_group_order(seed):
         order *= m
     assert order == g.det_abs
     assert g.group.order == g.det_abs
+
+
+# ---------------------------------------------------------------------------
+# the form is its stars
+
+def _stars_of_rows(rows):
+    """Per vertex its Euler number and its neighbours, scanned off the dense
+    rows: the form's stars were read this way before they were built from
+    the edges."""
+    return tuple((row[v], tuple(w for w, a in enumerate(row) if a and w != v))
+                 for v, row in enumerate(rows))
+
+
+def _id_components(g, removed):
+    """Components of the tree less ``removed`` by a walk over an adjacency
+    dict of vertex ids, each sorted, in the order of their first id."""
+    adj = {v: [] for v in g.ids if v not in removed}
+    for a, b in g.edges:
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
+    comps, seen = [], set()
+    for v in adj:
+        if v not in seen:
+            comp = [v]
+            seen.add(v)
+            for u in comp:
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            comps.append(sorted(comp))
+    return comps
+
+
+def _long_chain_and_star():
+    """The 320-vertex -2 chain, and the 320-vertex star of a -3 node with -2
+    legs of 106, 106 and 107 vertices."""
+    chain = ResolutionGraph.build({v: -2 for v in range(1, 321)},
+                                  [(v, v + 1) for v in range(1, 320)])
+    star = ResolutionGraph.build({1: -3, **{v: -2 for v in range(2, 321)}},
+                                 [(1 if v in (2, 108, 214) else v - 1, v)
+                                  for v in range(2, 321)])
+    return [(chain, [chain.ids[::8], [160]]), (star, [star.ids[::8], [1]])]
+
+
+def test_stars_and_components_match_the_dense_and_id_oracles(lattice_draws):
+    # seeded random trees with scattered ids and random removed sets, and
+    # the two long trees with a vertex in eight removed and a cut vertex
+    rng = random.Random(39)
+    trees = [_scattered(rng, g) for g in lattice_draws]
+    trees += [_scattered(rng, random_rational_graph(rng, max_vertices=9, order_cap=None))
+              for _ in range(40)]
+    # built directly, the edges flipped and out of order
+    trees += [ResolutionGraph(g.ids, g.eulers, tuple(rng.sample([(b, a) for a, b in g.edges],
+                                                                len(g.edges))), g.arrows)
+              for g in trees[:20]]
+    cases = [(g, [[v for v in g.ids if rng.random() < 0.4] for _ in range(3)] + [[]])
+             for g in trees] + _long_chain_and_star()
+    for g, removals in cases:
+        rows = g.form.rows
+        stars = _stars_of_rows(rows)
+        assert g.form.stars == stars
+        assert g.valences == tuple(len(nbrs) for _, nbrs in stars)
+        assert g.valences == tuple(sum(1 for w, a in enumerate(row) if a and w != v)
+                                   for v, row in enumerate(rows))
+        for removed in removals:
+            pieces = subgraph_components(g, removed)
+            comps = _id_components(g, set(removed))
+            assert [piece.graph.ids for piece in pieces] == [tuple(c) for c in comps]
+            for piece, comp in zip(pieces, comps):
+                inside = set(comp)
+                assert piece.graph.eulers == tuple(g.eulers[g.index[v]] for v in comp)
+                assert piece.graph.edges == tuple(sorted((min(e), max(e)) for e in g.edges
+                                                         if set(e) <= inside))
+                assert piece.stars == tuple((g.index[v], *stars[g.index[v]]) for v in comp)
